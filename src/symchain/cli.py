@@ -6,6 +6,7 @@ Exit codes are uniform across subcommands: 0 success, 1 domain failure
 
 from __future__ import annotations
 
+import calendar
 import json
 import os
 import sys
@@ -14,14 +15,16 @@ from pathlib import Path
 
 import click
 
-from . import csp as cspmod
 from . import evalkit
 from .corpus import load, load_normalized, mini_corpus
-from .folparse import ParseError, parse_formula, parse_translation_block, print_formula
+from .folparse import ParseError, Severity, parse_formula, print_formula
 from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
-from .inference import decide_formula, UnsupportedFragmentError
-from .logic import InconsistencyError
-from .pipeline import FallbackPolicy, Method, RunConfig, read_records, run_batch
+from .inference import UnsupportedFragmentError
+from .logic import Label
+from .pipeline import (
+    NO_KNOWLEDGE_BASE, NOT_EXECUTABLE, FallbackPolicy, Method, RunConfig, parse_translation,
+    read_records, run_batch, solve_translation, write_records,
+)
 
 
 def _read_input(source) -> str:
@@ -51,23 +54,12 @@ def main():
 def cmd_parse(source, fmt):
     """Parse a translation block (file or stdin) and print its canonical form."""
     text = _read_input(source)
-    if fmt == "csp":
-        try:
-            model, diagnostics = cspmod.parse_csp_block(text)
-        except ParseError as err:
+    csp = fmt == "csp"
+    try:
+        artifact, diagnostics = parse_translation(text, csp)
+    except ParseError as err:
+        if csp or err.message != "no sections found":
             _fail(str(err.diagnostic))
-        for d in diagnostics:
-            click.echo(str(d), err=True)
-        if model is None or diagnostics:
-            sys.exit(1)
-        click.echo(model.to_text())
-        return
-    has_headers = any(
-        line.strip().rstrip(":").lower() in
-        ("predicates", "premises", "facts", "rules", "query", "statement", "conclusion")
-        for line in text.splitlines()
-    )
-    if not has_headers:
         # bare formulas, one per line
         failures = 0
         for line in text.splitlines():
@@ -76,19 +68,15 @@ def cmd_parse(source, fmt):
             body = line.split(":::", 1)[0].strip()
             try:
                 click.echo(print_formula(parse_formula(body)))
-            except ParseError as err:
-                click.echo(str(err.diagnostic), err=True)
+            except ParseError as line_err:
+                click.echo(str(line_err.diagnostic), err=True)
                 failures += 1
         sys.exit(1 if failures else 0)
-    try:
-        block = parse_translation_block(text)
-    except ParseError as err:
-        _fail(str(err.diagnostic))
-    for d in block.diagnostics:
+    for d in diagnostics:
         click.echo(str(d), err=True)
-    if not block.executable:
+    if artifact is None or (diagnostics if csp else not artifact.executable):
         sys.exit(1)
-    click.echo(block.to_text())
+    click.echo(artifact.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -100,45 +88,30 @@ def cmd_parse(source, fmt):
 @click.option("--engine", type=click.Choice(["fol", "csp"]), default="fol")
 def cmd_solve(source, engine):
     """Solve a symbolic translation file with the matching engine."""
-    text = _read_input(source)
-    if engine == "fol":
-        try:
-            block = parse_translation_block(text)
-        except ParseError as err:
-            _fail(str(err.diagnostic))
-        if not block.executable or block.statement is None:
-            for d in block.diagnostics:
-                click.echo(str(d), err=True)
-            _fail("translation is not executable")
-        if block.kb is None:
-            _fail("no knowledge base in translation; general FOL is not auto-decided")
-        try:
-            label = decide_formula(block.kb, block.statement)
-        except InconsistencyError as err:
-            _fail(str(err))
-        except UnsupportedFragmentError as err:
-            _fail(f"unsupported query: {err}")
-        click.echo(label.value)
-        return
+    csp = engine == "csp"
     try:
-        model, diagnostics = cspmod.parse_csp_block(text)
+        artifact, diagnostics = parse_translation(_read_input(source), csp)
     except ParseError as err:
         _fail(str(err.diagnostic))
-    if model is None or diagnostics:
+    errors = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
+    result = solve_translation(artifact, errors, "", csp)
+    if result.response == NOT_EXECUTABLE:
         for d in diagnostics:
             click.echo(str(d), err=True)
-        _fail("model is not executable")
-    try:
-        verdict = cspmod.evaluate_queries(model)
-    except cspmod.NoSolutionsError as err:
-        _fail(str(err))
-    except cspmod.CspError as err:
-        _fail(str(err))
-    answer = cspmod.select_answer(verdict, cspmod.QuestionMode.MUST_BE_TRUE)
-    if isinstance(answer, cspmod.Undecided):
-        click.echo(str(answer))
+        _fail("model is not executable" if csp else "translation is not executable")
+    if result.response == NO_KNOWLEDGE_BASE:
+        _fail("no knowledge base in translation; general FOL is not auto-decided")
+    if isinstance(result.error, UnsupportedFragmentError):
+        _fail(f"unsupported query: {result.error}")
+    if result.error is not None:
+        _fail(str(result.error))
+    if not csp:
+        click.echo(result.label.value)
+    elif result.label is Label.UNDECIDED:
+        click.echo(str(result.answer))
         sys.exit(1)
-    click.echo(f"{answer} ({verdict.statuses[answer].value})")
+    else:
+        click.echo(f"{result.answer} ({result.verdict.statuses[result.answer].value})")
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +177,7 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
         gateway = CachingBackend(live, CompletionCache(cache_dir))
 
     records = run_batch(problems, Method(method), config, gateway)
-    payload = "".join(r.to_json() + "\n" for r in records)
-    if out:
-        Path(out).write_text(payload, encoding="utf-8")
-    else:
-        click.echo(payload, nl=False)
+    write_records(records, out or "-")
 
     misses = [r for r in records if r.error and "ReplayMiss" in r.error]
     if misses:
@@ -312,7 +281,7 @@ def cache_gc(directory, days, wipe):
         entry = cache.entry(key)
         stamp = entry.get("timestamp") if entry else None
         try:
-            age = time.mktime(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")) if stamp else 0
+            age = calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")) if stamp else 0
         except (TypeError, ValueError):
             age = 0
         if age < cutoff:

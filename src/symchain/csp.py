@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .folparse import ParseDiagnostic, ParseError
+from .folparse import ParseDiagnostic, ParseError, TokenCursor, read_sections
 from .logic import LogicError
 
 
@@ -209,7 +209,6 @@ _CSP_HEADER_RE = re.compile(
     r"^\s*(?P<name>domain|variables?|constraints?|quer(?:y|ies)(?:\s+for\s+options)?|options?)\s*:?\s*$",
     re.IGNORECASE,
 )
-_BULLET_RE = re.compile(r"^\s*(?:[-*•]\s+|\d+[.)]\s+)")
 _VAR_DECL_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:∈|in)\s*\{(?P<values>[^}]*)\}\s*$"
 )
@@ -238,31 +237,23 @@ _CSP_TOKEN_RE = re.compile(
 _OP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">=", "=": "=="}
 
 
-class _ExprParser:
+def _csp_section_kind(header: str) -> str:
+    h = header.lower()
+    if h.startswith("domain"):
+        return "domain"
+    if h.startswith("variable"):
+        return "variables"
+    if h.startswith("constraint"):
+        return "constraints"
+    return "queries"
+
+
+class _ExprParser(TokenCursor):
     """Precedence (tightest first): comparisons, not, and, or, ->."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _CSP_TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(pos, f"unknown symbol {text[pos]!r} in constraint")
-            if m.lastgroup != "WS":
-                self.tokens.append(_CspToken(m.lastgroup, m.group(), pos))
-            pos = m.end()
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), "unexpected end of constraint")
-        self.i += 1
-        return tok
+    token_re = _CSP_TOKEN_RE
+    noun = "constraint"
+    symbol_context = " in constraint"
 
     def parse(self) -> ConstraintExpr:
         expr = self._implies()
@@ -319,44 +310,30 @@ class _ExprParser:
 
     def _absdiff(self) -> ConstraintExpr:
         self._next()  # |
-        a = self._expect_ident("a variable name")
-        minus = self._next()
-        if minus.kind != "MINUS":
-            raise ParseError(minus.pos, f"expected '-', found {minus.text!r}")
-        b = self._expect_ident("a variable name")
-        closer = self._next()
-        if closer.kind != "PIPE":
-            raise ParseError(closer.pos, f"expected '|', found {closer.text!r}")
-        op_tok = self._next()
-        if op_tok.kind != "OP":
-            raise ParseError(op_tok.pos, f"expected a comparison operator, found {op_tok.text!r}")
+        a = self._expect("IDENT", "a variable name").text
+        self._expect("MINUS", "'-'")
+        b = self._expect("IDENT", "a variable name").text
+        self._expect("PIPE", "'|'")
+        op_tok = self._expect("OP", "a comparison operator")
         op = _OP_ALIASES.get(op_tok.text, op_tok.text)
         if op != "!=":
             raise ParseError(op_tok.pos, "absolute-difference constraints support only '!='")
-        k_tok = self._next()
-        if k_tok.kind != "INT":
-            raise ParseError(k_tok.pos, f"expected an integer, found {k_tok.text!r}")
+        k_tok = self._expect("INT", "an integer")
         return AbsDiffNotEqual(a, b, int(k_tok.text))
 
     def _alldifferent(self) -> ConstraintExpr:
         self._next()  # name
-        opener = self._next()
-        if opener.kind != "LPAREN":
-            raise ParseError(opener.pos, f"expected '(', found {opener.text!r}")
+        self._expect("LPAREN", "'('")
         bracketed = self._peek() and self._peek().kind == "LBRACK"
         if bracketed:
             self._next()
-        names = [self._expect_ident("a variable name")]
+        names = [self._expect("IDENT", "a variable name").text]
         while self._peek() and self._peek().kind == "COMMA":
             self._next()
-            names.append(self._expect_ident("a variable name"))
+            names.append(self._expect("IDENT", "a variable name").text)
         if bracketed:
-            closer = self._next()
-            if closer.kind != "RBRACK":
-                raise ParseError(closer.pos, f"expected ']', found {closer.text!r}")
-        closer = self._next()
-        if closer.kind != "RPAREN":
-            raise ParseError(closer.pos, f"expected ')', found {closer.text!r}")
+            self._expect("RBRACK", "']'")
+        self._expect("RPAREN", "')'")
         return AllDifferent(tuple(names))
 
     def _comparison(self) -> ConstraintExpr:
@@ -380,29 +357,9 @@ class _ExprParser:
             return tok.text
         raise ParseError(tok.pos, f"expected a variable or integer, found {tok.text!r}")
 
-    def _expect_ident(self, what: str) -> str:
-        tok = self._next()
-        if tok.kind != "IDENT":
-            raise ParseError(tok.pos, f"expected {what}, found {tok.text!r}")
-        return tok.text
-
-
-@dataclass(frozen=True)
-class _CspToken:
-    kind: str
-    text: str
-    pos: int
-
 
 def parse_constraint(text: str) -> ConstraintExpr:
     return _ExprParser(text).parse()
-
-
-def _split_gloss(line: str) -> tuple[str, str]:
-    if ":::" in line:
-        body, gloss = line.split(":::", 1)
-        return body.strip(), gloss.strip()
-    return line.strip(), ""
 
 
 def _parse_with_colon_gloss(body: str) -> ConstraintExpr:
@@ -428,38 +385,12 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
     variables: list[tuple[str, tuple[int, ...]]] = []
     constraints: list[ConstraintExpr] = []
     queries: list[tuple[str, ConstraintExpr]] = []
-    section = None
-    saw_section = False
-    saw_query_section = False
 
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        line = raw.rstrip("\n")
-        stripped = _BULLET_RE.sub("", line)
-        m = _CSP_HEADER_RE.match(stripped)
-        if m:
-            name = m.group("name").lower()
-            if name.startswith("domain"):
-                section = "domain"
-            elif name.startswith("variable"):
-                section = "variables"
-            elif name.startswith("constraint"):
-                section = "constraints"
-            else:
-                section = "queries"
-                saw_query_section = True
-            saw_section = True
-            offset += len(raw)
-            continue
-        content = stripped.strip()
-        if not content:
-            offset += len(raw)
-            continue
-        pos = offset + (len(line) - len(line.lstrip()))
+    headers, lines = read_sections(text, _CSP_HEADER_RE, _csp_section_kind)
+    for section, content, body, _, pos in lines:
         if section is None:
             diagnostics.append(ParseDiagnostic(pos, f"line outside any section: {content[:40]!r}"))
         elif section == "domain":
-            body, _ = _split_gloss(content)
             endpoint = _DOMAIN_ENDPOINT_RE.match(body)
             ranged = _DOMAIN_RANGE_RE.match(body)
             if endpoint:
@@ -471,7 +402,6 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
             else:
                 diagnostics.append(ParseDiagnostic(pos, f"cannot read domain line: {body!r}"))
         elif section == "variables":
-            body, _ = _split_gloss(content)
             m = _VAR_DECL_RE.match(body)
             if not m:
                 diagnostics.append(ParseDiagnostic(pos, f"cannot read variable declaration: {body!r}"))
@@ -485,13 +415,11 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
                     variables.append((m.group("name"), values))
                     domain_max = max(domain_max, max(values))
         elif section == "constraints":
-            body, _ = _split_gloss(content)
             try:
                 constraints.append(_parse_with_colon_gloss(body))
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + err.position, err.message))
         else:
-            body, _ = _split_gloss(content)
             qm = _QUERY_RE.match(body)
             if not qm:
                 diagnostics.append(ParseDiagnostic(pos, f"query line must start with an option letter: {body!r}"))
@@ -501,9 +429,9 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + err.position, err.message))
 
-    if not saw_section:
+    if not headers:
         raise ParseError(0, "no sections found")
-    if not saw_query_section:
+    if "queries" not in headers:
         diagnostics.append(ParseDiagnostic(len(text), "missing Query section"))
         return None, diagnostics
     if not variables:

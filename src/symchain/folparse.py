@@ -3,7 +3,8 @@
 This is the wire format between pipeline stages and the symbolic engines:
 single formulas (Unicode connectives with ASCII aliases) and labeled
 translation blocks (Predicates / Premises / Facts / Rules / Query sections
-with optional ``::: gloss`` suffixes).
+with optional ``::: gloss`` suffixes).  The section reader and the token
+cursor are shared with the CSP block parser in :mod:`symchain.csp`.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .logic import (
     And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
-    InconsistencyError, KnowledgeBase, LogicError, Not, Or, Rule,
-    SignedLiteral, Term, Variable, Xor, free_variables,
+    KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor,
 )
 
 
@@ -74,36 +74,39 @@ _TOKEN_RE = re.compile(
 _XYZ_VAR_RE = re.compile(r"^[xyz]\d*$")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Token:
     kind: str
     text: str
     pos: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(pos, f"unknown symbol {text[pos]!r}")
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    return tokens
+class TokenCursor:
+    """A tokenized expression and a read position.
 
+    The formula and constraint parsers subclass it with their own token
+    pattern; ``noun`` names the input in end-of-input errors and
+    ``symbol_context`` follows the symbol in unknown-symbol errors.
+    """
 
-class _FormulaParser:
-    """Recursive descent over the fixed precedence ¬, ∧, ∨, ⊕, →, ↔."""
+    token_re: re.Pattern
+    noun = "input"
+    symbol_context = ""
 
-    def __init__(self, text: str, signature: Optional[dict[str, int]] = None):
+    def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens: list[_Token] = []
+        token_re, append = self.token_re, self.tokens.append
+        pos = 0
+        while pos < len(text):
+            m = token_re.match(text, pos)
+            if m is None:
+                raise ParseError(pos, f"unknown symbol {text[pos]!r}{self.symbol_context}")
+            kind = m.lastgroup
+            if kind != "WS":
+                append(_Token(kind, m.group(), pos))
+            pos = m.end()
         self.i = 0
-        self.bound: list[str] = []
-        self.signature = signature
 
     def _peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -111,17 +114,26 @@ class _FormulaParser:
     def _next(self) -> _Token:
         tok = self._peek()
         if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input")
+            raise ParseError(len(self.text), f"unexpected end of {self.noun}")
         self.i += 1
         return tok
 
     def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), f"unexpected end of input, expected {what}")
+        tok = self._next()
         if tok.kind != kind:
             raise ParseError(tok.pos, f"expected {what}, found {tok.text!r}")
-        return self._next()
+        return tok
+
+
+class _FormulaParser(TokenCursor):
+    """Recursive descent over the fixed precedence ¬, ∧, ∨, ⊕, →, ↔."""
+
+    token_re = _TOKEN_RE
+
+    def __init__(self, text: str, signature: Optional[dict[str, int]] = None):
+        super().__init__(text)
+        self.bound: list[str] = []
+        self.signature = signature
 
     def parse(self) -> Formula:
         f = self._iff()
@@ -467,20 +479,44 @@ class TranslationBlock:
         return "\n".join(out)
 
 
-def _iter_section_lines(text: str):
-    """Yield (section_kind, line_body, gloss, offset) for content lines."""
+class SectionLine(NamedTuple):
+    """A non-blank, non-header line of a labeled block."""
+
+    section: Optional[str]  # None before the first header
+    text: str  # the line without its bullet and surrounding blanks
+    body: str  # text before any ``:::``
+    gloss: str  # text after ``:::``
+    offset: int  # of the line's first non-blank character
+
+
+def read_sections(text: str, header_re: re.Pattern,
+                  section_of: Callable[[str], str]) -> tuple[list[str], list[SectionLine]]:
+    """Split a labeled block into its header sections and content lines.
+
+    A line loses its bullet (``-``, ``*``, ``•``, ``1.``, ``1)``) before it
+    is matched against ``header_re``; ``section_of`` maps the match's
+    ``name`` group to a section name.  Returns the section of every header,
+    in order, and every content line.
+    """
+    headers: list[str] = []
+    lines: list[SectionLine] = []
     section = None
     offset = 0
     for raw in text.splitlines(keepends=True):
         line = raw.rstrip("\n")
         stripped = _BULLET_RE.sub("", line)
-        m = _HEADER_RE.match(stripped)
+        m = header_re.match(stripped)
         if m:
-            section = _section_kind(m.group("name"))
-        elif stripped.strip():
-            body, gloss = _split_gloss(stripped)
-            yield section, body, gloss, offset + (len(line) - len(line.lstrip()))
+            section = section_of(m.group("name"))
+            headers.append(section)
+        else:
+            content = stripped.strip()
+            if content:
+                body, gloss = _split_gloss(content)
+                lines.append(SectionLine(section, content, body, gloss,
+                                         offset + (len(line) - len(line.lstrip()))))
         offset += len(raw)
+    return headers, lines
 
 
 def parse_translation_block(text: str) -> TranslationBlock:
@@ -497,7 +533,8 @@ def parse_translation_block(text: str) -> TranslationBlock:
     saw_section = False
     saw_kb_sections = False
 
-    for section, body, gloss, offset in _iter_section_lines(text):
+    _, lines = read_sections(text, _HEADER_RE, _section_kind)
+    for section, _, body, gloss, offset in lines:
         if section is None:
             block.diagnostics.append(
                 ParseDiagnostic(offset, f"line outside any section: {body[:40]!r}")
@@ -567,8 +604,6 @@ def parse_translation_block(text: str) -> TranslationBlock:
     if saw_kb_sections or facts:
         try:
             block.kb = KnowledgeBase.build(facts, rules)
-        except InconsistencyError as err:
-            block.diagnostics.append(ParseDiagnostic(0, str(err)))
         except LogicError as err:
             block.diagnostics.append(ParseDiagnostic(0, str(err)))
 
@@ -597,8 +632,3 @@ def parse_translation_block(text: str) -> TranslationBlock:
             )
 
     return block
-
-
-def free_schema_variables(f: Formula) -> set[str]:
-    """Free variables of a formula read as an implicitly quantified schema."""
-    return free_variables(f)

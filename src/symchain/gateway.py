@@ -248,8 +248,7 @@ class HttpBackend(Backend):
     """Live chat-completions client (messages array in, choices[0] out).
 
     Retries network failures with exponential backoff (max 5 attempts) and
-    honors a server-provided Retry-After on rate limits.  A bounded
-    semaphore throttles concurrent in-flight calls.
+    honors a server-provided Retry-After on rate limits.
     """
 
     def __init__(
@@ -259,7 +258,6 @@ class HttpBackend(Backend):
         *,
         max_attempts: int = 5,
         backoff_base: float = 1.0,
-        max_in_flight: int = 4,
         post: Optional[Callable] = None,
         sleep: Callable[[float], None] = time.sleep,
         timeout: float = 120.0,
@@ -271,7 +269,6 @@ class HttpBackend(Backend):
         self.timeout = timeout
         self._post = post or requests.post
         self._sleep = sleep
-        self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         headers = {"Content-Type": "application/json"}
@@ -284,8 +281,7 @@ class HttpBackend(Backend):
             if attempt:
                 self._sleep(self._delay(attempt, last_error))
             try:
-                with self._gate:
-                    resp = self._post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
+                resp = self._post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
             except requests.RequestException as err:
                 last_error = NetworkError(str(err))
                 continue

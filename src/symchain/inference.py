@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .logic import (
-    And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, InconsistencyError,
-    InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule, SignedLiteral,
-    Term, Variable, Xor, alpha_equal, free_variables,
+    BINARY_NODES, QUANTIFIER_NODES, And, Atom, Constant, Exists, ForAll, Formula, Iff,
+    Implies, InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or,
+    Rule, SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables,
 )
-
-BINARY = (And, Or, Xor, Implies, Iff)
-QUANT = (ForAll, Exists)
 
 
 class UnknownRuleError(LogicError):
@@ -58,7 +55,7 @@ def _atoms_of(f: Formula) -> set[Atom]:
         return {f}
     if isinstance(f, Not):
         return _atoms_of(f.body)
-    if isinstance(f, BINARY):
+    if isinstance(f, BINARY_NODES):
         return _atoms_of(f.left) | _atoms_of(f.right)
     raise UnsupportedFragmentError("quantifiers are outside the propositional fragment")
 
@@ -130,10 +127,10 @@ def _match_instance(body: Formula, var: str, candidate: Formula) -> Optional[Ter
             return all(term(pa, ca, env_p, env_c) for pa, ca in zip(p.args, c.args))
         if isinstance(p, Not):
             return walk(p.body, c.body, env_p, env_c, depth)
-        if isinstance(p, BINARY):
+        if isinstance(p, BINARY_NODES):
             return (walk(p.left, c.left, env_p, env_c, depth)
                     and walk(p.right, c.right, env_p, env_c, depth))
-        if isinstance(p, QUANT):
+        if isinstance(p, QUANTIFIER_NODES):
             ep, ec = dict(env_p), dict(env_c)
             ep[p.var] = depth
             ec[c.var] = depth

@@ -453,7 +453,7 @@ class KnowledgeBase:
 
 
 # ---------------------------------------------------------------------------
-# Proof steps and labels
+# Inference rules and labels
 
 
 class InferenceRule(str, Enum):
@@ -468,17 +468,6 @@ class InferenceRule(str, Enum):
     HYPOTHETICAL_SYLLOGISM = "HypotheticalSyllogism"
     CONTRADICTION = "Contradiction"
     IFF_ELIM = "IffElim"
-
-
-@dataclass(frozen=True)
-class ProofStep:
-    premises: tuple[Formula, ...]
-    rule: InferenceRule
-    conclusion: Formula
-
-    def __post_init__(self):
-        if not self.premises:
-            raise LogicError("proof steps need at least one premise")
 
 
 class Label(str, Enum):

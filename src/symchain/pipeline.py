@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,9 +21,9 @@ from typing import Callable, Optional, Sequence, Union
 from . import csp as cspmod
 from . import inference
 from .corpus import Problem
-from .folparse import Severity, TranslationBlock, parse_translation_block, ParseError
+from .folparse import ParseDiagnostic, ParseError, Severity, TranslationBlock, parse_translation_block
 from .gateway import Backend, CompletionRequest, GatewayError
-from .logic import InconsistencyError, Label, LogicError
+from .logic import Label, LogicError
 from .templates import PromptTemplate, Stage, TemplateCatalog
 
 
@@ -33,15 +34,6 @@ class Method(str, Enum):
     SYMBCOT_NO_VERIFIER = "symbcot_no_verifier"
     TRANSLATE_THEN_SOLVE = "translate_then_solve"
 
-
-# LLM stages per method; translate_then_solve adds a non-LLM engine record.
-METHOD_STAGES: dict[Method, tuple[Stage, ...]] = {
-    Method.NAIVE: (Stage.NAIVE,),
-    Method.COT: (Stage.COT,),
-    Method.SYMBCOT: (Stage.TRANSLATOR, Stage.PLANNER, Stage.SOLVER, Stage.VERIFIER),
-    Method.SYMBCOT_NO_VERIFIER: (Stage.TRANSLATOR, Stage.PLANNER, Stage.SOLVER),
-    Method.TRANSLATE_THEN_SOLVE: (Stage.TRANSLATOR,),
-}
 
 # Total records appearing in a RunRecord per method (engine record included).
 METHOD_RECORD_COUNTS = {
@@ -270,74 +262,81 @@ def run_stage(template: PromptTemplate, bindings: dict[str, str], gateway: Backe
         completion_tokens=response.completion_tokens,
     )
     if template.stage is Stage.TRANSLATOR:
-        if template.family.is_csp:
-            try:
-                model, diagnostics = cspmod.parse_csp_block(response.content)
-                record.artifact = model
-                record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
-            except ParseError as err:
-                record.diagnostics = [str(err.diagnostic)]
-        else:
-            try:
-                block = parse_translation_block(response.content)
-                record.artifact = block
-                record.diagnostics = [
-                    str(d) for d in block.diagnostics if d.severity is Severity.ERROR
-                ]
-            except ParseError as err:
-                record.diagnostics = [str(err.diagnostic)]
+        try:
+            record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp)
+            record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
+        except ParseError as err:
+            record.diagnostics = [str(err.diagnostic)]
     elif template.stage in (Stage.SOLVER, Stage.VERIFIER, Stage.NAIVE, Stage.COT):
         record.label = extract_label(response.content, label_space)
     return record
 
 
-def _engine_record_fol(block: TranslationBlock) -> tuple[StageRecord, Label, bool]:
-    record = StageRecord(stage="engine", prompt="", response="")
-    if block is None or not block.executable or block.statement is None:
-        record.response = "translation not executable"
-        record.diagnostics = ["translation not executable"]
-        return record, Label.UNDECIDED, False
-    if block.kb is None:
-        record.response = "no knowledge base; general FOL is not auto-decided"
-        record.diagnostics = ["no knowledge base in translation"]
-        return record, Label.UNDECIDED, False
-    try:
-        label = inference.decide_formula(block.kb, block.statement)
-    except (InconsistencyError, inference.UnsupportedFragmentError, LogicError) as err:
-        record.response = f"engine error: {err}"
-        record.diagnostics = [str(err)]
-        return record, Label.UNDECIDED, False
-    record.response = f"decide: {label.value}"
-    record.label = label
-    return record, label, True
+Translation = Union[TranslationBlock, cspmod.CspModel, None]
+
+NOT_EXECUTABLE = "translation not executable"
+NO_KNOWLEDGE_BASE = "no knowledge base; general FOL is not auto-decided"
 
 
-def _engine_record_csp(model: Optional[cspmod.CspModel], diagnostics: list[str],
-                       question: str) -> tuple[StageRecord, Label, bool]:
-    record = StageRecord(stage="engine", prompt="", response="")
-    if model is None or diagnostics:
-        record.response = "translation not executable"
-        record.diagnostics = diagnostics or ["translation not executable"]
-        return record, Label.UNDECIDED, False
-    mode = cspmod.detect_question_mode(question)
+def parse_translation(text: str, csp: bool) -> tuple[Translation, list[ParseDiagnostic]]:
+    """Parse a translation in CSP or FOL notation.
+
+    Returns the artifact (None when a CSP model cannot be assembled) and all
+    of its diagnostics; raises :class:`ParseError` when the text has no
+    sections.
+    """
+    if csp:
+        return cspmod.parse_csp_block(text)
+    block = parse_translation_block(text)
+    return block, block.diagnostics
+
+
+@dataclass(frozen=True)
+class EngineResult:
+    """The symbolic engine's outcome on one translation.
+
+    ``response`` and ``diagnostics`` are the pipeline's engine record;
+    ``error`` is the engine's exception, if it raised one; ``answer`` and
+    ``verdict`` are the CSP option selection and per-option verdicts.
+    """
+
+    label: Label
+    executed: bool
+    response: str
+    diagnostics: tuple[str, ...] = ()
+    error: Optional[LogicError] = None
+    answer: Union[str, cspmod.Undecided, None] = None
+    verdict: Optional[cspmod.QueryVerdict] = None
+
+
+def solve_translation(artifact: Translation, errors: Sequence[str], question: str,
+                      csp: bool) -> EngineResult:
+    """Run the engine of the translation's notation.
+
+    ``errors`` are the translation's error diagnostics; any of them makes it
+    not executable.  FOL decides the query over the Facts/Rules knowledge
+    base; CSP selects the option that matches the question's mode (must /
+    could / cannot be true; must be true when the question names none).
+    """
+    if artifact is None or errors or (not csp and artifact.statement is None):
+        # a CSP engine record repeats the parse errors; a FOL one only names the failure
+        return EngineResult(Label.UNDECIDED, False, NOT_EXECUTABLE,
+                            tuple(errors) if csp and errors else (NOT_EXECUTABLE,))
+    if not csp and artifact.kb is None:
+        return EngineResult(Label.UNDECIDED, False, NO_KNOWLEDGE_BASE, ("no knowledge base in translation",))
     try:
-        verdict = cspmod.evaluate_queries(model)
-    except cspmod.NoSolutionsError as err:
-        record.response = f"engine error: {err}"
-        record.diagnostics = [str(err)]
-        return record, Label.UNDECIDED, False
-    except cspmod.CspError as err:
-        record.response = f"engine error: {err}"
-        record.diagnostics = [str(err)]
-        return record, Label.UNDECIDED, False
-    answer = cspmod.select_answer(verdict, mode)
+        if not csp:
+            label = inference.decide_formula(artifact.kb, artifact.statement)
+            return EngineResult(label, True, f"decide: {label.value}")
+        verdict = cspmod.evaluate_queries(artifact)
+    except LogicError as err:
+        return EngineResult(Label.UNDECIDED, False, f"engine error: {err}", (str(err),), error=err)
+    answer = cspmod.select_answer(verdict, cspmod.detect_question_mode(question))
     summary = ", ".join(f"{letter}:{status.value}" for letter, status in sorted(verdict.statuses.items()))
+    response = f"verdicts [{summary}] over {verdict.solution_count} solutions; "
     if isinstance(answer, cspmod.Undecided):
-        record.response = f"verdicts [{summary}] over {verdict.solution_count} solutions; {answer}"
-        return record, Label.UNDECIDED, True
-    record.response = f"verdicts [{summary}] over {verdict.solution_count} solutions; answer {answer}"
-    record.label = Label(answer)
-    return record, Label(answer), True
+        return EngineResult(Label.UNDECIDED, True, f"{response}{answer}", answer=answer, verdict=verdict)
+    return EngineResult(Label(answer), True, f"{response}answer {answer}", answer=answer, verdict=verdict)
 
 
 def _fallback_label(problem: Problem, config: RunConfig, gateway: Backend,
@@ -391,13 +390,10 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
         elif method is Method.TRANSLATE_THEN_SOLVE:
             record = run_stage(catalog.get(Stage.TRANSLATOR, family), bindings, gateway, config)
             stages.append(record)
-            if family.is_csp:
-                engine, final, executed = _engine_record_csp(
-                    record.artifact, record.diagnostics, problem.question
-                )
-            else:
-                engine, final, executed = _engine_record_fol(record.artifact)
-            stages.append(engine)
+            result = solve_translation(record.artifact, record.diagnostics, problem.question, family.is_csp)
+            stages.append(StageRecord(stage="engine", prompt="", response=result.response,
+                                      label=result.label, diagnostics=list(result.diagnostics)))
+            final, executed = result.label, result.executed
         else:
             record = run_stage(catalog.get(Stage.TRANSLATOR, family), bindings, gateway, config)
             stages.append(record)
@@ -468,9 +464,12 @@ def run_batch(problems: Sequence[Problem], method: Method, config: RunConfig,
 
 
 def write_records(records: Sequence[RunRecord], path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        "".join(r.to_json() + "\n" for r in records), encoding="utf-8"
-    )
+    """Write one JSON record per line to ``path``; ``"-"`` is standard output."""
+    payload = "".join(r.to_json() + "\n" for r in records)
+    if str(path) == "-":
+        sys.stdout.write(payload)
+    else:
+        Path(path).write_text(payload, encoding="utf-8")
 
 
 def read_records(path: Union[str, Path]) -> list[RunRecord]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 from symchain.cli import main
 from symchain.corpus import mini_corpus
 from symchain.fixtures import build_replay_fixtures
-from symchain.gateway import CompletionCache
+from symchain.gateway import CompletionCache, CompletionRequest, CompletionResponse
 from symchain.pipeline import Method, RunConfig
 
 
@@ -60,6 +61,15 @@ class TestParse:
         assert result.exit_code == 0
         assert "∀x (P(x) → Q(x))" in result.output
 
+    def test_header_aliases_parse_as_block(self, runner):
+        block = ("Conditional rules:\nP($x, True) => Q($x, True)\nFact:\nP(a, True)\n"
+                 "Queries:\nQ(a, True)\n")
+        result = runner.invoke(main, ["parse", "-", "--format", "fol"], input=block)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQuery:\nQ(a)\n"
+        solved = runner.invoke(main, ["solve", "-", "--engine", "fol"], input=block)
+        assert (solved.exit_code, solved.stdout) == (0, "True\n")
+
 
 class TestSolve:
     def test_car_csp_answer(self, runner, tmp_path, corpus):
@@ -83,6 +93,14 @@ class TestSolve:
         result = runner.invoke(main, ["solve", str(path), "--engine", "fol"])
         assert result.exit_code == 1
         assert "inconsistency" in result.output + (result.stderr or "")
+
+    def test_csp_without_solutions_exit_one(self, runner):
+        block = ("Domain:\n1: low\n2: high\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 3\n"
+                 "Query:\nA) v == 1\n")
+        result = runner.invoke(main, ["solve", "-", "--engine", "csp"], input=block)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "model has no solutions; verdicts are undefined\n"
 
 
 class TestRunEvalReport:
@@ -262,3 +280,23 @@ class TestCache:
     def test_gc_requires_selector(self, runner, tmp_path):
         result = runner.invoke(main, ["cache", "gc", "--dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_gc_reads_timestamps_as_utc(self, runner, tmp_path, monkeypatch):
+        # an entry stamped 2 h ago (UTC) is older than 1 h in any local zone
+        cache = CompletionCache(tmp_path)
+        key = cache.store(CompletionRequest(model="m", messages=(("user", "q"),)),
+                          CompletionResponse(content="a"))
+        entry = cache.entry(key)
+        entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time() - 7200))
+        cache.path_for(key).write_text(json.dumps(entry), encoding="utf-8")
+        monkeypatch.setenv("TZ", "EST5")
+        time.tzset()
+        try:
+            result = runner.invoke(main, ["cache", "gc", "--dir", str(tmp_path),
+                                          "--older-than", "0.0417"])
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert result.exit_code == 0
+        assert result.output == "removed 1 entries\n"
+        assert cache.keys() == []

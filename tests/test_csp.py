@@ -10,7 +10,7 @@ from symchain.csp import (
     evaluate_queries, parse_constraint, parse_csp_block, select_answer,
     solve_all,
 )
-from symchain.folparse import ParseError
+from symchain.folparse import ParseDiagnostic, ParseError
 
 import helpers
 
@@ -92,6 +92,27 @@ class TestParseCspBlock:
         assert not diagnostics
         assert again.constraints == model.constraints
         assert again.queries == model.queries
+
+    @pytest.mark.parametrize("text,diagnostics", [
+        ("- Domain:\n- 1: low ::: the low end\n- 2: high\n- Variables:\n- v ∈ {1, 2}\n"
+         "- Constraints:\n- v == 1 ::: v is low\n- Query:\n- A) v == 1\n", []),
+        ("1. Domain:\n1. 1: low\n2. 2: high\n2) Variables:\n1) v ∈ {1, 2}\n3. Constraints:\n"
+         "1. v == 1\n4. Query:\n1. A) v == 1 ::: v is low\n", []),
+        ("stray\n  more ::: note\nDomain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\n"
+         "v == 1\nQuery:\nA) v == 1\n",
+         [ParseDiagnostic(0, "line outside any section: 'stray'"),
+          ParseDiagnostic(8, "line outside any section: 'more ::: note'")]),
+        ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv >> 1\nQuery:\nA) v == 1\n",
+         [ParseDiagnostic(53, "expected a variable or integer, found '>'")]),
+        ("Domain:\nVariables:\nConstraints:\n", [ParseDiagnostic(32, "missing Query section")]),
+        ("- Domain:\n- Query:\n", [ParseDiagnostic(19, "no variables declared")]),
+    ], ids=["bullets", "numbers", "outside-lines", "bad-constraint", "no-query", "no-variables"])
+    def test_section_reader_layouts(self, text, diagnostics):
+        model, got = parse_csp_block(text)
+        assert got == diagnostics
+        if model is not None:
+            assert model.variables == [("v", (1, 2))]
+            assert model.queries == [("A", Compare("v", "==", 1))]
 
 
 class TestSolveAll:

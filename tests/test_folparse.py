@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symchain.folparse import (
-    ParseError, Severity, formula_to_literal, formula_to_rules, parse_formula,
+    ParseDiagnostic, ParseError, Severity, formula_to_literal, formula_to_rules, parse_formula,
     parse_translation_block, print_formula,
 )
 from symchain.logic import (
@@ -289,3 +289,31 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert again.executable
         assert again.kb.facts == block.kb.facts
         assert again.query == block.query
+
+    @pytest.mark.parametrize("text,gloss,diagnostics", [
+        ("- Facts:\n- P(a, True) ::: a is p\n- Rules:\n- P($x, True) ⇒ Q($x, True)\n"
+         "- Query:\n- Q(a, True) ::: a is q\n", "a is q", []),
+        ("1. Facts:\n1. P(a, True)\n2) Rules:\n1) P($x, True) ⇒ Q($x, True) ::: p implies q\n"
+         "3. Query:\n1. Q(a, True)\n", "", []),
+        ("Fact:\nP(a, True)\nConditional rules:\nP($x, True) => Q($x, True)\nQueries:\n"
+         "Q(a, True) ::: a is q\n", "a is q", []),
+        ("stray\n  stray line ::: note\nFacts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\n"
+         "Query:\nQ(a, True)\n", "",
+         [ParseDiagnostic(0, "line outside any section: 'stray'"),
+          ParseDiagnostic(8, "line outside any section: 'stray line'")]),
+    ], ids=["bullets", "numbers", "header-aliases", "outside-lines"])
+    def test_section_reader_layouts(self, text, gloss, diagnostics):
+        block = parse_translation_block(text)
+        assert block.diagnostics == diagnostics
+        assert block.kb is not None and len(block.kb.rules) == 1
+        assert SignedLiteral("P", (c("a"),), True) in block.kb.facts
+        assert block.query == SignedLiteral("Q", (c("a"),), True)
+        assert block.statement_gloss == gloss
+
+    @pytest.mark.parametrize("text", [
+        "Facts:\nQuery:\n",
+        "- Predicates:\n\n1. Rules:\n2) Conclusion:\n",
+    ], ids=["plain", "bulleted"])
+    def test_header_only_block_raises(self, text):
+        with pytest.raises(ParseError, match="no sections found"):
+            parse_translation_block(text)

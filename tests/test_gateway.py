@@ -4,11 +4,13 @@ import threading
 import pytest
 import requests
 
+from symchain.corpus import mini_corpus
 from symchain.gateway import (
     AuthError, Backend, CachingBackend, CompletionCache, CompletionRequest,
     CompletionResponse, GatewayError, HttpBackend, NetworkError,
     ReplayBackend, ReplayMissError, ScriptedBackend,
 )
+from symchain.pipeline import Method, RunConfig, run_batch
 
 
 def req(content="hello", model="m1"):
@@ -246,3 +248,17 @@ class TestHttpBackend:
 
         backend = HttpBackend("http://example", post=post, sleep=lambda s: None)
         assert backend.complete(req()).content == "ok"
+
+    def test_parallelism_is_not_capped(self):
+        # every run_batch worker must reach the model at once: a post that
+        # waits for all six breaks the barrier if any request is held back
+        barrier = threading.Barrier(6, timeout=2)
+
+        def post(url, json=None, headers=None, timeout=None):
+            barrier.wait()
+            return FakeResponse(content="The answer is {True}.")
+
+        problems = list(mini_corpus().problems)[:6]
+        records = run_batch(problems, Method.NAIVE, RunConfig(parallelism=6),
+                            HttpBackend("http://example", post=post, sleep=lambda s: None))
+        assert [r.error for r in records] == [None] * 6
