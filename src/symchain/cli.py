@@ -17,7 +17,7 @@ import click
 
 from . import evalkit
 from .corpus import load, load_normalized, mini_corpus
-from .folparse import ParseError, Severity, parse_formula, print_formula
+from .folparse import ParseError, Severity, has_section_header, parse_formula, print_formula
 from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .inference import UnsupportedFragmentError
 from .logic import Label
@@ -58,9 +58,9 @@ def cmd_parse(source, fmt):
     try:
         artifact, diagnostics = parse_translation(text, csp)
     except ParseError as err:
-        if csp or err.message != "no sections found":
+        if csp or err.message != "no sections found" or has_section_header(text):
             _fail(str(err.diagnostic))
-        # bare formulas, one per line
+        # no header at all: bare formulas, one per line
         failures = 0
         for line in text.splitlines():
             if not line.strip():

@@ -2,9 +2,11 @@
 
 A model assigns each variable a value from 1..n; constraints are
 comparisons, all-different, adjacency exclusions, and boolean combinations
-thereof.  ``solve_all`` enumerates every satisfying assignment (backtracking,
-but output-equivalent to naive enumeration) and ``evaluate_queries``
-classifies each answer option as must / may / cannot be true.
+thereof.  ``solve_all`` enumerates every satisfying assignment (backtracking
+that checks each constraint at its last variable and prunes top-level
+all-different constraints value by value, but output-equivalent to naive
+enumeration) and ``evaluate_queries`` classifies each answer option as
+must / may / cannot be true.
 """
 
 from __future__ import annotations
@@ -468,8 +470,13 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
     """All satisfying assignments, ordered as naive lexicographic enumeration.
 
     Backtracks over variables in declaration order, checking each constraint
-    as soon as its variables are assigned, which prunes without changing the
-    result set or its order.
+    as soon as its variables are assigned.  Each top-level ``AllDifferent``
+    also prunes incrementally: a variable skips the values its
+    earlier-declared members already hold.  The full check still runs at the
+    constraint's last variable (it decides repeated names, and
+    ``AllDifferent`` nested in a boolean combination prunes only there).
+    Pruning cuts only subtrees without solutions, so neither the result set
+    nor its order changes.
     """
     space = math.prod(len(domain) for _, domain in model.variables) if model.variables else 0
     if space > SEARCH_SPACE_GUARD:
@@ -480,10 +487,16 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
     position = {n: i for i, n in enumerate(names)}
     # constraint -> index of the last variable it mentions
     checks: list[list[ConstraintExpr]] = [[] for _ in names]
+    # variable -> earlier-declared variables it must differ from
+    distinct_from: list[set[str]] = [set() for _ in names]
     for expr in model.constraints:
         used = expr_variables(expr)
         last = max(position[v] for v in used) if used else 0
         checks[last].append(expr)
+        if isinstance(expr, AllDifferent):
+            for name in expr.names:
+                distinct_from[position[name]].update(
+                    other for other in expr.names if position[other] < position[name])
 
     solutions: list[dict[str, int]] = []
     truncated = False
@@ -497,7 +510,10 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
                 truncated = True
                 return False
             return True
+        taken = {assignment[name] for name in distinct_from[i]}
         for value in domains[i]:
+            if value in taken:
+                continue
             assignment[names[i]] = value
             if all(eval_expr(c, assignment) for c in checks[i]):
                 if not backtrack(i + 1):

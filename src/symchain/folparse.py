@@ -486,7 +486,7 @@ class SectionLine(NamedTuple):
     text: str  # the line without its bullet and surrounding blanks
     body: str  # text before any ``:::``
     gloss: str  # text after ``:::``
-    offset: int  # of the line's first non-blank character
+    offset: int  # of the first character of ``text`` in the block
 
 
 def read_sections(text: str, header_re: re.Pattern,
@@ -514,9 +514,15 @@ def read_sections(text: str, header_re: re.Pattern,
             if content:
                 body, gloss = _split_gloss(content)
                 lines.append(SectionLine(section, content, body, gloss,
-                                         offset + (len(line) - len(line.lstrip()))))
+                                         offset + len(line) - len(stripped.lstrip())))
         offset += len(raw)
     return headers, lines
+
+
+def has_section_header(text: str) -> bool:
+    """Whether some line of ``text`` is a FOL translation block header."""
+    headers, _ = read_sections(text, _HEADER_RE, _section_kind)
+    return bool(headers)
 
 
 def parse_translation_block(text: str) -> TranslationBlock:

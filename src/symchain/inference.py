@@ -2,14 +2,16 @@
 
 ``check_step`` validates a single deduction against a named inference rule,
 double-checking propositional instances by truth-table entailment.
-``forward_chain`` computes the least fixpoint of horn rule application and
-``decide`` answers queries with open-world three-valued semantics.
+``forward_chain`` computes the least fixpoint of horn rule application by
+semi-naive evaluation and ``decide`` answers queries with open-world
+three-valued semantics.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .logic import (
@@ -375,91 +377,132 @@ class ChainResult:
     def literals(self) -> set[SignedLiteral]:
         return {d.literal for d in self.derivations}
 
+    @cached_property
+    def _depths(self) -> dict[SignedLiteral, int]:
+        return {d.literal: d.depth for d in self.derivations}
+
     def depth_of(self, literal: SignedLiteral) -> Optional[int]:
-        for d in self.derivations:
-            if d.literal == literal:
-                return d.depth
-        return None
+        return self._depths.get(literal)
+
+
+_FactKey = tuple[str, bool]
 
 
 def _match_literal(pattern: SignedLiteral, fact: SignedLiteral,
                    binding: dict[str, Term]) -> Optional[dict[str, Term]]:
-    if pattern.predicate != fact.predicate or pattern.polarity != fact.polarity \
-            or len(pattern.args) != len(fact.args):
-        return None
+    # the fact index already agrees on predicate and polarity, and the
+    # knowledge base on arity
     out = dict(binding)
     for pat, val in zip(pattern.args, fact.args):
         if isinstance(pat, Variable):
-            bound = out.get(pat.name)
-            if bound is None:
-                out[pat.name] = val
-            elif bound != val:
+            if out.setdefault(pat.name, val) != val:
                 return None
         elif pat != val:
             return None
     return out
 
 
-def _match_body(body: tuple[SignedLiteral, ...], index: dict[tuple[str, bool], list[SignedLiteral]]):
-    def rec(i: int, binding: dict[str, Term]):
-        if i == len(body):
-            yield binding
-            return
-        pattern = body[i]
-        for fact in index.get((pattern.predicate, pattern.polarity), ()):
-            extended = _match_literal(pattern, fact, binding)
-            if extended is not None:
-                yield from rec(i + 1, extended)
+def _match_new(body: tuple[SignedLiteral, ...], index: dict[_FactKey, list[SignedLiteral]],
+               old: dict[_FactKey, int]):
+    """Bindings of ``body`` that use at least one new fact.
 
-    yield from rec(0, {})
+    ``index[key]`` lists the facts of a key oldest first, and its first
+    ``old[key]`` entries are old.  Bindings come in the order of the naive
+    nested-loop join over the whole index, minus the all-old ones.
+    """
+    keys = [(lit.predicate, lit.polarity) for lit in body]
+    facts_of = [index.get(key, ()) for key in keys]
+    splits = [old.get(key, 0) for key in keys]
+    # new_after[i]: a literal after position i can still take a new fact
+    new_after = [False] * len(body)
+    for i in range(len(body) - 1, 0, -1):
+        new_after[i - 1] = new_after[i] or splits[i] < len(facts_of[i])
+    last = len(body) - 1
+
+    def rec(i: int, binding: dict[str, Term], used_new: bool):
+        facts, split = facts_of[i], splits[i]
+        # until the first new fact (the pivot), take old facts only where a
+        # later literal can still be the pivot
+        for j in range(0 if used_new or new_after[i] else split, len(facts)):
+            extended = _match_literal(body[i], facts[j], binding)
+            if extended is None:
+                continue
+            if i == last:
+                yield extended
+            else:
+                yield from rec(i + 1, extended, used_new or j >= split)
+
+    yield from rec(0, {}, False)
 
 
 def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResult:
     """Least fixpoint of rule application, with minimal derivation depths.
 
+    Evaluation is semi-naive: round d joins each rule only through bindings
+    that use at least one fact derived in round d-1 (the given facts count
+    as round 0's), and skips the rules with no such fact in their body.  A
+    join over older facts alone was already made in an earlier round, so
+    the fixpoint, the depths, the ``via`` of every derivation and the
+    truncation flag are those of naive evaluation.
+
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
     flag set.  Raises :class:`InconsistencyError` if both polarities of a
-    literal become derivable.
+    literal become derivable, naming the first clashing literal of that
+    round in ``(depth, to_text("kb"))`` order.
     """
     derivations: dict[SignedLiteral, Derivation] = {
         fact: Derivation(fact, 0) for fact in kb.facts
     }
-    index: dict[tuple[str, bool], list[SignedLiteral]] = {}
+    # append-only fact lists; the first old[key] facts predate the last round
+    index: dict[_FactKey, list[SignedLiteral]] = {}
     for fact in kb.facts:
         index.setdefault((fact.predicate, fact.polarity), []).append(fact)
+    old: dict[_FactKey, int] = {}
+    new_keys = set(index)
+    rules_of: dict[_FactKey, set[int]] = {}
+    for position, rule in enumerate(kb.rules):
+        for lit in rule.body:
+            rules_of.setdefault((lit.predicate, lit.polarity), set()).add(position)
+
+    def firing():
+        """(rule, binding) pairs that use a new fact, in naive join order."""
+        positions = set().union(*(rules_of.get(key, ()) for key in new_keys))
+        for position in sorted(positions):
+            rule = kb.rules[position]
+            for binding in _match_new(rule.body, index, old):
+                yield rule, binding
 
     depth = 0
     truncated = False
     while True:
         if max_depth is not None and depth >= max_depth:
             # a further round might still fire; probe for truncation
-            for rule in kb.rules:
-                for binding in _match_body(rule.body, index):
-                    if rule.head.substitute(binding) not in derivations:
-                        truncated = True
-                        break
-                if truncated:
-                    break
+            truncated = any(rule.head.substitute(binding) not in derivations
+                            for rule, binding in firing())
             break
         depth += 1
-        fresh: list[tuple[SignedLiteral, Derivation]] = []
-        for rule in kb.rules:
-            for binding in _match_body(rule.body, index):
-                head = rule.head.substitute(binding)
-                if head in derivations:
-                    continue
-                via = (rule, tuple(sorted(binding.items())))
-                fresh.append((head, Derivation(head, depth, via)))
+        fresh: dict[SignedLiteral, Derivation] = {}
+        for rule, binding in firing():
+            head = rule.head.substitute(binding)
+            if head in derivations or head in fresh:
+                continue
+            fresh[head] = Derivation(head, depth, (rule, tuple(sorted(binding.items()))))
         if not fresh:
             break
-        for head, derivation in fresh:
-            if head in derivations:
-                continue
-            if head.negated() in derivations:
-                raise InconsistencyError(SignedLiteral(head.predicate, head.args, True))
+        clashes = [head for head in fresh
+                   if (negated := head.negated()) in derivations or negated in fresh]
+        if clashes:
+            first = min(clashes, key=lambda head: head.to_text("kb"))
+            raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
+        for key, facts in index.items():
+            old[key] = len(facts)
+        new_keys = set()
+        for head, derivation in fresh.items():
             derivations[head] = derivation
-            index.setdefault((head.predicate, head.polarity), []).append(head)
+            key = (head.predicate, head.polarity)
+            index.setdefault(key, []).append(head)
+            new_keys.add(key)
 
     ordered = sorted(derivations.values(), key=lambda d: (d.depth, d.literal.to_text("kb")))
     return ChainResult(tuple(ordered), truncated)

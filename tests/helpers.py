@@ -2,8 +2,9 @@
 
 The oracles deliberately re-derive everything from scratch (truth tables by
 their own evaluator, KB entailment by model enumeration over the ground
-instantiation, CSP solutions by naive product enumeration) so they share no
-code path with the engines they check.
+instantiation, chaining depths by naive rounds over the same ground program,
+CSP solutions by naive product enumeration) so they share no code path with
+the engines they check.
 """
 
 from __future__ import annotations
@@ -221,6 +222,75 @@ def random_kb(rng: Random, max_ground_atoms: int = 9) -> KnowledgeBase | None:
         return KnowledgeBase.build(facts, rules)
     except Exception:
         return None
+
+
+def random_horn_kb(rng: Random) -> KnowledgeBase:
+    """A random KB for chaining over unary and binary predicates and up to
+    three constants.  Bodies have one to three literals, negative ones
+    included, and mostly reuse the (predicate, polarity) of facts and of
+    earlier heads, so that rules chain.  Two variables over binary
+    predicates give repeated variables (``R($x, $x)``), and constants also
+    appear inside rules."""
+    constants = [Constant(c) for c in ["a", "b", "c"][:rng.randint(1, 3)]]
+    arity = {"P": 1, "Q": 1, "T": 1, "U": 1, "V": 1, "R": 2, "S": 2}
+
+    def literal(predicate: str, polarity: bool, variables: list[str]) -> SignedLiteral:
+        args = tuple(
+            Variable(rng.choice(variables)) if variables and rng.random() < 0.8 else rng.choice(constants)
+            for _ in range(arity[predicate])
+        )
+        return SignedLiteral(predicate, args, polarity)
+
+    facts = {}
+    for _ in range(rng.randint(2, 10)):
+        fact = literal(rng.choice(sorted(arity)), rng.random() < 0.8, [])
+        facts[(fact.predicate, fact.args)] = fact  # one polarity per atom
+    given = sorted({(f.predicate, f.polarity) for f in facts.values()})
+    heads: list[tuple[str, bool]] = []
+    rules = []
+    for _ in range(rng.randint(2, 10)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if heads and roll < 0.5:
+                predicate, polarity = rng.choice(heads)
+            elif roll < 0.9:
+                predicate, polarity = rng.choice(given)
+            else:
+                predicate, polarity = rng.choice(sorted(arity)), rng.random() < 0.7
+            body.append(literal(predicate, polarity, ["x", "y"]))
+        bound = sorted(set().union(*(lit.variables() for lit in body)))
+        head = literal(rng.choice(sorted(arity)), rng.random() < 0.8, bound)
+        rules.append(Rule(tuple(body), head))
+        heads.append((head.predicate, head.polarity))
+    rng.shuffle(rules)
+    return KnowledgeBase.build(facts.values(), rules)
+
+
+def naive_fixpoint(kb: KnowledgeBase, max_depth: int | None = None
+                   ) -> tuple[dict[SignedLiteral, int], bool] | None:
+    """Naive bottom-up evaluation of the ground program.
+
+    Round d fires every ground rule whose body holds after round d-1 and
+    adds its head at depth d.  Returns each literal's minimal depth and
+    whether a round past ``max_depth`` would still add a literal, or None
+    when a round derives both polarities of a literal.
+    """
+    known = {fact: 0 for fact in kb.facts}
+    grounded = ground_rules(kb)
+    depth = 0
+    while True:
+        new = {head for body, head in grounded
+               if head not in known and all(lit in known for lit in body)}
+        if max_depth is not None and depth >= max_depth:
+            return known, bool(new)
+        if not new:
+            return known, False
+        depth += 1
+        for head in new:
+            known[head] = depth
+        if any(lit.negated() in known for lit in new):
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,11 @@ class TestParse:
         assert result.exit_code == 0
         assert "∀x (P(x) → Q(x))" in result.output
 
+    def test_header_only_block_is_not_read_as_formulas(self, runner):
+        result = runner.invoke(main, ["parse", "-", "--format", "fol"], input="Facts:\nQuery:\n")
+        assert result.exit_code == 1
+        assert result.stderr == "error at offset 0: no sections found\n"
+
     def test_header_aliases_parse_as_block(self, runner):
         block = ("Conditional rules:\nP($x, True) => Q($x, True)\nFact:\nP(a, True)\n"
                  "Queries:\nQ(a, True)\n")

@@ -104,9 +104,12 @@ class TestParseCspBlock:
           ParseDiagnostic(8, "line outside any section: 'more ::: note'")]),
         ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv >> 1\nQuery:\nA) v == 1\n",
          [ParseDiagnostic(53, "expected a variable or integer, found '>'")]),
+        # the offset counts from the bulleted line's body: "(v == 1" spans 54-61
+        ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\n  * (v == 1 ::: broken\n"
+         "Query:\nA) v == 1\n", [ParseDiagnostic(61, "unbalanced parenthesis")]),
         ("Domain:\nVariables:\nConstraints:\n", [ParseDiagnostic(32, "missing Query section")]),
         ("- Domain:\n- Query:\n", [ParseDiagnostic(19, "no variables declared")]),
-    ], ids=["bullets", "numbers", "outside-lines", "bad-constraint", "no-query", "no-variables"])
+    ], ids=["bullets", "numbers", "outside-lines", "bad-constraint", "bulleted-bad-constraint", "no-query", "no-variables"])
     def test_section_reader_layouts(self, text, diagnostics):
         model, got = parse_csp_block(text)
         assert got == diagnostics
@@ -165,6 +168,37 @@ class TestSolveAll:
             got = [tuple(sorted(s.items())) for s in solve_all(model).solutions]
             want = [tuple(sorted(s.items())) for s in helpers.oracle_solutions(model)]
             assert got == want
+
+    @pytest.mark.parametrize("constraints", [
+        [AllDifferent(("c", "a")), Compare("b", "<", "d")],
+        [AllDifferent(("a", "b", "a"))],
+        [CNot(AllDifferent(("a", "b", "c")))],
+        [COr(AllDifferent(("a", "b", "c", "d")), Compare("a", "==", "b")), AllDifferent(("d", "b"))],
+        [AllDifferent(("a", "b", "c")), AllDifferent(("c", "d")), CNot(Compare("d", "==", 1))],
+    ], ids=["partial", "repeated-name", "negated", "under-or", "overlapping"])
+    @pytest.mark.parametrize("limit", [None, 1, 4])
+    def test_alldifferent_pruning_matches_unpruned_reference(self, constraints, limit):
+        # unsorted and uneven domains: the order is declaration then domain order
+        model = CspModel(domain_size=3, variables=[
+            ("a", (1, 2, 3)), ("b", (3, 1, 2)), ("c", (2, 3)), ("d", (1, 2, 3))],
+            constraints=constraints, queries=[])
+        want = helpers.oracle_solutions(model)
+        result = solve_all(model, limit=limit)
+        assert list(result.solutions) == want[:limit]
+        assert result.truncated is (limit is not None and len(want) >= limit)
+
+    def test_alldifferent_pruning_matches_reference_on_random_models(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            model = helpers.random_csp_model(rng)
+            names = [n for n, _ in model.variables]
+            extra = AllDifferent(tuple(rng.choice(names) for _ in range(rng.randint(2, len(names)))))
+            model.constraints.insert(rng.randint(0, len(model.constraints)), extra)
+            limit = rng.choice([None, 1, 3])
+            want = helpers.oracle_solutions(model)
+            result = solve_all(model, limit=limit)
+            assert list(result.solutions) == want[:limit]
+            assert result.truncated is (limit is not None and len(want) >= limit)
 
     def test_constraint_order_permutation_invariant(self):
         rng = random.Random(42)

@@ -283,6 +283,12 @@ Love(miroslav, music) ::: Miroslav loved music.
             for d in errors:
                 assert 0 <= d.position <= len(text)
 
+    def test_bulleted_line_offsets_count_from_its_body(self):
+        text = "Facts:\nP(a, True)\nQuery:\n  * P(a, True ::: broken"
+        block = parse_translation_block(text)
+        body = text.index("P(a, True :::")
+        assert block.diagnostics == [ParseDiagnostic(body + len("P(a, True"), "unbalanced parenthesis")]
+
     def test_round_trip_canonical_text(self):
         block = parse_translation_block(PRONTOQA_BLOCK)
         again = parse_translation_block(block.to_text())

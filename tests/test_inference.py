@@ -304,6 +304,47 @@ class TestForwardChain:
             assert derived == entailed
             checked += 1
 
+    def test_two_clashes_in_one_round_name_the_first_in_kb_order(self):
+        # round 1 derives R(a) before Q(a) (rule order), and both clash
+        kb = kb_from(
+            [lit("P", "a"), lit("Q", "a", polarity=False), lit("R", "a", polarity=False)],
+            [rule([("P", "x", True)], ("R", "x", True)),
+             rule([("P", "x", True)], ("Q", "x", True))],
+        )
+        with pytest.raises(InconsistencyError) as exc:
+            forward_chain(kb)
+        assert exc.value.literal == lit("Q", "a")
+
+    def test_depth_of_is_a_lookup_that_keeps_equality(self):
+        block = parse_translation_block(_max_translation())
+        result = forward_chain(block.kb)
+        for d in result.derivations:
+            assert result.depth_of(d.literal) == d.depth
+        assert result.depth_of(lit("Nowhere", "max")) is None
+        assert result == forward_chain(block.kb)
+        assert hash(result) == hash(forward_chain(block.kb))
+
+    @pytest.mark.parametrize("max_depth", [None, 1, 2, 3])
+    def test_matches_naive_fixpoint(self, max_depth):
+        rng = random.Random(34)
+        checked = inconsistent = 0
+        for _ in range(300):
+            kb = helpers.random_horn_kb(rng)
+            want = helpers.naive_fixpoint(kb, max_depth)
+            try:
+                result = forward_chain(kb, max_depth=max_depth)
+            except InconsistencyError:
+                assert want is None
+                inconsistent += 1
+                continue
+            assert want is not None
+            depths, truncated = want
+            assert [(d.literal, d.depth) for d in result.derivations] == sorted(
+                depths.items(), key=lambda item: (item[1], item[0].to_text("kb")))
+            assert result.truncated is truncated
+            checked += 1
+        assert checked > 150 and inconsistent > 0
+
 
 class TestDecide:
     def test_anne_unknown(self):
