@@ -125,6 +125,63 @@ class TestCheckStep:
         assert verdict.reason
 
 
+# (rule, premises, conclusion, valid, reason): per rule a valid step and a
+# mismatch (with its countermodel when one exists), plus both fallacies
+STEP_REASONS = [
+    ("ModusPonens", ["A", "A → B"], "B", True, "from A and the implication, infer the consequent"),
+    ("ModusPonens", ["∀y P(y) → Q(a)", "∀x P(x)"], "Q(a)", True,
+     "from ∀x P(x) and the implication, infer the consequent"),
+    ("ModusPonens", ["A", "B → C"], "C", False,
+     "premises do not fit φ, φ → ψ ⊢ ψ; countermodel: A=true, B=false, C=false"),
+    ("ModusPonens", ["B", "A → B"], "A", False, "affirming the consequent; countermodel: A=false, B=true"),
+    ("ModusTollens", ["¬B", "A → B"], "¬A", True, "from ¬ψ and φ → ψ, infer ¬φ"),
+    ("ModusTollens", ["¬B", "A → C"], "¬A", False,
+     "premises do not fit ¬ψ, φ → ψ ⊢ ¬φ; countermodel: A=true, B=false, C=true"),
+    ("ModusTollens", ["¬A", "A → B"], "¬B", False, "denying the antecedent; countermodel: A=false, B=true"),
+    ("UniversalInstantiation", ["∀x (P(x) → Q(x))"], "P(a) → Q(a)", True, "instantiates ∀x"),
+    ("UniversalInstantiation", ["∀x (P(x) → Q(x))"], "P(a) → Q(b)", False,
+     "conclusion is not an instance of the quantified body"),
+    ("UniversalInstantiation", ["P(a)"], "P(a)", False, "premise is not universally quantified"),
+    ("ExistentialInstantiation", ["∃x (Bird(x) ∧ Hawk(x))"], "Bird(h) ∧ Hawk(h)", True, "names the witness h for ∃x"),
+    ("ExistentialInstantiation", ["∃x A"], "A", True, "∃x is vacuous"),
+    ("ExistentialInstantiation", ["∃x P(x)"], "P(f(a))", False, "the witness must be a constant"),
+    ("ExistentialInstantiation", ["∃x P(x)"], "Q(a)", False, "conclusion is not an instance of the quantified body"),
+    ("ExistentialInstantiation", ["∀x P(x)"], "P(a)", False, "premise is not existentially quantified"),
+    ("AndElim", ["A ∧ B"], "B", True, "extracts one conjunct"),
+    ("AndElim", ["A ∧ B"], "C", False,
+     "conclusion is not a conjunct of the premise; countermodel: A=true, B=true, C=false"),
+    ("AndIntro", ["A", "B"], "B ∧ A", True, "joins the premises"),
+    ("AndIntro", ["A", "B"], "A ∨ B", False, "conclusion is not the conjunction of the premises"),
+    ("OrIntro", ["A"], "C ∨ A", True, "weakens the premise into a disjunction"),
+    ("OrIntro", ["A"], "B ∨ C", False,
+     "conclusion is not a disjunction containing the premise; countermodel: A=true, B=false, C=false"),
+    ("DisjunctiveSyllogism", ["A ∨ B", "¬A"], "B", True, "eliminates the refuted left disjunct"),
+    ("DisjunctiveSyllogism", ["¬B", "A ∨ B"], "A", True, "eliminates the refuted right disjunct"),
+    ("DisjunctiveSyllogism", ["A ∨ B", "¬A"], "A", False,
+     "premises do not fit φ ∨ ψ, ¬φ ⊢ ψ; countermodel: A=false, B=true"),
+    ("HypotheticalSyllogism", ["B → C", "A → B"], "A → C", True, "chains the implications"),
+    ("HypotheticalSyllogism", ["A → B", "B → C"], "C → A", False,
+     "premises do not fit φ → ψ, ψ → χ ⊢ φ → χ; countermodel: A=false, B=false, C=true"),
+    ("Contradiction", ["¬A", "A"], "B", True, "contradictory premises entail anything (ex falso)"),
+    ("Contradiction", ["S → A", "S → ¬A"], "¬S", True, "the assumption implies both ψ and ¬ψ (reductio)"),
+    ("Contradiction", ["A", "B"], "C", False,
+     "premises contain no contradictory pair; countermodel: A=true, B=true, C=false"),
+    ("IffElim", ["A ↔ B"], "B → A", True, "extracts one direction of the biconditional"),
+    ("IffElim", ["A ↔ B"], "A ∧ B", False,
+     "conclusion is not a direction of the biconditional; countermodel: A=false, B=false"),
+    ("IffElim", ["A ↔ B", "A"], "B", True, "applies the biconditional left to right"),
+    ("IffElim", ["B", "A ↔ B"], "A", True, "applies the biconditional right to left"),
+    ("IffElim", ["A ↔ B", "C"], "B", False,
+     "premises do not fit φ ↔ ψ with one side asserted; countermodel: A=false, B=false, C=true"),
+]
+
+
+@pytest.mark.parametrize("rule, premises, conclusion, valid, reason", STEP_REASONS)
+def test_step_reasons(rule, premises, conclusion, valid, reason):
+    verdict = check_step([f(p) for p in premises], rule, f(conclusion))
+    assert (verdict.valid, verdict.reason) == (valid, reason)
+
+
 def mutate_to_invalid(rng, premises, conclusion):
     """Replace the conclusion with one the premises do not entail."""
     for _ in range(200):
