@@ -118,8 +118,12 @@ def cmd_solve(source, engine):
 # run
 
 
+def _is_mini_corpus(name: str) -> bool:
+    return name.lower() in ("minicorpus", "mini-corpus", "mini")
+
+
 def _load_problems(dataset: str, data_file, config: RunConfig):
-    if dataset.lower() in ("minicorpus", "mini-corpus", "mini"):
+    if _is_mini_corpus(dataset):
         return list(mini_corpus().problems)
     path = data_file or config.dataset_paths.get(dataset)
     if path is None:
@@ -136,7 +140,7 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
 @click.option("--dataset", default="minicorpus", show_default=True)
 @click.option("--data-file", type=click.Path(exists=True), default=None,
               help="Dataset JSON file (defaults to the config's dataset_paths).")
-@click.option("--limit", type=int, default=None, help="Run only the first N problems.")
+@click.option("--limit", type=click.IntRange(min=0), default=None, help="Run only the first N problems.")
 @click.option("--replay", is_flag=False, flag_value="", default=None,
               help="Offline replay; optional cache directory (embedded fixtures when omitted).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
@@ -164,7 +168,7 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
     if replay is not None:
         if replay:
             gateway = ReplayBackend(replay)
-        elif dataset.lower() in ("minicorpus", "mini-corpus", "mini"):
+        elif _is_mini_corpus(dataset):
             from .fixtures import ScriptedCorpusBackend
 
             gateway = ScriptedCorpusBackend()
@@ -207,7 +211,7 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
 def cmd_eval(records_file, gold_source, fmt, out, annotations):
     """Score a records file against gold labels and emit an EvalReport."""
     records = read_records(records_file)
-    if gold_source.lower() in ("minicorpus", "mini-corpus", "mini"):
+    if _is_mini_corpus(gold_source):
         corpus = mini_corpus()
         problems = list(corpus.problems)
         golds = corpus.golds()

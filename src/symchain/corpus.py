@@ -12,7 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import _minicorpus
 from .logic import Label
@@ -243,6 +243,25 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     )
 
 
+def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]) -> LoadResult:
+    """Normalize each record of a JSON-array or JSON-lines file under ``info_of(record)``."""
+    text = Path(path).read_text(encoding="utf-8")
+    if text.lstrip().startswith("["):
+        records = json.loads(text)
+    else:
+        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    result = LoadResult()
+    for i, record in enumerate(records):
+        rid = str(_pick(record, "id") or f"record-{i}")
+        try:
+            result.problems.append(normalize_record(record, info_of(record)))
+        except KeyError as err:
+            result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
+        except (ValueError, CorpusError) as err:
+            result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
+    return result
+
+
 def load(dataset: str, path: Union[str, Path]) -> LoadResult:
     """Load and normalize a dataset file (a JSON array or JSON lines).
 
@@ -251,25 +270,11 @@ def load(dataset: str, path: Union[str, Path]) -> LoadResult:
     test-split size only warns.
     """
     info = dataset_info(dataset)
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        records = json.loads(text)
-    else:
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
-
-    result = LoadResult()
-    for i, record in enumerate(records):
-        rid = str(_pick(record, "id") or f"record-{i}")
-        try:
-            result.problems.append(normalize_record(record, info))
-        except KeyError as err:
-            result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
-        except (ValueError, CorpusError) as err:
-            result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
-    if info.expected_size is not None and len(records) != info.expected_size:
+    result = _load_records(path, lambda record: info)
+    count = len(result.problems) + len(result.errors)
+    if info.expected_size is not None and count != info.expected_size:
         warnings.warn(
-            f"{info.name}: loaded {len(records)} records, expected {info.expected_size}",
+            f"{info.name}: loaded {count} records, expected {info.expected_size}",
             stacklevel=2,
         )
     return result
@@ -282,22 +287,7 @@ def dump_problems(problems: list[Problem]) -> str:
 
 def load_normalized(path: Union[str, Path]) -> LoadResult:
     """Load a file already in the normalized schema (dataset field per record)."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    records = json.loads(text) if stripped.startswith("[") else [
-        json.loads(line) for line in text.splitlines() if line.strip()
-    ]
-    result = LoadResult()
-    for i, record in enumerate(records):
-        rid = str(record.get("id", f"record-{i}"))
-        try:
-            info = dataset_info(record["dataset"])
-            result.problems.append(normalize_record(record, info))
-        except KeyError as err:
-            result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
-        except (ValueError, CorpusError) as err:
-            result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
-    return result
+    return _load_records(path, lambda record: dataset_info(record["dataset"]))
 
 
 # ---------------------------------------------------------------------------

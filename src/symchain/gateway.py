@@ -38,6 +38,10 @@ class AuthError(GatewayError):
     pass
 
 
+class MalformedResponseError(GatewayError):
+    """A status-200 reply without a chat completion's ``choices[0].message.content`` text."""
+
+
 class ReplayMissError(GatewayError):
     """The replay cache has no entry for this request; never goes live."""
 
@@ -296,14 +300,20 @@ class HttpBackend(Backend):
                 continue
             if resp.status_code != 200:
                 raise GatewayError(f"unexpected status {resp.status_code}: {resp.text[:200]}")
-            data = resp.json()
-            usage = data.get("usage", {})
-            return CompletionResponse(
-                content=data["choices"][0]["message"]["content"],
-                prompt_tokens=usage.get("prompt_tokens", 0),
-                completion_tokens=usage.get("completion_tokens", 0),
-                backend="live",
-            )
+            try:
+                data = resp.json()
+                usage = data.get("usage", {})
+                content = data["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}")
+                return CompletionResponse(
+                    content=content,
+                    prompt_tokens=usage.get("prompt_tokens", 0),
+                    completion_tokens=usage.get("completion_tokens", 0),
+                    backend="live",
+                )
+            except (ValueError, LookupError, TypeError, AttributeError) as err:
+                raise MalformedResponseError(f"malformed completion reply: {type(err).__name__}: {err}") from err
         raise last_error if last_error else NetworkError("no attempts made")
 
     def _delay(self, attempt: int, last_error: Optional[Exception]) -> float:

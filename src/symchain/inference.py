@@ -1,10 +1,16 @@
 """Proof-step checking and forward chaining over the signed-literal fragment.
 
-``check_step`` validates a single deduction against a named inference rule,
-double-checking propositional instances by truth-table entailment.
+``check_step`` validates a single deduction against a named inference rule.
+The propositional rules, the two fallacies and the mismatch hints are one
+table of schemas in the formula notation (``"p; p → q ⊢ q"``), parsed at
+import and matched up to alpha-equivalence; truth tables confirm the
+propositional steps.  The quantifier rules compare the conclusion with
+``substitute``-made instances, which cannot capture a variable.
+
 ``forward_chain`` computes the least fixpoint of horn rule application by
-semi-naive evaluation and ``decide`` answers queries with open-world
-three-valued semantics.
+semi-naive evaluation; ``decide`` and ``decide_formula`` answer with
+open-world three-valued semantics through one strong-Kleene evaluator, of
+which ``eval_formula`` is the two-valued case.
 """
 
 from __future__ import annotations
@@ -12,12 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
+from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
-    BINARY_NODES, QUANTIFIER_NODES, And, Atom, Constant, Exists, ForAll, Formula, Iff,
-    Implies, InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or,
-    Rule, SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables,
+    BINARY_NODES, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
+    InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule,
+    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, substitute,
 )
 
 
@@ -49,7 +56,33 @@ class StepVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Truth tables over the propositional fragment
+# Strong-Kleene evaluation and truth tables
+
+
+def _kleene(f: Formula, value_of: Callable[[Atom], Optional[bool]]) -> Optional[bool]:
+    """Strong-Kleene value of ``f`` (None is unknown), atoms valued by ``value_of``.
+
+    Both operands are evaluated, left first, so either one's error is raised.
+    """
+    if isinstance(f, Atom):
+        return value_of(f)
+    if isinstance(f, Not):
+        inner = _kleene(f.body, value_of)
+        return None if inner is None else not inner
+    if not isinstance(f, BINARY_NODES):
+        raise UnsupportedFragmentError("quantified statements are not auto-decided")
+    left, right = _kleene(f.left, value_of), _kleene(f.right, value_of)
+    if isinstance(f, (Iff, Xor)):
+        if left is None or right is None:
+            return None
+        return (left == right) == isinstance(f, Iff)
+    if isinstance(f, Implies):
+        left = None if left is None else not left  # φ → ψ is ¬φ ∨ ψ
+    # a conjunction is decided by a false operand, a disjunction by a true one
+    decisive = isinstance(f, (Or, Implies))
+    if decisive in (left, right):
+        return decisive
+    return None if None in (left, right) else not decisive
 
 
 def _atoms_of(f: Formula) -> set[Atom]:
@@ -71,21 +104,8 @@ def is_propositional(f: Formula) -> bool:
 
 
 def eval_formula(f: Formula, model: Mapping[Atom, bool]) -> bool:
-    if isinstance(f, Atom):
-        return model[f]
-    if isinstance(f, Not):
-        return not eval_formula(f.body, model)
-    if isinstance(f, And):
-        return eval_formula(f.left, model) and eval_formula(f.right, model)
-    if isinstance(f, Or):
-        return eval_formula(f.left, model) or eval_formula(f.right, model)
-    if isinstance(f, Xor):
-        return eval_formula(f.left, model) != eval_formula(f.right, model)
-    if isinstance(f, Implies):
-        return (not eval_formula(f.left, model)) or eval_formula(f.right, model)
-    if isinstance(f, Iff):
-        return eval_formula(f.left, model) == eval_formula(f.right, model)
-    raise UnsupportedFragmentError("quantifiers are outside the propositional fragment")
+    """Two-valued evaluation under a model that values every atom of ``f``."""
+    return _kleene(f, model.__getitem__)
 
 
 def truth_table_entails(premises: Iterable[Formula], conclusion: Formula,
@@ -106,215 +126,142 @@ def truth_table_entails(premises: Iterable[Formula], conclusion: Formula,
 
 
 def _describe_model(model: Mapping[Atom, bool]) -> str:
-    from .folparse import print_formula
-
     parts = [f"{print_formula(a)}={'true' if v else 'false'}" for a, v in model.items()]
     return ", ".join(sorted(parts))
 
 
 # ---------------------------------------------------------------------------
-# First-order matching helpers for schema checks
+# The rule table
 
-
-def _match_instance(body: Formula, var: str, candidate: Formula) -> Optional[Term]:
-    """If ``candidate`` is alpha-equal to ``body[var := t]`` for some term t, return t."""
-    found: list[Term] = []
-
-    def walk(p: Formula, c: Formula, env_p: dict[str, int], env_c: dict[str, int], depth: int) -> bool:
-        if type(p) is not type(c):
-            return False
-        if isinstance(p, Atom):
-            if p.predicate != c.predicate or len(p.args) != len(c.args):
-                return False
-            return all(term(pa, ca, env_p, env_c) for pa, ca in zip(p.args, c.args))
-        if isinstance(p, Not):
-            return walk(p.body, c.body, env_p, env_c, depth)
-        if isinstance(p, BINARY_NODES):
-            return (walk(p.left, c.left, env_p, env_c, depth)
-                    and walk(p.right, c.right, env_p, env_c, depth))
-        if isinstance(p, QUANTIFIER_NODES):
-            ep, ec = dict(env_p), dict(env_c)
-            ep[p.var] = depth
-            ec[c.var] = depth
-            return walk(p.body, c.body, ep, ec, depth + 1)
-        return False
-
-    def term(pt: Term, ct: Term, env_p: dict[str, int], env_c: dict[str, int]) -> bool:
-        if isinstance(pt, Variable) and pt.name == var and var not in env_p:
-            # the instantiated position: all occurrences must agree
-            if found:
-                return terms_alpha(found[0], ct, env_p, env_c)
-            found.append(ct)
-            return True
-        if type(pt) is not type(ct):
-            return False
-        if isinstance(pt, Variable):
-            if pt.name in env_p or ct.name in env_c:
-                return env_p.get(pt.name) == env_c.get(ct.name)
-            return pt.name == ct.name
-        if isinstance(pt, Constant):
-            return pt.name == ct.name
-        return (pt.name == ct.name and len(pt.args) == len(ct.args)
-                and all(term(a, b, env_p, env_c) for a, b in zip(pt.args, ct.args)))
-
-    def terms_alpha(a: Term, b: Term, env_p, env_c) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (Variable, Constant)):
-            return a.name == b.name
-        return (a.name == b.name and len(a.args) == len(b.args)
-                and all(terms_alpha(x, y, env_p, env_c) for x, y in zip(a.args, b.args)))
-
-    if walk(body, candidate, {}, {}, 0):
-        return found[0] if found else Variable(var)
-    return None
-
-
-_PREMISE_COUNTS = {
-    InferenceRule.MODUS_PONENS: (2, 2),
-    InferenceRule.MODUS_TOLLENS: (2, 2),
-    InferenceRule.UNIVERSAL_INSTANTIATION: (1, 1),
-    InferenceRule.EXISTENTIAL_INSTANTIATION: (1, 1),
-    InferenceRule.AND_ELIM: (1, 1),
-    InferenceRule.AND_INTRO: (2, 2),
-    InferenceRule.OR_INTRO: (1, 1),
-    InferenceRule.DISJUNCTIVE_SYLLOGISM: (2, 2),
-    InferenceRule.HYPOTHETICAL_SYLLOGISM: (2, 2),
-    InferenceRule.CONTRADICTION: (2, 2),
-    InferenceRule.IFF_ELIM: (1, 2),
+# (rule, premise count): (mismatch hint, schema rows).  A row is (schema,
+# valid, reason), tried in order over every premise order; the letters p, q,
+# r stand for any formula and ``{p}`` in a reason prints what p matched.  The
+# quantifier rules have no rows: they are matched by instantiation.
+_RULE_TABLE = {
+    (InferenceRule.MODUS_PONENS, 2): ("premises do not fit φ, φ → ψ ⊢ ψ", [
+        ("p; p → q ⊢ q", True, "from {p} and the implication, infer the consequent"),
+        ("q; p → q ⊢ p", False, "affirming the consequent"),
+    ]),
+    (InferenceRule.MODUS_TOLLENS, 2): ("premises do not fit ¬ψ, φ → ψ ⊢ ¬φ", [
+        ("¬q; p → q ⊢ ¬p", True, "from ¬ψ and φ → ψ, infer ¬φ"),
+        ("¬p; p → q ⊢ ¬q", False, "denying the antecedent"),
+    ]),
+    (InferenceRule.UNIVERSAL_INSTANTIATION, 1): ("conclusion is not an instance of the quantified body", []),
+    (InferenceRule.EXISTENTIAL_INSTANTIATION, 1): ("conclusion is not an instance of the quantified body", []),
+    (InferenceRule.AND_ELIM, 1): ("conclusion is not a conjunct of the premise", [
+        ("p ∧ q ⊢ p", True, "extracts one conjunct"),
+        ("p ∧ q ⊢ q", True, "extracts one conjunct"),
+    ]),
+    (InferenceRule.AND_INTRO, 2): ("conclusion is not the conjunction of the premises", [
+        ("p; q ⊢ p ∧ q", True, "joins the premises"),
+    ]),
+    (InferenceRule.OR_INTRO, 1): ("conclusion is not a disjunction containing the premise", [
+        ("p ⊢ p ∨ q", True, "weakens the premise into a disjunction"),
+        ("p ⊢ q ∨ p", True, "weakens the premise into a disjunction"),
+    ]),
+    (InferenceRule.DISJUNCTIVE_SYLLOGISM, 2): ("premises do not fit φ ∨ ψ, ¬φ ⊢ ψ", [
+        ("p ∨ q; ¬p ⊢ q", True, "eliminates the refuted left disjunct"),
+        ("p ∨ q; ¬q ⊢ p", True, "eliminates the refuted right disjunct"),
+    ]),
+    (InferenceRule.HYPOTHETICAL_SYLLOGISM, 2): ("premises do not fit φ → ψ, ψ → χ ⊢ φ → χ", [
+        ("p → q; q → r ⊢ p → r", True, "chains the implications"),
+    ]),
+    (InferenceRule.CONTRADICTION, 2): ("premises contain no contradictory pair", [
+        ("p; ¬p ⊢ q", True, "contradictory premises entail anything (ex falso)"),
+        ("p → q; p → ¬q ⊢ ¬p", True, "the assumption implies both ψ and ¬ψ (reductio)"),
+    ]),
+    (InferenceRule.IFF_ELIM, 1): ("conclusion is not a direction of the biconditional", [
+        ("p ↔ q ⊢ p → q", True, "extracts one direction of the biconditional"),
+        ("p ↔ q ⊢ q → p", True, "extracts one direction of the biconditional"),
+    ]),
+    (InferenceRule.IFF_ELIM, 2): ("premises do not fit φ ↔ ψ with one side asserted", [
+        ("p ↔ q; p ⊢ q", True, "applies the biconditional left to right"),
+        ("p ↔ q; q ⊢ p", True, "applies the biconditional right to left"),
+    ]),
 }
+
+
+def _parse_schema(text: str) -> tuple[Formula, ...]:
+    """The schema's premises followed by its conclusion."""
+    premises, conclusion = text.split("⊢")
+    return tuple(parse_formula(part) for part in premises.split(";")) + (parse_formula(conclusion),)
+
+
+_RULES = {key: (hint, [(_parse_schema(text), valid, reason) for text, valid, reason in rows])
+          for key, (hint, rows) in _RULE_TABLE.items()}
+_PREMISE_COUNTS = {rule: [n for r, n in _RULES if r is rule] for rule in InferenceRule}
+
+
+def _bind(schema: Formula, f: Formula, env: dict[str, Formula]) -> bool:
+    """Match ``f`` against ``schema``, binding each letter to one formula up to
+    alpha-equivalence; ``env`` keeps the first formula each letter matched."""
+    if isinstance(schema, Atom):
+        bound = env.setdefault(schema.predicate, f)
+        return bound is f or alpha_equal(bound, f)
+    if type(schema) is not type(f):
+        return False
+    if isinstance(schema, Not):
+        return _bind(schema.body, f.body, env)
+    return _bind(schema.left, f.left, env) and _bind(schema.right, f.right, env)
+
+
+def _subterms(f: Formula) -> Iterator[Term]:
+    if isinstance(f, Atom):
+        stack = list(f.args)
+        while stack:
+            t = stack.pop()
+            yield t
+            if isinstance(t, FunctionApp):
+                stack.extend(t.args)
+    elif isinstance(f, BINARY_NODES):
+        yield from _subterms(f.left)
+        yield from _subterms(f.right)
+    else:
+        yield from _subterms(f.body)
+
+
+def _instance_term(body: Formula, var: str, candidate: Formula) -> Optional[Term]:
+    """A term t with ``candidate`` alpha-equal to ``body[var := t]``, if any.
+
+    ``substitute`` renames a binder of ``body`` that would capture t, so a
+    candidate whose t is bound inside it never matches.  When ``var`` does
+    not occur free, any t will do and the variable itself is returned.
+    """
+    if var not in free_variables(body):
+        return Variable(var) if alpha_equal(body, candidate) else None
+    return next((t for t in _subterms(candidate) if alpha_equal(substitute(body, var, t), candidate)),
+                None)
+
+
+def _match_quantifier(premise: Formula, rule: InferenceRule, conclusion: Formula,
+                      hint: str) -> tuple[bool, str]:
+    universal = rule is InferenceRule.UNIVERSAL_INSTANTIATION
+    if not isinstance(premise, ForAll if universal else Exists):
+        return False, f"premise is not {'universally' if universal else 'existentially'} quantified"
+    term = _instance_term(premise.body, premise.var, conclusion)
+    if term is None:
+        return False, hint
+    if universal:
+        return True, f"instantiates ∀{premise.var}"
+    if isinstance(term, Constant):
+        return True, f"names the witness {term.name} for ∃{premise.var}"
+    if premise.var not in free_variables(premise.body):
+        # vacuous quantifier: the variable never occurs, body follows directly
+        return True, f"∃{premise.var} is vacuous"
+    return False, "the witness must be a constant"
 
 
 def _match_schema(premises: list[Formula], rule: InferenceRule, conclusion: Formula) -> tuple[bool, str]:
     """Return (matched, description-or-failure-hint) for the named schema."""
-    from .folparse import print_formula
-
-    def orders(n: int):
-        return itertools.permutations(range(len(premises)), n)
-
-    if rule is InferenceRule.MODUS_PONENS:
-        for i, j in orders(2):
-            cond = premises[j]
-            if isinstance(cond, Implies) and alpha_equal(premises[i], cond.left) \
-                    and alpha_equal(conclusion, cond.right):
-                return True, f"from {print_formula(premises[i])} and the implication, infer the consequent"
-        for i, j in orders(2):
-            cond = premises[j]
-            if isinstance(cond, Implies) and alpha_equal(premises[i], cond.right) \
-                    and alpha_equal(conclusion, cond.left):
-                return False, "affirming the consequent"
-        return False, "premises do not fit φ, φ → ψ ⊢ ψ"
-
-    if rule is InferenceRule.MODUS_TOLLENS:
-        for i, j in orders(2):
-            neg, cond = premises[i], premises[j]
-            if isinstance(neg, Not) and isinstance(cond, Implies) \
-                    and alpha_equal(neg.body, cond.right) \
-                    and isinstance(conclusion, Not) and alpha_equal(conclusion.body, cond.left):
-                return True, "from ¬ψ and φ → ψ, infer ¬φ"
-        for i, j in orders(2):
-            neg, cond = premises[i], premises[j]
-            if isinstance(neg, Not) and isinstance(cond, Implies) \
-                    and alpha_equal(neg.body, cond.left) \
-                    and isinstance(conclusion, Not) and alpha_equal(conclusion.body, cond.right):
-                return False, "denying the antecedent"
-        return False, "premises do not fit ¬ψ, φ → ψ ⊢ ¬φ"
-
-    if rule is InferenceRule.UNIVERSAL_INSTANTIATION:
-        (p,) = premises
-        if not isinstance(p, ForAll):
-            return False, "premise is not universally quantified"
-        if _match_instance(p.body, p.var, conclusion) is not None:
-            return True, f"instantiates ∀{p.var}"
-        return False, "conclusion is not an instance of the quantified body"
-
-    if rule is InferenceRule.EXISTENTIAL_INSTANTIATION:
-        (p,) = premises
-        if not isinstance(p, Exists):
-            return False, "premise is not existentially quantified"
-        witness = _match_instance(p.body, p.var, conclusion)
-        if isinstance(witness, Constant):
-            return True, f"names the witness {witness.name} for ∃{p.var}"
-        if witness == Variable(p.var) and p.var not in free_variables(p.body):
-            # vacuous quantifier: the variable never occurs, body follows directly
-            return True, f"∃{p.var} is vacuous"
-        if witness is not None:
-            return False, "the witness must be a constant"
-        return False, "conclusion is not an instance of the quantified body"
-
-    if rule is InferenceRule.AND_ELIM:
-        (p,) = premises
-        if isinstance(p, And) and (alpha_equal(conclusion, p.left) or alpha_equal(conclusion, p.right)):
-            return True, "extracts one conjunct"
-        return False, "conclusion is not a conjunct of the premise"
-
-    if rule is InferenceRule.AND_INTRO:
-        if isinstance(conclusion, And):
-            a, b = premises
-            if (alpha_equal(conclusion.left, a) and alpha_equal(conclusion.right, b)) or \
-                    (alpha_equal(conclusion.left, b) and alpha_equal(conclusion.right, a)):
-                return True, "joins the premises"
-        return False, "conclusion is not the conjunction of the premises"
-
-    if rule is InferenceRule.OR_INTRO:
-        (p,) = premises
-        if isinstance(conclusion, Or) and (alpha_equal(conclusion.left, p) or alpha_equal(conclusion.right, p)):
-            return True, "weakens the premise into a disjunction"
-        return False, "conclusion is not a disjunction containing the premise"
-
-    if rule is InferenceRule.DISJUNCTIVE_SYLLOGISM:
-        for i, j in orders(2):
-            disj, neg = premises[i], premises[j]
-            if isinstance(disj, Or) and isinstance(neg, Not):
-                if alpha_equal(neg.body, disj.left) and alpha_equal(conclusion, disj.right):
-                    return True, "eliminates the refuted left disjunct"
-                if alpha_equal(neg.body, disj.right) and alpha_equal(conclusion, disj.left):
-                    return True, "eliminates the refuted right disjunct"
-        return False, "premises do not fit φ ∨ ψ, ¬φ ⊢ ψ"
-
-    if rule is InferenceRule.HYPOTHETICAL_SYLLOGISM:
-        for i, j in orders(2):
-            first, second = premises[i], premises[j]
-            if isinstance(first, Implies) and isinstance(second, Implies) \
-                    and alpha_equal(first.right, second.left) \
-                    and isinstance(conclusion, Implies) \
-                    and alpha_equal(conclusion.left, first.left) \
-                    and alpha_equal(conclusion.right, second.right):
-                return True, "chains the implications"
-        return False, "premises do not fit φ → ψ, ψ → χ ⊢ φ → χ"
-
-    if rule is InferenceRule.CONTRADICTION:
-        for i, j in orders(2):
-            pos, neg = premises[i], premises[j]
-            if isinstance(neg, Not) and alpha_equal(neg.body, pos):
-                return True, "contradictory premises entail anything (ex falso)"
-        for i, j in orders(2):
-            a, b = premises[i], premises[j]
-            if isinstance(a, Implies) and isinstance(b, Implies) \
-                    and alpha_equal(a.left, b.left) \
-                    and isinstance(b.right, Not) and alpha_equal(b.right.body, a.right) \
-                    and isinstance(conclusion, Not) and alpha_equal(conclusion.body, a.left):
-                return True, "the assumption implies both ψ and ¬ψ (reductio)"
-        return False, "premises contain no contradictory pair"
-
-    if rule is InferenceRule.IFF_ELIM:
-        if len(premises) == 1:
-            (p,) = premises
-            if isinstance(p, Iff) and isinstance(conclusion, Implies):
-                if (alpha_equal(conclusion.left, p.left) and alpha_equal(conclusion.right, p.right)) or \
-                        (alpha_equal(conclusion.left, p.right) and alpha_equal(conclusion.right, p.left)):
-                    return True, "extracts one direction of the biconditional"
-            return False, "conclusion is not a direction of the biconditional"
-        for i, j in orders(2):
-            bic, side = premises[i], premises[j]
-            if isinstance(bic, Iff):
-                if alpha_equal(side, bic.left) and alpha_equal(conclusion, bic.right):
-                    return True, "applies the biconditional left to right"
-                if alpha_equal(side, bic.right) and alpha_equal(conclusion, bic.left):
-                    return True, "applies the biconditional right to left"
-        return False, "premises do not fit φ ↔ ψ with one side asserted"
-
-    raise UnknownRuleError(rule.value)
+    hint, rows = _RULES[rule, len(premises)]
+    if not rows:
+        return _match_quantifier(premises[0], rule, conclusion, hint)
+    for schema, valid, reason in rows:
+        for order in itertools.permutations(premises):
+            env: dict[str, Formula] = {}
+            if all(_bind(s, f, env) for s, f in zip(schema, (*order, conclusion))):
+                return valid, reason.format(p=print_formula(env["p"]))
+    return False, hint
 
 
 def check_step(premises: Iterable[Formula], rule: InferenceRule | str,
@@ -332,9 +279,9 @@ def check_step(premises: Iterable[Formula], rule: InferenceRule | str,
         except ValueError:
             raise UnknownRuleError(rule) from None
     premises = list(premises)
-    lo, hi = _PREMISE_COUNTS[rule]
-    if not (lo <= len(premises) <= hi):
-        expected = str(lo) if lo == hi else f"{lo}-{hi}"
+    counts = _PREMISE_COUNTS[rule]
+    if len(premises) not in counts:
+        expected = str(counts[0]) if len(counts) == 1 else f"{counts[0]}-{counts[-1]}"
         raise SchemaArityMismatchError(rule, expected, len(premises))
 
     matched, reason = _match_schema(premises, rule, conclusion)
@@ -508,16 +455,22 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     return ChainResult(tuple(ordered), truncated)
 
 
+_LABELS = {True: Label.TRUE, False: Label.FALSE, None: Label.UNKNOWN}
+
+
+def _lookup(derived: set[SignedLiteral], literal: SignedLiteral) -> Optional[bool]:
+    if literal in derived:
+        return True
+    if literal.negated() in derived:
+        return False
+    return None
+
+
 def decide(kb: KnowledgeBase, query: SignedLiteral) -> Label:
     """Open-world three-valued answer for a ground query literal."""
     if not query.is_ground:
         raise UnsupportedFragmentError(f"query must be ground: {query.to_text()}")
-    derived = forward_chain(kb, max_depth=None).literals()
-    if query in derived:
-        return Label.TRUE
-    if query.negated() in derived:
-        return Label.FALSE
-    return Label.UNKNOWN
+    return _LABELS[_lookup(forward_chain(kb, max_depth=None).literals(), query)]
 
 
 def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
@@ -529,49 +482,10 @@ def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
     """
     derived = forward_chain(kb, max_depth=None).literals()
 
-    def value(f: Formula) -> Label:
-        if isinstance(f, Atom):
-            from .folparse import formula_to_literal
+    def value_of(atom: Atom) -> Optional[bool]:
+        literal = formula_to_literal(atom)  # folds a trailing True/False argument
+        if not literal.is_ground:
+            raise UnsupportedFragmentError("statement must be ground")
+        return _lookup(derived, literal)
 
-            lit = formula_to_literal(f)  # folds a trailing True/False argument
-            if not lit.is_ground:
-                raise UnsupportedFragmentError("statement must be ground")
-            if lit in derived:
-                return Label.TRUE
-            if lit.negated() in derived:
-                return Label.FALSE
-            return Label.UNKNOWN
-        if isinstance(f, Not):
-            inner = value(f.body)
-            if inner is Label.UNKNOWN:
-                return inner
-            return Label.FALSE if inner is Label.TRUE else Label.TRUE
-        if isinstance(f, And):
-            left, right = value(f.left), value(f.right)
-            if Label.FALSE in (left, right):
-                return Label.FALSE
-            if Label.UNKNOWN in (left, right):
-                return Label.UNKNOWN
-            return Label.TRUE
-        if isinstance(f, Or):
-            left, right = value(f.left), value(f.right)
-            if Label.TRUE in (left, right):
-                return Label.TRUE
-            if Label.UNKNOWN in (left, right):
-                return Label.UNKNOWN
-            return Label.FALSE
-        if isinstance(f, Implies):
-            return value(Or(Not(f.left), f.right))
-        if isinstance(f, Iff):
-            left, right = value(f.left), value(f.right)
-            if Label.UNKNOWN in (left, right):
-                return Label.UNKNOWN
-            return Label.TRUE if left is right else Label.FALSE
-        if isinstance(f, Xor):
-            left, right = value(f.left), value(f.right)
-            if Label.UNKNOWN in (left, right):
-                return Label.UNKNOWN
-            return Label.TRUE if left is not right else Label.FALSE
-        raise UnsupportedFragmentError("quantified statements are not auto-decided")
-
-    return value(statement)
+    return _LABELS[_kleene(statement, value_of)]

@@ -158,6 +158,15 @@ class TestRunEvalReport:
         assert result.exit_code == 0, result.output
         assert len(out.read_text().splitlines()) == 3
 
+    def test_negative_limit_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "records.jsonl"
+        result = runner.invoke(main, [
+            "run", "--method", "cot", "--dataset", "minicorpus", "--replay",
+            "--limit", "-1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_eval_and_report(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"
         report = tmp_path / "report.json"

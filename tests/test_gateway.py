@@ -7,7 +7,7 @@ import requests
 from symchain.corpus import mini_corpus
 from symchain.gateway import (
     AuthError, Backend, CachingBackend, CompletionCache, CompletionRequest,
-    CompletionResponse, GatewayError, HttpBackend, NetworkError,
+    CompletionResponse, GatewayError, HttpBackend, MalformedResponseError, NetworkError,
     ReplayBackend, ReplayMissError, ScriptedBackend,
 )
 from symchain.pipeline import Method, RunConfig, run_batch
@@ -172,7 +172,43 @@ class FakeResponse:
         return payload
 
 
+class RawResponse(FakeResponse):
+    """A status-200 reply whose body is the given text."""
+
+    def __init__(self, body):
+        super().__init__()
+        self._body = body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+MALFORMED_BODIES = [
+    '{"choices": []}',
+    '{"id": "no-choices"}',
+    '{"choices": [{"message": {"content": null}}]}',
+    '{"choices": [{"message": {"content": "ok"}}], "usage": null}',
+    '[]',
+    'not json',
+]
+
+
 class TestHttpBackend:
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_reply_keeps_completed_stages(self, body):
+        # the translator's reply is well formed, the planner's is not
+        replies = iter([FakeResponse(content="Predicates:\nP(x)"), RawResponse(body)])
+
+        def post(url, json=None, headers=None, timeout=None):
+            return next(replies)
+
+        backend = HttpBackend("http://example", post=post, sleep=lambda s: None)
+        with pytest.raises(MalformedResponseError):
+            HttpBackend("http://example", post=lambda url, **kwargs: RawResponse(body)).complete(req())
+        [record] = run_batch(list(mini_corpus().problems)[:1], Method.SYMBCOT, RunConfig(), backend)
+        assert [stage.stage for stage in record.stages] == ["translator"]
+        assert record.error.startswith("MalformedResponseError: ")
+
     def test_parses_chat_completion_shape(self):
         def post(url, json=None, headers=None, timeout=None):
             assert json["messages"][0] == {"role": "user", "content": "hi"}

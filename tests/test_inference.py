@@ -63,6 +63,14 @@ class TestCheckStep:
         )
         assert not verdict.valid
 
+    def test_universal_instantiation_rejects_captured_instance(self):
+        # "everyone loves someone" does not prove "someone loves themselves"
+        premise = [f("∀x ∃y R(x, y)")]
+        captured = check_step(premise, InferenceRule.UNIVERSAL_INSTANTIATION, f("∃y R(y, y)"))
+        assert not captured.valid
+        assert captured.reason == "conclusion is not an instance of the quantified body"
+        assert check_step(premise, InferenceRule.UNIVERSAL_INSTANTIATION, f("∃z R(y, z)")).valid
+
     def test_existential_instantiation(self):
         verdict = check_step(
             [f("∃x (Bird(x) ∧ Hawk(x))")],
