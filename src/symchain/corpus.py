@@ -26,7 +26,7 @@ class CorpusError(Exception):
 @dataclass(frozen=True)
 class LoadError:
     record_id: str
-    kind: str  # "MissingField" or "UnknownLabel"
+    kind: str  # "MissingField", "UnknownLabel" or "Malformed"
     detail: str
 
     def __str__(self):
@@ -243,15 +243,32 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     )
 
 
+def _json_line(line: str):
+    """The line's JSON value, or the decoding error."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as err:
+        return err
+
+
 def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]) -> LoadResult:
-    """Normalize each record of a JSON-array or JSON-lines file under ``info_of(record)``."""
+    """Normalize each record of a JSON-array or JSON-lines file under ``info_of(record)``.
+
+    A line that is not JSON, or a record that is not a JSON object, becomes
+    a ``Malformed`` error named ``record-<i>``; the other records still load.
+    """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("["):
         records = json.loads(text)
     else:
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        records = [_json_line(line) for line in text.splitlines() if line.strip()]
     result = LoadResult()
     for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            detail = (f"invalid JSON: {record}" if isinstance(record, json.JSONDecodeError)
+                      else f"expected a JSON object, got {type(record).__name__}")
+            result.errors.append(LoadError(f"record-{i}", "Malformed", detail))
+            continue
         rid = str(_pick(record, "id") or f"record-{i}")
         try:
             result.problems.append(normalize_record(record, info_of(record)))

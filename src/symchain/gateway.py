@@ -7,13 +7,16 @@ a populated cache directory doubles as a portable replay fixture set.
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 import uuid
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -248,11 +251,16 @@ class CachingBackend(Backend):
         return response
 
 
+# The longest wait a server's Retry-After can impose before the next attempt.
+MAX_RETRY_AFTER_S = 60.0
+
+
 class HttpBackend(Backend):
     """Live chat-completions client (messages array in, choices[0] out).
 
     Retries network failures with exponential backoff (max 5 attempts) and
-    honors a server-provided Retry-After on rate limits.
+    honors a server-provided Retry-After on rate limits, up to
+    ``MAX_RETRY_AFTER_S``.
     """
 
     def __init__(
@@ -318,15 +326,24 @@ class HttpBackend(Backend):
 
     def _delay(self, attempt: int, last_error: Optional[Exception]) -> float:
         if isinstance(last_error, RateLimitedError) and last_error.retry_after is not None:
-            return last_error.retry_after
+            return min(last_error.retry_after, MAX_RETRY_AFTER_S)
         return self.backoff_base * (2 ** (attempt - 1))
 
 
 def _parse_retry_after(resp) -> Optional[float]:
+    """Seconds to wait from a Retry-After header, in delay-seconds or
+    HTTP-date form (RFC 9110 §10.2.3); None when absent or unreadable."""
     value = resp.headers.get("Retry-After") if hasattr(resp, "headers") else None
     if value is None:
         return None
     try:
-        return float(value)
+        seconds = float(value)
     except ValueError:
-        return None
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": a UTC time with no zone
+            when = when.replace(tzinfo=timezone.utc)
+        return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None

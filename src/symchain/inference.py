@@ -8,7 +8,14 @@ propositional steps.  The quantifier rules compare the conclusion with
 ``substitute``-made instances, which cannot capture a variable.
 
 ``forward_chain`` computes the least fixpoint of horn rule application by
-semi-naive evaluation; ``decide`` and ``decide_formula`` answer with
+semi-naive evaluation.  Its core, ``_saturate``, runs the rounds over
+interned ground literals ``(predicate, polarity, constant names)``: each
+rule body is compiled once per call into join steps, and a body literal
+whose arguments are partly bound joins through an index from (key,
+argument position, constant) to the ascending positions of the facts that
+hold it.  ``forward_chain`` materialises the core's result as
+:class:`Derivation` records; ``decide`` and ``decide_formula`` read the
+core's literal set directly and skip that step.  They answer with
 open-world three-valued semantics through one strong-Kleene evaluator, of
 which ``eval_formula`` is the two-valued case.
 """
@@ -16,9 +23,10 @@ which ``eval_formula`` is the two-valued case.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional
 
 from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
@@ -332,54 +340,203 @@ class ChainResult:
         return self._depths.get(literal)
 
 
+# Inside the chainer a ground literal is interned as (predicate, polarity,
+# constant names), and (predicate, polarity) keys a list of fact arguments.
+_Ground = tuple[str, bool, tuple[str, ...]]
 _FactKey = tuple[str, bool]
+# a join step: (key, fixed, repeats); see _compile
+_Step = tuple[_FactKey, tuple[tuple[int, int, str], ...], tuple[tuple[int, int], ...]]
+# a head: (predicate, polarity, template); see _compile
+_Head = tuple[str, bool, Optional[tuple[tuple[int, str], ...]]]
 
 
-def _match_literal(pattern: SignedLiteral, fact: SignedLiteral,
-                   binding: dict[str, Term]) -> Optional[dict[str, Term]]:
-    # the fact index already agrees on predicate and polarity, and the
-    # knowledge base on arity
-    out = dict(binding)
-    for pat, val in zip(pattern.args, fact.args):
-        if isinstance(pat, Variable):
-            if out.setdefault(pat.name, val) != val:
-                return None
-        elif pat != val:
-            return None
-    return out
+def _slots(rule: Rule) -> dict[str, int]:
+    """Each body variable's slot in a binding.
 
-
-def _match_new(body: tuple[SignedLiteral, ...], index: dict[_FactKey, list[SignedLiteral]],
-               old: dict[_FactKey, int]):
-    """Bindings of ``body`` that use at least one new fact.
-
-    ``index[key]`` lists the facts of a key oldest first, and its first
-    ``old[key]`` entries are old.  Bindings come in the order of the naive
-    nested-loop join over the whole index, minus the all-old ones.
+    A binding is the concatenation of the argument tuples of the facts the
+    body literals matched, so a variable's value sits at the offset of its
+    first occurrence in the body's arguments.
     """
-    keys = [(lit.predicate, lit.polarity) for lit in body]
-    facts_of = [index.get(key, ()) for key in keys]
-    splits = [old.get(key, 0) for key in keys]
+    slots: dict[str, int] = {}
+    offset = 0
+    for lit in rule.body:
+        for position, term in enumerate(lit.args):
+            if isinstance(term, Variable):
+                slots.setdefault(term.name, offset + position)
+        offset += len(lit.args)
+    return slots
+
+
+def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
+    """The rule's body as join steps and its head as a template.
+
+    Each body literal becomes a step ``(key, fixed, repeats)``:
+
+    * ``fixed``: ``(position, slot, name)`` of the arguments known before
+      the step, a constant (slot -1) or a variable an earlier literal binds;
+    * ``repeats``: ``(position, earlier position)`` of a variable repeated
+      within the literal.
+
+    The head template holds ``(slot, name)`` per argument, slot -1 for a
+    constant; it is None when the head's arguments are the whole binding.
+    """
+    slots = _slots(rule)
+    steps = []
+    offset = 0
+    for lit in rule.body:
+        fixed, repeats = [], []
+        for position, term in enumerate(lit.args):
+            slot = slots[term.name] if isinstance(term, Variable) else -1
+            if slot < offset:
+                fixed.append((position, slot, term.name))
+            elif slot < offset + position:
+                repeats.append((position, slot - offset))
+        steps.append(((lit.predicate, lit.polarity), tuple(fixed), tuple(repeats)))
+        offset += len(lit.args)
+    head = rule.head
+    template = tuple((slots[t.name], t.name) if isinstance(t, Variable) else (-1, t.name)
+                     for t in head.args)
+    if [slot for slot, _ in template] == list(range(offset)):
+        template = None
+    return tuple(steps), (head.predicate, head.polarity, template)
+
+
+def _join(steps: tuple[_Step, ...], facts_of: dict[_FactKey, list[tuple[str, ...]]],
+          index: dict[tuple[_FactKey, int, str], list[int]], old: dict[_FactKey, int]):
+    """Bindings of the body that use at least one new fact.
+
+    ``facts_of[key]`` lists the facts of a key oldest first, and its first
+    ``old[key]`` entries are old.  ``index[key, position, name]`` lists in
+    ascending order the facts of ``key`` with ``name`` at ``position``; a
+    step with known arguments walks the shortest such list, which skips
+    only facts that cannot match.  Bindings therefore come in the order of
+    the naive nested-loop join over all facts, minus the all-old ones.
+    """
+    facts = [facts_of.get(step[0], ()) for step in steps]
+    splits = [old.get(step[0], 0) for step in steps]
     # new_after[i]: a literal after position i can still take a new fact
-    new_after = [False] * len(body)
-    for i in range(len(body) - 1, 0, -1):
-        new_after[i - 1] = new_after[i] or splits[i] < len(facts_of[i])
-    last = len(body) - 1
+    new_after = [False] * len(steps)
+    for i in range(len(steps) - 1, 0, -1):
+        new_after[i - 1] = new_after[i] or splits[i] < len(facts[i])
+    return _extend(tuple(zip(steps, facts, splits, new_after)), index, 0, (), False)
 
-    def rec(i: int, binding: dict[str, Term], used_new: bool):
-        facts, split = facts_of[i], splits[i]
-        # until the first new fact (the pivot), take old facts only where a
-        # later literal can still be the pivot
-        for j in range(0 if used_new or new_after[i] else split, len(facts)):
-            extended = _match_literal(body[i], facts[j], binding)
-            if extended is None:
-                continue
-            if i == last:
-                yield extended
-            else:
-                yield from rec(i + 1, extended, used_new or j >= split)
 
-    yield from rec(0, {}, False)
+def _extend(plan, index: dict[tuple[_FactKey, int, str], list[int]], i: int,
+            binding: tuple[str, ...], used_new: bool):
+    """The extensions of ``binding`` through steps i, i+1, … of a ``_join``
+    plan, whose entries are (step, facts, split, new_after).
+
+    A module-level generator rather than a closure that calls itself, which
+    would be a reference cycle left for the collector on every join.
+    """
+    (key, fixed, repeats), candidates, split, new_after = plan[i]
+    # until the first new fact (the pivot), take old facts only where a
+    # later literal can still be the pivot
+    start = 0 if used_new or new_after else split
+    if fixed:
+        wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
+        walk = min((index.get((key, p, name), ()) for p, name in wanted), key=len)
+        positions = walk[bisect_left(walk, start):] if start else walk
+    else:
+        wanted = ()
+        positions = range(start, len(candidates))
+    last = i == len(plan) - 1
+    for j in positions:
+        args = candidates[j]
+        if len(wanted) > 1 and any(args[p] != name for p, name in wanted):
+            continue
+        if repeats and any(args[p] != args[q] for p, q in repeats):
+            continue
+        if last:
+            yield binding + args
+        else:
+            yield from _extend(plan, index, i + 1, binding + args, used_new or j >= split)
+
+
+def _literal(ground: _Ground, constants: Mapping[str, Constant]) -> SignedLiteral:
+    predicate, polarity, names = ground
+    return SignedLiteral(predicate, tuple([constants[name] for name in names]), polarity)
+
+
+def _constants(kb: KnowledgeBase) -> dict[str, Constant]:
+    """The knowledge base's constants by name: every name a derived literal can hold."""
+    literals = itertools.chain(kb.facts, *((*rule.body, rule.head) for rule in kb.rules))
+    return {t.name: t for lit in literals for t in lit.args if isinstance(t, Constant)}
+
+
+def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
+              ) -> tuple[dict[_Ground, int], dict[_Ground, tuple[int, tuple[str, ...]]], bool]:
+    """The fixpoint core of :func:`forward_chain`, over interned literals.
+
+    Returns each derivable literal's minimal depth (given facts first, in
+    ``kb.facts`` order, then round by round in derivation order), the
+    ``(rule position, binding)`` that first derived each literal of depth
+    ≥ 1, and the truncation flag.  Raises what ``forward_chain`` raises.
+    """
+    compiled = [_compile(rule) for rule in kb.rules]
+    rules_of: dict[_FactKey, set[int]] = {}
+    looked_up: dict[_FactKey, set[int]] = {}  # the argument positions a step looks up
+    for position, (steps, _) in enumerate(compiled):
+        for key, fixed, _ in steps:
+            rules_of.setdefault(key, set()).add(position)
+            looked_up.setdefault(key, set()).update(p for p, _, _ in fixed)
+    depths: dict[_Ground, int] = {}
+    via: dict[_Ground, tuple[int, tuple[str, ...]]] = {}
+    # append-only fact lists; the first old[key] facts predate the last round
+    facts_of: dict[_FactKey, list[tuple[str, ...]]] = {}
+    index: dict[tuple[_FactKey, int, str], list[int]] = {}
+    old: dict[_FactKey, int] = {}
+
+    def add(ground: _Ground, depth: int) -> None:
+        depths[ground] = depth
+        key, args = ground[:2], ground[2]
+        facts = facts_of.setdefault(key, [])
+        for p in looked_up.get(key, ()):
+            index.setdefault((key, p, args[p]), []).append(len(facts))
+        facts.append(args)
+
+    for fact in kb.facts:
+        add((fact.predicate, fact.polarity, tuple(a.name for a in fact.args)), 0)
+    new_keys = set(facts_of)
+
+    def firing():
+        """(rule position, binding, head) triples that use a new fact, in
+        naive join order."""
+        positions = set().union(*(rules_of.get(key, ()) for key in new_keys))
+        for position in sorted(positions):
+            steps, (predicate, polarity, template) = compiled[position]
+            for binding in _join(steps, facts_of, index, old):
+                args = binding if template is None else tuple(
+                    [binding[s] if s >= 0 else name for s, name in template])
+                yield position, binding, (predicate, polarity, args)
+
+    depth = 0
+    truncated = False
+    while True:
+        if max_depth is not None and depth >= max_depth:
+            # a further round might still fire; probe for truncation
+            truncated = any(head not in depths for _, _, head in firing())
+            break
+        depth += 1
+        fresh: dict[_Ground, tuple[int, tuple[str, ...]]] = {}
+        for position, binding, head in firing():
+            if head not in depths and head not in fresh:
+                fresh[head] = (position, binding)
+        if not fresh:
+            break
+        clashes = [head for head in fresh
+                   if (flipped := (head[0], not head[1], head[2])) in depths or flipped in fresh]
+        if clashes:
+            constants = _constants(kb)
+            first = min((_literal(head, constants) for head in clashes), key=lambda lit: lit.to_text("kb"))
+            raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
+        for key, facts in facts_of.items():
+            old[key] = len(facts)
+        new_keys = {head[:2] for head in fresh}
+        for head in fresh:
+            add(head, depth)
+        via.update(fresh)
+    return depths, via, truncated
 
 
 def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResult:
@@ -392,76 +549,48 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     the fixpoint, the depths, the ``via`` of every derivation and the
     truncation flag are those of naive evaluation.
 
+    The rounds run in ``_saturate`` over interned literals ``(predicate,
+    polarity, constant names)``, with each rule compiled once per call into
+    join steps.  A body literal with an argument known before it is joined
+    through an index from (key, position, constant) to the ascending
+    positions of the matching facts, not by scanning every fact of its key.
+    This function only materialises the core's depths and bindings as
+    :class:`Derivation`\\ s, in ``(depth, to_text("kb"))`` order.
+
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
     flag set.  Raises :class:`InconsistencyError` if both polarities of a
     literal become derivable, naming the first clashing literal of that
-    round in ``(depth, to_text("kb"))`` order.
+    round in ``to_text("kb")`` order.
     """
-    derivations: dict[SignedLiteral, Derivation] = {
-        fact: Derivation(fact, 0) for fact in kb.facts
-    }
-    # append-only fact lists; the first old[key] facts predate the last round
-    index: dict[_FactKey, list[SignedLiteral]] = {}
-    for fact in kb.facts:
-        index.setdefault((fact.predicate, fact.polarity), []).append(fact)
-    old: dict[_FactKey, int] = {}
-    new_keys = set(index)
-    rules_of: dict[_FactKey, set[int]] = {}
-    for position, rule in enumerate(kb.rules):
-        for lit in rule.body:
-            rules_of.setdefault((lit.predicate, lit.polarity), set()).add(position)
-
-    def firing():
-        """(rule, binding) pairs that use a new fact, in naive join order."""
-        positions = set().union(*(rules_of.get(key, ()) for key in new_keys))
-        for position in sorted(positions):
-            rule = kb.rules[position]
-            for binding in _match_new(rule.body, index, old):
-                yield rule, binding
-
-    depth = 0
-    truncated = False
-    while True:
-        if max_depth is not None and depth >= max_depth:
-            # a further round might still fire; probe for truncation
-            truncated = any(rule.head.substitute(binding) not in derivations
-                            for rule, binding in firing())
-            break
-        depth += 1
-        fresh: dict[SignedLiteral, Derivation] = {}
-        for rule, binding in firing():
-            head = rule.head.substitute(binding)
-            if head in derivations or head in fresh:
-                continue
-            fresh[head] = Derivation(head, depth, (rule, tuple(sorted(binding.items()))))
-        if not fresh:
-            break
-        clashes = [head for head in fresh
-                   if (negated := head.negated()) in derivations or negated in fresh]
-        if clashes:
-            first = min(clashes, key=lambda head: head.to_text("kb"))
-            raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
-        for key, facts in index.items():
-            old[key] = len(facts)
-        new_keys = set()
-        for head, derivation in fresh.items():
-            derivations[head] = derivation
-            key = (head.predicate, head.polarity)
-            index.setdefault(key, []).append(head)
-            new_keys.add(key)
-
-    ordered = sorted(derivations.values(), key=lambda d: (d.depth, d.literal.to_text("kb")))
-    return ChainResult(tuple(ordered), truncated)
+    depths, via, truncated = _saturate(kb, max_depth)
+    constants = _constants(kb)
+    slots = [_slots(rule) for rule in kb.rules]
+    derivations = []
+    for ground, depth in depths.items():
+        literal = _literal(ground, constants)
+        if not depth:
+            derivations.append(Derivation(literal, 0))
+            continue
+        position, binding = via[ground]
+        pairs = sorted([(name, constants[binding[slot]]) for name, slot in slots[position].items()])
+        derivations.append(Derivation(literal, depth, (kb.rules[position], tuple(pairs))))
+    derivations.sort(key=lambda d: (d.depth, d.literal.to_text("kb")))
+    return ChainResult(tuple(derivations), truncated)
 
 
 _LABELS = {True: Label.TRUE, False: Label.FALSE, None: Label.UNKNOWN}
 
 
-def _lookup(derived: set[SignedLiteral], literal: SignedLiteral) -> Optional[bool]:
-    if literal in derived:
+def _lookup(derived: Container[_Ground], literal: SignedLiteral) -> Optional[bool]:
+    # a derived literal has constant arguments only; a ground FunctionApp
+    # never matches, whatever its name
+    if not all(isinstance(arg, Constant) for arg in literal.args):
+        return None
+    names = tuple(arg.name for arg in literal.args)
+    if (literal.predicate, literal.polarity, names) in derived:
         return True
-    if literal.negated() in derived:
+    if (literal.predicate, not literal.polarity, names) in derived:
         return False
     return None
 
@@ -470,7 +599,7 @@ def decide(kb: KnowledgeBase, query: SignedLiteral) -> Label:
     """Open-world three-valued answer for a ground query literal."""
     if not query.is_ground:
         raise UnsupportedFragmentError(f"query must be ground: {query.to_text()}")
-    return _LABELS[_lookup(forward_chain(kb, max_depth=None).literals(), query)]
+    return _LABELS[_lookup(_saturate(kb, None)[0], query)]
 
 
 def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
@@ -480,7 +609,7 @@ def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
     strong Kleene semantics, so e.g. a disjunction of two refuted disjuncts
     is False, the chainer's rendering of "false by contradiction".
     """
-    derived = forward_chain(kb, max_depth=None).literals()
+    derived = _saturate(kb, None)[0]
 
     def value_of(atom: Atom) -> Optional[bool]:
         literal = formula_to_literal(atom)  # folds a trailing True/False argument

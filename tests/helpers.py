@@ -293,6 +293,50 @@ def naive_fixpoint(kb: KnowledgeBase, max_depth: int | None = None
             return None
 
 
+def naive_vias(kb: KnowledgeBase, max_depth: int | None = None
+               ) -> dict[SignedLiteral, tuple[Rule, tuple]] | None:
+    """The ``via`` of each derived literal under naive nested-loop joins.
+
+    Facts are kept in insertion order: the given facts in ``kb.facts``
+    order, then each round's literals in the order they were first derived.
+    Round d tries the rules in order and, per rule, every binding of the
+    body by nested loops over the facts known after round d-1; a literal's
+    via is the first rule and binding (sorted by variable) that derived it.
+    Returns None when a round derives both polarities of a literal.
+    """
+    facts = list(kb.facts)
+    vias: dict[SignedLiteral, tuple[Rule, tuple]] = {}
+
+    def bindings(body, known, binding):
+        if not body:
+            yield binding
+            return
+        pattern = body[0]
+        for fact in known:
+            if (fact.predicate, fact.polarity) != (pattern.predicate, pattern.polarity):
+                continue
+            extended = dict(binding)
+            if all(extended.setdefault(p.name, v) == v if isinstance(p, Variable) else p == v
+                   for p, v in zip(pattern.args, fact.args)):
+                yield from bindings(body[1:], known, extended)
+
+    for _ in itertools.count() if max_depth is None else range(max_depth):
+        known, fresh = list(facts), {}
+        for rule in kb.rules:
+            for binding in bindings(rule.body, known, {}):
+                head = rule.head.substitute(binding)
+                if head not in vias and head not in kb.facts and head not in fresh:
+                    fresh[head] = (rule, tuple(sorted(binding.items())))
+        if not fresh:
+            break
+        if any(head.negated() in kb.facts or head.negated() in vias or head.negated() in fresh
+               for head in fresh):
+            return None
+        facts.extend(fresh)
+        vias.update(fresh)
+    return vias
+
+
 # ---------------------------------------------------------------------------
 # CSP oracle: naive full enumeration with an independent evaluator
 

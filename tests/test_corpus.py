@@ -247,6 +247,25 @@ class TestLoad:
             result = load("ProntoQA", path)
         assert len(result.problems) == 2
 
+    def test_malformed_records_collected_others_load(self, tmp_path):
+        good = {"id": "ok", "context": "c", "question": "q", "answer": "true"}
+        array = _write(tmp_path, "pw.json", [1, good, ["x"]])
+        with pytest.warns(UserWarning):
+            result = load("ProofWriter", array)
+        assert [p.id for p in result.problems] == ["ok"]
+        assert [(e.record_id, e.kind) for e in result.errors] == [
+            ("record-0", "Malformed"), ("record-2", "Malformed")]
+        assert result.errors[0].detail == "expected a JSON object, got int"
+
+        lines = tmp_path / "normalized.jsonl"
+        record = dict(good, dataset="ProofWriter", gold="True")
+        lines.write_text(f"{json.dumps(record)}\n{{not json\n\n{json.dumps(dict(record, id='ok2'))}\n",
+                         encoding="utf-8")
+        result = load_normalized(lines)
+        assert [p.id for p in result.problems] == ["ok", "ok2"]
+        assert [(e.record_id, e.kind) for e in result.errors] == [("record-1", "Malformed")]
+        assert result.errors[0].detail.startswith("invalid JSON: ")
+
     def test_normalization_idempotent(self, tmp_path, corpus):
         dumped = dump_problems(list(corpus.problems))
         path = tmp_path / "normalized.jsonl"

@@ -1,5 +1,7 @@
 import json
 import threading
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 import requests
@@ -7,8 +9,8 @@ import requests
 from symchain.corpus import mini_corpus
 from symchain.gateway import (
     AuthError, Backend, CachingBackend, CompletionCache, CompletionRequest,
-    CompletionResponse, GatewayError, HttpBackend, MalformedResponseError, NetworkError,
-    ReplayBackend, ReplayMissError, ScriptedBackend,
+    CompletionResponse, GatewayError, HttpBackend, MAX_RETRY_AFTER_S, MalformedResponseError,
+    NetworkError, ReplayBackend, ReplayMissError, ScriptedBackend,
 )
 from symchain.pipeline import Method, RunConfig, run_batch
 
@@ -260,6 +262,32 @@ class TestHttpBackend:
         backend = HttpBackend("http://example", post=post, sleep=sleeps.append)
         assert backend.complete(req()).content == "ok"
         assert sleeps == [7.0]
+
+    @staticmethod
+    def _sleeps_after_rate_limit(retry_after):
+        replies = iter([FakeResponse(status_code=429, headers={"Retry-After": retry_after}),
+                        FakeResponse()])
+        sleeps = []
+        backend = HttpBackend("http://example", post=lambda url, **kwargs: next(replies),
+                              sleep=sleeps.append)
+        assert backend.complete(req()).content == "ok"
+        return sleeps
+
+    @pytest.mark.parametrize("retry_after", ["86400", "1e12"])
+    def test_rate_limit_wait_is_capped(self, retry_after):
+        assert self._sleeps_after_rate_limit(retry_after) == [MAX_RETRY_AFTER_S]
+
+    def test_rate_limit_honors_http_date(self):
+        now = datetime.now(timezone.utc)
+        [wait] = self._sleeps_after_rate_limit(format_datetime(now + timedelta(seconds=30), usegmt=True))
+        assert 25 <= wait <= 30
+        far = format_datetime(now + timedelta(days=1), usegmt=True)
+        assert self._sleeps_after_rate_limit(far) == [MAX_RETRY_AFTER_S]
+        assert self._sleeps_after_rate_limit("Wed, 21 Oct 2015 07:28:00 GMT") == [0.0]
+
+    @pytest.mark.parametrize("retry_after", ["soon", "", "nan", "inf", "-5"])
+    def test_unreadable_retry_after_falls_back_to_backoff(self, retry_after):
+        assert self._sleeps_after_rate_limit(retry_after) == [1.0]
 
     def test_auth_error_not_retried(self):
         calls = {"n": 0}

@@ -8,7 +8,7 @@ from symchain.inference import (
     check_step, decide, decide_formula, forward_chain, truth_table_entails,
 )
 from symchain.logic import (
-    And, Constant, Iff, Implies, InconsistencyError, InferenceRule,
+    And, Constant, FunctionApp, Iff, Implies, InconsistencyError, InferenceRule,
     KnowledgeBase, Label, Not, Or, Rule, SignedLiteral, Variable,
 )
 
@@ -409,6 +409,134 @@ class TestForwardChain:
             assert result.truncated is truncated
             checked += 1
         assert checked > 150 and inconsistent > 0
+
+    @pytest.mark.parametrize("max_depth", [None, 1, 2])
+    def test_via_is_the_first_naive_binding(self, max_depth):
+        rng = random.Random(37)
+        checked = 0
+        for _ in range(300):
+            kb = helpers.random_horn_kb(rng)
+            want = helpers.naive_vias(kb, max_depth)
+            try:
+                result = forward_chain(kb, max_depth=max_depth)
+            except InconsistencyError:
+                assert want is None
+                continue
+            assert {d.literal: d.via for d in result.derivations if d.depth} == want
+            checked += 1
+        assert checked > 150
+
+    def test_indexed_joins_keep_naive_depths_via_and_order(self):
+        # Q walks a chain n0 → … → n5 through Link facts that also hold a
+        # two-level star of 12 unrelated edges, so the second body literal
+        # of each rule is looked up by a bound argument among mostly
+        # unrelated facts.  Fork(u0) has 36 bindings in one round; its via
+        # is the first of them in naive join order.
+        chain = [f"n{i}" for i in range(6)]
+        parent = dict(zip(chain[1:], chain))
+        parent.update({f"u{k}": "u0" for k in range(1, 7)})
+        parent.update({f"w{k}": f"u{k % 3 + 1}" for k in range(6)})
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        rules = [
+            Rule((SignedLiteral("Q", (x,)), SignedLiteral("Link", (x, y))), SignedLiteral("Q", (y,))),
+            Rule((SignedLiteral("Link", (x, y)), SignedLiteral("Link", (y, z))), SignedLiteral("Far", (x, z))),
+            Rule((SignedLiteral("Q", (y,)), SignedLiteral("Far", (x, y))), SignedLiteral("Reached", (x,))),
+            Rule((SignedLiteral("Far", (x, z)), SignedLiteral("Link", (x, y))), SignedLiteral("Fork", (x,))),
+        ]
+        kb = kb_from([lit("Q", "n0")] + [lit("Link", p, c) for c, p in parent.items()], rules)
+        for max_depth in (None, 1, 2):
+            result = forward_chain(kb, max_depth=max_depth)
+            depths, truncated = helpers.naive_fixpoint(kb, max_depth)
+            assert [(d.literal, d.depth) for d in result.derivations] == sorted(
+                depths.items(), key=lambda item: (item[1], item[0].to_text("kb")))
+            assert result.truncated is truncated is (max_depth is not None)
+            vias = {d.literal: d.via for d in result.derivations if d.depth}
+            assert vias == helpers.naive_vias(kb, max_depth)
+        assert result.depth_of(lit("Fork", "u0")) == 2
+        assert result.depth_of(lit("Reached", "n0")) is None
+        assert forward_chain(kb, max_depth=None).depth_of(lit("Reached", "n3")) == 6
+
+
+def _expected_label(derived, query):
+    if query in derived:
+        return Label.TRUE
+    return Label.FALSE if query.negated() in derived else Label.UNKNOWN
+
+
+def _assert_decides_as_chained(kb, queries):
+    derived = forward_chain(kb, max_depth=None).literals()
+    for query in queries:
+        want = _expected_label(derived, query)
+        assert decide(kb, query) is want, query
+        assert decide_formula(kb, query.to_formula()) is want, query
+
+
+class TestDecideOnTheFixpointCore:
+    """``decide`` and ``decide_formula`` read the chainer's core directly;
+    they must answer as a lookup in ``forward_chain``'s literals would."""
+
+    def test_random_kbs_agree_with_forward_chain(self):
+        rng = random.Random(36)
+        arity = {"P": 1, "Q": 1, "T": 1, "U": 1, "V": 1, "R": 2, "S": 2}
+        checked = inconsistent = 0
+        for _ in range(300):
+            kb = helpers.random_horn_kb(rng)
+            queries = []
+            for _ in range(6):
+                predicate = rng.choice(sorted(arity))
+                names = [rng.choice("abcd") for _ in range(arity[predicate])]
+                queries.append(lit(predicate, *names, polarity=rng.random() < 0.6))
+            try:
+                forward_chain(kb, max_depth=None)
+            except InconsistencyError as err:
+                for decider, query in ((decide, queries[0]), (decide_formula, queries[0].to_formula())):
+                    with pytest.raises(InconsistencyError) as exc:
+                        decider(kb, query)
+                    assert str(exc.value) == str(err)
+                    assert exc.value.literal == err.literal
+                inconsistent += 1
+                continue
+            _assert_decides_as_chained(kb, queries)
+            checked += 1
+        assert checked > 150 and inconsistent > 0
+
+    def test_constant_in_body_pattern(self):
+        x = Variable("x")
+        rules = [Rule((SignedLiteral("R", (x, Constant("b"))),), SignedLiteral("Q", (x,))),
+                 Rule((SignedLiteral("S", (Constant("a"), x)), SignedLiteral("Q", (x,))),
+                      SignedLiteral("T", (x,), False))]
+        kb = kb_from([lit("R", "a", "b"), lit("R", "c", "a"), lit("S", "a", "a"), lit("S", "c", "a")], rules)
+        _assert_decides_as_chained(kb, [lit("Q", "a"), lit("Q", "c"), lit("T", "a"), lit("T", "c")])
+        assert decide(kb, lit("Q", "a")) is Label.TRUE
+        assert decide(kb, lit("Q", "c")) is Label.UNKNOWN
+        assert decide(kb, lit("T", "a")) is Label.FALSE
+
+    def test_repeated_variable(self):
+        x = Variable("x")
+        kb = kb_from([lit("R", "a", "a"), lit("R", "a", "b"), lit("R", "b", "c")],
+                     [Rule((SignedLiteral("R", (x, x)),), SignedLiteral("Q", (x,)))])
+        _assert_decides_as_chained(kb, [lit("Q", "a"), lit("Q", "b"), lit("Q", "c")])
+        assert decide(kb, lit("Q", "a")) is Label.TRUE
+        assert decide(kb, lit("Q", "b")) is Label.UNKNOWN
+
+    def test_zero_arity_literals(self):
+        x = Variable("x")
+        rules = [Rule((SignedLiteral("Rain"),), SignedLiteral("Cloudy")),
+                 Rule((SignedLiteral("Cloudy"), SignedLiteral("Out", (x,))), SignedLiteral("Wet", (x,))),
+                 Rule((SignedLiteral("Wet", (x,)),), SignedLiteral("Dry", (), False))]
+        kb = kb_from([lit("Rain"), lit("Out", "a")], rules)
+        _assert_decides_as_chained(kb, [lit("Cloudy"), lit("Wet", "a"), lit("Dry"), lit("Sunny")])
+        assert decide(kb, lit("Dry")) is Label.FALSE
+        assert decide_formula(kb, parse_formula("Cloudy ∧ Wet(a)")) is Label.TRUE
+
+    def test_function_argument_named_like_a_constant_is_unknown(self):
+        kb = kb_from([lit("P", "a"), lit("R", "a", "a", polarity=False)])
+        nested = FunctionApp("a", (Constant("a"),))
+        for query in (SignedLiteral("P", (nested,)), SignedLiteral("P", (nested,), False),
+                      SignedLiteral("R", (nested, Constant("a")), False)):
+            assert decide(kb, query) is Label.UNKNOWN
+            assert decide_formula(kb, query.to_formula()) is Label.UNKNOWN
+        assert decide(kb, lit("P", "a")) is Label.TRUE
 
 
 class TestDecide:
