@@ -9,24 +9,20 @@ propositional steps.  The quantifier rules compare the conclusion with
 
 ``forward_chain`` computes the least fixpoint of horn rule application by
 semi-naive evaluation.  Its core, ``_saturate``, runs the rounds over
-interned ground literals ``(predicate, polarity, constant names)``: each
-rule body is compiled once per call into join steps, and a body literal
-whose arguments are partly bound joins through an index from (key,
-argument position, constant) to the ascending positions of the facts that
-hold it.  ``forward_chain`` materialises the core's result as
-:class:`Derivation` records; ``decide`` and ``decide_formula`` read the
-core's literal set directly and skip that step.  They answer with
-open-world three-valued semantics through one strong-Kleene evaluator, of
-which ``eval_formula`` is the two-valued case.
+interned ground literals ``(predicate, polarity, constant names)``, with
+each rule body compiled once per call into join steps; ``forward_chain``
+then materialises the core's result as :class:`Derivation` records.
+``decide`` and ``decide_formula`` chain through ``forward_chain`` and look
+their literals up in the core's interned map.  They answer with open-world
+three-valued semantics through one strong-Kleene evaluator, of which
+``eval_formula`` is the two-valued case.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
@@ -324,22 +320,6 @@ class Derivation:
             raise LogicError("depth 0 exactly for given facts")
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    derivations: tuple[Derivation, ...]
-    truncated: bool
-
-    def literals(self) -> set[SignedLiteral]:
-        return {d.literal for d in self.derivations}
-
-    @cached_property
-    def _depths(self) -> dict[SignedLiteral, int]:
-        return {d.literal: d.depth for d in self.derivations}
-
-    def depth_of(self, literal: SignedLiteral) -> Optional[int]:
-        return self._depths.get(literal)
-
-
 # Inside the chainer a ground literal is interned as (predicate, polarity,
 # constant names), and (predicate, polarity) keys a list of fact arguments.
 _Ground = tuple[str, bool, tuple[str, ...]]
@@ -347,7 +327,53 @@ _FactKey = tuple[str, bool]
 # a join step: (key, fixed, repeats); see _compile
 _Step = tuple[_FactKey, tuple[tuple[int, int, str], ...], tuple[tuple[int, int], ...]]
 # a head: (predicate, polarity, template); see _compile
-_Head = tuple[str, bool, Optional[tuple[tuple[int, str], ...]]]
+_Head = tuple[str, bool, tuple[tuple[int, str], ...]]
+
+
+def _ground(literal: SignedLiteral) -> Optional[_Ground]:
+    """The interned form of a literal, or None unless all its arguments are
+    constants: a derived literal holds constants only, so a ground
+    FunctionApp never matches, whatever its name."""
+    if not all(isinstance(arg, Constant) for arg in literal.args):
+        return None
+    return literal.predicate, literal.polarity, tuple(arg.name for arg in literal.args)
+
+
+def _literal(ground: _Ground) -> SignedLiteral:
+    predicate, polarity, names = ground
+    return SignedLiteral(predicate, tuple([Constant(name) for name in names]), polarity)
+
+
+@dataclass(frozen=True)
+class ChainResult:
+    """What :func:`forward_chain` derived.
+
+    ``ground_depths`` is the fixpoint core's map from each derived literal,
+    interned as ``(predicate, polarity, constant names)``, to its depth;
+    ``holds`` and ``depth_of`` look literals up there.  It takes no part in
+    equality, which ``derivations`` and ``truncated`` decide.
+    """
+
+    derivations: tuple[Derivation, ...]
+    truncated: bool
+    ground_depths: dict[_Ground, int] = field(compare=False, repr=False)
+
+    def literals(self) -> set[SignedLiteral]:
+        return {d.literal for d in self.derivations}
+
+    def depth_of(self, literal: SignedLiteral) -> Optional[int]:
+        return self.ground_depths.get(_ground(literal))
+
+    def holds(self, literal: SignedLiteral) -> Optional[bool]:
+        """True if ``literal`` was derived, False if its negation was, else None."""
+        ground = _ground(literal)
+        if ground is None:
+            return None
+        if ground in self.ground_depths:
+            return True
+        if (ground[0], not ground[1], ground[2]) in self.ground_depths:
+            return False
+        return None
 
 
 def _slots(rule: Rule) -> dict[str, int]:
@@ -378,7 +404,7 @@ def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
       within the literal.
 
     The head template holds ``(slot, name)`` per argument, slot -1 for a
-    constant; it is None when the head's arguments are the whole binding.
+    constant.
     """
     slots = _slots(rule)
     steps = []
@@ -396,21 +422,16 @@ def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
     head = rule.head
     template = tuple((slots[t.name], t.name) if isinstance(t, Variable) else (-1, t.name)
                      for t in head.args)
-    if [slot for slot, _ in template] == list(range(offset)):
-        template = None
     return tuple(steps), (head.predicate, head.polarity, template)
 
 
 def _join(steps: tuple[_Step, ...], facts_of: dict[_FactKey, list[tuple[str, ...]]],
-          index: dict[tuple[_FactKey, int, str], list[int]], old: dict[_FactKey, int]):
+          old: dict[_FactKey, int]):
     """Bindings of the body that use at least one new fact.
 
     ``facts_of[key]`` lists the facts of a key oldest first, and its first
-    ``old[key]`` entries are old.  ``index[key, position, name]`` lists in
-    ascending order the facts of ``key`` with ``name`` at ``position``; a
-    step with known arguments walks the shortest such list, which skips
-    only facts that cannot match.  Bindings therefore come in the order of
-    the naive nested-loop join over all facts, minus the all-old ones.
+    ``old[key]`` entries are old.  Bindings come in the order of the naive
+    nested-loop join over all facts, minus the all-old ones.
     """
     facts = [facts_of.get(step[0], ()) for step in steps]
     splits = [old.get(step[0], 0) for step in steps]
@@ -418,50 +439,32 @@ def _join(steps: tuple[_Step, ...], facts_of: dict[_FactKey, list[tuple[str, ...
     new_after = [False] * len(steps)
     for i in range(len(steps) - 1, 0, -1):
         new_after[i - 1] = new_after[i] or splits[i] < len(facts[i])
-    return _extend(tuple(zip(steps, facts, splits, new_after)), index, 0, (), False)
+    return _extend(tuple(zip(steps, facts, splits, new_after)), 0, (), False)
 
 
-def _extend(plan, index: dict[tuple[_FactKey, int, str], list[int]], i: int,
-            binding: tuple[str, ...], used_new: bool):
+def _extend(plan, i: int, binding: tuple[str, ...], used_new: bool):
     """The extensions of ``binding`` through steps i, i+1, … of a ``_join``
     plan, whose entries are (step, facts, split, new_after).
 
     A module-level generator rather than a closure that calls itself, which
     would be a reference cycle left for the collector on every join.
     """
-    (key, fixed, repeats), candidates, split, new_after = plan[i]
+    (_, fixed, repeats), candidates, split, new_after = plan[i]
     # until the first new fact (the pivot), take old facts only where a
     # later literal can still be the pivot
     start = 0 if used_new or new_after else split
-    if fixed:
-        wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
-        walk = min((index.get((key, p, name), ()) for p, name in wanted), key=len)
-        positions = walk[bisect_left(walk, start):] if start else walk
-    else:
-        wanted = ()
-        positions = range(start, len(candidates))
+    wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
     last = i == len(plan) - 1
-    for j in positions:
+    for j in range(start, len(candidates)):
         args = candidates[j]
-        if len(wanted) > 1 and any(args[p] != name for p, name in wanted):
+        if wanted and any(args[p] != name for p, name in wanted):
             continue
         if repeats and any(args[p] != args[q] for p, q in repeats):
             continue
         if last:
             yield binding + args
         else:
-            yield from _extend(plan, index, i + 1, binding + args, used_new or j >= split)
-
-
-def _literal(ground: _Ground, constants: Mapping[str, Constant]) -> SignedLiteral:
-    predicate, polarity, names = ground
-    return SignedLiteral(predicate, tuple([constants[name] for name in names]), polarity)
-
-
-def _constants(kb: KnowledgeBase) -> dict[str, Constant]:
-    """The knowledge base's constants by name: every name a derived literal can hold."""
-    literals = itertools.chain(kb.facts, *((*rule.body, rule.head) for rule in kb.rules))
-    return {t.name: t for lit in literals for t in lit.args if isinstance(t, Constant)}
+            yield from _extend(plan, i + 1, binding + args, used_new or j >= split)
 
 
 def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
@@ -475,25 +478,18 @@ def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
     """
     compiled = [_compile(rule) for rule in kb.rules]
     rules_of: dict[_FactKey, set[int]] = {}
-    looked_up: dict[_FactKey, set[int]] = {}  # the argument positions a step looks up
     for position, (steps, _) in enumerate(compiled):
-        for key, fixed, _ in steps:
+        for key, _, _ in steps:
             rules_of.setdefault(key, set()).add(position)
-            looked_up.setdefault(key, set()).update(p for p, _, _ in fixed)
     depths: dict[_Ground, int] = {}
     via: dict[_Ground, tuple[int, tuple[str, ...]]] = {}
     # append-only fact lists; the first old[key] facts predate the last round
     facts_of: dict[_FactKey, list[tuple[str, ...]]] = {}
-    index: dict[tuple[_FactKey, int, str], list[int]] = {}
     old: dict[_FactKey, int] = {}
 
     def add(ground: _Ground, depth: int) -> None:
         depths[ground] = depth
-        key, args = ground[:2], ground[2]
-        facts = facts_of.setdefault(key, [])
-        for p in looked_up.get(key, ()):
-            index.setdefault((key, p, args[p]), []).append(len(facts))
-        facts.append(args)
+        facts_of.setdefault(ground[:2], []).append(ground[2])
 
     for fact in kb.facts:
         add((fact.predicate, fact.polarity, tuple(a.name for a in fact.args)), 0)
@@ -505,9 +501,8 @@ def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
         positions = set().union(*(rules_of.get(key, ()) for key in new_keys))
         for position in sorted(positions):
             steps, (predicate, polarity, template) = compiled[position]
-            for binding in _join(steps, facts_of, index, old):
-                args = binding if template is None else tuple(
-                    [binding[s] if s >= 0 else name for s, name in template])
+            for binding in _join(steps, facts_of, old):
+                args = tuple([binding[s] if s >= 0 else name for s, name in template])
                 yield position, binding, (predicate, polarity, args)
 
     depth = 0
@@ -527,8 +522,7 @@ def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
         clashes = [head for head in fresh
                    if (flipped := (head[0], not head[1], head[2])) in depths or flipped in fresh]
         if clashes:
-            constants = _constants(kb)
-            first = min((_literal(head, constants) for head in clashes), key=lambda lit: lit.to_text("kb"))
+            first = min((_literal(head) for head in clashes), key=lambda lit: lit.to_text("kb"))
             raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
         for key, facts in facts_of.items():
             old[key] = len(facts)
@@ -551,11 +545,9 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
 
     The rounds run in ``_saturate`` over interned literals ``(predicate,
     polarity, constant names)``, with each rule compiled once per call into
-    join steps.  A body literal with an argument known before it is joined
-    through an index from (key, position, constant) to the ascending
-    positions of the matching facts, not by scanning every fact of its key.
-    This function only materialises the core's depths and bindings as
-    :class:`Derivation`\\ s, in ``(depth, to_text("kb"))`` order.
+    join steps.  This function materialises the core's depths and bindings
+    as :class:`Derivation`\\ s, in ``(depth, to_text("kb"))`` order, and
+    keeps the interned depths for ``ChainResult.holds`` and ``depth_of``.
 
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
@@ -564,42 +556,30 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     round in ``to_text("kb")`` order.
     """
     depths, via, truncated = _saturate(kb, max_depth)
-    constants = _constants(kb)
-    slots = [_slots(rule) for rule in kb.rules]
+    constant = {c.name: c for c in kb.constants()}  # every name a literal or binding holds
+    slots = [sorted(_slots(rule).items()) for rule in kb.rules]
     derivations = []
     for ground, depth in depths.items():
-        literal = _literal(ground, constants)
+        predicate, polarity, names = ground
+        literal = SignedLiteral(predicate, tuple([constant[name] for name in names]), polarity)
         if not depth:
             derivations.append(Derivation(literal, 0))
             continue
         position, binding = via[ground]
-        pairs = sorted([(name, constants[binding[slot]]) for name, slot in slots[position].items()])
-        derivations.append(Derivation(literal, depth, (kb.rules[position], tuple(pairs))))
+        pairs = tuple([(name, constant[binding[slot]]) for name, slot in slots[position]])
+        derivations.append(Derivation(literal, depth, (kb.rules[position], pairs)))
     derivations.sort(key=lambda d: (d.depth, d.literal.to_text("kb")))
-    return ChainResult(tuple(derivations), truncated)
+    return ChainResult(tuple(derivations), truncated, depths)
 
 
 _LABELS = {True: Label.TRUE, False: Label.FALSE, None: Label.UNKNOWN}
-
-
-def _lookup(derived: Container[_Ground], literal: SignedLiteral) -> Optional[bool]:
-    # a derived literal has constant arguments only; a ground FunctionApp
-    # never matches, whatever its name
-    if not all(isinstance(arg, Constant) for arg in literal.args):
-        return None
-    names = tuple(arg.name for arg in literal.args)
-    if (literal.predicate, literal.polarity, names) in derived:
-        return True
-    if (literal.predicate, not literal.polarity, names) in derived:
-        return False
-    return None
 
 
 def decide(kb: KnowledgeBase, query: SignedLiteral) -> Label:
     """Open-world three-valued answer for a ground query literal."""
     if not query.is_ground:
         raise UnsupportedFragmentError(f"query must be ground: {query.to_text()}")
-    return _LABELS[_lookup(_saturate(kb, None)[0], query)]
+    return _LABELS[forward_chain(kb, None).holds(query)]
 
 
 def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
@@ -609,12 +589,12 @@ def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
     strong Kleene semantics, so e.g. a disjunction of two refuted disjuncts
     is False, the chainer's rendering of "false by contradiction".
     """
-    derived = _saturate(kb, None)[0]
+    result = forward_chain(kb, None)
 
     def value_of(atom: Atom) -> Optional[bool]:
         literal = formula_to_literal(atom)  # folds a trailing True/False argument
         if not literal.is_ground:
             raise UnsupportedFragmentError("statement must be ground")
-        return _lookup(derived, literal)
+        return result.holds(literal)
 
     return _LABELS[_kleene(statement, value_of)]

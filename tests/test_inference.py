@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symchain import inference
 from symchain.folparse import parse_formula, parse_translation_block
 from symchain.inference import (
     SchemaArityMismatchError, UnknownRuleError, UnsupportedFragmentError,
@@ -426,11 +427,11 @@ class TestForwardChain:
             checked += 1
         assert checked > 150
 
-    def test_indexed_joins_keep_naive_depths_via_and_order(self):
+    def test_bound_argument_joins_keep_naive_depths_via_and_order(self):
         # Q walks a chain n0 → … → n5 through Link facts that also hold a
         # two-level star of 12 unrelated edges, so the second body literal
-        # of each rule is looked up by a bound argument among mostly
-        # unrelated facts.  Fork(u0) has 36 bindings in one round; its via
+        # of each rule joins on a bound argument among mostly unrelated
+        # facts.  Fork(u0) has 36 bindings in one round; its via
         # is the first of them in naive join order.
         chain = [f"n{i}" for i in range(6)]
         parent = dict(zip(chain[1:], chain))
@@ -472,8 +473,9 @@ def _assert_decides_as_chained(kb, queries):
 
 
 class TestDecideOnTheFixpointCore:
-    """``decide`` and ``decide_formula`` read the chainer's core directly;
-    they must answer as a lookup in ``forward_chain``'s literals would."""
+    """``decide`` and ``decide_formula`` look literals up in the chainer's
+    interned map; they must answer as a lookup in ``forward_chain``'s
+    literals would."""
 
     def test_random_kbs_agree_with_forward_chain(self):
         rng = random.Random(36)
@@ -528,6 +530,22 @@ class TestDecideOnTheFixpointCore:
         _assert_decides_as_chained(kb, [lit("Cloudy"), lit("Wet", "a"), lit("Dry"), lit("Sunny")])
         assert decide(kb, lit("Dry")) is Label.FALSE
         assert decide_formula(kb, parse_formula("Cloudy ∧ Wet(a)")) is Label.TRUE
+
+    def test_decide_goes_through_forward_chain(self, monkeypatch):
+        # one engine path: what forward_chain reports (and a tracer wrapping
+        # it sees) is what decided the query
+        calls = []
+        chain = inference.forward_chain
+
+        def counted(kb, max_depth=20):
+            calls.append(max_depth)
+            return chain(kb, max_depth)
+
+        monkeypatch.setattr(inference, "forward_chain", counted)
+        kb = kb_from([lit("P", "a")], [rule([("P", "x", True)], ("Q", "x", True))])
+        assert decide(kb, lit("Q", "a")) is Label.TRUE
+        assert decide_formula(kb, parse_formula("Q(a) ∧ ¬P(b)")) is Label.UNKNOWN
+        assert calls == [None, None]
 
     def test_function_argument_named_like_a_constant_is_unknown(self):
         kb = kb_from([lit("P", "a"), lit("R", "a", "a", polarity=False)])
