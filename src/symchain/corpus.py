@@ -23,6 +23,10 @@ class CorpusError(Exception):
     pass
 
 
+class MalformedFieldError(CorpusError):
+    """A record field holds a value of the wrong shape."""
+
+
 @dataclass(frozen=True)
 class LoadError:
     record_id: str
@@ -197,6 +201,10 @@ def _pick(record: dict, name: str):
 def _parse_options(raw) -> tuple[tuple[str, str], ...]:
     if raw is None:
         return ()
+    if not isinstance(raw, list):
+        raise MalformedFieldError(f"options must be a list, got {type(raw).__name__}")
+    if len(raw) > 5:
+        raise MalformedFieldError(f"at most 5 options (A-E), got {len(raw)}")
     out = []
     for i, item in enumerate(raw):
         if isinstance(item, dict):
@@ -208,6 +216,18 @@ def _parse_options(raw) -> tuple[tuple[str, str], ...]:
         else:
             out.append(("ABCDE"[i], str(item).strip()))
     return tuple(out)
+
+
+def _parse_depth(raw) -> Optional[int]:
+    if raw is None:
+        return None
+    try:
+        depth = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        depth = None
+    if depth is None or isinstance(raw, bool) or (isinstance(raw, float) and raw != depth):
+        raise MalformedFieldError(f"depth must be an integer, got {raw!r}")
+    return depth
 
 
 def normalize_record(record: dict, info: DatasetInfo) -> Problem:
@@ -231,7 +251,7 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     options = _parse_options(_pick(record, "options"))
     if not info.family.is_csp:
         options = ()  # pure T/F/U datasets carry no option texts
-    depth_raw = _pick(record, "depth")
+    depth = _parse_depth(_pick(record, "depth"))
     return Problem(
         id=str(record_id),
         dataset=info.name,
@@ -239,7 +259,7 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
         question=str(_pick(record, "question")).strip(),
         options=options,
         gold=gold,
-        depth=int(depth_raw) if depth_raw is not None else None,
+        depth=depth,
     )
 
 
@@ -255,7 +275,9 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
     """Normalize each record of a JSON-array or JSON-lines file under ``info_of(record)``.
 
     A line that is not JSON, or a record that is not a JSON object, becomes
-    a ``Malformed`` error named ``record-<i>``; the other records still load.
+    a ``Malformed`` error named ``record-<i>``, and a record whose options
+    or depth have the wrong shape a ``Malformed`` error under its id; the
+    other records still load.
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("["):
@@ -274,6 +296,8 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
             result.problems.append(normalize_record(record, info_of(record)))
         except KeyError as err:
             result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
+        except MalformedFieldError as err:
+            result.errors.append(LoadError(rid, "Malformed", str(err)))
         except (ValueError, CorpusError) as err:
             result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
     return result

@@ -11,13 +11,14 @@ must / may / cannot be true.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .folparse import ParseDiagnostic, ParseError, TokenCursor, read_sections
+from .folparse import NAME_START, ParseDiagnostic, ParseError, TokenCursor, read_sections
 from .logic import LogicError
 
 
@@ -218,25 +219,10 @@ _DOMAIN_ENDPOINT_RE = re.compile(r"^(?P<num>\d+)\s*:\s*(?P<gloss>.+)$")
 _DOMAIN_RANGE_RE = re.compile(r"^(?P<gloss>[^:]+):\s*(?P<lo>\d+)\s*(?:to|\.\.|–|-)\s*(?P<hi>\d+)\s*$")
 _QUERY_RE = re.compile(r"^(?P<letter>[A-E])\s*[).]\s*(?P<rest>.+)$")
 
-_CSP_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<ARROW>->|→|⇒|=>)
-  | (?P<OP><=|>=|==|!=|≠|≤|≥|<|>|=)
-  | (?P<INT>\d+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<LBRACK>\[)
-  | (?P<RBRACK>\])
-  | (?P<PIPE>\|)
-  | (?P<MINUS>[-−])
-  | (?P<COMMA>,)
-    """,
-    re.VERBOSE,
-)
-
 _OP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">=", "=": "=="}
+_COMPARATORS = frozenset((*_OPS, *_OP_ALIASES))
+_ARROWS = ("->", "→", "⇒", "=>")
+_MINUS = frozenset(("-", "−"))
 
 
 def _csp_section_kind(header: str) -> str:
@@ -250,114 +236,107 @@ def _csp_section_kind(header: str) -> str:
     return "queries"
 
 
-class _ExprParser(TokenCursor):
-    """Precedence (tightest first): comparisons, not, and, or, ->."""
+def _is_var(tok: str) -> bool:
+    return tok[0] in NAME_START
 
-    token_re = _CSP_TOKEN_RE
-    noun = "constraint"
+
+def _casings(word: str) -> list[str]:
+    return ["".join(chars) for chars in itertools.product(*zip(word.lower(), word.upper()))]
+
+
+class _ExprParser(TokenCursor):
+    """Precedence climbing, loosest first: ``->`` (grouping to the right),
+    ``or``, ``and``; then ``not`` and the comparisons.  The keywords are
+    case-insensitive."""
+
+    token_re = re.compile(r"\s*(->|=>|<=|>=|==|!=|\d+|[A-Za-z_][A-Za-z0-9_]*|\S)")
+    symbols = frozenset((*_ARROWS, *_COMPARATORS, *_MINUS, "(", ")", "[", "]", "|", ","))
+    binary = {
+        **dict.fromkeys(_ARROWS, (1, CImplies, True)),
+        **dict.fromkeys(_casings("or"), (2, COr, False)),
+        **dict.fromkeys(_casings("and"), (3, CAnd, False)),
+    }
     symbol_context = " in constraint"
 
-    def parse(self) -> ConstraintExpr:
-        expr = self._implies()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
-        return expr
+    @staticmethod
+    def is_name(tok: str) -> bool:
+        return tok[0] in NAME_START or tok.isdecimal()
 
-    def _implies(self) -> ConstraintExpr:
-        left = self._or()
-        if self._peek() and self._peek().kind == "ARROW":
-            self._next()
-            return CImplies(left, self._implies())
-        return left
-
-    def _or(self) -> ConstraintExpr:
-        left = self._and()
-        while self._peek() and self._peek().kind == "IDENT" and self._peek().text.lower() == "or":
-            self._next()
-            left = COr(left, self._and())
-        return left
-
-    def _and(self) -> ConstraintExpr:
-        left = self._not()
-        while self._peek() and self._peek().kind == "IDENT" and self._peek().text.lower() == "and":
-            self._next()
-            left = CAnd(left, self._not())
-        return left
-
-    def _not(self) -> ConstraintExpr:
-        tok = self._peek()
-        if tok and tok.kind == "IDENT" and tok.text.lower() == "not":
-            self._next()
-            return CNot(self._not())
-        return self._primary()
-
-    def _primary(self) -> ConstraintExpr:
-        tok = self._peek()
+    def _next(self) -> str:
+        tok = self.tokens[self.i]
         if tok is None:
-            raise ParseError(len(self.text), "unexpected end of constraint")
-        if tok.kind == "LPAREN":
-            self._next()
-            inner = self._implies()
-            closer = self._peek()
-            if closer is None or closer.kind != "RPAREN":
-                raise ParseError(closer.pos if closer else len(self.text), "unbalanced parenthesis")
-            self._next()
+            raise self.error(self.i, "unexpected end of constraint")
+        self.i += 1
+        return tok
+
+    def _expect(self, accepts: Callable[[str], bool], what: str) -> str:
+        tok = self._next()
+        if not accepts(tok):
+            raise self.error(self.i - 1, f"expected {what}, found {tok!r}")
+        return tok
+
+    def _unary(self) -> ConstraintExpr:
+        tok = self.tokens[self.i]
+        if tok is None:
+            raise self.error(self.i, "unexpected end of constraint")
+        if tok.lower() == "not":
+            self.i += 1
+            return CNot(self._unary())
+        if tok == "(":
+            self.i += 1
+            inner = self._binary()
+            if self.tokens[self.i] != ")":
+                raise self.error(self.i, "unbalanced parenthesis")
+            self.i += 1
             return inner
-        if tok.kind == "PIPE":
+        if tok == "|":
             return self._absdiff()
-        if tok.kind == "IDENT" and tok.text in ("AllDifferentConstraint", "AllDifferent"):
+        if tok in ("AllDifferentConstraint", "AllDifferent"):
             return self._alldifferent()
         return self._comparison()
 
     def _absdiff(self) -> ConstraintExpr:
-        self._next()  # |
-        a = self._expect("IDENT", "a variable name").text
-        self._expect("MINUS", "'-'")
-        b = self._expect("IDENT", "a variable name").text
-        self._expect("PIPE", "'|'")
-        op_tok = self._expect("OP", "a comparison operator")
-        op = _OP_ALIASES.get(op_tok.text, op_tok.text)
-        if op != "!=":
-            raise ParseError(op_tok.pos, "absolute-difference constraints support only '!='")
-        k_tok = self._expect("INT", "an integer")
-        return AbsDiffNotEqual(a, b, int(k_tok.text))
+        self.i += 1  # |
+        a = self._expect(_is_var, "a variable name")
+        self._expect(_MINUS.__contains__, "'-'")
+        b = self._expect(_is_var, "a variable name")
+        self._expect("|".__eq__, "'|'")
+        op = self._expect(_COMPARATORS.__contains__, "a comparison operator")
+        if _OP_ALIASES.get(op, op) != "!=":
+            raise self.error(self.i - 1, "absolute-difference constraints support only '!='")
+        k = self._expect(str.isdecimal, "an integer")
+        return AbsDiffNotEqual(a, b, int(k))
 
     def _alldifferent(self) -> ConstraintExpr:
-        self._next()  # name
-        self._expect("LPAREN", "'('")
-        bracketed = self._peek() and self._peek().kind == "LBRACK"
+        self.i += 1  # name
+        self._expect("(".__eq__, "'('")
+        bracketed = self.tokens[self.i] == "["
         if bracketed:
-            self._next()
-        names = [self._expect("IDENT", "a variable name").text]
-        while self._peek() and self._peek().kind == "COMMA":
-            self._next()
-            names.append(self._expect("IDENT", "a variable name").text)
+            self.i += 1
+        names = [self._expect(_is_var, "a variable name")]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            names.append(self._expect(_is_var, "a variable name"))
         if bracketed:
-            self._expect("RBRACK", "']'")
-        self._expect("RPAREN", "')'")
+            self._expect("]".__eq__, "']'")
+        self._expect(")".__eq__, "')'")
         return AllDifferent(tuple(names))
 
     def _comparison(self) -> ConstraintExpr:
         lhs = self._operand()
-        op_tok = self._peek()
-        if op_tok is None or op_tok.kind != "OP":
-            raise ParseError(
-                op_tok.pos if op_tok else len(self.text),
-                "expected a comparison operator",
-            )
-        self._next()
-        rhs = self._operand()
-        op = _OP_ALIASES.get(op_tok.text, op_tok.text)
-        return Compare(lhs, op, rhs)
+        op = self.tokens[self.i]
+        if op not in _COMPARATORS:
+            raise self.error(self.i, "expected a comparison operator")
+        self.i += 1
+        return Compare(lhs, _OP_ALIASES.get(op, op), self._operand())
 
     def _operand(self) -> LinearTerm:
         tok = self._next()
-        if tok.kind == "INT":
-            return int(tok.text)
-        if tok.kind == "IDENT":
-            return tok.text
-        raise ParseError(tok.pos, f"expected a variable or integer, found {tok.text!r}")
+        if tok.isdecimal():
+            return int(tok)
+        if _is_var(tok):
+            return tok
+        raise self.error(self.i - 1, f"expected a variable or integer, found {tok!r}")
 
 
 def parse_constraint(text: str) -> ConstraintExpr:

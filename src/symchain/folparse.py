@@ -3,12 +3,21 @@
 This is the wire format between pipeline stages and the symbolic engines:
 single formulas (Unicode connectives with ASCII aliases) and labeled
 translation blocks (Predicates / Premises / Facts / Rules / Query sections
-with optional ``::: gloss`` suffixes).  The section reader and the token
-cursor are shared with the CSP block parser in :mod:`symchain.csp`.
+with optional ``::: gloss`` suffixes).
+
+Formulas are parsed in one pass.  :class:`TokenCursor` splits an expression
+into plain string tokens with one ``findall``, looks each token's kind up in
+the parser's symbol set, and finds character offsets only when it raises a
+:class:`ParseError`.  Binary connectives are parsed by precedence climbing
+(Pratt 1973, "Top Down Operator Precedence") over one table of
+``(precedence, node, right-associative)`` entries.  The section reader and
+the token cursor, climbing loop included, are shared with the CSP block
+parser in :mod:`symchain.csp`.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,220 +60,177 @@ class ParseError(LogicError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<NOT>¬|~|\bnot\b)
-  | (?P<AND>∧|&)
-  | (?P<OR>∨|\|)
-  | (?P<XOR>⊕|\^)
-  | (?P<IFF>↔|<->|⇔)
-  | (?P<IMPLIES>→|⇒|->|=>)
-  | (?P<FORALL>∀|\bforall\b)
-  | (?P<EXISTS>∃|\bexists\b)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<COMMA>,)
-  | (?P<SVAR>\$[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
-
-_XYZ_VAR_RE = re.compile(r"^[xyz]\d*$")
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class TokenCursor:
-    """A tokenized expression and a read position.
+    r"""A tokenized expression, a read position and a precedence-climbing loop.
 
-    The formula and constraint parsers subclass it with their own token
-    pattern; ``noun`` names the input in end-of-input errors and
-    ``symbol_context`` follows the symbol in unknown-symbol errors.
+    ``token_re`` captures one token after optional whitespace, so one
+    ``findall`` splits the expression into token strings.  Its last
+    alternative, ``\S``, makes any other character a one-character token;
+    a token that is neither one of the parser's ``symbols`` nor a name
+    (``is_name``) is an unknown symbol, reported before any syntax error.
+    Offsets are found again, by ``finditer``, only for an error.
+
+    The formula and constraint parsers subclass it with their own pattern,
+    ``symbols``, ``is_name`` test, ``binary`` operator table and ``_unary``
+    operand parser; ``symbol_context`` follows the symbol in unknown-symbol errors.
     """
 
     token_re: re.Pattern
-    noun = "input"
+    symbols: frozenset[str]
+    # operator token: (precedence, node, right-associative)
+    binary: dict[str, tuple[int, Callable, bool]]
     symbol_context = ""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[_Token] = []
-        token_re, append = self.token_re, self.tokens.append
-        pos = 0
-        while pos < len(text):
-            m = token_re.match(text, pos)
-            if m is None:
-                raise ParseError(pos, f"unknown symbol {text[pos]!r}{self.symbol_context}")
-            kind = m.lastgroup
-            if kind != "WS":
-                append(_Token(kind, m.group(), pos))
-            pos = m.end()
+        tokens = self.token_re.findall(text)
+        symbols, is_name = self.symbols, self.is_name
+        for i, tok in enumerate(tokens):
+            if tok not in symbols and not is_name(tok):
+                raise self.error(i, f"unknown symbol {tok!r}{self.symbol_context}")
+        tokens.append(None)  # the end of input
+        self.tokens = tokens
         self.i = 0
 
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def error(self, i: int, message: str) -> ParseError:
+        """A :class:`ParseError` at token ``i``, or at the end of input."""
+        m = next(itertools.islice(self.token_re.finditer(self.text), i, None), None)
+        return ParseError(len(self.text) if m is None else m.start(1), message)
 
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), f"unexpected end of {self.noun}")
-        self.i += 1
-        return tok
+    def _binary(self, min_prec: int = 1):
+        """Operands joined by ``binary`` operators of precedence ``min_prec`` or more."""
+        left = self._unary()
+        tokens, binary = self.tokens, self.binary
+        while (op := binary.get(tokens[self.i])) is not None and op[0] >= min_prec:
+            prec, node, right_assoc = op
+            self.i += 1
+            left = node(left, self._binary(prec if right_assoc else prec + 1))
+        return left
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(tok.pos, f"expected {what}, found {tok.text!r}")
-        return tok
+    def parse(self):
+        """The whole input as one expression."""
+        expr = self._binary()
+        tok = self.tokens[self.i]
+        if tok is not None:
+            raise self.error(self.i, f"unexpected trailing input {tok!r}")
+        return expr
+
+
+_XYZ_VAR_RE = re.compile(r"^[xyz]\d*$")
+
+# → and ↔ group to the right, the others to the left
+_BINARY = {
+    **dict.fromkeys(("↔", "<->", "⇔"), (1, Iff, True)),
+    **dict.fromkeys(("→", "⇒", "->", "=>"), (2, Implies, True)),
+    **dict.fromkeys(("⊕", "^"), (3, Xor, False)),
+    **dict.fromkeys(("∨", "|"), (4, Or, False)),
+    **dict.fromkeys(("∧", "&"), (5, And, False)),
+}
+_NEGATIONS = frozenset(("¬", "~", "not"))
+_QUANTIFIERS = {"∀": ForAll, "forall": ForAll, "∃": Exists, "exists": Exists}
+_SYMBOLS = frozenset((*_BINARY, *_NEGATIONS, *_QUANTIFIERS, "(", ")", ","))
+
+
+def _is_ident(tok: Optional[str]) -> bool:
+    """A predicate, constant or variable name other than a keyword."""
+    return tok is not None and tok[0] in NAME_START and tok not in _SYMBOLS
 
 
 class _FormulaParser(TokenCursor):
-    """Recursive descent over the fixed precedence ¬, ∧, ∨, ⊕, →, ↔."""
+    """Precedence climbing over ``_BINARY``, after Pratt's top-down
+    operator precedence; ``¬`` and quantifiers bind tightest."""
 
-    token_re = _TOKEN_RE
+    token_re = re.compile(r"\s*(<->|->|=>|\$?[A-Za-z_][A-Za-z0-9_]*|\S)")
+    symbols = _SYMBOLS
+    binary = _BINARY
 
     def __init__(self, text: str, signature: Optional[dict[str, int]] = None):
         super().__init__(text)
         self.bound: list[str] = []
         self.signature = signature
 
-    def parse(self) -> Formula:
-        f = self._iff()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
-        return f
+    @staticmethod
+    def is_name(tok: str) -> bool:
+        return tok[0] in NAME_START or (tok[0] == "$" and len(tok) > 1)
 
-    def _iff(self) -> Formula:
-        left = self._implies()
-        if self._peek() and self._peek().kind == "IFF":
-            self._next()
-            return Iff(left, self._iff())
-        return left
-
-    def _implies(self) -> Formula:
-        left = self._xor()
-        if self._peek() and self._peek().kind == "IMPLIES":
-            self._next()
-            return Implies(left, self._implies())
-        return left
-
-    def _xor(self) -> Formula:
-        left = self._or()
-        while self._peek() and self._peek().kind == "XOR":
-            self._next()
-            left = Xor(left, self._or())
-        return left
-
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._peek() and self._peek().kind == "OR":
-            self._next()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self) -> Formula:
-        left = self._unary()
-        while self._peek() and self._peek().kind == "AND":
-            self._next()
-            left = And(left, self._unary())
-        return left
+    def _close(self) -> None:
+        tok = self.tokens[self.i]
+        if tok != ")":
+            raise self.error(self.i, "unbalanced parenthesis" if tok is None
+                             else f"expected ')', found {tok!r}")
+        self.i += 1
 
     def _unary(self) -> Formula:
-        tok = self._peek()
+        tok = self.tokens[self.i]
         if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input, expected a formula")
-        if tok.kind == "NOT":
-            self._next()
+            raise self.error(self.i, "unexpected end of input, expected a formula")
+        if tok in _NEGATIONS:
+            self.i += 1
             return Not(self._unary())
-        if tok.kind in ("FORALL", "EXISTS"):
-            self._next()
-            var_tok = self._peek()
-            if var_tok is None or var_tok.kind not in ("IDENT", "SVAR"):
-                raise ParseError(
-                    var_tok.pos if var_tok else len(self.text),
-                    "dangling quantifier: expected a variable name",
-                )
-            self._next()
-            name = var_tok.text.lstrip("$")
+        quantifier = _QUANTIFIERS.get(tok)
+        if quantifier is not None:
+            self.i += 1
+            var = self.tokens[self.i]
+            if not (_is_ident(var) or var is not None and var[0] == "$"):
+                raise self.error(self.i, "dangling quantifier: expected a variable name")
+            self.i += 1
+            name = var.lstrip("$")
             self.bound.append(name)
             try:
                 body = self._unary()
             finally:
                 self.bound.pop()
-            return (ForAll if tok.kind == "FORALL" else Exists)(name, body)
-        if tok.kind == "LPAREN":
-            self._next()
-            inner = self._iff()
-            closer = self._peek()
-            if closer is None:
-                raise ParseError(len(self.text), "unbalanced parenthesis")
-            if closer.kind != "RPAREN":
-                raise ParseError(closer.pos, f"expected ')', found {closer.text!r}")
-            self._next()
+            return quantifier(name, body)
+        if tok == "(":
+            self.i += 1
+            inner = self._binary()
+            self._close()
             return inner
-        if tok.kind == "IDENT":
+        if _is_ident(tok):
             return self._atom()
-        raise ParseError(tok.pos, f"unexpected {tok.text!r}, expected a formula")
+        raise self.error(self.i, f"unexpected {tok!r}, expected a formula")
 
     def _atom(self) -> Formula:
-        name_tok = self._expect("IDENT", "a predicate name")
+        start = self.i
+        name = self.tokens[start]
+        self.i += 1
         args: tuple[Term, ...] = ()
-        if self._peek() and self._peek().kind == "LPAREN":
-            self._next()
-            parts = [self._term()]
-            while self._peek() and self._peek().kind == "COMMA":
-                self._next()
-                parts.append(self._term())
-            closer = self._peek()
-            if closer is None:
-                raise ParseError(len(self.text), "unbalanced parenthesis")
-            if closer.kind != "RPAREN":
-                raise ParseError(closer.pos, f"expected ')', found {closer.text!r}")
-            self._next()
-            args = tuple(parts)
+        if self.tokens[self.i] == "(":
+            args = self._arguments()
         if self.signature is not None:
-            expected = self.signature.get(name_tok.text)
+            expected = self.signature.get(name)
             if expected is not None and expected != len(args):
-                raise ParseError(
-                    name_tok.pos,
-                    f"predicate {name_tok.text!r} has arity {expected}, used with {len(args)}",
-                )
-        return Atom(name_tok.text, args)
+                raise self.error(start, f"predicate {name!r} has arity {expected}, used with {len(args)}")
+        return Atom(name, args)
+
+    def _arguments(self) -> tuple[Term, ...]:
+        """``(t1, …, tn)``, from its opening parenthesis."""
+        self.i += 1
+        args = [self._term()]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            args.append(self._term())
+        self._close()
+        return tuple(args)
 
     def _term(self) -> Term:
-        tok = self._peek()
+        tok = self.tokens[self.i]
         if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input, expected a term")
-        if tok.kind == "SVAR":
-            self._next()
-            return Variable(tok.text.lstrip("$"))
-        if tok.kind != "IDENT":
-            raise ParseError(tok.pos, f"expected a term, found {tok.text!r}")
-        self._next()
-        if self._peek() and self._peek().kind == "LPAREN":
-            self._next()
-            args = [self._term()]
-            while self._peek() and self._peek().kind == "COMMA":
-                self._next()
-                args.append(self._term())
-            closer = self._peek()
-            if closer is None:
-                raise ParseError(len(self.text), "unbalanced parenthesis")
-            if closer.kind != "RPAREN":
-                raise ParseError(closer.pos, f"expected ')', found {closer.text!r}")
-            self._next()
-            return FunctionApp(tok.text, tuple(args))
-        if tok.text in self.bound or _XYZ_VAR_RE.match(tok.text):
-            return Variable(tok.text)
-        return Constant(tok.text)
+            raise self.error(self.i, "unexpected end of input, expected a term")
+        if tok[0] == "$":
+            self.i += 1
+            return Variable(tok[1:])
+        if not _is_ident(tok):
+            raise self.error(self.i, f"expected a term, found {tok!r}")
+        self.i += 1
+        if self.tokens[self.i] == "(":
+            return FunctionApp(tok, self._arguments())
+        if tok in self.bound or _XYZ_VAR_RE.match(tok):
+            return Variable(tok)
+        return Constant(tok)
 
 
 def parse_formula(text: str, signature: Optional[dict[str, int]] = None) -> Formula:
@@ -274,8 +240,7 @@ def parse_formula(text: str, signature: Optional[dict[str, int]] = None) -> Form
     (forall, exists, &, |, ^, ~ or not, ->, <->), with ⇒ read as implication.
     """
     parser = _FormulaParser(text, signature)
-    tok = parser._peek()
-    if tok is None:
+    if parser.tokens[0] is None:
         raise ParseError(0, "empty input, expected a formula")
     return parser.parse()
 

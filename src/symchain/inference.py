@@ -339,9 +339,10 @@ def _ground(literal: SignedLiteral) -> Optional[_Ground]:
     return literal.predicate, literal.polarity, tuple(arg.name for arg in literal.args)
 
 
-def _literal(ground: _Ground) -> SignedLiteral:
+def _kb_text(ground: _Ground) -> str:
+    """``SignedLiteral.to_text("kb")`` of the literal that ``ground`` interns."""
     predicate, polarity, names = ground
-    return SignedLiteral(predicate, tuple([Constant(name) for name in names]), polarity)
+    return f"{predicate}({', '.join((*names, 'True' if polarity else 'False'))})"
 
 
 @dataclass(frozen=True)
@@ -522,8 +523,8 @@ def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
         clashes = [head for head in fresh
                    if (flipped := (head[0], not head[1], head[2])) in depths or flipped in fresh]
         if clashes:
-            first = min((_literal(head) for head in clashes), key=lambda lit: lit.to_text("kb"))
-            raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
+            predicate, _, names = min(clashes, key=_kb_text)
+            raise InconsistencyError(SignedLiteral(predicate, tuple([Constant(n) for n in names])))
         for key, facts in facts_of.items():
             old[key] = len(facts)
         new_keys = {head[:2] for head in fresh}
@@ -545,9 +546,11 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
 
     The rounds run in ``_saturate`` over interned literals ``(predicate,
     polarity, constant names)``, with each rule compiled once per call into
-    join steps.  This function materialises the core's depths and bindings
-    as :class:`Derivation`\\ s, in ``(depth, to_text("kb"))`` order, and
-    keeps the interned depths for ``ChainResult.holds`` and ``depth_of``.
+    join steps.  This function sorts the core's interned literals by depth
+    and then by their ``to_text("kb")`` rendering, formatted from the
+    interned form, and materialises them in that order as
+    :class:`Derivation`\\ s; it keeps the interned depths for
+    ``ChainResult.holds`` and ``depth_of``.
 
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
@@ -558,17 +561,21 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     depths, via, truncated = _saturate(kb, max_depth)
     constant = {c.name: c for c in kb.constants()}  # every name a literal or binding holds
     slots = [sorted(_slots(rule).items()) for rule in kb.rules]
+    args_of: dict[tuple[str, ...], tuple[Constant, ...]] = {}  # shared by literals over the same names
     derivations = []
-    for ground, depth in depths.items():
+    # no two literals share a text, so the tuples never compare their grounds
+    for depth, _, ground in sorted(zip(depths.values(), map(_kb_text, depths), depths)):
         predicate, polarity, names = ground
-        literal = SignedLiteral(predicate, tuple([constant[name] for name in names]), polarity)
+        args = args_of.get(names)
+        if args is None:
+            args = args_of[names] = tuple([constant[name] for name in names])
+        literal = SignedLiteral(predicate, args, polarity)
         if not depth:
             derivations.append(Derivation(literal, 0))
             continue
         position, binding = via[ground]
         pairs = tuple([(name, constant[binding[slot]]) for name, slot in slots[position]])
         derivations.append(Derivation(literal, depth, (kb.rules[position], pairs)))
-    derivations.sort(key=lambda d: (d.depth, d.literal.to_text("kb")))
     return ChainResult(tuple(derivations), truncated, depths)
 
 

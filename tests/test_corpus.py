@@ -266,6 +266,30 @@ class TestLoad:
         assert [(e.record_id, e.kind) for e in result.errors] == [("record-1", "Malformed")]
         assert result.errors[0].detail.startswith("invalid JSON: ")
 
+    def test_malformed_options_collected_others_load(self, tmp_path):
+        base = {"context": "ctx", "question": "q", "answer": "A"}
+        records = [dict(base, id="num", options=5), dict(base, id="ok", options=["A) x", "B) y"]),
+                   dict(base, id="text", options="A) x"),
+                   dict(base, id="six", options=["A) a", "B) b", "C) c", "D) d", "E) e", "F) f"])]
+        with pytest.warns(UserWarning):
+            result = load("LogicalDeduction", _write(tmp_path, "ld.json", records))
+        assert [p.id for p in result.problems] == ["ok"]
+        assert [(e.record_id, e.kind, e.detail) for e in result.errors] == [
+            ("num", "Malformed", "options must be a list, got int"),
+            ("text", "Malformed", "options must be a list, got str"),
+            ("six", "Malformed", "at most 5 options (A-E), got 6"),
+        ]
+
+    @pytest.mark.parametrize("depth", ["deep", 2.5, True, [3], {"d": 1}])
+    def test_non_integer_depth_is_malformed(self, tmp_path, depth):
+        records = [{"id": "bad", "context": "c", "question": "q", "answer": "true", "depth": depth},
+                   {"id": "ok", "context": "c", "question": "q", "answer": "true", "depth": "4"}]
+        with pytest.warns(UserWarning):
+            result = load("ProofWriter", _write(tmp_path, "pw.json", records))
+        assert [(p.id, p.depth) for p in result.problems] == [("ok", 4)]
+        assert [(e.record_id, e.kind) for e in result.errors] == [("bad", "Malformed")]
+        assert result.errors[0].detail == f"depth must be an integer, got {depth!r}"
+
     def test_normalization_idempotent(self, tmp_path, corpus):
         dumped = dump_problems(list(corpus.problems))
         path = tmp_path / "normalized.jsonl"

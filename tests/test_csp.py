@@ -118,6 +118,51 @@ class TestParseCspBlock:
             assert model.queries == [("A", Compare("v", "==", 1))]
 
 
+# (constraint, (message, offset)); pinned across tokenizer rewrites
+CONSTRAINT_DIAGNOSTICS = [
+    ("a ! b", ("unknown symbol '!' in constraint", 2)),
+    ("a @ b", ("unknown symbol '@' in constraint", 2)),
+    ("3 = a ä", ("unknown symbol 'ä' in constraint", 6)),
+    ("", ("unexpected end of constraint", 0)),
+    ("a == ", ("unexpected end of constraint", 5)),
+    ("a ≠", ("unexpected end of constraint", 3)),
+    ("not", ("unexpected end of constraint", 3)),
+    ("a < b -> ", ("unexpected end of constraint", 9)),
+    ("a = b and", ("unexpected end of constraint", 9)),
+    ("a", ("expected a comparison operator", 1)),
+    ("a − b", ("expected a comparison operator", 2)),
+    ("a - b", ("expected a comparison operator", 2)),
+    ("a <> b", ("expected a variable or integer, found '>'", 3)),
+    ("(a < b", ("unbalanced parenthesis", 6)),
+    ("a < b c", ("unexpected trailing input 'c'", 6)),
+    ("a < b)", ("unexpected trailing input ')'", 5)),
+    ("|a - b| < 1", ("absolute-difference constraints support only '!='", 8)),
+    ("|a − b| ≤ 1", ("absolute-difference constraints support only '!='", 8)),
+    ("|a b| != 1", ("expected '-', found 'b'", 3)),
+    ("|a - b| != x", ("expected an integer, found 'x'", 11)),
+    ("AllDifferent([a, b)", ("expected ']', found ')'", 18)),
+    ("AllDifferent(a b)", ("expected ')', found 'b'", 15)),
+]
+
+
+@pytest.mark.parametrize("text,diagnostic", CONSTRAINT_DIAGNOSTICS)
+def test_constraint_diagnostic_table(text, diagnostic):
+    with pytest.raises(ParseError) as exc:
+        parse_constraint(text)
+    assert (exc.value.message, exc.value.position) == diagnostic
+
+
+@pytest.mark.parametrize("text,expr", [
+    ("a ≤ b", Compare("a", "<=", "b")),
+    ("a ≠ b", Compare("a", "!=", "b")),
+    ("a ≥ ١٢", Compare("a", ">=", 12)),
+    ("|a − b| ≠ 1", AbsDiffNotEqual("a", "b", 1)),
+    ("AllDifferent([a, b])", AllDifferent(("a", "b"))),
+])
+def test_constraint_symbol_aliases(text, expr):
+    assert parse_constraint(text) == expr
+
+
 class TestSolveAll:
     def test_car_unique_solution(self):
         model, _ = parse_csp_block(CAR_BLOCK)

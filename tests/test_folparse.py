@@ -118,6 +118,53 @@ def test_alias_closure(unicode_form, ascii_form):
     assert parse_formula(unicode_form) == parse_formula(ascii_form)
 
 
+# (input, signature, (message, offset)); pinned across tokenizer rewrites
+DIAGNOSTIC_TABLE = [
+    ("notä", None, ("unknown symbol 'ä'", 3)),
+    ("1not", None, ("unknown symbol '1'", 0)),
+    ("$", None, ("unknown symbol '$'", 0)),
+    ("$1", None, ("unknown symbol '$'", 0)),
+    ("P($)", None, ("unknown symbol '$'", 2)),
+    ("P(a) <- Q(a)", None, ("unknown symbol '<'", 5)),
+    ("P(a) = Q(a)", None, ("unknown symbol '='", 5)),
+    ("P(a) - Q(a)", None, ("unknown symbol '-'", 5)),
+    ("P(a)\u200b∧ Q(a)", None, ("unknown symbol '\\u200b'", 4)),
+    (") @", None, ("unknown symbol '@'", 2)),
+    ("P(a) ∧ Q(b) @ (", None, ("unknown symbol '@'", 12)),
+    ("", None, ("empty input, expected a formula", 0)),
+    ("   ", None, ("empty input, expected a formula", 0)),
+    ("∀", None, ("dangling quantifier: expected a variable name", 1)),
+    ("∀ (P(x))", None, ("dangling quantifier: expected a variable name", 2)),
+    ("∀x ∀", None, ("dangling quantifier: expected a variable name", 4)),
+    ("∀x", None, ("unexpected end of input, expected a formula", 2)),
+    ("¬", None, ("unexpected end of input, expected a formula", 1)),
+    ("P(a) ∧", None, ("unexpected end of input, expected a formula", 6)),
+    ("P(a) → → Q(a)", None, ("unexpected '→', expected a formula", 7)),
+    ("P(a) ⇒ <-> Q", None, ("unexpected '<->', expected a formula", 7)),
+    ("(P(a)", None, ("unbalanced parenthesis", 5)),
+    ("P(a", None, ("unbalanced parenthesis", 3)),
+    ("P(f(a)", None, ("unbalanced parenthesis", 6)),
+    ("P(a,)", None, ("expected a term, found ')'", 4)),
+    ("P(a) Q(b)", None, ("unexpected trailing input 'Q'", 5)),
+    ("P(a)) ", None, ("unexpected trailing input ')'", 4)),
+    ("(P)(Q)", None, ("unexpected trailing input '('", 3)),
+    ("x ∀", None, ("unexpected trailing input '∀'", 2)),
+    ("P(a, b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 0)),
+    ("Q ∧ P(a,b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 4)),
+]
+
+
+@pytest.mark.parametrize("text,signature,diagnostic", DIAGNOSTIC_TABLE)
+def test_diagnostic_table(text, signature, diagnostic):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, signature)
+    assert (exc.value.message, exc.value.position) == diagnostic
+
+
+def test_non_breaking_space_is_whitespace():
+    assert parse_formula("P(a)\u00a0∧\u00a0Q(a)") == parse_formula("P(a) ∧ Q(a)")
+
+
 class TestPrintFormula:
     def test_canonical_universal(self):
         f = ForAll("x", Implies(Atom("P", (v("x"),)), Atom("Q", (v("x"),))))

@@ -381,6 +381,30 @@ class TestForwardChain:
             forward_chain(kb)
         assert exc.value.literal == lit("Q", "a")
 
+    def test_derivations_sort_by_kb_text_not_tuple_order(self):
+        # "P(a, True)" sorts before "P(a1, False)" although False < True and
+        # "a" < "a1": the order is that of the kb-style text, not of the
+        # (predicate, polarity, names) tuple
+        x = Variable("x")
+        rules = [Rule((SignedLiteral("P", (x,)),), SignedLiteral("R", (x,))),
+                 Rule((SignedLiteral("P", (x,), False),), SignedLiteral("R", (x,), False)),
+                 Rule((SignedLiteral("Pa", (x,)),), SignedLiteral("Z")),
+                 Rule((SignedLiteral("Z"),), SignedLiteral("Y", (), False))]
+        facts = [lit("P", "a_b", polarity=False), lit("Pa", "a1"), lit("P", "a1", polarity=False),
+                 lit("Pa", "a", polarity=False), lit("P", "a")]
+        result = forward_chain(kb_from(facts, rules))
+        texts = [(d.depth, d.literal.to_text("kb")) for d in result.derivations]
+        assert texts == sorted(texts)
+        assert texts == [
+            (0, "P(a, True)"), (0, "P(a1, False)"), (0, "P(a_b, False)"),
+            (0, "Pa(a, False)"), (0, "Pa(a1, True)"),
+            (1, "R(a, True)"), (1, "R(a1, False)"), (1, "R(a_b, False)"), (1, "Z(True)"),
+            (2, "Y(False)"),
+        ]
+        tuples = [(d.depth, d.literal.predicate, d.literal.polarity,
+                   tuple(a.name for a in d.literal.args)) for d in result.derivations]
+        assert tuples != sorted(tuples)
+
     def test_depth_of_is_a_lookup_that_keeps_equality(self):
         block = parse_translation_block(_max_translation())
         result = forward_chain(block.kb)
