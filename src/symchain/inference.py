@@ -473,7 +473,7 @@ def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
     """The fixpoint core of :func:`forward_chain`, over interned literals.
 
     Returns each derivable literal's minimal depth (given facts first, in
-    ``kb.facts`` order, then round by round in derivation order), the
+    ``to_text("kb")`` order, then round by round in derivation order), the
     ``(rule position, binding)`` that first derived each literal of depth
     ≥ 1, and the truncation flag.  Raises what ``forward_chain`` raises.
     """
@@ -492,8 +492,11 @@ def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
         depths[ground] = depth
         facts_of.setdefault(ground[:2], []).append(ground[2])
 
-    for fact in kb.facts:
-        add((fact.predicate, fact.polarity, tuple(a.name for a in fact.args)), 0)
+    # seeded in text order, not in the frozenset's hash order, so that
+    # ``via`` is the same in every process
+    for ground in sorted([(fact.predicate, fact.polarity, tuple(a.name for a in fact.args))
+                          for fact in kb.facts], key=_kb_text):
+        add(ground, 0)
     new_keys = set(facts_of)
 
     def firing():

@@ -10,7 +10,14 @@ the engines they check.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
+from typing import Sequence
+
+import symchain
 
 from symchain.csp import (
     AbsDiffNotEqual, AllDifferent, CAnd, CImplies, CNot, COr, Compare, CspModel,
@@ -19,6 +26,30 @@ from symchain.logic import (
     And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, KnowledgeBase,
     Not, Or, Rule, SignedLiteral, Variable, Xor,
 )
+
+# ---------------------------------------------------------------------------
+# Runs in fresh interpreters
+
+
+def run_under_hash_seeds(snippet: str, seeds: Sequence[int] = (1, 2, 3)) -> dict[int, str]:
+    """The standard output of ``python -c snippet`` under each ``PYTHONHASHSEED``
+    in ``seeds``, with ``symchain`` and this module importable.
+
+    String hashing, and so the iteration order of sets of strings, differs
+    between those interpreters; an output that follows such an order
+    differs between seeds.
+    """
+    path = os.pathsep.join([str(Path(symchain.__file__).parents[1]), str(Path(__file__).parent)])
+    out = {}
+    for seed in seeds:
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True,
+                              text=True, timeout=300)
+        if done.returncode != 0:
+            raise AssertionError(f"snippet failed under PYTHONHASHSEED={seed}:\n{done.stderr}")
+        out[seed] = done.stdout
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Truth-table oracle (propositional)
@@ -297,14 +328,14 @@ def naive_vias(kb: KnowledgeBase, max_depth: int | None = None
                ) -> dict[SignedLiteral, tuple[Rule, tuple]] | None:
     """The ``via`` of each derived literal under naive nested-loop joins.
 
-    Facts are kept in insertion order: the given facts in ``kb.facts``
-    order, then each round's literals in the order they were first derived.
+    Facts are kept in insertion order: the given facts in
+    ``to_text("kb")`` order, then each round's literals in the order they were first derived.
     Round d tries the rules in order and, per rule, every binding of the
     body by nested loops over the facts known after round d-1; a literal's
     via is the first rule and binding (sorted by variable) that derived it.
     Returns None when a round derives both polarities of a literal.
     """
-    facts = list(kb.facts)
+    facts = sorted(kb.facts, key=lambda fact: fact.to_text("kb"))
     vias: dict[SignedLiteral, tuple[Rule, tuple]] = {}
 
     def bindings(body, known, binding):

@@ -1,4 +1,5 @@
 import random
+import textwrap
 
 import pytest
 
@@ -450,6 +451,26 @@ class TestForwardChain:
             assert {d.literal: d.via for d in result.derivations if d.depth} == want
             checked += 1
         assert checked > 150
+
+    def test_via_is_the_same_under_every_hash_seed(self):
+        # kb.facts is a frozenset, whose order follows string hashing; the
+        # chainer must not let that order pick the binding a via records
+        digests = helpers.run_under_hash_seeds(textwrap.dedent("""
+            import hashlib, random
+            import helpers
+            from symchain.inference import forward_chain
+            from symchain.logic import InconsistencyError
+            rng = random.Random(41)
+            digest = hashlib.sha256()
+            for _ in range(300):
+                kb = helpers.random_horn_kb(rng)
+                try:
+                    digest.update(repr(forward_chain(kb, None)).encode())
+                except InconsistencyError as err:
+                    digest.update(str(err).encode())
+            print(digest.hexdigest())
+        """))
+        assert len(set(digests.values())) == 1, digests
 
     def test_bound_argument_joins_keep_naive_depths_via_and_order(self):
         # Q walks a chain n0 → … → n5 through Link facts that also hold a
