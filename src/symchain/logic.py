@@ -423,7 +423,10 @@ class KnowledgeBase:
             key = (fact.predicate, fact.args)
             (positives if fact.polarity else negatives).add(key)
             if key in positives and key in negatives:
-                raise InconsistencyError(SignedLiteral(fact.predicate, fact.args, True))
+                # name the first clashing fact in text order, not in hash order
+                first = min((f for f in self.facts if f.negated() in self.facts),
+                            key=lambda f: f.to_text("kb"))
+                raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
         for rule in self.rules:
             for lit in rule.body:
                 check(lit, "rule bodies")

@@ -1,4 +1,5 @@
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,20 @@ class TestKnowledgeBase:
                 SignedLiteral("P", (Constant("a"),), False),
             ])
         assert "P(a" in str(exc.value)
+
+    def test_clash_names_the_first_clashing_fact_in_text_order(self):
+        # kb.facts is a frozenset: the clash it meets first follows string
+        # hashing, the one it names must not
+        messages = helpers.run_under_hash_seeds(textwrap.dedent("""
+            from symchain.logic import Constant, KnowledgeBase, LogicError, SignedLiteral
+            facts = [SignedLiteral(p, (Constant(c),), polarity)
+                     for p, c in (("R", "c"), ("Q", "b"), ("P", "a")) for polarity in (True, False)]
+            try:
+                KnowledgeBase.build(facts + [SignedLiteral("S", (Constant("d"),))])
+            except LogicError as err:
+                print(err)
+        """), seeds=range(1, 7))
+        assert set(messages.values()) == {"inconsistency: P(a) asserted with both polarities\n"}
 
     def test_non_ground_fact_rejected(self):
         with pytest.raises(LogicError):
