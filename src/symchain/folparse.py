@@ -111,8 +111,15 @@ class TokenCursor:
         return left
 
     def parse(self):
-        """The whole input as one expression."""
-        expr = self._binary()
+        """The whole input as one expression.
+
+        An expression nested deeper than the interpreter's recursion limit
+        allows is a :class:`ParseError` at its first token.
+        """
+        try:
+            expr = self._binary()
+        except RecursionError:
+            raise self.error(0, "expression nested too deeply") from None
         tok = self.tokens[self.i]
         if tok is not None:
             raise self.error(self.i, f"unexpected trailing input {tok!r}")
@@ -147,10 +154,11 @@ class _FormulaParser(TokenCursor):
     symbols = _SYMBOLS
     binary = _BINARY
 
-    def __init__(self, text: str, signature: Optional[dict[str, int]] = None):
+    def __init__(self, text: str, signature: Optional[dict[str, int]], terms: dict[str, Term]):
         super().__init__(text)
         self.bound: list[str] = []
         self.signature = signature
+        self.terms = terms
 
     @staticmethod
     def is_name(tok: str) -> bool:
@@ -222,15 +230,21 @@ class _FormulaParser(TokenCursor):
             raise self.error(self.i, "unexpected end of input, expected a term")
         if tok[0] == "$":
             self.i += 1
-            return Variable(tok[1:])
+            term = self.terms.get(tok)
+            if term is None:
+                term = self.terms[tok] = Variable(tok[1:])
+            return term
         if not _is_ident(tok):
             raise self.error(self.i, f"expected a term, found {tok!r}")
         self.i += 1
         if self.tokens[self.i] == "(":
             return FunctionApp(tok, self._arguments())
-        if tok in self.bound or _XYZ_VAR_RE.match(tok):
+        if tok in self.bound:
             return Variable(tok)
-        return Constant(tok)
+        term = self.terms.get(tok)
+        if term is None:
+            term = self.terms[tok] = Variable(tok) if _XYZ_VAR_RE.match(tok) else Constant(tok)
+        return term
 
 
 def parse_formula(text: str, signature: Optional[dict[str, int]] = None) -> Formula:
@@ -239,7 +253,13 @@ def parse_formula(text: str, signature: Optional[dict[str, int]] = None) -> Form
     Accepts Unicode connectives (∀ ∃ ∧ ∨ ⊕ ¬ → ↔) and their ASCII aliases
     (forall, exists, &, |, ^, ~ or not, ->, <->), with ⇒ read as implication.
     """
-    parser = _FormulaParser(text, signature)
+    return _parse_formula(text, signature, {})
+
+
+def _parse_formula(text: str, signature: Optional[dict[str, int]], terms: dict[str, Term]) -> Formula:
+    """:func:`parse_formula`, with ``terms`` mapping each constant or free
+    variable token already read (``$x`` and ``x`` apart) to its one term."""
+    parser = _FormulaParser(text, signature, terms)
     if parser.tokens[0] is None:
         raise ParseError(0, "empty input, expected a formula")
     return parser.parse()
@@ -503,6 +523,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     statement_lines: list[tuple[str, str, int]] = []
     saw_section = False
     saw_kb_sections = False
+    terms: dict[str, Term] = {}  # one term per constant or variable token of the block
 
     _, lines = read_sections(text, _HEADER_RE, _section_kind)
     for section, _, body, gloss, offset in lines:
@@ -522,12 +543,12 @@ def parse_translation_block(text: str) -> TranslationBlock:
             block.predicates.append((m.group("name"), len(args), decl_gloss))
         elif section == "premises":
             try:
-                block.premises.append((parse_formula(body), gloss))
+                block.premises.append((_parse_formula(body, None, terms), gloss))
             except ParseError as err:
                 block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
         elif section == "facts":
             try:
-                lit = formula_to_literal(parse_formula(body))
+                lit = formula_to_literal(_parse_formula(body, None, terms))
             except ParseError as err:
                 block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
                 continue
@@ -538,7 +559,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
         elif section == "rules":
             saw_kb_sections = True
             try:
-                rules.extend(formula_to_rules(parse_formula(body)))
+                rules.extend(formula_to_rules(_parse_formula(body, None, terms)))
             except ParseError as err:
                 block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
             except LogicError as err:
@@ -561,7 +582,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
                                 Severity.WARNING)
             )
         try:
-            raw = parse_formula(body)
+            raw = _parse_formula(body, None, terms)
             lit = formula_to_literal(raw)
             if lit is not None:
                 block.query = lit

@@ -309,7 +309,7 @@ def check_step(premises: Iterable[Formula], rule: InferenceRule | str,
 # Forward chaining
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     literal: SignedLiteral
     depth: int
@@ -405,7 +405,7 @@ def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
       within the literal.
 
     The head template holds ``(slot, name)`` per argument, slot -1 for a
-    constant.
+    constant; it is None when the head's arguments are the binding itself.
     """
     slots = _slots(rule)
     steps = []
@@ -423,6 +423,8 @@ def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
     head = rule.head
     template = tuple((slots[t.name], t.name) if isinstance(t, Variable) else (-1, t.name)
                      for t in head.args)
+    if [slot for slot, _ in template] == list(range(offset)):
+        template = None  # the head's arguments are the binding itself
     return tuple(steps), (head.predicate, head.polarity, template)
 
 
@@ -434,6 +436,15 @@ def _join(steps: tuple[_Step, ...], facts_of: dict[_FactKey, list[tuple[str, ...
     ``old[key]`` entries are old.  Bindings come in the order of the naive
     nested-loop join over all facts, minus the all-old ones.
     """
+    if len(steps) == 1:
+        # one literal: its new facts, through the same filters as _extend's
+        (key, fixed, repeats), = steps
+        new = facts_of.get(key, [])[old.get(key, 0):]
+        if not fixed and not repeats:
+            return new
+        return [args for args in new
+                if not any(args[p] != name for p, _, name in fixed)
+                and not any(args[p] != args[q] for p, q in repeats)]
     facts = [facts_of.get(step[0], ()) for step in steps]
     splits = [old.get(step[0], 0) for step in steps]
     # new_after[i]: a literal after position i can still take a new fact
@@ -468,73 +479,60 @@ def _extend(plan, i: int, binding: tuple[str, ...], used_new: bool):
             yield from _extend(plan, i + 1, binding + args, used_new or j >= split)
 
 
-def _saturate(kb: KnowledgeBase, max_depth: Optional[int]
+def _saturate(rules: tuple[Rule, ...], given: list[_Ground], max_depth: Optional[int]
               ) -> tuple[dict[_Ground, int], dict[_Ground, tuple[int, tuple[str, ...]]], bool]:
     """The fixpoint core of :func:`forward_chain`, over interned literals.
 
-    Returns each derivable literal's minimal depth (given facts first, in
-    ``to_text("kb")`` order, then round by round in derivation order), the
+    Returns each derivable literal's minimal depth (the ``given`` facts
+    first, in their order, then round by round in derivation order), the
     ``(rule position, binding)`` that first derived each literal of depth
-    ≥ 1, and the truncation flag.  Raises what ``forward_chain`` raises.
+    ≥ 1, in derivation order, and the truncation flag.  The order of
+    ``given`` decides which binding a ``via`` records.  Raises what
+    ``forward_chain`` raises.
     """
-    compiled = [_compile(rule) for rule in kb.rules]
+    compiled = [_compile(rule) for rule in rules]
     rules_of: dict[_FactKey, set[int]] = {}
     for position, (steps, _) in enumerate(compiled):
         for key, _, _ in steps:
             rules_of.setdefault(key, set()).add(position)
-    depths: dict[_Ground, int] = {}
+    depths: dict[_Ground, int] = dict.fromkeys(given, 0)
     via: dict[_Ground, tuple[int, tuple[str, ...]]] = {}
     # append-only fact lists; the first old[key] facts predate the last round
     facts_of: dict[_FactKey, list[tuple[str, ...]]] = {}
+    for predicate, polarity, names in given:
+        facts_of.setdefault((predicate, polarity), []).append(names)
     old: dict[_FactKey, int] = {}
-
-    def add(ground: _Ground, depth: int) -> None:
-        depths[ground] = depth
-        facts_of.setdefault(ground[:2], []).append(ground[2])
-
-    # seeded in text order, not in the frozenset's hash order, so that
-    # ``via`` is the same in every process
-    for ground in sorted([(fact.predicate, fact.polarity, tuple(a.name for a in fact.args))
-                          for fact in kb.facts], key=_kb_text):
-        add(ground, 0)
     new_keys = set(facts_of)
-
-    def firing():
-        """(rule position, binding, head) triples that use a new fact, in
-        naive join order."""
-        positions = set().union(*(rules_of.get(key, ()) for key in new_keys))
-        for position in sorted(positions):
+    depth = 0
+    while True:
+        # the heads that bindings using a new fact derive, in naive join order
+        fresh: dict[_Ground, tuple[int, tuple[str, ...]]] = {}
+        for position in sorted(set().union(*(rules_of.get(key, ()) for key in new_keys))):
             steps, (predicate, polarity, template) = compiled[position]
             for binding in _join(steps, facts_of, old):
-                args = tuple([binding[s] if s >= 0 else name for s, name in template])
-                yield position, binding, (predicate, polarity, args)
-
-    depth = 0
-    truncated = False
-    while True:
-        if max_depth is not None and depth >= max_depth:
-            # a further round might still fire; probe for truncation
-            truncated = any(head not in depths for _, _, head in firing())
-            break
-        depth += 1
-        fresh: dict[_Ground, tuple[int, tuple[str, ...]]] = {}
-        for position, binding, head in firing():
-            if head not in depths and head not in fresh:
-                fresh[head] = (position, binding)
+                head = (predicate, polarity, binding if template is None
+                        else tuple([binding[s] if s >= 0 else name for s, name in template]))
+                if head not in depths and head not in fresh:
+                    fresh[head] = (position, binding)
         if not fresh:
-            break
+            return depths, via, False
+        if max_depth is not None and depth >= max_depth:
+            return depths, via, True
+        depth += 1
         clashes = [head for head in fresh
                    if (flipped := (head[0], not head[1], head[2])) in depths or flipped in fresh]
         if clashes:
             predicate, _, names = min(clashes, key=_kb_text)
             raise InconsistencyError(SignedLiteral(predicate, tuple([Constant(n) for n in names])))
-        for key, facts in facts_of.items():
-            old[key] = len(facts)
-        new_keys = {head[:2] for head in fresh}
+        for key in new_keys:  # the keys that gained facts last round
+            old[key] = len(facts_of[key])
+        new_keys = set()
         for head in fresh:
-            add(head, depth)
+            depths[head] = depth
+            key = head[:2]
+            new_keys.add(key)
+            facts_of.setdefault(key, []).append(head[2])
         via.update(fresh)
-    return depths, via, truncated
 
 
 def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResult:
@@ -549,11 +547,14 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
 
     The rounds run in ``_saturate`` over interned literals ``(predicate,
     polarity, constant names)``, with each rule compiled once per call into
-    join steps.  This function sorts the core's interned literals by depth
-    and then by their ``to_text("kb")`` rendering, formatted from the
-    interned form, and materialises them in that order as
-    :class:`Derivation`\\ s; it keeps the interned depths for
-    ``ChainResult.holds`` and ``depth_of``.
+    join steps.  The given facts enter the core in ``to_text("kb")`` order,
+    not in the frozenset's hash order, so ``via`` is the same in every
+    process.  This function sorts the core's interned literals by depth and
+    then by their ``to_text("kb")`` rendering, formatted from the interned
+    form, and materialises them in that order as :class:`Derivation`\\ s,
+    with the knowledge base's own fact objects at depth 0 and one ``via``
+    pair tuple per rule variables and binding; it keeps the interned depths
+    for ``ChainResult.holds`` and ``depth_of``.
 
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
@@ -561,24 +562,26 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     literal become derivable, naming the first clashing literal of that
     round in ``to_text("kb")`` order.
     """
-    depths, via, truncated = _saturate(kb, max_depth)
+    # no two literals share a text, so the tuples never compare their grounds or facts
+    given = sorted([(_kb_text(ground := _ground(fact)), ground, fact) for fact in kb.facts])
+    depths, via, truncated = _saturate(kb.rules, [ground for _, ground, _ in given], max_depth)
+    derivations = [Derivation(fact, 0) for _, _, fact in given]
     constant = {c.name: c for c in kb.constants()}  # every name a literal or binding holds
-    slots = [sorted(_slots(rule).items()) for rule in kb.rules]
+    slots = [tuple(sorted(_slots(rule).items())) for rule in kb.rules]
+    # shared by the derivations whose rules have the same slots and binding
+    pairs_of: dict[tuple[tuple[tuple[str, int], ...], tuple[str, ...]], tuple[tuple[str, Term], ...]] = {}
     args_of: dict[tuple[str, ...], tuple[Constant, ...]] = {}  # shared by literals over the same names
-    derivations = []
-    # no two literals share a text, so the tuples never compare their grounds
-    for depth, _, ground in sorted(zip(depths.values(), map(_kb_text, depths), depths)):
-        predicate, polarity, names = ground
+    for depth, _, (predicate, polarity, names), (position, binding) in sorted(
+            zip(map(depths.__getitem__, via), map(_kb_text, via), via, via.values())):
         args = args_of.get(names)
         if args is None:
             args = args_of[names] = tuple([constant[name] for name in names])
-        literal = SignedLiteral(predicate, args, polarity)
-        if not depth:
-            derivations.append(Derivation(literal, 0))
-            continue
-        position, binding = via[ground]
-        pairs = tuple([(name, constant[binding[slot]]) for name, slot in slots[position]])
-        derivations.append(Derivation(literal, depth, (kb.rules[position], pairs)))
+        key = (slots[position], binding)
+        pairs = pairs_of.get(key)
+        if pairs is None:
+            pairs = pairs_of[key] = tuple([(name, constant[binding[slot]]) for name, slot in slots[position]])
+        derivations.append(Derivation(SignedLiteral(predicate, args, polarity), depth,
+                                      (kb.rules[position], pairs)))
     return ChainResult(tuple(derivations), truncated, depths)
 
 

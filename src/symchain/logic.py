@@ -45,7 +45,7 @@ class RangeRestrictionError(LogicError):
 # Terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
 
@@ -57,7 +57,7 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     name: str
 
@@ -69,7 +69,7 @@ class Constant:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionApp:
     name: str
     args: tuple["Term", ...]
@@ -99,7 +99,9 @@ def term_variables(t: Term) -> set[str]:
 
 
 def term_is_ground(t: Term) -> bool:
-    return not term_variables(t)
+    if isinstance(t, FunctionApp):
+        return all(term_is_ground(a) for a in t.args)
+    return isinstance(t, Constant)
 
 
 def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
@@ -114,7 +116,7 @@ def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
 # Formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
@@ -124,48 +126,48 @@ class Atom:
             raise LogicError("predicate name must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Xor:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForAll:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     body: "Formula"
@@ -298,7 +300,7 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 # Signed literals, rules, knowledge bases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedLiteral:
     """An atom tagged true or false, e.g. ``Quiet(anne, True)``.
 
@@ -349,7 +351,7 @@ class SignedLiteral:
         return body if self.polarity else f"¬{body}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A horn-style rule: conjunctive body of literal patterns, one head.
 
@@ -382,12 +384,7 @@ class Rule:
 
 
 def _literal_has_functions(lit: SignedLiteral) -> bool:
-    def has_fn(t: Term) -> bool:
-        if isinstance(t, FunctionApp):
-            return True
-        return False
-
-    return any(has_fn(a) for a in lit.args)
+    return any(isinstance(a, FunctionApp) for a in lit.args)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ config may point at an override directory with the same layout.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -345,16 +346,21 @@ def parse_demo_file(text: str) -> list[tuple[str, str]]:
     return demos
 
 
-def _load_demos(family: Family, stage: Stage, demo_dir: Optional[Path]) -> tuple[tuple[str, str], ...]:
-    filename = f"{stage.value}.txt"
-    if demo_dir is not None:
-        candidate = Path(demo_dir) / family.value / filename
-        if candidate.exists():
-            return tuple(parse_demo_file(candidate.read_text(encoding="utf-8")))
-    ref = resources.files("symchain").joinpath("data", "demos", family.value, filename)
+@functools.cache
+def _packaged_demos(family: Family, stage: Stage) -> tuple[tuple[str, str], ...]:
+    """The demos packaged for ``(family, stage)``, read and parsed once per process."""
+    ref = resources.files("symchain").joinpath("data", "demos", family.value, f"{stage.value}.txt")
     if ref.is_file():
         return tuple(parse_demo_file(ref.read_text(encoding="utf-8")))
     return ()
+
+
+def _load_demos(family: Family, stage: Stage, demo_dir: Optional[Path]) -> tuple[tuple[str, str], ...]:
+    if demo_dir is not None:
+        candidate = Path(demo_dir) / family.value / f"{stage.value}.txt"
+        if candidate.exists():
+            return tuple(parse_demo_file(candidate.read_text(encoding="utf-8")))
+    return _packaged_demos(family, stage)
 
 
 class TemplateCatalog:

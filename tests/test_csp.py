@@ -152,6 +152,14 @@ def test_constraint_diagnostic_table(text, diagnostic):
     assert (exc.value.message, exc.value.position) == diagnostic
 
 
+def test_deeply_nested_constraint_is_a_diagnostic():
+    constraint = "(" * 600 + "v == 1" + ")" * 600
+    text = f"Domain:\n1: low\n2: high\nVariables:\nv ∈ {{1, 2}}\nConstraints:\n{constraint}\nQuery:\nA) v == 1\n"
+    model, diagnostics = parse_csp_block(text)
+    assert diagnostics == [ParseDiagnostic(text.index(constraint), "expression nested too deeply")]
+    assert model is not None and model.queries == [("A", Compare("v", "==", 1))]
+
+
 @pytest.mark.parametrize("text,expr", [
     ("a ≤ b", Compare("a", "<=", "b")),
     ("a ≠ b", Compare("a", "!=", "b")),

@@ -370,3 +370,28 @@ Love(miroslav, music) ::: Miroslav loved music.
     def test_header_only_block_raises(self, text):
         with pytest.raises(ParseError, match="no sections found"):
             parse_translation_block(text)
+
+    def test_deep_nesting_is_a_diagnostic(self):
+        # deeper than the recursion limit allows: a per-line error, not a crash
+        rule = "(" * 600 + "P($x, True) ⇒ Q($x, True)" + ")" * 600
+        text = f"Facts:\nP(a, True)\nRules:\n{rule}\nQuery:\nQ(a, True)\n"
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(text.index(rule), "expression nested too deeply")]
+        assert block.kb is not None and block.query == SignedLiteral("Q", (c("a"),), True)
+
+    def test_block_shares_one_term_per_token(self):
+        block = parse_translation_block(
+            "Facts:\nP(a, True)\nR(a, b, True)\nRules:\nP($x, True) ∧ R($x, $y, True) ⇒ Q($y, True)\n"
+            "R($x, a, True) ⇒ P($x, True)\nQuery:\nQ(b, True)\n")
+        assert not block.diagnostics
+        facts = {fact.predicate: fact for fact in block.kb.facts}
+        first, second = block.kb.rules
+        assert facts["P"].args[0] is facts["R"].args[0] is second.body[0].args[1]
+        assert facts["R"].args[1] is block.query.args[0]
+        assert first.body[0].args[0] is first.body[1].args[0] is second.body[0].args[0]
+        assert first.body[1].args[1] is first.head.args[0]
+        # ``$a`` stays a variable beside the constant ``a``
+        block = parse_translation_block("Facts:\nP(a, True)\nRules:\nP($a, True) ⇒ Q($a, True)\n"
+                                        "Query:\nQ(a, True)\n")
+        (rule,) = block.kb.rules
+        assert rule.body[0].args == (v("a"),) and block.query.args == (c("a"),)

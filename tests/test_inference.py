@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import textwrap
 
@@ -11,7 +14,7 @@ from symchain.inference import (
 )
 from symchain.logic import (
     And, Constant, FunctionApp, Iff, Implies, InconsistencyError, InferenceRule,
-    KnowledgeBase, Label, Not, Or, Rule, SignedLiteral, Variable,
+    KnowledgeBase, Label, LogicError, Not, Or, Rule, SignedLiteral, Variable,
 )
 
 import helpers
@@ -471,6 +474,22 @@ class TestForwardChain:
             print(digest.hexdigest())
         """))
         assert len(set(digests.values())) == 1, digests
+
+    def test_results_and_derivations_round_trip(self):
+        x = Variable("x")
+        kb = kb_from([lit("P", "a"), lit("P", "b")],
+                     [Rule((SignedLiteral("P", (x,)),), SignedLiteral("Q", (x,), False))])
+        result = forward_chain(kb)
+        assert len(result.derivations) == 4 and not hasattr(result.derivations[-1], "__dict__")
+        for value in (result, *result.derivations):
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+                assert copied == value and repr(copied) == repr(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.depth = 3
+        copied = pickle.loads(pickle.dumps(result))
+        assert copied.holds(lit("Q", "a")) is result.holds(lit("Q", "a")) is False
+        with pytest.raises(LogicError):
+            dataclasses.replace(result.derivations[-1], via=None)
 
     def test_bound_argument_joins_keep_naive_depths_via_and_order(self):
         # Q walks a chain n0 → … → n5 through Link facts that also hold a

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import textwrap
 
@@ -125,6 +128,33 @@ class TestSignedLiteralsAndRules:
             SignedLiteral("Fruity", (Variable("x"),)),
         )
         assert rule.to_text() == "Jompus($x, True) ⇒ Fruity($x, True)"
+
+
+_P, _Q = Atom("P", (Constant("a"),)), Atom("Q")
+VALUES = [
+    Variable("x"), Constant("a"), FunctionApp("f", (Constant("a"), Variable("x"))), _P, Not(_P),
+    And(_P, _Q), Or(_P, _Q), Xor(_P, _Q), Implies(_P, _Q), Iff(_P, _Q),
+    ForAll("x", Atom("P", (Variable("x"),))), Exists("x", Atom("P", (Variable("x"),))),
+    SignedLiteral("P", (Constant("a"),), False),
+    Rule((SignedLiteral("P", (Variable("x"),)),), SignedLiteral("Q", (Variable("x"),))),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_values_are_slotted_frozen_and_round_trip(value):
+    assert not hasattr(value, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+        assert copied == value and hash(copied) == hash(value) and repr(copied) == repr(value)
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+
+
+def test_replace_still_validates():
+    with pytest.raises(LogicError):
+        dataclasses.replace(Constant("a"), name="")
+    with pytest.raises(RangeRestrictionError):
+        dataclasses.replace(VALUES[-1], head=SignedLiteral("Q", (Variable("y"),)))
 
 
 class TestKnowledgeBase:

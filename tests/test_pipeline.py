@@ -10,7 +10,8 @@ from symchain.pipeline import (
     METHOD_RECORD_COUNTS, FallbackPolicy, Method, RunConfig,
     extract_label, read_records, run_batch, run_problem, write_records,
 )
-from symchain.templates import Family, Stage, TemplateCatalog
+from symchain import templates
+from symchain.templates import Family, Stage, TemplateCatalog, parse_demo_file
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,57 @@ class TestRunBatch:
         run_batch(list(corpus.problems)[:4], Method.NAIVE, config,
                   ScriptedCorpusBackend(corpus), progress=lambda r: seen.append(r.problem_id))
         assert sorted(seen) == sorted(p.id for p in corpus.problems[:4])
+
+
+    def test_deeply_nested_translation_keeps_its_stages(self, corpus, config):
+        problem = corpus.problem("proofwriter-anne-white")
+        rule = "(" * 600 + "P($x, True) ⇒ Q($x, True)" + ")" * 600
+        translation = f"Facts:\nP(anne, True)\nRules:\n{rule}\nQuery:\nQ(anne, True)\n"
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): translation})
+        (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, backend)
+        assert record.error is None
+        assert [s.stage for s in record.stages] == ["translator", "engine"]
+        offset = translation.index(rule)
+        assert record.stages[0].diagnostics == [f"error at offset {offset}: expression nested too deeply"]
+        assert record.final_label is Label.UNDECIDED
+
+    def test_packaged_demos_are_parsed_once_per_process(self, corpus, config, monkeypatch):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_demo_file(text)
+
+        monkeypatch.setattr(templates, "parse_demo_file", counting)
+        templates._packaged_demos.cache_clear()
+        try:
+            problem = corpus.problem("proofwriter-anne-white")
+            for _ in range(2):
+                (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config,
+                                      ScriptedCorpusBackend(corpus))
+                assert record.executed
+        finally:
+            templates._packaged_demos.cache_clear()
+        assert len(parsed) == 1
+
+    def test_demo_dir_edits_reach_the_next_batch(self, corpus, tmp_path):
+        prompts = []
+
+        class Recording(ScriptedCorpusBackend):
+            def complete(self, request):
+                prompts.append("\n".join(content for _, content in request.messages))
+                return super().complete(request)
+
+        problem = corpus.problem("proofwriter-anne-white")
+        demo_file = tmp_path / problem.family.value / "translator.txt"
+        demo_file.parent.mkdir()
+        config = RunConfig(demo_dir=str(tmp_path))
+        for marker in ("first-demo-input", "second-demo-input"):
+            demo_file.write_text(f"=== demo\n--- input\n{marker}\n--- output\nFacts:\n", encoding="utf-8")
+            run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, Recording(corpus))
+        assert len(prompts) == 2
+        assert "first-demo-input" in prompts[0] and "second-demo-input" not in prompts[0]
+        assert "second-demo-input" in prompts[1] and "first-demo-input" not in prompts[1]
 
 
 class TestRecordsIO:
