@@ -342,7 +342,8 @@ def _ground(literal: SignedLiteral) -> Optional[_Ground]:
 def _kb_text(ground: _Ground) -> str:
     """``SignedLiteral.to_text("kb")`` of the literal that ``ground`` interns."""
     predicate, polarity, names = ground
-    return f"{predicate}({', '.join((*names, 'True' if polarity else 'False'))})"
+    tail = "True" if polarity else "False"
+    return f"{predicate}({', '.join(names)}, {tail})" if names else f"{predicate}({tail})"
 
 
 @dataclass(frozen=True)
