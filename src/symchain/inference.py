@@ -552,10 +552,11 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     not in the frozenset's hash order, so ``via`` is the same in every
     process.  This function sorts the core's interned literals by depth and
     then by their ``to_text("kb")`` rendering, formatted from the interned
-    form, and materialises them in that order as :class:`Derivation`\\ s,
-    with the knowledge base's own fact objects at depth 0 and one ``via``
-    pair tuple per rule variables and binding; it keeps the interned depths
-    for ``ChainResult.holds`` and ``depth_of``.
+    form, and materialises them in that order as :class:`Derivation`\\ s:
+    the knowledge base's own facts at depth 0, and one ``via`` pair tuple
+    for all the derivations whose rules have the same variable slots and
+    binding.  It keeps the interned depths for ``ChainResult.holds`` and
+    ``depth_of``.
 
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
@@ -563,7 +564,7 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     literal become derivable, naming the first clashing literal of that
     round in ``to_text("kb")`` order.
     """
-    # no two literals share a text, so the tuples never compare their grounds or facts
+    # no two literals share a text, so these tuples sort by their texts alone
     given = sorted([(_kb_text(ground := _ground(fact)), ground, fact) for fact in kb.facts])
     depths, via, truncated = _saturate(kb.rules, [ground for _, ground, _ in given], max_depth)
     derivations = [Derivation(fact, 0) for _, _, fact in given]

@@ -1,8 +1,8 @@
 """First-order logic terms, formulas, and the signed-literal knowledge base.
 
-Everything here is an immutable value: terms and formulas are frozen
-dataclasses, knowledge bases validate themselves on construction and are
-safe to share across threads.
+Everything here is an immutable value: terms and formulas are frozen,
+slotted dataclasses, knowledge bases validate themselves on construction
+and are safe to share across threads.
 """
 
 from __future__ import annotations
