@@ -7,7 +7,6 @@ a populated cache directory doubles as a portable replay fixture set.
 
 from __future__ import annotations
 
-import email.utils
 import hashlib
 import json
 import math
@@ -16,11 +15,13 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-import requests
+# ``requests`` (which loads urllib3, ssl, http and email) and the HTTP-date
+# parser are imported where a live call needs them: offline runs (replay,
+# scripted, eval, parse, solve) never make one, and would otherwise pay
+# their import time and memory in every process.
 
 
 class GatewayError(Exception):
@@ -279,10 +280,13 @@ class HttpBackend(Backend):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._post = post or requests.post
+        self._post = post
         self._sleep = sleep
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import requests
+
+        post = self._post or requests.post
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -293,7 +297,7 @@ class HttpBackend(Backend):
             if attempt:
                 self._sleep(self._delay(attempt, last_error))
             try:
-                resp = self._post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
+                resp = post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
             except requests.RequestException as err:
                 last_error = NetworkError(str(err))
                 continue
@@ -339,6 +343,9 @@ def _parse_retry_after(resp) -> Optional[float]:
     try:
         seconds = float(value)
     except ValueError:
+        import email.utils
+        from datetime import datetime, timezone
+
         try:
             when = email.utils.parsedate_to_datetime(value)
         except (TypeError, ValueError):

@@ -1,4 +1,5 @@
 import json
+import textwrap
 import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
@@ -13,6 +14,8 @@ from symchain.gateway import (
     NetworkError, ReplayBackend, ReplayMissError, ScriptedBackend,
 )
 from symchain.pipeline import Method, RunConfig, run_batch
+
+import helpers
 
 
 def req(content="hello", model="m1"):
@@ -312,6 +315,36 @@ class TestHttpBackend:
 
         backend = HttpBackend("http://example", post=post, sleep=lambda s: None)
         assert backend.complete(req()).content == "ok"
+
+    def test_default_post_is_looked_up_at_call_time(self, monkeypatch):
+        backend = HttpBackend("http://example/v1", sleep=lambda s: None)
+        calls = []
+
+        def post(url, **kwargs):
+            calls.append(url)
+            return FakeResponse(content="served")
+
+        monkeypatch.setattr(requests, "post", post)
+        assert backend.complete(req()).content == "served"
+        assert calls == ["http://example/v1"]
+
+    def test_offline_process_never_imports_the_http_stack(self):
+        # the HTTP client and the HTTP-date parser load on a live call only
+        snippet = textwrap.dedent("""
+            import os, sys, tempfile
+            from click.testing import CliRunner
+            import symchain.cli, symchain.corpus, symchain.evalkit, symchain.fixtures, symchain.pipeline
+            with tempfile.TemporaryDirectory() as tmp:
+                records, report = os.path.join(tmp, "records.jsonl"), os.path.join(tmp, "report.json")
+                for args in (["run", "--method", "symbcot", "--dataset", "minicorpus", "--replay", "--out", records],
+                             ["eval", records, "--gold", "minicorpus", "--format", "json", "--out", report],
+                             ["report", report]):
+                    result = CliRunner().invoke(symchain.cli.main, args)
+                    assert result.exit_code == 0, (args, result.output)
+            print(sorted(m for m in ("requests", "urllib3", "email.utils") if m in sys.modules))
+        """)
+        (out,) = helpers.run_under_hash_seeds(snippet, seeds=(0,)).values()
+        assert out == "[]\n"
 
     def test_parallelism_is_not_capped(self):
         # every run_batch worker must reach the model at once: a post that
