@@ -12,7 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TextIO, Union
 
 from . import _minicorpus
 from .logic import Label
@@ -279,28 +279,39 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
     or depth have the wrong shape a ``Malformed`` error under its id; the
     other records still load.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("["):
-        records = json.loads(text)
-    else:
-        records = [_json_line(line) for line in text.splitlines() if line.strip()]
     result = LoadResult()
-    for i, record in enumerate(records):
-        if not isinstance(record, dict):
-            detail = (f"invalid JSON: {record}" if isinstance(record, json.JSONDecodeError)
-                      else f"expected a JSON object, got {type(record).__name__}")
-            result.errors.append(LoadError(f"record-{i}", "Malformed", detail))
-            continue
-        rid = str(_pick(record, "id") or f"record-{i}")
-        try:
-            result.problems.append(normalize_record(record, info_of(record)))
-        except KeyError as err:
-            result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
-        except MalformedFieldError as err:
-            result.errors.append(LoadError(rid, "Malformed", str(err)))
-        except (ValueError, CorpusError) as err:
-            result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
+    with open(path, encoding="utf-8") as f:
+        if _first_non_space(f) == "[":
+            records = json.load(f)
+        else:
+            # a line ends only at "\n", "\r\n" or "\r": str.splitlines would
+            # also break at U+2028, U+2029 and U+0085, which JSON strings hold unescaped
+            records = (_json_line(line.rstrip("\n")) for line in f if line.strip())
+        for i, record in enumerate(records):
+            if not isinstance(record, dict):
+                detail = (f"invalid JSON: {record}" if isinstance(record, json.JSONDecodeError)
+                          else f"expected a JSON object, got {type(record).__name__}")
+                result.errors.append(LoadError(f"record-{i}", "Malformed", detail))
+                continue
+            rid = str(_pick(record, "id") or f"record-{i}")
+            try:
+                result.problems.append(normalize_record(record, info_of(record)))
+            except KeyError as err:
+                result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
+            except MalformedFieldError as err:
+                result.errors.append(LoadError(rid, "Malformed", str(err)))
+            except (ValueError, CorpusError) as err:
+                result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
     return result
+
+
+def _first_non_space(f: TextIO) -> str:
+    """The first character of ``f`` that ``str.lstrip`` keeps ("" if none), with ``f`` rewound."""
+    first = ""
+    while not first and (chunk := f.read(4096)):
+        first = chunk.lstrip()[:1]
+    f.seek(0)
+    return first
 
 
 def load(dataset: str, path: Union[str, Path]) -> LoadResult:

@@ -473,8 +473,10 @@ def write_records(records: Sequence[RunRecord], path: Union[str, Path]) -> None:
 
 
 def read_records(path: Union[str, Path]) -> list[RunRecord]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(RunRecord.from_dict(json.loads(line)))
-    return out
+    """Read the records ``write_records`` wrote.
+
+    A line ends only at a newline, so a response holding U+2028, U+2029 or
+    U+0085 (written unescaped) stays one record.
+    """
+    with open(path, encoding="utf-8") as f:
+        return [RunRecord.from_dict(json.loads(line.rstrip("\n"))) for line in f if line.strip()]

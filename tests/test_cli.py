@@ -6,9 +6,9 @@ from click.testing import CliRunner
 
 from symchain.cli import main
 from symchain.corpus import mini_corpus
-from symchain.fixtures import build_replay_fixtures
+from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
 from symchain.gateway import CompletionCache, CompletionRequest, CompletionResponse
-from symchain.pipeline import Method, RunConfig
+from symchain.pipeline import Method, RunConfig, run_batch, write_records
 
 
 @pytest.fixture()
@@ -184,6 +184,19 @@ class TestRunEvalReport:
         merged = runner.invoke(main, ["report", str(report)])
         assert merged.exit_code == 0
         assert "100.00" in merged.output
+
+    def test_eval_reads_a_response_holding_line_separators(self, runner, tmp_path, corpus):
+        problem = corpus.problem("prontoqa-max-sour")
+        backend = ScriptedCorpusBackend(corpus, overrides={
+            (problem.id, "naive"): "Max is sour.\u2028The answer is {False}."})
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(list(corpus.problems), Method.NAIVE, RunConfig(), backend), records)
+        assert "\u2028" in records.read_text(encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        datasets = json.loads(result.output)["datasets"]
+        assert sum(d["count"] for d in datasets.values()) == len(corpus.problems)
+        assert datasets["ProntoQA"]["accuracy"] == 1.0
 
     def test_eval_id_mismatch_exit_one(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -298,8 +299,71 @@ class TestLoad:
         assert not reloaded.errors
         assert dump_problems(reloaded.problems) == dumped
 
+    def test_problem_holding_line_separators_round_trips(self, tmp_path, corpus):
+        # dump_problems writes U+2028, U+2029 and U+0085 unescaped; they
+        # are not line ends of the JSON-lines file
+        problem = corpus.problems[0]
+        odd = dataclasses.replace(problem, id="odd", context=f"one\u2028two\u2029three\x85four {problem.context}",
+                                  question=f"{problem.question}\u2028again")
+        dumped = dump_problems([problem, odd])
+        path = tmp_path / "normalized.jsonl"
+        path.write_text(dumped, encoding="utf-8")
+        reloaded = load_normalized(path)
+        assert not reloaded.errors
+        assert reloaded.problems == [problem, odd]
+
     def test_dataset_aliases(self):
         assert dataset_info("ar-lsat").name == "ARLSAT"
         assert dataset_info("prontoqa").name == "ProntoQA"
         with pytest.raises(CorpusError):
             dataset_info("made-up")
+
+
+_GOOD = {"id": "ok", "dataset": "ProofWriter", "context": "c", "question": "q", "gold": "True"}
+_LINE, _LINE2 = json.dumps(_GOOD), json.dumps(dict(_GOOD, id="ok2"))
+_ARRAY = json.dumps([_GOOD, dict(_GOOD, id="ok2")])
+_BOM_ERROR = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+
+
+class TestLoaderLayouts:
+    """How ``load_normalized`` reads each file layout: which problems load,
+    and each error's (record id, kind, detail)."""
+
+    @pytest.mark.parametrize("text,ids,errors", [
+        ("\n\n  \n" + _ARRAY, ["ok", "ok2"], []),
+        # the first non-whitespace character lies beyond any small read size
+        (" \t\r\n" * 1200 + _ARRAY + "\n", ["ok", "ok2"], []),
+        (" \t\r\n" * 1200 + f"{_LINE}\n{_LINE2}\n", ["ok", "ok2"], []),
+        (" \n\t\r\n" * 1500, [], []),
+        # blank lines are skipped and not counted in record-<i>
+        (f"\n{_LINE}\n\n   \n[1]\n\t\n{_LINE2}\n\n", ["ok", "ok2"],
+         [("record-1", "Malformed", "expected a JSON object, got list")]),
+        (f"{_LINE}\r\n\r\n{_LINE2}\r\n", ["ok", "ok2"], []),
+        (f"{_LINE}\r{_LINE2}\r", ["ok", "ok2"], []),
+        # a byte-order mark is not whitespace: the file is read as JSON lines
+        (f"\ufeff{_LINE}\n{_LINE2}\n", ["ok2"], [("record-0", "Malformed", _BOM_ERROR)]),
+        ("\ufeff" + _ARRAY, [], [("record-0", "Malformed", _BOM_ERROR)]),
+        (f"{_LINE}\n{{not json\n{_LINE2}", ["ok", "ok2"], [(
+            "record-1", "Malformed",
+            "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")]),
+        (f"{_LINE}\n{_LINE2[:24]}", ["ok"],
+         [("record-1", "Malformed", "invalid JSON: Expecting value: line 1 column 25 (char 24)")]),
+        (f"{_LINE2[:24]}\n{_LINE}\n", ["ok"],
+         [("record-0", "Malformed", "invalid JSON: Expecting value: line 1 column 25 (char 24)")]),
+        (f"5\n{_LINE}\n\"text\"\n", ["ok"],
+         [("record-0", "Malformed", "expected a JSON object, got int"),
+          ("record-2", "Malformed", "expected a JSON object, got str")]),
+        (json.dumps([1, _GOOD, ["x"], None]), ["ok"],
+         [("record-0", "Malformed", "expected a JSON object, got int"),
+          ("record-2", "Malformed", "expected a JSON object, got list"),
+          ("record-3", "Malformed", "expected a JSON object, got NoneType")]),
+    ], ids=["array-after-blank-lines", "array-after-4k-whitespace", "lines-after-4k-whitespace",
+            "whitespace-only", "lines-with-blank-lines", "lines-with-crlf", "lines-with-cr",
+            "bom-lines", "bom-array", "unparsable-line", "truncated-last-line",
+            "truncated-line-then-newline", "non-object-lines", "non-objects-in-array"])
+    def test_layout(self, tmp_path, text, ids, errors):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        result = load_normalized(path)
+        assert [p.id for p in result.problems] == ids
+        assert [(e.record_id, e.kind, e.detail) for e in result.errors] == errors

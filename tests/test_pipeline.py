@@ -293,6 +293,18 @@ class TestRecordsIO:
         assert all(isinstance(json.loads(line), dict)
                    for line in path.read_text().splitlines())
 
+    def test_response_holding_line_separators_round_trips(self, corpus, config, tmp_path):
+        # to_json writes U+2028, U+2029 and U+0085 unescaped; only "\n" ends a record
+        problem = corpus.problem("prontoqa-max-sour")
+        response = "Max is sour.\u2028So the answer is\u2029{False}.\x85"
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "naive"): response})
+        records = run_batch([problem, corpus.problems[1]], Method.NAIVE, config, backend)
+        assert records[0].stages[0].response == response
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        loaded = read_records(path)
+        assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
+
     def test_record_dict_shape(self, corpus, config):
         record = run_problem(corpus.problem("prontoqa-max-sour"), Method.SYMBCOT, config,
                              ScriptedCorpusBackend(corpus))
