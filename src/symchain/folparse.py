@@ -24,8 +24,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .logic import (
-    And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
-    KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor,
+    BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
+    KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands,
 )
 
 
@@ -299,22 +299,27 @@ def print_formula(f: Formula) -> str:
         return f"{q}{f.var} {inner}"
     p = _prec(f)
     sym = _SYMBOL[type(f)]
-    lp, rp = _prec(f.left), _prec(f.right)
     if type(f) in _RIGHT_ASSOC:
         left = print_formula(f.left)
-        if lp <= p:
+        if _prec(f.left) <= p:
             left = f"({left})"
         right = print_formula(f.right)
-        if rp < p:
+        if _prec(f.right) < p:
             right = f"({right})"
-    else:
-        left = print_formula(f.left)
-        if lp < p:
-            left = f"({left})"
-        right = print_formula(f.right)
-        if rp <= p:
-            right = f"({right})"
-    return f"{left} {sym} {right}"
+        return f"{left} {sym} {right}"
+    # a left-associative chain prints its left spine in a loop, not by
+    # recursion, so a flat chain of thousands of operands prints
+    rights = []
+    while type(f.left) is type(f):
+        rights.append(f.right)
+        f = f.left
+    rights.append(f.right)
+    left = print_formula(f.left)
+    parts = [f"({left})" if _prec(f.left) < p else left]
+    for g in reversed(rights):
+        text = print_formula(g)
+        parts.append(f"({text})" if _prec(g) <= p else text)
+    return f" {sym} ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +352,6 @@ def formula_to_literal(f: Formula) -> Optional[SignedLiteral]:
     return SignedLiteral(f.predicate, args, polarity)
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
-def _disjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return _disjuncts(f.left) + _disjuncts(f.right)
-    return [f]
-
-
 def formula_to_rules(f: Formula) -> list[Rule]:
     """Lower an implication (possibly ∀-wrapped) to horn rules.
 
@@ -372,9 +365,9 @@ def formula_to_rules(f: Formula) -> list[Rule]:
     if head is None:
         raise ParseError(0, "rule head must be a single literal")
     rules = []
-    for disjunct in _disjuncts(f.left):
+    for disjunct in operands(f.left, Or):
         body = []
-        for part in _conjuncts(disjunct):
+        for part in operands(disjunct, And):
             lit = formula_to_literal(part)
             if lit is None:
                 raise ParseError(0, "rule body must be a conjunction of literals")
@@ -603,19 +596,18 @@ def parse_translation_block(text: str) -> TranslationBlock:
     declared = {name: arity for name, arity, _ in block.predicates}
     used: dict[str, int] = dict(block.kb.predicate_arities) if block.kb else {}
 
-    def record_formula_arities(f: Formula):
+    # a stack, not recursion, so a flat chain of thousands of conjuncts is fine;
+    # atoms are visited left to right, as the first use sets the arity
+    stack = [formula for formula, _ in reversed(block.premises)]
+    while stack:
+        f = stack.pop()
         if isinstance(f, Atom):
             used.setdefault(f.predicate, len(f.args))
-        elif isinstance(f, Not):
-            record_formula_arities(f.body)
-        elif isinstance(f, (And, Or, Xor, Implies, Iff)):
-            record_formula_arities(f.left)
-            record_formula_arities(f.right)
-        elif isinstance(f, (ForAll, Exists)):
-            record_formula_arities(f.body)
-
-    for formula, _ in block.premises:
-        record_formula_arities(formula)
+        elif isinstance(f, (Not, ForAll, Exists)):
+            stack.append(f.body)
+        elif isinstance(f, BINARY_NODES):
+            stack.append(f.right)
+            stack.append(f.left)
     for name, arity in used.items():
         if name in declared and declared[name] not in (arity, arity + 1):
             # +1 tolerates polarity-style declarations like Quiet(x, bool)

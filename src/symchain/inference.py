@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
-    BINARY_NODES, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
+    BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
     InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule,
-    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, substitute,
+    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, operands, substitute,
 )
 
 
@@ -66,7 +66,10 @@ class StepVerdict:
 def _kleene(f: Formula, value_of: Callable[[Atom], Optional[bool]]) -> Optional[bool]:
     """Strong-Kleene value of ``f`` (None is unknown), atoms valued by ``value_of``.
 
-    Both operands are evaluated, left first, so either one's error is raised.
+    Every operand is evaluated, left first, so the leftmost one's error is
+    raised.  A chain of ∧, ∨ or ⊕ is evaluated as one flat list of operands,
+    which keeps a chain of thousands within the recursion limit; the three
+    connectives are associative, so the value is the same.
     """
     if isinstance(f, Atom):
         return value_of(f)
@@ -75,18 +78,21 @@ def _kleene(f: Formula, value_of: Callable[[Atom], Optional[bool]]) -> Optional[
         return None if inner is None else not inner
     if not isinstance(f, BINARY_NODES):
         raise UnsupportedFragmentError("quantified statements are not auto-decided")
-    left, right = _kleene(f.left, value_of), _kleene(f.right, value_of)
+    if isinstance(f, (And, Or, Xor)):
+        values = [_kleene(g, value_of) for g in operands(f, type(f))]
+    else:
+        values = [_kleene(f.left, value_of), _kleene(f.right, value_of)]
     if isinstance(f, (Iff, Xor)):
-        if left is None or right is None:
+        if None in values:
             return None
-        return (left == right) == isinstance(f, Iff)
-    if isinstance(f, Implies):
-        left = None if left is None else not left  # φ → ψ is ¬φ ∨ ψ
+        return (sum(values) % 2 == 1) == isinstance(f, Xor)  # an odd count of true operands
+    if isinstance(f, Implies) and values[0] is not None:
+        values[0] = not values[0]  # φ → ψ is ¬φ ∨ ψ
     # a conjunction is decided by a false operand, a disjunction by a true one
     decisive = isinstance(f, (Or, Implies))
-    if decisive in (left, right):
+    if decisive in values:
         return decisive
-    return None if None in (left, right) else not decisive
+    return None if None in values else not decisive
 
 
 def _atoms_of(f: Formula) -> set[Atom]:

@@ -179,6 +179,24 @@ BINARY_NODES = (And, Or, Xor, Implies, Iff)
 QUANTIFIER_NODES = (ForAll, Exists)
 
 
+def operands(f: Formula, connective: type) -> list[Formula]:
+    """The operands of the chain of ``connective`` nodes rooted at ``f``, left to right.
+
+    Walked with a stack, not by recursion: the parser builds a flat chain
+    left-deep, and one of a few thousand operands is a valid input.
+    """
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, connective):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
+
+
 def free_variables(f: Formula) -> set[str]:
     """Variables occurring in ``f`` that no enclosing quantifier binds."""
 

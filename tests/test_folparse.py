@@ -192,6 +192,13 @@ class TestPrintFormula:
         g = And(Atom("A"), And(Atom("B"), Atom("C")))
         assert print_formula(g) == "A ∧ (B ∧ C)"
 
+    @pytest.mark.parametrize("op", ["∧", "∨", "⊕"])
+    def test_flat_chain_of_thousands(self, op):
+        text = f" {op} ".join(f"P(c{i})" for i in range(1500))
+        assert print_formula(parse_formula(text)) == text
+        nested = f"(A {op} B) {op} {text} {op} (C {op} D)"
+        assert print_formula(parse_formula(nested)) == f"A {op} B {op} {text} {op} (C {op} D)"
+
     def test_quantifier_atom_body_unparenthesized(self):
         f = Exists("x", Atom("Turtle", (v("x"),)))
         assert print_formula(f) == "∃x Turtle(x)"
@@ -378,6 +385,22 @@ Love(miroslav, music) ::: Miroslav loved music.
         block = parse_translation_block(text)
         assert block.diagnostics == [ParseDiagnostic(text.index(rule), "expression nested too deeply")]
         assert block.kb is not None and block.query == SignedLiteral("Q", (c("a"),), True)
+
+    def test_flat_chains_of_thousands_parse(self):
+        # TokenCursor builds such chains iteratively, and so must every walk over them
+        body = " ∧ ".join(["P($x, True)"] * 1500)
+        block = parse_translation_block(f"Facts:\nP(a, True)\nRules:\n{body} ⇒ Q($x, True)\nQuery:\nQ(a, True)\n")
+        assert block.diagnostics == []
+        (rule,) = block.kb.rules
+        assert len(rule.body) == 1500 and rule.head == SignedLiteral("Q", (v("x"),), True)
+        disjuncts = " ∨ ".join(f"P{i}($x, True)" for i in range(1500))
+        block = parse_translation_block(f"Rules:\n{disjuncts} ⇒ Q($x, True)\nQuery:\nQ(a, True)\n")
+        assert block.diagnostics == [] and len(block.kb.rules) == 1500
+        premise = " ∧ ".join(["P(a)"] * 1500) + " ∧ P(a, b)"
+        block = parse_translation_block(f"Predicates:\nP(x, y, z)\nPremises:\n{premise}\nQuery:\nP(a)\n")
+        # the first use sets P's arity: the chain was walked left to right
+        assert [d.message for d in block.diagnostics] == [
+            "predicate 'P' declared with arity 3 but used with 1"]
 
     def test_block_shares_one_term_per_token(self):
         block = parse_translation_block(

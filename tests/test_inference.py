@@ -677,6 +677,21 @@ class TestDecide:
         with pytest.raises(UnsupportedFragmentError):
             decide_formula(kb_from([]), parse_formula("∀x P(x)"))
 
+    @pytest.mark.parametrize("op,tail,want", [
+        ("∧", "", Label.TRUE), ("∧", " ∧ Q(a)", Label.UNKNOWN), ("∧", " ∧ ¬P(a)", Label.FALSE),
+        ("∨", "", Label.TRUE), ("∨", " ∨ Q(a)", Label.TRUE),
+        ("⊕", "", Label.FALSE), ("⊕", " ⊕ P(a)", Label.TRUE), ("⊕", " ⊕ Q(a)", Label.UNKNOWN),
+    ])
+    def test_flat_chain_of_thousands(self, op, tail, want):
+        # 1,500 true operands: an even count for ⊕
+        statement = parse_formula(f" {op} ".join(["P(a)"] * 1500) + tail)
+        assert decide_formula(kb_from([lit("P", "a")]), statement) is want
+
+    def test_flat_chain_raises_its_leftmost_error(self):
+        statement = parse_formula(" ∧ ".join(["P(a)"] * 1500) + " ∧ P(x) ∧ ∀x P(x)")
+        with pytest.raises(UnsupportedFragmentError, match="statement must be ground"):
+            decide_formula(kb_from([lit("P", "a")]), statement)
+
 
 def _max_translation():
     from symchain.corpus import mini_corpus

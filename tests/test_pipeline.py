@@ -242,6 +242,16 @@ class TestRunBatch:
         assert record.stages[0].diagnostics == [f"error at offset {offset}: expression nested too deeply"]
         assert record.final_label is Label.UNDECIDED
 
+    def test_flat_chain_query_keeps_its_stages(self, corpus, config):
+        problem = corpus.problem("proofwriter-anne-white")
+        query = " ∧ ".join(["P(anne, True)"] * 1500)
+        translation = f"Facts:\nP(anne, True)\nQuery:\n{query}\n"
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): translation})
+        (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, backend)
+        assert record.error is None
+        assert [s.stage for s in record.stages] == ["translator", "engine"]
+        assert record.final_label is Label.TRUE
+
     def test_packaged_demos_are_parsed_once_per_process(self, corpus, config, monkeypatch):
         parsed = []
 
