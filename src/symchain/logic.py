@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class LogicError(Exception):
@@ -405,6 +405,32 @@ def _literal_has_functions(lit: SignedLiteral) -> bool:
     return any(isinstance(a, FunctionApp) for a in lit.args)
 
 
+def _check_literal(lit: SignedLiteral, where: str, arities: dict[str, int]) -> None:
+    """Reject function symbols and an arity other than ``arities`` records (recording a new one)."""
+    if _literal_has_functions(lit):
+        raise LogicError(f"function symbols are not allowed in {where}: {lit.to_text()}")
+    seen = len(lit.args)
+    expected = arities.setdefault(lit.predicate, seen)
+    if seen != expected:
+        raise ArityMismatchError(lit.predicate, seen, expected)
+
+
+def _check_facts(facts: Iterable[SignedLiteral], given: Mapping[str, int]) -> dict[str, int]:
+    """``given`` plus the arities of ``facts``; raises the first fault in iteration order."""
+    arities = dict(given)
+    positives: set[tuple] = set()
+    negatives: set[tuple] = set()
+    for fact in facts:
+        if not fact.is_ground:
+            raise LogicError(f"facts must be ground: {fact.to_text()}")
+        _check_literal(fact, "facts", arities)
+        key = (fact.predicate, fact.args)
+        (positives if fact.polarity else negatives).add(key)
+        if key in positives and key in negatives:
+            raise InconsistencyError(SignedLiteral(fact.predicate, fact.args, True))
+    return arities
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Ground signed facts plus horn rules over a consistent signature.
@@ -419,33 +445,17 @@ class KnowledgeBase:
     predicate_arities: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        arities = dict(self.predicate_arities)
-
-        def check(lit: SignedLiteral, where: str):
-            if _literal_has_functions(lit):
-                raise LogicError(f"function symbols are not allowed in {where}: {lit.to_text()}")
-            seen = len(lit.args)
-            expected = arities.setdefault(lit.predicate, seen)
-            if seen != expected:
-                raise ArityMismatchError(lit.predicate, seen, expected)
-
-        positives: set[tuple] = set()
-        negatives: set[tuple] = set()
-        for fact in self.facts:
-            if not fact.is_ground:
-                raise LogicError(f"facts must be ground: {fact.to_text()}")
-            check(fact, "facts")
-            key = (fact.predicate, fact.args)
-            (positives if fact.polarity else negatives).add(key)
-            if key in positives and key in negatives:
-                # name the first clashing fact in text order, not in hash order
-                first = min((f for f in self.facts if f.negated() in self.facts),
-                            key=lambda f: f.to_text("kb"))
-                raise InconsistencyError(SignedLiteral(first.predicate, first.args, True))
+        try:
+            arities = _check_facts(self.facts, self.predicate_arities)
+        except LogicError:
+            # scan a faulty set again in text order, so that the fault it
+            # names does not follow the frozenset's hash order
+            _check_facts(sorted(self.facts, key=lambda f: f.to_text("kb")), self.predicate_arities)
+            raise
         for rule in self.rules:
             for lit in rule.body:
-                check(lit, "rule bodies")
-            check(rule.head, "rule heads")
+                _check_literal(lit, "rule bodies", arities)
+            _check_literal(rule.head, "rule heads", arities)
         object.__setattr__(self, "predicate_arities", arities)
 
     @classmethod

@@ -180,6 +180,23 @@ class TestKnowledgeBase:
         """), seeds=range(1, 7))
         assert set(messages.values()) == {"inconsistency: P(a) asserted with both polarities\n"}
 
+    def test_mixed_faults_name_the_first_in_text_order(self):
+        # a clash and an arity fault: which one the hash-order scan meets
+        # first follows string hashing, the one raised must not
+        messages = helpers.run_under_hash_seeds(textwrap.dedent("""
+            from symchain.logic import Constant, KnowledgeBase, LogicError, SignedLiteral
+            a, b = Constant("a"), Constant("b")
+            clash = [SignedLiteral("P", (a,), True), SignedLiteral("P", (a,), False)]
+            for other in ("Q", "A"):  # used with arities 1 and 2, after or before P in text
+                try:
+                    KnowledgeBase.build(clash + [SignedLiteral(other, (a,)), SignedLiteral(other, (a, b))])
+                except LogicError as err:
+                    print(type(err).__name__, err)
+        """), seeds=range(1, 7))
+        assert set(messages.values()) == {
+            "InconsistencyError inconsistency: P(a) asserted with both polarities\n"
+            "ArityMismatchError predicate 'A' used with arity 2, expected 1\n"}
+
     def test_non_ground_fact_rejected(self):
         with pytest.raises(LogicError):
             KnowledgeBase.build([SignedLiteral("P", (Variable("x"),))])
