@@ -145,7 +145,7 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
               help="Offline replay; optional cache directory (embedded fixtures when omitted).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), default=None, help="JSON-lines output path.")
-@click.option("--parallelism", type=int, default=None)
+@click.option("--parallelism", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--fallback", type=click.Choice([p.value for p in FallbackPolicy]), default=None)
 def cmd_run(method, dataset, data_file, limit, replay, config_path, out, parallelism, seed, fallback):

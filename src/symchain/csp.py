@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .folparse import NAME_START, ParseDiagnostic, ParseError, TokenCursor, read_sections
-from .logic import LogicError
+from .logic import LogicError, operands
 
 
 class CspError(LogicError):
@@ -113,7 +113,7 @@ def expr_variables(expr: ConstraintExpr) -> set[str]:
     if isinstance(expr, CImplies):
         return expr_variables(expr.cond) | expr_variables(expr.then)
     if isinstance(expr, (CAnd, COr)):
-        return expr_variables(expr.left) | expr_variables(expr.right)
+        return set().union(*map(expr_variables, operands(expr, type(expr))))
     if isinstance(expr, CNot):
         return expr_variables(expr.body)
     raise CspError(f"not a constraint expression: {expr!r}")
@@ -132,12 +132,31 @@ def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
     if isinstance(expr, CImplies):
         return (not eval_expr(expr.cond, assignment)) or eval_expr(expr.then, assignment)
     if isinstance(expr, CAnd):
+        if isinstance(expr.left, CAnd):
+            return _eval_chain(expr, assignment, False)
         return eval_expr(expr.left, assignment) and eval_expr(expr.right, assignment)
     if isinstance(expr, COr):
+        if isinstance(expr.left, COr):
+            return _eval_chain(expr, assignment, True)
         return eval_expr(expr.left, assignment) or eval_expr(expr.right, assignment)
     if isinstance(expr, CNot):
         return not eval_expr(expr.body, assignment)
     raise CspError(f"not a constraint expression: {expr!r}")
+
+
+def _eval_chain(expr: Union[CAnd, COr], assignment: dict[str, int], decisive: bool) -> bool:
+    """A left-deep ``and`` (``decisive`` False) or ``or`` (True) chain, walked down its
+    left spine in a loop and evaluated left first up to the first decisive operand."""
+    node, rights = type(expr), []
+    while isinstance(expr, node):
+        rights.append(expr.right)
+        expr = expr.left
+    if eval_expr(expr, assignment) is decisive:
+        return decisive
+    for operand in reversed(rights):
+        if eval_expr(operand, assignment) is decisive:
+            return decisive
+    return not decisive
 
 
 def print_expr(expr: ConstraintExpr) -> str:
@@ -149,10 +168,15 @@ def print_expr(expr: ConstraintExpr) -> str:
         return f"AllDifferentConstraint([{', '.join(expr.names)}])"
     if isinstance(expr, CImplies):
         return f"({print_expr(expr.cond)}) -> ({print_expr(expr.then)})"
-    if isinstance(expr, CAnd):
-        return f"({print_expr(expr.left)} and {print_expr(expr.right)})"
-    if isinstance(expr, COr):
-        return f"({print_expr(expr.left)} or {print_expr(expr.right)})"
+    if isinstance(expr, (CAnd, COr)):
+        # a left-deep chain prints its left spine in a loop, not by recursion
+        spine = []
+        while isinstance(expr, (CAnd, COr)):
+            spine.append(expr)
+            expr = expr.left
+        return "(" * len(spine) + print_expr(expr) + "".join(
+            f" {'and' if isinstance(node, CAnd) else 'or'} {print_expr(node.right)})"
+            for node in reversed(spine))
     if isinstance(expr, CNot):
         return f"not ({print_expr(expr.body)})"
     raise CspError(f"not a constraint expression: {expr!r}")

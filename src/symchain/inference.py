@@ -10,8 +10,9 @@ propositional steps.  The quantifier rules compare the conclusion with
 ``forward_chain`` computes the least fixpoint of horn rule application by
 semi-naive evaluation.  Its core, ``_saturate``, runs the rounds over
 interned ground literals ``(predicate, polarity, constant names)``, with
-each rule body compiled once per call into join steps; ``forward_chain``
-then materialises the core's result as :class:`Derivation` records.
+each rule body compiled once per call into join steps; a rule body is
+joined one literal at a time in a loop.  ``forward_chain`` then
+materialises the core's result as :class:`Derivation` records.
 ``decide`` and ``decide_formula`` chain through ``forward_chain`` and look
 their literals up in the core's interned map.  They answer with open-world
 three-valued semantics through one strong-Kleene evaluator, of which
@@ -28,7 +29,7 @@ from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
     BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
     InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule,
-    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, operands, substitute,
+    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, kb_text, operands, substitute,
 )
 
 
@@ -345,13 +346,6 @@ def _ground(literal: SignedLiteral) -> Optional[_Ground]:
     return literal.predicate, literal.polarity, tuple(arg.name for arg in literal.args)
 
 
-def _kb_text(ground: _Ground) -> str:
-    """``SignedLiteral.to_text("kb")`` of the literal that ``ground`` interns."""
-    predicate, polarity, names = ground
-    tail = "True" if polarity else "False"
-    return f"{predicate}({', '.join(names)}, {tail})" if names else f"{predicate}({tail})"
-
-
 @dataclass(frozen=True)
 class ChainResult:
     """What :func:`forward_chain` derived.
@@ -436,54 +430,40 @@ def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
 
 
 def _join(steps: tuple[_Step, ...], facts_of: dict[_FactKey, list[tuple[str, ...]]],
-          old: dict[_FactKey, int]):
+          old: dict[_FactKey, int]) -> list[tuple[str, ...]]:
     """Bindings of the body that use at least one new fact.
 
     ``facts_of[key]`` lists the facts of a key oldest first, and its first
-    ``old[key]`` entries are old.  Bindings come in the order of the naive
-    nested-loop join over all facts, minus the all-old ones.
+    ``old[key]`` entries are old.  Each literal in turn extends every partial
+    binding, kept with whether it used a new fact, so bindings come in the
+    order of the naive nested-loop join over all facts, minus the all-old ones.
     """
-    if len(steps) == 1:
-        # one literal: its new facts, through the same filters as _extend's
-        (key, fixed, repeats), = steps
-        new = facts_of.get(key, [])[old.get(key, 0):]
-        if not fixed and not repeats:
-            return new
-        return [args for args in new
-                if not any(args[p] != name for p, _, name in fixed)
-                and not any(args[p] != args[q] for p, q in repeats)]
+    if len(steps) == 1 and not steps[0][1] and not steps[0][2]:
+        key = steps[0][0]
+        return facts_of.get(key, [])[old.get(key, 0):]
     facts = [facts_of.get(step[0], ()) for step in steps]
     splits = [old.get(step[0], 0) for step in steps]
     # new_after[i]: a literal after position i can still take a new fact
     new_after = [False] * len(steps)
     for i in range(len(steps) - 1, 0, -1):
         new_after[i - 1] = new_after[i] or splits[i] < len(facts[i])
-    return _extend(tuple(zip(steps, facts, splits, new_after)), 0, (), False)
-
-
-def _extend(plan, i: int, binding: tuple[str, ...], used_new: bool):
-    """The extensions of ``binding`` through steps i, i+1, … of a ``_join``
-    plan, whose entries are (step, facts, split, new_after).
-
-    A module-level generator rather than a closure that calls itself, which
-    would be a reference cycle left for the collector on every join.
-    """
-    (_, fixed, repeats), candidates, split, new_after = plan[i]
-    # until the first new fact (the pivot), take old facts only where a
-    # later literal can still be the pivot
-    start = 0 if used_new or new_after else split
-    wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
-    last = i == len(plan) - 1
-    for j in range(start, len(candidates)):
-        args = candidates[j]
-        if wanted and any(args[p] != name for p, name in wanted):
-            continue
-        if repeats and any(args[p] != args[q] for p, q in repeats):
-            continue
-        if last:
-            yield binding + args
-        else:
-            yield from _extend(plan, i + 1, binding + args, used_new or j >= split)
+    partial: list[tuple[tuple[str, ...], bool]] = [((), False)]
+    for (_, fixed, repeats), candidates, split, later in zip(steps, facts, splits, new_after):
+        extended = []
+        for binding, used_new in partial:
+            # until the first new fact (the pivot), take old facts only where
+            # a later literal can still be the pivot
+            start = 0 if used_new or later else split
+            wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
+            for j in range(start, len(candidates)):
+                args = candidates[j]
+                if wanted and any(args[p] != name for p, name in wanted):
+                    continue
+                if repeats and any(args[p] != args[q] for p, q in repeats):
+                    continue
+                extended.append((binding + args, used_new or j >= split))
+        partial = extended
+    return [binding for binding, _ in partial]
 
 
 def _saturate(rules: tuple[Rule, ...], given: list[_Ground], max_depth: Optional[int]
@@ -529,7 +509,7 @@ def _saturate(rules: tuple[Rule, ...], given: list[_Ground], max_depth: Optional
         clashes = [head for head in fresh
                    if (flipped := (head[0], not head[1], head[2])) in depths or flipped in fresh]
         if clashes:
-            predicate, _, names = min(clashes, key=_kb_text)
+            _, (predicate, _, names) = min(zip(itertools.starmap(kb_text, clashes), clashes))
             raise InconsistencyError(SignedLiteral(predicate, tuple([Constant(n) for n in names])))
         for key in new_keys:  # the keys that gained facts last round
             old[key] = len(facts_of[key])
@@ -571,7 +551,8 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     round in ``to_text("kb")`` order.
     """
     # no two literals share a text, so these tuples sort by their texts alone
-    given = sorted([(_kb_text(ground := _ground(fact)), ground, fact) for fact in kb.facts])
+    grounds = [_ground(fact) for fact in kb.facts]
+    given = sorted(zip(itertools.starmap(kb_text, grounds), grounds, kb.facts))
     depths, via, truncated = _saturate(kb.rules, [ground for _, ground, _ in given], max_depth)
     derivations = [Derivation(fact, 0) for _, _, fact in given]
     constant = {c.name: c for c in kb.constants()}  # every name a literal or binding holds
@@ -580,7 +561,7 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     pairs_of: dict[tuple[tuple[tuple[str, int], ...], tuple[str, ...]], tuple[tuple[str, Term], ...]] = {}
     args_of: dict[tuple[str, ...], tuple[Constant, ...]] = {}  # shared by literals over the same names
     for depth, _, (predicate, polarity, names), (position, binding) in sorted(
-            zip(map(depths.__getitem__, via), map(_kb_text, via), via, via.values())):
+            zip(map(depths.__getitem__, via), itertools.starmap(kb_text, via), via, via.values())):
         args = args_of.get(names)
         if args is None:
             args = args_of[names] = tuple([constant[name] for name in names])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -318,6 +318,12 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 # Signed literals, rules, knowledge bases
 
 
+def kb_text(predicate: str, polarity: bool, arg_texts: Sequence[str]) -> str:
+    """A literal in knowledge-base notation: ``P(a, b, True)``, or ``P(False)`` without arguments."""
+    tail = "True" if polarity else "False"
+    return f"{predicate}({', '.join(arg_texts)}, {tail})" if arg_texts else f"{predicate}({tail})"
+
+
 @dataclass(frozen=True, slots=True)
 class SignedLiteral:
     """An atom tagged true or false, e.g. ``Quiet(anne, True)``.
@@ -360,11 +366,9 @@ class SignedLiteral:
 
     def to_text(self, style: str = "fol") -> str:
         """Render in ``fol`` style (``¬P(a)``) or ``kb`` style (``P(a, False)``)."""
-        args = ", ".join(str(a) for a in self.args)
         if style == "kb":
-            tail = "True" if self.polarity else "False"
-            inner = f"{args}, {tail}" if args else tail
-            return f"{self.predicate}({inner})"
+            return kb_text(self.predicate, self.polarity, [str(a) for a in self.args])
+        args = ", ".join(str(a) for a in self.args)
         body = f"{self.predicate}({args})" if args else self.predicate
         return body if self.polarity else f"¬{body}"
 
@@ -393,10 +397,8 @@ class Rule:
 
     def to_text(self) -> str:
         def pat(lit: SignedLiteral) -> str:
-            args = ", ".join(f"${a}" if isinstance(a, Variable) else str(a) for a in lit.args)
-            tail = "True" if lit.polarity else "False"
-            inner = f"{args}, {tail}" if args else tail
-            return f"{lit.predicate}({inner})"
+            args = [f"${a}" if isinstance(a, Variable) else str(a) for a in lit.args]
+            return kb_text(lit.predicate, lit.polarity, args)
 
         return " ∧ ".join(pat(b) for b in self.body) + " ⇒ " + pat(self.head)
 

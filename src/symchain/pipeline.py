@@ -430,12 +430,11 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
     )
 
 
-def run_batch(problems: Sequence[Problem], method: Method, config: RunConfig,
-              gateway: Backend, parallelism: Optional[int] = None,
+def run_batch(problems: Sequence[Problem], method: Method, config: RunConfig, gateway: Backend,
               progress: Optional[Callable[[RunRecord], None]] = None) -> list[RunRecord]:
-    """Run a batch concurrently; records come back in input order and one
-    problem's failure never aborts the rest."""
-    workers = parallelism or config.parallelism
+    """Run a batch on ``config.parallelism`` threads; records come back in
+    input order and one problem's failure never aborts the rest."""
+    workers = config.parallelism
     if workers < 1:
         raise ValueError("parallelism must be ≥ 1")
     catalog = TemplateCatalog(config.template_dir, config.demo_dir)

@@ -298,6 +298,48 @@ def random_horn_kb(rng: Random) -> KnowledgeBase:
     return KnowledgeBase.build(facts.values(), rules)
 
 
+def random_long_body_kb(rng: Random) -> KnowledgeBase:
+    """A random KB whose rule bodies have four to eight literals.
+
+    P, Q, R and S hold given facts only; T, U and W are derived.  A body
+    literal takes the variables x, y and z (repeated within a binary
+    literal too) or a constant.  The first rule's body uses given-only
+    predicates, so something derives; in about a third of the others every
+    body literal but the last does, so after the first round only their
+    last literal can take a new fact."""
+    constants = [Constant(c) for c in ["a", "b", "c"][:rng.randint(1, 3)]]
+    arity = {"P": 1, "Q": 1, "R": 2, "S": 2, "T": 1, "U": 1, "W": 2}
+    given_only, derived = ["P", "Q", "R", "S"], ["T", "U", "W"]
+
+    def literal(predicate: str, polarity: bool, variables: list[str]) -> SignedLiteral:
+        args = tuple(
+            Variable(rng.choice(variables)) if variables and rng.random() < 0.8 else rng.choice(constants)
+            for _ in range(arity[predicate])
+        )
+        return SignedLiteral(predicate, args, polarity)
+
+    facts = [SignedLiteral(predicate, args, rng.random() < 0.9)
+             for predicate in given_only
+             for args in itertools.product(constants, repeat=arity[predicate]) if rng.random() < 0.85]
+    rules = []
+    for position in range(rng.randint(2, 6)):
+        length = rng.randint(4, 8)
+        shape = "seed" if position == 0 else rng.choice(["pivot-last", "mixed", "mixed"])
+        body = []
+        for i in range(length):
+            if shape == "seed" or (shape == "pivot-last" and i < length - 1):
+                predicate = rng.choice(given_only)
+            elif shape == "pivot-last" or rng.random() < 0.25:
+                predicate = rng.choice(derived)
+            else:
+                predicate = rng.choice(given_only)
+            body.append(literal(predicate, rng.random() < 0.95, ["x", "y", "z"]))
+        bound = sorted(set().union(*(lit.variables() for lit in body)))
+        rules.append(Rule(tuple(body), literal(rng.choice(derived), rng.random() < 0.9, bound)))
+    rng.shuffle(rules)
+    return KnowledgeBase.build(facts, rules)
+
+
 def naive_fixpoint(kb: KnowledgeBase, max_depth: int | None = None
                    ) -> tuple[dict[SignedLiteral, int], bool] | None:
     """Naive bottom-up evaluation of the ground program.

@@ -167,6 +167,17 @@ class TestRunEvalReport:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_parallelism_below_one_is_a_usage_error(self, runner, tmp_path, value):
+        out = tmp_path / "records.jsonl"
+        result = runner.invoke(main, [
+            "run", "--method", "cot", "--dataset", "minicorpus", "--replay",
+            "--parallelism", value, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "--parallelism" in result.output
+        assert not out.exists()
+
     def test_eval_and_report(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"
         report = tmp_path / "report.json"

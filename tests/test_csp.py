@@ -7,8 +7,8 @@ from symchain.csp import (
     AbsDiffNotEqual, AllDifferent, CAnd, CImplies, CNot, COr, Compare,
     CspModel, NoSolutionsError, OptionStatus, QuestionMode,
     SearchSpaceTooLargeError, Undecided, detect_question_mode,
-    evaluate_queries, parse_constraint, parse_csp_block, select_answer,
-    solve_all,
+    eval_expr, evaluate_queries, expr_variables, parse_constraint, parse_csp_block,
+    print_expr, select_answer, solve_all,
 )
 from symchain.folparse import ParseDiagnostic, ParseError
 
@@ -383,3 +383,100 @@ class TestBirdsModel:
         assert len(solutions) == 1
         assert solutions[0] == {"owl": 1, "robin": 2, "raven": 3, "falcon": 4, "quail": 5}
         assert select_answer(evaluate_queries(model), QuestionMode.MUST_BE_TRUE) == "A"
+
+
+def _nested_print(expr) -> str:
+    """``print_expr`` by plain recursion: every ``and``/``or`` parenthesised."""
+    if isinstance(expr, (CAnd, COr)):
+        word = "and" if isinstance(expr, CAnd) else "or"
+        return f"({_nested_print(expr.left)} {word} {_nested_print(expr.right)})"
+    if isinstance(expr, CNot):
+        return f"not ({_nested_print(expr.body)})"
+    if isinstance(expr, CImplies):
+        return f"({_nested_print(expr.cond)}) -> ({_nested_print(expr.then)})"
+    return print_expr(expr)
+
+
+def _leaves(expr) -> list:
+    if isinstance(expr, (CAnd, COr)):
+        return _leaves(expr.left) + _leaves(expr.right)
+    if isinstance(expr, CNot):
+        return _leaves(expr.body)
+    return [expr]
+
+
+class TestLongChains:
+    """A flat ``and``/``or`` chain of thousands of terms parses, evaluates
+    and prints within the recursion limit."""
+
+    CHAIN = 1500
+
+    def block(self, constraint: str) -> str:
+        return ("Domain:\n1: low\n3: high\nVariables:\na ∈ {1, 2, 3}\nb ∈ {1, 2, 3}\n"
+                f"Constraints:\n{constraint}\nQuery:\nA) a == 1\nB) b == 3\n")
+
+    def test_long_and_chain_parses_and_solves(self):
+        model, diagnostics = parse_csp_block(self.block(" and ".join(["a != 3"] * self.CHAIN)))
+        assert diagnostics == []
+        (constraint,) = model.constraints
+        assert expr_variables(constraint) == {"a"}
+        assert [s["a"] for s in solve_all(model).solutions] == [1, 1, 1, 2, 2, 2]
+        assert evaluate_queries(model).statuses == {
+            "A": OptionStatus.MAY_BE_TRUE, "B": OptionStatus.MAY_BE_TRUE}
+
+    def test_long_or_chain_parses_and_solves(self):
+        terms = ["a == 3"] * self.CHAIN + ["b == 1"]
+        model, diagnostics = parse_csp_block(self.block(" or ".join(terms)))
+        assert diagnostics == []
+        assert expr_variables(model.constraints[0]) == {"a", "b"}
+        assert len(solve_all(model).solutions) == 5
+
+    def test_evaluation_short_circuits_left_first(self):
+        falsy = parse_constraint(" and ".join(["a != 3"] * self.CHAIN + ["a == 3", "missing == 1"]))
+        assert eval_expr(falsy, {"a": 1}) is False
+        with pytest.raises(KeyError):
+            eval_expr(parse_constraint(" and ".join(["missing == 1"] + ["a != 3"] * self.CHAIN)),
+                      {"a": 1})
+        truthy = parse_constraint(" or ".join(["a == 3"] * self.CHAIN + ["a == 1", "missing == 1"]))
+        assert eval_expr(truthy, {"a": 1}) is True
+        with pytest.raises(KeyError):
+            eval_expr(truthy, {"a": 2})
+
+    def test_long_chain_prints_fully_parenthesised(self):
+        expr = parse_constraint(" and ".join(["a != 3"] * self.CHAIN))
+        assert print_expr(expr) == "(" * (self.CHAIN - 1) + "a != 3" + " and a != 3)" * (self.CHAIN - 1)
+
+    @pytest.mark.parametrize("text,printed", [
+        ("a == 1 and b == 2", "(a == 1 and b == 2)"),
+        ("a == 1 and b == 2 or c == 3 and d == 4 or e == 5",
+         "(((a == 1 and b == 2) or (c == 3 and d == 4)) or e == 5)"),
+        ("a == 1 and (b == 2 or c == 3) and not d == 4",
+         "((a == 1 and (b == 2 or c == 3)) and not (d == 4))"),
+        ("a == 1 -> b == 2 and c == 3 or d == 4",
+         "(a == 1) -> (((b == 2 and c == 3) or d == 4))"),
+    ])
+    def test_mixed_chains_print(self, text, printed):
+        assert print_expr(parse_constraint(text)) == printed
+
+    def test_random_chains_match_recursive_oracles(self):
+        rng = random.Random(45)
+        names = ["a", "b", "c"]
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return Compare(rng.choice(names), rng.choice(["==", "!=", "<"]), rng.randint(1, 3))
+            if rng.random() < 0.2:
+                return CNot(expr(depth - 1))
+            node = rng.choice([CAnd, COr])
+            out = expr(depth - 1)
+            for _ in range(rng.randint(1, 5)):
+                out = node(out, expr(depth - 1)) if rng.random() < 0.8 else node(expr(depth - 1), out)
+            return out
+
+        for _ in range(300):
+            e = expr(3)
+            assert print_expr(e) == _nested_print(e)
+            assert expr_variables(e) == {leaf.lhs for leaf in _leaves(e)}
+            for values in itertools.product((1, 2, 3), repeat=3):
+                assignment = dict(zip(names, values))
+                assert eval_expr(e, assignment) is helpers.oracle_eval(e, assignment)

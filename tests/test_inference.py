@@ -455,6 +455,43 @@ class TestForwardChain:
             checked += 1
         assert checked > 150
 
+    @pytest.mark.parametrize("max_depth", [None, 1, 2])
+    def test_long_bodies_match_naive_fixpoint_and_vias(self, max_depth):
+        rng = random.Random(46)
+        checked = deep = pivot_last = 0
+        for _ in range(400):
+            kb = helpers.random_long_body_kb(rng)
+            want = helpers.naive_fixpoint(kb, max_depth)
+            try:
+                result = forward_chain(kb, max_depth=max_depth)
+            except InconsistencyError:
+                assert want is None and helpers.naive_vias(kb, max_depth) is None
+                continue
+            depths, truncated = want
+            assert [(d.literal, d.depth) for d in result.derivations] == sorted(
+                depths.items(), key=lambda item: (item[1], item[0].to_text("kb")))
+            assert result.truncated is truncated
+            assert {d.literal: d.via for d in result.derivations if d.depth} == \
+                helpers.naive_vias(kb, max_depth)
+            checked += 1
+            later = [d.via[0].body for d in result.derivations if d.depth >= 2]
+            deep += bool(later)
+            # a join whose only literal that can take a new fact is its last
+            pivot_last += any(all(b.predicate in "PQRS" for b in body[:-1]) for body in later)
+        assert checked > 350
+        if max_depth != 1:
+            assert deep > 20 and pivot_last > 10
+
+    def test_a_rule_of_1500_literals_chains(self):
+        x = Variable("x")
+        rule = Rule(tuple(SignedLiteral(f"P{i % 3}", (x,)) for i in range(1500)), SignedLiteral("Q", (x,)))
+        kb = kb_from([lit("P0", "a"), lit("P1", "a"), lit("P2", "a"), lit("P0", "b")],
+                     [rule, Rule((SignedLiteral("P0", (x,)),), SignedLiteral("P1", (x,)))])
+        result = forward_chain(kb, max_depth=None)
+        assert result.depth_of(lit("Q", "a")) == 1 and result.holds(lit("Q", "b")) is None
+        assert result.depth_of(lit("P1", "b")) == 1
+        assert decide(kb, lit("Q", "a")) is Label.TRUE
+
     def test_via_is_the_same_under_every_hash_seed(self):
         # kb.facts is a frozenset, whose order follows string hashing; the
         # chainer must not let that order pick the binding a via records

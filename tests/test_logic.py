@@ -11,7 +11,7 @@ from symchain.logic import (
     And, ArityMismatchError, Atom, Constant, Exists, ForAll, FunctionApp, Iff,
     Implies, InconsistencyError, KnowledgeBase, Label, LogicError, Not, Or,
     RangeRestrictionError, Rule, SignedLiteral, Variable, Xor, alpha_equal,
-    free_variables, substitute,
+    free_variables, kb_text, substitute,
 )
 
 import helpers
@@ -128,6 +128,14 @@ class TestSignedLiteralsAndRules:
             SignedLiteral("Fruity", (Variable("x"),)),
         )
         assert rule.to_text() == "Jompus($x, True) ⇒ Fruity($x, True)"
+
+    def test_kb_text_is_the_one_knowledge_base_rendering(self):
+        assert kb_text("R", True, ["a", "b"]) == "R(a, b, True)"
+        assert kb_text("Z", False, []) == "Z(False)"
+        assert SignedLiteral("Z", (), False).to_text("kb") == "Z(False)"
+        rule = Rule((SignedLiteral("R", (Variable("x"), Constant("b")), False), SignedLiteral("Z", ())),
+                    SignedLiteral("Q", (Variable("x"),)))
+        assert rule.to_text() == "R($x, b, False) ∧ Z(True) ⇒ Q($x, True)"
 
 
 _P, _Q = Atom("P", (Constant("a"),)), Atom("Q")

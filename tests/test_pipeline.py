@@ -4,7 +4,9 @@ import pytest
 
 from symchain.corpus import mini_corpus
 from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
+from symchain.folparse import parse_translation_block
 from symchain.gateway import CompletionCache, ReplayBackend
+from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
     METHOD_RECORD_COUNTS, FallbackPolicy, Method, RunConfig,
@@ -191,10 +193,10 @@ Yellow(ben) ∨ Ugly(ben) ::: Ben is ugly or yellow.
 
 
 class TestRunBatch:
-    def test_order_preserved_with_parallelism(self, corpus, config):
+    def test_order_preserved_with_parallelism(self, corpus):
         problems = list(corpus.problems)[:3]
-        records = run_batch(problems, Method.TRANSLATE_THEN_SOLVE, config,
-                            ScriptedCorpusBackend(corpus), parallelism=2)
+        records = run_batch(problems, Method.TRANSLATE_THEN_SOLVE, RunConfig(parallelism=2),
+                            ScriptedCorpusBackend(corpus))
         assert [r.problem_id for r in records] == [p.id for p in problems]
 
     def test_one_failure_does_not_abort(self, corpus, config, tmp_path):
@@ -251,6 +253,30 @@ class TestRunBatch:
         assert record.error is None
         assert [s.stage for s in record.stages] == ["translator", "engine"]
         assert record.final_label is Label.TRUE
+
+    def test_long_rule_body_keeps_its_stages(self, corpus, config):
+        problem = corpus.problem("proofwriter-anne-white")
+        body = " ∧ ".join(["Big($x, True)", "Kind($x, True)"] * 750)
+        translation = (f"Facts:\nBig(anne, True)\nKind(anne, True)\nRules:\n{body} ⇒ White($x, True)\n"
+                       "Query:\nWhite(anne, True)\n")
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): translation})
+        (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, backend)
+        assert record.error is None
+        assert [s.stage for s in record.stages] == ["translator", "engine"]
+        assert record.executed and record.final_label is Label.TRUE
+        block = parse_translation_block(translation)
+        assert len(block.kb.rules[0].body) == 1500
+        assert decide_formula(block.kb, block.statement) is Label.TRUE
+
+    def test_long_csp_chain_keeps_its_stages(self, corpus, config):
+        problem = corpus.problem("logicaldeduction-antique-cars")
+        chain = " and ".join(["station_wagon != 3"] * 1500)
+        translation = corpus.translation(problem.id).replace("Query:", f"{chain}\nQuery:")
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): translation})
+        (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, backend)
+        assert record.error is None
+        assert [s.stage for s in record.stages] == ["translator", "engine"]
+        assert record.executed and record.final_label is Label.B
 
     def test_packaged_demos_are_parsed_once_per_process(self, corpus, config, monkeypatch):
         parsed = []
