@@ -131,32 +131,25 @@ def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
         return len(set(values)) == len(values)
     if isinstance(expr, CImplies):
         return (not eval_expr(expr.cond, assignment)) or eval_expr(expr.then, assignment)
-    if isinstance(expr, CAnd):
-        if isinstance(expr.left, CAnd):
-            return _eval_chain(expr, assignment, False)
-        return eval_expr(expr.left, assignment) and eval_expr(expr.right, assignment)
-    if isinstance(expr, COr):
-        if isinstance(expr.left, COr):
-            return _eval_chain(expr, assignment, True)
-        return eval_expr(expr.left, assignment) or eval_expr(expr.right, assignment)
+    if isinstance(expr, (CAnd, COr)):
+        leftmost, nodes = _spine(expr)
+        value = eval_expr(leftmost, assignment)
+        for node in nodes:  # left first: past an `and` while true, past an `or` while false
+            if value == isinstance(node, CAnd):
+                value = eval_expr(node.right, assignment)
+        return value
     if isinstance(expr, CNot):
         return not eval_expr(expr.body, assignment)
     raise CspError(f"not a constraint expression: {expr!r}")
 
 
-def _eval_chain(expr: Union[CAnd, COr], assignment: dict[str, int], decisive: bool) -> bool:
-    """A left-deep ``and`` (``decisive`` False) or ``or`` (True) chain, walked down its
-    left spine in a loop and evaluated left first up to the first decisive operand."""
-    node, rights = type(expr), []
-    while isinstance(expr, node):
-        rights.append(expr.right)
+def _spine(expr: Union[CAnd, COr]) -> tuple[ConstraintExpr, list[Union[CAnd, COr]]]:
+    """A left-deep chain's leftmost operand and its nodes, innermost first, walked in a loop."""
+    nodes = []
+    while isinstance(expr, (CAnd, COr)):
+        nodes.append(expr)
         expr = expr.left
-    if eval_expr(expr, assignment) is decisive:
-        return decisive
-    for operand in reversed(rights):
-        if eval_expr(operand, assignment) is decisive:
-            return decisive
-    return not decisive
+    return expr, nodes[::-1]
 
 
 def print_expr(expr: ConstraintExpr) -> str:
@@ -169,14 +162,9 @@ def print_expr(expr: ConstraintExpr) -> str:
     if isinstance(expr, CImplies):
         return f"({print_expr(expr.cond)}) -> ({print_expr(expr.then)})"
     if isinstance(expr, (CAnd, COr)):
-        # a left-deep chain prints its left spine in a loop, not by recursion
-        spine = []
-        while isinstance(expr, (CAnd, COr)):
-            spine.append(expr)
-            expr = expr.left
-        return "(" * len(spine) + print_expr(expr) + "".join(
-            f" {'and' if isinstance(node, CAnd) else 'or'} {print_expr(node.right)})"
-            for node in reversed(spine))
+        leftmost, nodes = _spine(expr)
+        return "(" * len(nodes) + print_expr(leftmost) + "".join(
+            f" {'and' if isinstance(node, CAnd) else 'or'} {print_expr(node.right)})" for node in nodes)
     if isinstance(expr, CNot):
         return f"not ({print_expr(expr.body)})"
     raise CspError(f"not a constraint expression: {expr!r}")

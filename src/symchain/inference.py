@@ -430,40 +430,45 @@ def _compile(rule: Rule) -> tuple[tuple[_Step, ...], _Head]:
 
 
 def _join(steps: tuple[_Step, ...], facts_of: dict[_FactKey, list[tuple[str, ...]]],
-          old: dict[_FactKey, int]) -> list[tuple[str, ...]]:
-    """Bindings of the body that use at least one new fact.
+          old: dict[_FactKey, int]) -> Iterator[tuple[str, ...]]:
+    """Bindings of the body that use at least one new fact, generated lazily.
 
     ``facts_of[key]`` lists the facts of a key oldest first, and its first
-    ``old[key]`` entries are old.  Each literal in turn extends every partial
-    binding, kept with whether it used a new fact, so bindings come in the
-    order of the naive nested-loop join over all facts, minus the all-old ones.
+    ``old[key]`` entries are old.  A loop walks the body depth first with a
+    stack of partial bindings, so bindings come in the order of the naive
+    nested-loop join over all facts, minus the all-old ones.
     """
     if len(steps) == 1 and not steps[0][1] and not steps[0][2]:
-        key = steps[0][0]
-        return facts_of.get(key, [])[old.get(key, 0):]
+        yield from facts_of.get(steps[0][0], [])[old.get(steps[0][0], 0):]
+        return
     facts = [facts_of.get(step[0], ()) for step in steps]
     splits = [old.get(step[0], 0) for step in steps]
     # new_after[i]: a literal after position i can still take a new fact
     new_after = [False] * len(steps)
     for i in range(len(steps) - 1, 0, -1):
         new_after[i - 1] = new_after[i] or splits[i] < len(facts[i])
-    partial: list[tuple[tuple[str, ...], bool]] = [((), False)]
-    for (_, fixed, repeats), candidates, split, later in zip(steps, facts, splits, new_after):
-        extended = []
-        for binding, used_new in partial:
-            # until the first new fact (the pivot), take old facts only where
-            # a later literal can still be the pivot
-            start = 0 if used_new or later else split
-            wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
-            for j in range(start, len(candidates)):
-                args = candidates[j]
-                if wanted and any(args[p] != name for p, name in wanted):
-                    continue
-                if repeats and any(args[p] != args[q] for p, q in repeats):
-                    continue
-                extended.append((binding + args, used_new or j >= split))
-        partial = extended
-    return [binding for binding, _ in partial]
+    last = len(steps) - 1
+    stack: list[tuple[int, tuple[str, ...], bool]] = [(0, (), False)]
+    while stack:
+        i, binding, used_new = stack.pop()
+        _, fixed, repeats = steps[i]
+        candidates, split = facts[i], splits[i]
+        # until the first new fact (the pivot), take old facts only where
+        # a later literal can still be the pivot
+        start = 0 if used_new or new_after[i] else split
+        wanted = [(p, binding[s] if s >= 0 else name) for p, s, name in fixed]
+        children = []
+        for j in range(start, len(candidates)):
+            args = candidates[j]
+            if wanted and any(args[p] != name for p, name in wanted):
+                continue
+            if repeats and any(args[p] != args[q] for p, q in repeats):
+                continue
+            if i == last:
+                yield binding + args
+            else:
+                children.append((i + 1, binding + args, used_new or j >= split))
+        stack.extend(reversed(children))
 
 
 def _saturate(rules: tuple[Rule, ...], given: list[_Ground], max_depth: Optional[int]
@@ -509,7 +514,7 @@ def _saturate(rules: tuple[Rule, ...], given: list[_Ground], max_depth: Optional
         clashes = [head for head in fresh
                    if (flipped := (head[0], not head[1], head[2])) in depths or flipped in fresh]
         if clashes:
-            _, (predicate, _, names) = min(zip(itertools.starmap(kb_text, clashes), clashes))
+            predicate, _, names = min(clashes, key=lambda g: kb_text(*g))
             raise InconsistencyError(SignedLiteral(predicate, tuple([Constant(n) for n in names])))
         for key in new_keys:  # the keys that gained facts last round
             old[key] = len(facts_of[key])

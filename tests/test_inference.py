@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -491,6 +492,22 @@ class TestForwardChain:
         assert result.depth_of(lit("Q", "a")) == 1 and result.holds(lit("Q", "b")) is None
         assert result.depth_of(lit("P1", "b")) == 1
         assert decide(kb, lit("Q", "a")) is Label.TRUE
+
+    def test_a_cross_product_body_joins_in_little_memory(self):
+        # 22,500 (x, y) partial bindings pass Q(y); held as one join level
+        # they took about 2.8 MB, generated depth first about 0.15 MB
+        x, y = Variable("x"), Variable("y")
+        body = (SignedLiteral("P", (x,)), SignedLiteral("Q", (y,)), SignedLiteral("R", (x, y)))
+        kb = kb_from([lit("P", f"p{i}") for i in range(150)] + [lit("Q", f"q{i}") for i in range(150)]
+                     + [lit("R", "p7", "q9")], [Rule(body, SignedLiteral("S", (x, y)))])
+        tracemalloc.start()
+        try:
+            result = forward_chain(kb, max_depth=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [d.literal for d in result.derivations if d.depth] == [lit("S", "p7", "q9")]
+        assert peak < 1_000_000
 
     def test_via_is_the_same_under_every_hash_seed(self):
         # kb.facts is a frozenset, whose order follows string hashing; the
