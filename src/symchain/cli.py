@@ -150,7 +150,10 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
 @click.option("--fallback", type=click.Choice([p.value for p in FallbackPolicy]), default=None)
 def cmd_run(method, dataset, data_file, limit, replay, config_path, out, parallelism, seed, fallback):
     """Run a method over a dataset, writing one RunRecord per line."""
-    config = RunConfig.from_file(config_path) if config_path else RunConfig()
+    try:
+        config = RunConfig.from_file(config_path) if config_path else RunConfig()
+    except ValueError as err:
+        raise click.UsageError(f"invalid config file {config_path}: {err}") from None
     if method is None:
         method = config.method
     if parallelism is not None:

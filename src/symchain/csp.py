@@ -565,16 +565,31 @@ class QuestionMode(str, Enum):
     MUST_BE_TRUE = "MustBeTrue"
     COULD_BE_TRUE = "CouldBeTrue"
     CANNOT_BE_TRUE = "CannotBeTrue"
+    COULD_BE_FALSE = "CouldBeFalse"
+
+
+# (phrases, mode, the mode of "each of the following <phrase> EXCEPT"), tried in order
+_MODE_PHRASES = (
+    (("cannot be true", "can not be true", "must be false"), QuestionMode.CANNOT_BE_TRUE,
+     QuestionMode.COULD_BE_TRUE),
+    (("could be false", "can be false", "may be false"), QuestionMode.COULD_BE_FALSE,
+     QuestionMode.MUST_BE_TRUE),
+    (("must be true",), QuestionMode.MUST_BE_TRUE, QuestionMode.COULD_BE_FALSE),
+    (("could be true", "can be true", "may be true"), QuestionMode.COULD_BE_TRUE,
+     QuestionMode.CANNOT_BE_TRUE),
+)
+_EXCEPT_RE = re.compile(r"\bexcept\b")
 
 
 def detect_question_mode(question: str) -> QuestionMode:
+    """The mode of the first phrase found, or its EXCEPT mode when "except"
+    follows the phrase; must-be-true when no phrase is found."""
     low = question.lower()
-    if "cannot be true" in low or "can not be true" in low or "must be false" in low:
-        return QuestionMode.CANNOT_BE_TRUE
-    if "must be true" in low:
-        return QuestionMode.MUST_BE_TRUE
-    if "could be true" in low or "can be true" in low or "may be true" in low:
-        return QuestionMode.COULD_BE_TRUE
+    for phrases, mode, except_mode in _MODE_PHRASES:
+        for phrase in phrases:
+            at = low.find(phrase)
+            if at >= 0:
+                return except_mode if _EXCEPT_RE.search(low, at + len(phrase)) else mode
     return QuestionMode.MUST_BE_TRUE
 
 
@@ -593,8 +608,10 @@ def select_answer(verdict: QueryVerdict, mode: QuestionMode) -> Union[str, Undec
         hits = [letter for letter in verdict.statuses if verdict.must(letter)]
     elif mode is QuestionMode.COULD_BE_TRUE:
         hits = [letter for letter in verdict.statuses if verdict.may(letter)]
-    else:
+    elif mode is QuestionMode.CANNOT_BE_TRUE:
         hits = [letter for letter in verdict.statuses if verdict.cannot(letter)]
+    else:
+        hits = [letter for letter in verdict.statuses if not verdict.must(letter)]
     if len(hits) == 1:
         return hits[0]
     return Undecided(frozenset(hits))

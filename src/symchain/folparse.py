@@ -24,8 +24,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .logic import (
-    BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
-    KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands,
+    And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies, KnowledgeBase,
+    LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands, subformulas,
 )
 
 
@@ -596,18 +596,11 @@ def parse_translation_block(text: str) -> TranslationBlock:
     declared = {name: arity for name, arity, _ in block.predicates}
     used: dict[str, int] = dict(block.kb.predicate_arities) if block.kb else {}
 
-    # a stack, not recursion, so a flat chain of thousands of conjuncts is fine;
     # atoms are visited left to right, as the first use sets the arity
-    stack = [formula for formula, _ in reversed(block.premises)]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            used.setdefault(f.predicate, len(f.args))
-        elif isinstance(f, (Not, ForAll, Exists)):
-            stack.append(f.body)
-        elif isinstance(f, BINARY_NODES):
-            stack.append(f.right)
-            stack.append(f.left)
+    for formula, _ in block.premises:
+        for f, _ in subformulas(formula):
+            if isinstance(f, Atom):
+                used.setdefault(f.predicate, len(f.args))
     for name, arity in used.items():
         if name in declared and declared[name] not in (arity, arity + 1):
             # +1 tolerates polarity-style declarations like Quiet(x, bool)

@@ -7,6 +7,7 @@ a populated cache directory doubles as a portable replay fixture set.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -124,10 +125,9 @@ class CompletionCache:
         return self.directory / f"{key}.json"
 
     def load(self, key: str) -> Optional[CompletionResponse]:
-        path = self.path_for(key)
-        if not path.exists():
+        data = self.entry(key)
+        if data is None:
             return None
-        data = json.loads(path.read_text(encoding="utf-8"))
         resp = data["response"]
         return CompletionResponse(
             content=resp["content"],
@@ -225,15 +225,11 @@ class ReplayBackend(Backend):
         self.cache = cache if isinstance(cache, CompletionCache) else CompletionCache(cache)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        response = self.cache.load(request.cache_key())
+        key = request.cache_key()
+        response = self.cache.load(key)
         if response is None:
-            raise ReplayMissError(request.cache_key())
-        return CompletionResponse(
-            content=response.content,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-            backend="replay",
-        )
+            raise ReplayMissError(key)
+        return dataclasses.replace(response, backend="replay")
 
 
 class CachingBackend(Backend):

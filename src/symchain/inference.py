@@ -5,7 +5,10 @@ The propositional rules, the two fallacies and the mismatch hints are one
 table of schemas in the formula notation (``"p; p → q ⊢ q"``), parsed at
 import and matched up to alpha-equivalence; truth tables confirm the
 propositional steps.  The quantifier rules compare the conclusion with
-``substitute``-made instances, which cannot capture a variable.
+``substitute``-made instances, which cannot capture a variable.  Atoms and
+terms are collected, and alpha-equivalence decided, over the one formula
+walk ``logic.subformulas``, which uses a stack, so a step over a chain of
+thousands of operands is checked without recursion.
 
 ``forward_chain`` computes the least fixpoint of horn rule application by
 semi-naive evaluation.  Its core, ``_saturate``, runs the rounds over
@@ -30,6 +33,7 @@ from .logic import (
     BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
     InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule,
     SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, kb_text, operands, substitute,
+    subformulas,
 )
 
 
@@ -97,13 +101,13 @@ def _kleene(f: Formula, value_of: Callable[[Atom], Optional[bool]]) -> Optional[
 
 
 def _atoms_of(f: Formula) -> set[Atom]:
-    if isinstance(f, Atom):
-        return {f}
-    if isinstance(f, Not):
-        return _atoms_of(f.body)
-    if isinstance(f, BINARY_NODES):
-        return _atoms_of(f.left) | _atoms_of(f.right)
-    raise UnsupportedFragmentError("quantifiers are outside the propositional fragment")
+    atoms = set()
+    for g, _ in subformulas(f):
+        if isinstance(g, Atom):
+            atoms.add(g)
+        elif not isinstance(g, (Not, *BINARY_NODES)):
+            raise UnsupportedFragmentError("quantifiers are outside the propositional fragment")
+    return atoms
 
 
 def is_propositional(f: Formula) -> bool:
@@ -217,18 +221,14 @@ def _bind(schema: Formula, f: Formula, env: dict[str, Formula]) -> bool:
 
 
 def _subterms(f: Formula) -> Iterator[Term]:
-    if isinstance(f, Atom):
-        stack = list(f.args)
-        while stack:
-            t = stack.pop()
-            yield t
-            if isinstance(t, FunctionApp):
-                stack.extend(t.args)
-    elif isinstance(f, BINARY_NODES):
-        yield from _subterms(f.left)
-        yield from _subterms(f.right)
-    else:
-        yield from _subterms(f.body)
+    for g, _ in subformulas(f):
+        if isinstance(g, Atom):
+            stack = list(g.args)
+            while stack:
+                t = stack.pop()
+                yield t
+                if isinstance(t, FunctionApp):
+                    stack.extend(t.args)
 
 
 def _instance_term(body: Formula, var: str, candidate: Formula) -> Optional[Term]:

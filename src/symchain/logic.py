@@ -7,10 +7,11 @@ and are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -197,40 +198,32 @@ def operands(f: Formula, connective: type) -> list[Formula]:
     return out
 
 
+def subformulas(f: Formula) -> Iterator[tuple[Formula, Mapping[str, int]]]:
+    """Each subformula of ``f`` in preorder, left to right, with its binders:
+    each variable that an enclosing quantifier binds, mapped to the depth of
+    the innermost such quantifier (0 for the outermost).
+
+    Walked with a stack, not by recursion, so a chain of thousands of
+    operands is fine.  Raises ``TypeError`` on a non-formula, after yielding it.
+    """
+    stack: list[tuple[Formula, dict[str, int], int]] = [(f, {}, 0)]
+    while stack:
+        g, binders, depth = stack.pop()
+        yield g, binders
+        if isinstance(g, BINARY_NODES):
+            stack += [(g.right, binders, depth), (g.left, binders, depth)]
+        elif isinstance(g, Not):
+            stack.append((g.body, binders, depth))
+        elif isinstance(g, QUANTIFIER_NODES):
+            stack.append((g.body, {**binders, g.var: depth}, depth + 1))
+        elif not isinstance(g, Atom):
+            raise TypeError(f"not a formula: {g!r}")
+
+
 def free_variables(f: Formula) -> set[str]:
     """Variables occurring in ``f`` that no enclosing quantifier binds."""
-
-    def walk(g: Formula, bound: frozenset[str]) -> set[str]:
-        if isinstance(g, Atom):
-            out: set[str] = set()
-            for t in g.args:
-                out |= term_variables(t) - bound
-            return out
-        if isinstance(g, Not):
-            return walk(g.body, bound)
-        if isinstance(g, BINARY_NODES):
-            return walk(g.left, bound) | walk(g.right, bound)
-        if isinstance(g, QUANTIFIER_NODES):
-            return walk(g.body, bound | {g.var})
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, frozenset())
-
-
-def _all_variable_names(f: Formula) -> set[str]:
-    """Every variable name appearing in ``f``, bound or free."""
-    if isinstance(f, Atom):
-        out: set[str] = set()
-        for t in f.args:
-            out |= term_variables(t)
-        return out
-    if isinstance(f, Not):
-        return _all_variable_names(f.body)
-    if isinstance(f, BINARY_NODES):
-        return _all_variable_names(f.left) | _all_variable_names(f.right)
-    if isinstance(f, QUANTIFIER_NODES):
-        return _all_variable_names(f.body) | {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return {name for g, binders in subformulas(f) if isinstance(g, Atom)
+            for t in g.args for name in term_variables(t) if name not in binders}
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -248,70 +241,63 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
 
     Bound occurrences are untouched.  Quantifiers that would capture a
     variable of ``t`` are renamed to a fresh name first, so capture can
-    never occur.
+    never occur.  The tree is rebuilt with a stack, not by recursion.
     """
     t_vars = term_variables(t)
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.predicate, tuple(substitute_term(a, {var: t}) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, BINARY_NODES):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, QUANTIFIER_NODES):
+    # (formula, None) is to rewrite; (node, make) rebuilds the node by
+    # ``make`` from its rewritten children, the last entries of ``done``
+    todo: list[tuple[Formula, Optional[Callable[..., Formula]]]] = [(f, None)]
+    done: list[Formula] = []
+    while todo:
+        g, make = todo.pop()
+        if make is not None:
+            arity = 2 if isinstance(g, BINARY_NODES) else 1
+            done[-arity:] = [make(*done[-arity:])]
+        elif isinstance(g, Atom):
+            done.append(Atom(g.predicate, tuple(substitute_term(a, {var: t}) for a in g.args)))
+        elif isinstance(g, Not):
+            todo += [(g, Not), (g.body, None)]
+        elif isinstance(g, BINARY_NODES):
+            todo += [(g, type(g)), (g.right, None), (g.left, None)]
+        elif isinstance(g, QUANTIFIER_NODES):
             if g.var == var:
-                return g  # var is bound below here; nothing free to replace
+                done.append(g)  # var is bound below here; nothing free to replace
+                continue
+            name, body = g.var, g.body
             if g.var in t_vars and var in free_variables(g.body):
-                taken = _all_variable_names(g.body) | t_vars | {var}
-                renamed = fresh_name(g.var, taken)
-                body = substitute(g.body, g.var, Variable(renamed))
-                return type(g)(renamed, walk(body))
-            return type(g)(g.var, walk(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
+                # the body's variable names, free or bound: a quantifier binds above some atom
+                bound = {v for _, binders in subformulas(g.body) for v in binders}
+                name = fresh_name(g.var, free_variables(g.body) | bound | t_vars | {var})
+                body = substitute(g.body, g.var, Variable(name))
+            todo += [(g, functools.partial(type(g), name)), (body, None)]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return done[0]
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
+    """Structural equality up to consistent renaming of bound variables.
 
-    def walk(a: Formula, b: Formula, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+    The two preorder walks are compared node by node.  Each node type has a
+    fixed number of children, so equal node sequences mean equal shapes.
+    """
+
+    def term_eq(x: Term, y: Term, env_a: Mapping[str, int], env_b: Mapping[str, int]) -> bool:
+        if isinstance(x, Variable) and isinstance(y, Variable) and (x.name in env_a or y.name in env_b):
+            return env_a.get(x.name) == env_b.get(y.name)  # bound variables compare by binder depth
+        if type(x) is not type(y) or x.name != y.name:
+            return False
+        return not isinstance(x, FunctionApp) or len(x.args) == len(y.args) and all(
+            term_eq(a, b, env_a, env_b) for a, b in zip(x.args, y.args))
+
+    for (a, env_a), (b, env_b) in zip(subformulas(f), subformulas(g)):
         if type(a) is not type(b):
             return False
-        if isinstance(a, Atom):
-            if a.predicate != b.predicate or len(a.args) != len(b.args):
-                return False
-            return all(term_eq(x, y, env_a, env_b) for x, y in zip(a.args, b.args))
-        if isinstance(a, Not):
-            return walk(a.body, b.body, env_a, env_b, depth)
-        if isinstance(a, BINARY_NODES):
-            return walk(a.left, b.left, env_a, env_b, depth) and walk(a.right, b.right, env_a, env_b, depth)
-        if isinstance(a, QUANTIFIER_NODES):
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[a.var] = depth
-            eb[b.var] = depth
-            return walk(a.body, b.body, ea, eb, depth + 1)
-        raise TypeError(f"not a formula: {a!r}")
-
-    def term_eq(x: Term, y: Term, env_a: dict[str, int], env_b: dict[str, int]) -> bool:
-        if type(x) is not type(y):
+        if isinstance(a, Atom) and (
+                a.predicate != b.predicate or len(a.args) != len(b.args)
+                or not all(term_eq(x, y, env_a, env_b) for x, y in zip(a.args, b.args))):
             return False
-        if isinstance(x, Variable):
-            # bound variables compare by binder depth, free ones by name
-            if x.name in env_a or y.name in env_b:
-                return env_a.get(x.name) == env_b.get(y.name)
-            return x.name == y.name
-        if isinstance(x, Constant):
-            return x.name == y.name
-        return (
-            x.name == y.name
-            and len(x.args) == len(y.args)
-            and all(term_eq(a, b, env_a, env_b) for a, b in zip(x.args, y.args))
-        )
-
-    return walk(f, g, {}, {}, 0)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,16 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "RunConfig":
+        """Read a JSON config file; raises ``ValueError`` on invalid JSON or values."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("a config file holds one JSON object")
         known = {f for f in cls.__dataclass_fields__}
         config = cls(**{k: v for k, v in data.items() if k in known})
         config.fallback = FallbackPolicy(config.fallback)
         Method(config.method)  # validate early
-        if config.parallelism < 1:
-            raise ValueError("parallelism must be ≥ 1")
+        if type(config.parallelism) is not int or config.parallelism < 1:
+            raise ValueError("parallelism must be an integer ≥ 1")
         return config
 
 

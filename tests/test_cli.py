@@ -280,6 +280,27 @@ class TestConfigAndAnnotations:
         record = json.loads((tmp_path / "override.jsonl").read_text().splitlines()[0])
         assert record["method"] == "naive"
 
+    @pytest.mark.parametrize("text", [
+        '{"parallelism": 0}',
+        '{"parallelism": "2"}',
+        '{"method": "bogus"}',
+        '{"fallback": "bogus"}',
+        '{"method": "cot",',
+        '["cot"]',
+    ], ids=["parallelism-zero", "parallelism-string", "unknown-method", "unknown-fallback", "invalid-json",
+            "not-an-object"])
+    def test_invalid_config_file_is_a_usage_error(self, runner, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "records.jsonl"
+        result = runner.invoke(main, [
+            "run", "--method", "cot", "--dataset", "minicorpus", "--replay",
+            "--config", str(config), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "invalid config file" in result.output
+        assert not out.exists()
+
     def test_eval_with_annotations(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"
         runner.invoke(main, [

@@ -367,9 +367,31 @@ class TestQuestionMode:
         ("Which one of the following CANNOT be true?", QuestionMode.CANNOT_BE_TRUE),
         ("which one could be true?", QuestionMode.COULD_BE_TRUE),
         ("Which of the following is true?", QuestionMode.MUST_BE_TRUE),
+        ("If every student except Kim attends, which must be true?", QuestionMode.MUST_BE_TRUE),
     ])
     def test_detection(self, question, mode):
         assert detect_question_mode(question) is mode
+
+    # x is 1 and y is free: A and E must be true, B and C may be, D cannot be
+    EXCEPT_QUERIES = [
+        ("A", Compare("x", "==", 1)), ("B", Compare("y", "==", 1)),
+        ("C", Compare("y", "==", 2)), ("D", Compare("x", "==", 2)),
+        ("E", Compare("x", "!=", 2)),
+    ]
+
+    @pytest.mark.parametrize("question,letters,answer", [
+        ("Each of the following could be true EXCEPT:", "ABCD", "D"),
+        ("Each of the following must be true EXCEPT:", "ABE", "B"),
+        ("If x is 1, which one of the following could be false?", "ABE", "B"),
+    ])
+    def test_except_and_could_be_false_forms(self, question, letters, answer):
+        verdict = evaluate_queries(CspModel(
+            domain_size=2,
+            variables=[("x", (1, 2)), ("y", (1, 2))],
+            constraints=[Compare("x", "==", 1)],
+            queries=[q for q in self.EXCEPT_QUERIES if q[0] in letters],
+        ))
+        assert select_answer(verdict, detect_question_mode(question)) == answer
 
 
 class TestBirdsModel:

@@ -11,7 +11,7 @@ from symchain.logic import (
     And, ArityMismatchError, Atom, Constant, Exists, ForAll, FunctionApp, Iff,
     Implies, InconsistencyError, KnowledgeBase, Label, LogicError, Not, Or,
     RangeRestrictionError, Rule, SignedLiteral, Variable, Xor, alpha_equal,
-    free_variables, kb_text, substitute,
+    free_variables, kb_text, subformulas, substitute,
 )
 
 import helpers
@@ -19,6 +19,26 @@ import helpers
 
 def atom(pred, *names):
     return Atom(pred, tuple(Variable(n) if n in ("x", "y", "z") else Constant(n) for n in names))
+
+
+class TestSubformulas:
+    def test_preorder_left_to_right_with_binders(self):
+        p, q, r = atom("P", "x"), atom("Q", "y"), atom("R", "x")
+        f = And(ForAll("x", Or(p, Exists("y", q))), Not(r))
+        got = [(g, dict(binders)) for g, binders in subformulas(f)]
+        assert got == [
+            (f, {}), (f.left, {}), (f.left.body, {"x": 0}), (p, {"x": 0}),
+            (f.left.body.right, {"x": 0}), (q, {"x": 0, "y": 1}), (f.right, {}), (r, {}),
+        ]
+
+    def test_a_shadowing_binder_keeps_its_own_depth(self):
+        f = ForAll("x", ForAll("x", ForAll("y", Atom("P", (Variable("x"), Variable("y"))))))
+        *_, (leaf, binders) = subformulas(f)
+        assert dict(binders) == {"x": 1, "y": 2}
+
+    def test_non_formula_raises_type_error(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            list(subformulas(And(atom("P", "a"), "Q(a)")))
 
 
 class TestFreeVariables:
@@ -72,6 +92,14 @@ class TestAlphaEqual:
         f = ForAll("x", Implies(atom("P", "x"), atom("Q", "x")))
         g = ForAll("y", Implies(atom("P", "y"), atom("Q", "y")))
         assert alpha_equal(f, g)
+
+    def test_shadowed_binders_compare_by_depth(self):
+        def xy(a, b):
+            return Atom("P", (Variable(a), Variable(b)))
+
+        f = ForAll("x", ForAll("x", ForAll("y", xy("x", "y"))))
+        assert alpha_equal(f, ForAll("x", ForAll("z", ForAll("y", xy("z", "y")))))
+        assert not alpha_equal(f, ForAll("x", ForAll("z", ForAll("y", xy("x", "y")))))
 
     def test_free_names_matter(self):
         assert not alpha_equal(atom("P", "x"), atom("P", "y"))
