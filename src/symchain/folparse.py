@@ -24,8 +24,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .logic import (
-    And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies, KnowledgeBase,
-    LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands, subformulas,
+    BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
+    KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands, subformulas,
 )
 
 
@@ -268,58 +268,38 @@ def _parse_formula(text: str, signature: Optional[dict[str, int]], terms: dict[s
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC = {Iff: 1, Implies: 2, Xor: 3, Or: 4, And: 5}
+_PREC = {Iff: 1, Implies: 2, Xor: 3, Or: 4, And: 5}  # atoms, negation, quantifiers: 6
 _SYMBOL = {Iff: "↔", Implies: "→", Xor: "⊕", Or: "∨", And: "∧"}
-_RIGHT_ASSOC = (Implies, Iff)
-
-
-def _prec(f: Formula) -> int:
-    for cls, p in _PREC.items():
-        if isinstance(f, cls):
-            return p
-    return 6  # atoms, negation, quantifiers bind tightest
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical Unicode rendering with minimal parentheses."""
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.predicate
-        return f"{f.predicate}({', '.join(str(a) for a in f.args)})"
-    if isinstance(f, Not):
-        inner = print_formula(f.body)
-        if _prec(f.body) < 6:
-            inner = f"({inner})"
-        return f"¬{inner}"
-    if isinstance(f, (ForAll, Exists)):
-        q = "∀" if isinstance(f, ForAll) else "∃"
-        inner = print_formula(f.body)
-        if _prec(f.body) < 6:
-            inner = f"({inner})"
-        return f"{q}{f.var} {inner}"
-    p = _prec(f)
-    sym = _SYMBOL[type(f)]
-    if type(f) in _RIGHT_ASSOC:
-        left = print_formula(f.left)
-        if _prec(f.left) <= p:
-            left = f"({left})"
-        right = print_formula(f.right)
-        if _prec(f.right) < p:
-            right = f"({right})"
-        return f"{left} {sym} {right}"
-    # a left-associative chain prints its left spine in a loop, not by
-    # recursion, so a flat chain of thousands of operands prints
-    rights = []
-    while type(f.left) is type(f):
-        rights.append(f.right)
-        f = f.left
-    rights.append(f.right)
-    left = print_formula(f.left)
-    parts = [f"({left})" if _prec(f.left) < p else left]
-    for g in reversed(rights):
-        text = print_formula(g)
-        parts.append(f"({text})" if _prec(g) <= p else text)
-    return f" {sym} ".join(parts)
+    """Canonical Unicode rendering with minimal parentheses.
+
+    A fold over the preorder of ``subformulas``, read from its end: a node's
+    children are the top entries of a stack of ``(text, precedence)``, so no
+    formula shape recurses.  → and ↔ associate to the right, the others to
+    the left, and an operand on the associative side of an equal-precedence
+    node is left bare.
+    """
+    nodes = [g for g, _ in subformulas(f)]
+    stack: list[tuple[str, int]] = []
+    for g in reversed(nodes):
+        if isinstance(g, Atom):
+            stack.append((f"{g.predicate}({', '.join(map(str, g.args))})" if g.args else g.predicate, 6))
+        elif isinstance(g, BINARY_NODES):
+            p = _PREC[type(g)]
+            right_assoc = isinstance(g, (Implies, Iff))
+            (left, left_p), (right, right_p) = stack.pop(), stack.pop()
+            if left_p < p + right_assoc:
+                left = f"({left})"
+            if right_p < p + (not right_assoc):
+                right = f"({right})"
+            stack.append((f"{left} {_SYMBOL[type(g)]} {right}", p))
+        else:
+            body, body_p = stack.pop()
+            prefix = "¬" if isinstance(g, Not) else f"{'∀' if isinstance(g, ForAll) else '∃'}{g.var} "
+            stack.append((prefix + (body if body_p == 6 else f"({body})"), 6))
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ table of schemas in the formula notation (``"p; p → q ⊢ q"``), parsed at
 import and matched up to alpha-equivalence; truth tables confirm the
 propositional steps.  The quantifier rules compare the conclusion with
 ``substitute``-made instances, which cannot capture a variable.  Atoms and
-terms are collected, and alpha-equivalence decided, over the one formula
-walk ``logic.subformulas``, which uses a stack, so a step over a chain of
-thousands of operands is checked without recursion.
+terms are collected, alpha-equivalence decided and the strong-Kleene value
+folded over the one formula traversal, ``logic.subformulas``, which uses a
+stack, so a step over a chain or a nesting of thousands of levels is
+checked without recursion.
 
 ``forward_chain`` computes the least fixpoint of horn rule application by
 semi-naive evaluation.  Its core, ``_saturate``, runs the rounds over
@@ -32,8 +33,7 @@ from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
     BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
     InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule,
-    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, kb_text, operands, substitute,
-    subformulas,
+    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, kb_text, substitute, subformulas,
 )
 
 
@@ -71,33 +71,37 @@ class StepVerdict:
 def _kleene(f: Formula, value_of: Callable[[Atom], Optional[bool]]) -> Optional[bool]:
     """Strong-Kleene value of ``f`` (None is unknown), atoms valued by ``value_of``.
 
-    Every operand is evaluated, left first, so the leftmost one's error is
-    raised.  A chain of ∧, ∨ or ⊕ is evaluated as one flat list of operands,
-    which keeps a chain of thousands within the recursion limit; the three
-    connectives are associative, so the value is the same.
+    The atoms are valued in the preorder of ``subformulas``, left first, so
+    the leftmost one's error, or a quantifier before it, is raised.  The
+    preorder is then folded from its end: a node's operands are the top
+    values of a stack, so no formula shape recurses.
     """
-    if isinstance(f, Atom):
-        return value_of(f)
-    if isinstance(f, Not):
-        inner = _kleene(f.body, value_of)
-        return None if inner is None else not inner
-    if not isinstance(f, BINARY_NODES):
-        raise UnsupportedFragmentError("quantified statements are not auto-decided")
-    if isinstance(f, (And, Or, Xor)):
-        values = [_kleene(g, value_of) for g in operands(f, type(f))]
-    else:
-        values = [_kleene(f.left, value_of), _kleene(f.right, value_of)]
-    if isinstance(f, (Iff, Xor)):
-        if None in values:
-            return None
-        return (sum(values) % 2 == 1) == isinstance(f, Xor)  # an odd count of true operands
-    if isinstance(f, Implies) and values[0] is not None:
-        values[0] = not values[0]  # φ → ψ is ¬φ ∨ ψ
-    # a conjunction is decided by a false operand, a disjunction by a true one
-    decisive = isinstance(f, (Or, Implies))
-    if decisive in values:
-        return decisive
-    return None if None in values else not decisive
+    nodes, atom_values = [], []
+    for g, _ in subformulas(f):
+        if isinstance(g, Atom):
+            atom_values.append(value_of(g))
+        elif not isinstance(g, (Not, *BINARY_NODES)):
+            raise UnsupportedFragmentError("quantified statements are not auto-decided")
+        nodes.append(g)
+    stack: list[Optional[bool]] = []
+    for g in reversed(nodes):
+        if isinstance(g, Atom):
+            value = atom_values.pop()
+        elif isinstance(g, Not):
+            value = stack.pop()
+            value = None if value is None else not value
+        else:
+            values = [stack.pop(), stack.pop()]
+            if isinstance(g, (Iff, Xor)):
+                value = None if None in values else (values[0] == values[1]) != isinstance(g, Xor)
+            else:
+                if isinstance(g, Implies) and values[0] is not None:
+                    values[0] = not values[0]  # φ → ψ is ¬φ ∨ ψ
+                # a conjunction is decided by a false operand, a disjunction by a true one
+                decisive = isinstance(g, (Or, Implies))
+                value = decisive if decisive in values else None if None in values else not decisive
+        stack.append(value)
+    return stack[0]
 
 
 def _atoms_of(f: Formula) -> set[Atom]:

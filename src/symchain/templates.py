@@ -292,7 +292,9 @@ _BODIES = {
     ("csp", Stage.COT): _COT,
 }
 
-_PLACEHOLDER_RE = re.compile(r"(?<!\{)\{([a-z_]+)\}(?!\})")
+# a doubled brace is an escaped one (group 1 empty); a placeholder touches no other brace.
+# Every branch starts with a brace, so a search skips straight to the next one.
+_PLACEHOLDER_RE = re.compile(r"\{\{|\}\}|\{(?<!\{\{)([a-z_]+)\}(?!\})")
 
 _DEMO_SPLIT_RE = re.compile(r"^=== demo\s*$", re.MULTILINE)
 _DEMO_IO_RE = re.compile(r"^--- input\s*\n(?P<input>.*?)^--- output\s*\n(?P<output>.*)\Z", re.DOTALL | re.MULTILINE)
@@ -325,13 +327,11 @@ class PromptTemplate:
             demo_text += f"Example:\n{demo_in.rstrip()}\n\n{demo_out.rstrip()}\n\n---\n\n"
         values = dict(bindings)
         values["demos"] = demo_text
-        needed = set(_PLACEHOLDER_RE.findall(self.text))
-        missing = needed - values.keys()
+        missing = set(_PLACEHOLDER_RE.findall(self.text)) - values.keys() - {""}
         if missing:
             raise TemplateError(f"bindings missing for placeholders: {sorted(missing)}")
-        # single pass: substituted values are never re-scanned
-        out = _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], self.text)
-        return out.replace("{{", "{").replace("}}", "}")
+        # one pass over the template's own text: values are neither re-scanned nor unescaped
+        return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)] if m.group(1) else m.group()[0], self.text)
 
 
 def parse_demo_file(text: str) -> list[tuple[str, str]]:

@@ -382,3 +382,13 @@ class TestTemplates:
         assert "{context}" not in prompt
         # escaped braces render literally for the answer-format instruction
         assert "{true/false/unknown}" in prompt
+
+    def test_render_keeps_substituted_braces_verbatim(self):
+        template = TemplateCatalog().get(Stage.SOLVER, Family.FOL_PROOFWRITER)
+        context = "Sets like {{a}} and }} stay"
+        prompt = template.render({
+            "context": context, "question": "{{QQ}}", "options": "",
+            "premises_sym": "{SYM}}", "plan": "{{{plan}}}",
+        })
+        for piece in (context, "{{QQ}}", "{SYM}}", "{{{plan}}}", "{true/false/unknown}"):
+            assert piece in prompt

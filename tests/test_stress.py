@@ -13,40 +13,47 @@ import pytest
 from symchain.folparse import print_formula
 from symchain.inference import check_step, eval_formula, is_propositional, truth_table_entails
 from symchain.logic import (
-    And, Atom, Constant, ForAll, Implies, InferenceRule, Not, Or, Variable, Xor,
+    And, Atom, Constant, ForAll, Iff, Implies, InferenceRule, Not, Or, Variable, Xor,
     alpha_equal, free_variables, substitute,
 )
 
-CHAIN = 1500  # operands of a flat chain, built left-deep as the parser builds it
-NEST = 400  # levels of ¬, and of parentheses around a right operand
+SIZE = 1500  # operands of a binary shape, levels of ¬
 TIME_BOUND_S = 1.0
 
 P_A = Atom("P", (Constant("a"),))
 Q = Atom("Q")
-CHAINS = {"and": (And, "∧"), "or": (Or, "∨"), "xor": (Xor, "⊕")}
+# name: (connective, symbol, the side the shape nests on); a flat ∧, ∨ or ⊕
+# chain nests left, as the parser builds it; all are built with the constructors
+BINARY = {
+    "and": (And, "∧", "left"), "or": (Or, "∨", "left"), "xor": (Xor, "⊕", "left"),
+    "parens": (And, "∧", "right"), "implies": (Implies, "→", "right"), "iff": (Iff, "↔", "right"),
+    "implies_left": (Implies, "→", "left"),
+}
 
 
 def shape(name: str, leaf: Atom):
     f = leaf
-    if name in CHAINS:
-        for _ in range(CHAIN - 1):
-            f = CHAINS[name][0](f, leaf)
-    elif name == "not":
-        for _ in range(NEST):
+    if name == "not":
+        for _ in range(SIZE):
             f = Not(f)
-    else:  # "parens": P ∧ (P ∧ (… ∧ (P ∧ P)))
-        for _ in range(NEST):
-            f = And(leaf, f)
+        return f
+    node, _, side = BINARY[name]
+    for _ in range(SIZE - 1):
+        f = node(f, leaf) if side == "left" else node(leaf, f)
     return f
 
 
 def printed(name: str) -> str:
     """``print_formula`` of the shape over P(a)."""
-    if name in CHAINS:
-        return f" {CHAINS[name][1]} ".join(["P(a)"] * CHAIN)
     if name == "not":
-        return "¬" * NEST + "P(a)"
-    return "P(a) ∧ (" * (NEST - 1) + "P(a) ∧ P(a)" + ")" * (NEST - 1)
+        return "¬" * SIZE + "P(a)"
+    node, symbol, side = BINARY[name]
+    if (side == "right") == (node in (Implies, Iff)):  # nested on the side it associates to
+        return f" {symbol} ".join(["P(a)"] * SIZE)
+    inner = f"P(a) {symbol} P(a)"
+    if side == "left":  # ((P(a) → P(a)) → P(a)) → … → P(a)
+        return "(" * (SIZE - 2) + inner + f") {symbol} P(a)" * (SIZE - 2)
+    return f"P(a) {symbol} (" * (SIZE - 2) + inner + ")" * (SIZE - 2)  # P(a) ∧ (… ∧ (P(a) ∧ P(a)))
 
 
 # function: (shape name, the shape over P(a), over P(x), over P(y)) → whether the result is right
@@ -61,6 +68,8 @@ CASES = {
         check_step([fa], InferenceRule.AND_ELIM, P_A).valid == (s in ("and", "parens"))),
     "check_step ModusPonens": lambda s, fa, fx, fy: (
         check_step([fa, Implies(fa, Q)], InferenceRule.MODUS_PONENS, Q).valid),
+    "check_step ModusPonens to the shape": lambda s, fa, fx, fy: (
+        check_step([P_A, Implies(P_A, fa)], InferenceRule.MODUS_PONENS, fa).valid),
     "check_step UniversalInstantiation": lambda s, fa, fx, fy: (
         check_step([ForAll("x", fx)], InferenceRule.UNIVERSAL_INSTANTIATION, fa).valid),
     "print_formula": lambda s, fa, fx, fy: print_formula(fa) == printed(s),
@@ -70,7 +79,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("function", list(CASES))
-@pytest.mark.parametrize("name", [*CHAINS, "not", "parens"])
+@pytest.mark.parametrize("name", [*BINARY, "not"])
 def test_formula_entry_point_on_shape(name, function):
     fa, fx, fy = (shape(name, Atom("P", (t,))) for t in (Constant("a"), Variable("x"), Variable("y")))
     started = time.perf_counter()
