@@ -16,10 +16,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .folparse import NAME_START, ParseDiagnostic, ParseError, TokenCursor, read_sections
-from .logic import LogicError, operands
+from .logic import LogicError
 
 
 class CspError(LogicError):
@@ -101,25 +101,40 @@ class CNot:
 
 
 ConstraintExpr = Union[Compare, AbsDiffNotEqual, AllDifferent, CImplies, CAnd, COr, CNot]
+_BOOLEAN = (CImplies, CAnd, COr, CNot)
+
+
+def _walk(expr: ConstraintExpr) -> Iterator[ConstraintExpr]:
+    """Each node of ``expr`` in preorder, left to right, walked with a stack;
+    raises ``CspError`` on a non-expression, after yielding it."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, CImplies):
+            stack += [e.then, e.cond]
+        elif isinstance(e, (CAnd, COr)):
+            stack += [e.right, e.left]
+        elif isinstance(e, CNot):
+            stack.append(e.body)
+        elif not isinstance(e, (Compare, AbsDiffNotEqual, AllDifferent)):
+            raise CspError(f"not a constraint expression: {e!r}")
 
 
 def expr_variables(expr: ConstraintExpr) -> set[str]:
-    if isinstance(expr, Compare):
-        return {t for t in (expr.lhs, expr.rhs) if isinstance(t, str)}
-    if isinstance(expr, AbsDiffNotEqual):
-        return {expr.var_a, expr.var_b}
-    if isinstance(expr, AllDifferent):
-        return set(expr.names)
-    if isinstance(expr, CImplies):
-        return expr_variables(expr.cond) | expr_variables(expr.then)
-    if isinstance(expr, (CAnd, COr)):
-        return set().union(*map(expr_variables, operands(expr, type(expr))))
-    if isinstance(expr, CNot):
-        return expr_variables(expr.body)
-    raise CspError(f"not a constraint expression: {expr!r}")
+    out: set[str] = set()
+    for e in _walk(expr):
+        if isinstance(e, Compare):
+            out.update(t for t in (e.lhs, e.rhs) if isinstance(t, str))
+        elif isinstance(e, AbsDiffNotEqual):
+            out.update((e.var_a, e.var_b))
+        elif isinstance(e, AllDifferent):
+            out.update(e.names)
+    return out
 
 
 def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
+    """The value of ``expr`` under ``assignment``, left first and short-circuiting."""
     if isinstance(expr, Compare):
         lhs = assignment[expr.lhs] if isinstance(expr.lhs, str) else expr.lhs
         rhs = assignment[expr.rhs] if isinstance(expr.rhs, str) else expr.rhs
@@ -129,45 +144,48 @@ def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
     if isinstance(expr, AllDifferent):
         values = [assignment[n] for n in expr.names]
         return len(set(values)) == len(values)
-    if isinstance(expr, CImplies):
-        return (not eval_expr(expr.cond, assignment)) or eval_expr(expr.then, assignment)
-    if isinstance(expr, (CAnd, COr)):
-        leftmost, nodes = _spine(expr)
-        value = eval_expr(leftmost, assignment)
-        for node in nodes:  # left first: past an `and` while true, past an `or` while false
-            if value == isinstance(node, CAnd):
-                value = eval_expr(node.right, assignment)
-        return value
-    if isinstance(expr, CNot):
-        return not eval_expr(expr.body, assignment)
-    raise CspError(f"not a constraint expression: {expr!r}")
-
-
-def _spine(expr: Union[CAnd, COr]) -> tuple[ConstraintExpr, list[Union[CAnd, COr]]]:
-    """A left-deep chain's leftmost operand and its nodes, innermost first, walked in a loop."""
-    nodes = []
-    while isinstance(expr, (CAnd, COr)):
-        nodes.append(expr)
-        expr = expr.left
-    return expr, nodes[::-1]
+    if not isinstance(expr, _BOOLEAN):
+        raise CspError(f"not a constraint expression: {expr!r}")
+    # the boolean nodes waiting on their first operand, innermost last; one
+    # that the operand leaves undecided is replaced by its second operand
+    waiting: list[ConstraintExpr] = []
+    while True:
+        while isinstance(expr, _BOOLEAN):
+            waiting.append(expr)
+            expr = expr.body if isinstance(expr, CNot) else expr.cond if isinstance(expr, CImplies) else expr.left
+        value = eval_expr(expr, assignment)
+        while waiting:
+            node = waiting.pop()
+            if isinstance(node, CNot):
+                value = not value
+            elif value == isinstance(node, (CAnd, CImplies)):  # a true and/-> operand, a false or operand
+                expr = node.then if isinstance(node, CImplies) else node.right
+                break
+            elif isinstance(node, CImplies):
+                value = True  # a false condition
+        else:
+            return value
 
 
 def print_expr(expr: ConstraintExpr) -> str:
-    if isinstance(expr, Compare):
-        return f"{expr.lhs} {expr.op} {expr.rhs}"
-    if isinstance(expr, AbsDiffNotEqual):
-        return f"|{expr.var_a} - {expr.var_b}| != {expr.k}"
-    if isinstance(expr, AllDifferent):
-        return f"AllDifferentConstraint([{', '.join(expr.names)}])"
-    if isinstance(expr, CImplies):
-        return f"({print_expr(expr.cond)}) -> ({print_expr(expr.then)})"
-    if isinstance(expr, (CAnd, COr)):
-        leftmost, nodes = _spine(expr)
-        return "(" * len(nodes) + print_expr(leftmost) + "".join(
-            f" {'and' if isinstance(node, CAnd) else 'or'} {print_expr(node.right)})" for node in nodes)
-    if isinstance(expr, CNot):
-        return f"not ({print_expr(expr.body)})"
-    raise CspError(f"not a constraint expression: {expr!r}")
+    """The text of ``expr``: a fold over the preorder of its nodes, read from
+    its end, so a node's operands are the top entries of a stack."""
+    texts: list[str] = []
+    for e in reversed(list(_walk(expr))):
+        if isinstance(e, Compare):
+            text = f"{e.lhs} {e.op} {e.rhs}"
+        elif isinstance(e, AbsDiffNotEqual):
+            text = f"|{e.var_a} - {e.var_b}| != {e.k}"
+        elif isinstance(e, AllDifferent):
+            text = f"AllDifferentConstraint([{', '.join(e.names)}])"
+        elif isinstance(e, CNot):
+            text = f"not ({texts.pop()})"
+        else:
+            first, second = texts.pop(), texts.pop()
+            text = (f"({first}) -> ({second})" if isinstance(e, CImplies)
+                    else f"({first} {'and' if isinstance(e, CAnd) else 'or'} {second})")
+        texts.append(text)
+    return texts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,32 +508,31 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
                     other for other in expr.names if position[other] < position[name])
 
     solutions: list[dict[str, int]] = []
-    truncated = False
     assignment: dict[str, int] = {}
 
-    def backtrack(i: int) -> bool:
-        nonlocal truncated
-        if i == len(names):
+    # the search stack: per variable from the first to the one being
+    # assigned, its values left to try and the values already taken.  Values
+    # of variables past the top stay in ``assignment`` unread, as a
+    # constraint is checked at its last variable.
+    levels = [(iter(domains[0]), set())] if names else []
+    while levels:
+        i = len(levels) - 1
+        values, taken = levels[i]
+        for value in values:
+            if value not in taken:
+                assignment[names[i]] = value
+                if all(eval_expr(c, assignment) for c in checks[i]):
+                    break
+        else:
+            levels.pop()  # every value tried: back to the previous variable
+            continue
+        if i + 1 < len(names):
+            levels.append((iter(domains[i + 1]), {assignment[name] for name in distinct_from[i + 1]}))
+        else:
             solutions.append(dict(assignment))
             if limit is not None and len(solutions) >= limit:
-                truncated = True
-                return False
-            return True
-        taken = {assignment[name] for name in distinct_from[i]}
-        for value in domains[i]:
-            if value in taken:
-                continue
-            assignment[names[i]] = value
-            if all(eval_expr(c, assignment) for c in checks[i]):
-                if not backtrack(i + 1):
-                    del assignment[names[i]]
-                    return False
-            del assignment[names[i]]
-        return True
-
-    if names:
-        backtrack(0)
-    return SolveResult(tuple(solutions), truncated)
+                return SolveResult(tuple(solutions), True)
+    return SolveResult(tuple(solutions), False)
 
 
 class OptionStatus(str, Enum):

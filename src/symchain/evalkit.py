@@ -360,30 +360,19 @@ def _render_csv(report: EvalReport) -> str:
 
 
 def render_comparison(reports: Sequence[EvalReport]) -> str:
-    """Markdown comparison: one accuracy row per method, datasets as columns,
-    followed by the detail sections of each report."""
+    """Markdown comparison: accuracy and execution-rate tables with one row
+    per method and datasets as columns, followed by the detail sections of
+    each report."""
     datasets = sorted({name for report in reports for name in report.datasets})
-    lines = ["# Evaluation report", "", "## Accuracy (%)", ""]
-    lines.append("| Method | " + " | ".join(datasets) + " |")
-    lines.append("|---" * (len(datasets) + 1) + "|")
-    for report in reports:
-        cells = []
-        for name in datasets:
-            d = report.datasets.get(name)
-            cells.append(_pct(d.accuracy) if d is not None else "-")
-        lines.append(f"| {report.method} | " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("## Execution rate (%)")
-    lines.append("")
-    lines.append("| Method | " + " | ".join(datasets) + " |")
-    lines.append("|---" * (len(datasets) + 1) + "|")
-    for report in reports:
-        cells = []
-        for name in datasets:
-            d = report.datasets.get(name)
-            cells.append(_pct(d.execution_rate) if d is not None else "-")
-        lines.append(f"| {report.method} | " + " | ".join(cells) + " |")
-    lines.append("")
+    lines = ["# Evaluation report", ""]
+    for title, metric in (("Accuracy", "accuracy"), ("Execution rate", "execution_rate")):
+        lines += [f"## {title} (%)", "", "| Method | " + " | ".join(datasets) + " |",
+                  "|---" * (len(datasets) + 1) + "|"]
+        for report in reports:
+            cells = [_pct(getattr(report.datasets[name], metric)) if name in report.datasets else "-"
+                     for name in datasets]
+            lines.append(f"| {report.method} | " + " | ".join(cells) + " |")
+        lines.append("")
     for report in reports:
         for name in sorted(report.datasets):
             d = report.datasets[name]

@@ -7,9 +7,10 @@ import and matched up to alpha-equivalence; truth tables confirm the
 propositional steps.  The quantifier rules compare the conclusion with
 ``substitute``-made instances, which cannot capture a variable.  Atoms and
 terms are collected, alpha-equivalence decided and the strong-Kleene value
-folded over the one formula traversal, ``logic.subformulas``, which uses a
-stack, so a step over a chain or a nesting of thousands of levels is
-checked without recursion.
+folded over the one formula traversal, ``logic.subformulas``, and the one
+term traversal, ``logic.subterms``, which use stacks, so a step over a
+chain, a nesting or a term of thousands of levels is checked without
+recursion.
 
 ``forward_chain`` computes the least fixpoint of horn rule application by
 semi-naive evaluation.  Its core, ``_saturate``, runs the rounds over
@@ -31,9 +32,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .folparse import formula_to_literal, parse_formula, print_formula
 from .logic import (
-    BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
-    InconsistencyError, InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule,
-    SignedLiteral, Term, Variable, Xor, alpha_equal, free_variables, kb_text, substitute, subformulas,
+    BINARY_NODES, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, InconsistencyError,
+    InferenceRule, KnowledgeBase, Label, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable,
+    Xor, alpha_equal, free_variables, kb_text, substitute, subformulas, subterms,
 )
 
 
@@ -224,15 +225,13 @@ def _bind(schema: Formula, f: Formula, env: dict[str, Formula]) -> bool:
     return _bind(schema.left, f.left, env) and _bind(schema.right, f.right, env)
 
 
-def _subterms(f: Formula) -> Iterator[Term]:
-    for g, _ in subformulas(f):
+def _terms_of(f: Formula) -> Iterator[tuple[Term, Mapping[str, int]]]:
+    """Each term of ``f``'s atoms, in the preorder of ``subterms`` within the
+    preorder of ``subformulas``, with its binders."""
+    for g, binders in subformulas(f):
         if isinstance(g, Atom):
-            stack = list(g.args)
-            while stack:
-                t = stack.pop()
-                yield t
-                if isinstance(t, FunctionApp):
-                    stack.extend(t.args)
+            for t in subterms(g.args):
+                yield t, binders
 
 
 def _instance_term(body: Formula, var: str, candidate: Formula) -> Optional[Term]:
@@ -241,11 +240,16 @@ def _instance_term(body: Formula, var: str, candidate: Formula) -> Optional[Term
     ``substitute`` renames a binder of ``body`` that would capture t, so a
     candidate whose t is bound inside it never matches.  When ``var`` does
     not occur free, any t will do and the variable itself is returned.
+    Otherwise only one t can match: the candidate's term at the place of
+    the first free occurrence of ``var``, as nothing before it changes.
     """
-    if var not in free_variables(body):
+    at = next((i for i, (t, binders) in enumerate(_terms_of(body))
+               if isinstance(t, Variable) and t.name == var and var not in binders), None)
+    if at is None:
         return Variable(var) if alpha_equal(body, candidate) else None
-    return next((t for t in _subterms(candidate) if alpha_equal(substitute(body, var, t), candidate)),
-                None)
+    for t, _ in itertools.islice(_terms_of(candidate), at, at + 1):
+        return t if alpha_equal(substitute(body, var, t), candidate) else None
+    return None
 
 
 def _match_quantifier(premise: Formula, rule: InferenceRule, conclusion: Formula,

@@ -72,6 +72,8 @@ class Constant:
 
 @dataclass(frozen=True, slots=True)
 class FunctionApp:
+    """A function applied to terms; ``str``, ``==`` and ``hash`` walk ``subterms``."""
+
     name: str
     args: tuple["Term", ...]
 
@@ -82,35 +84,50 @@ class FunctionApp:
             raise LogicError(f"function {self.name!r} must have at least one argument")
 
     def __str__(self):
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
+        return _fold_term(self, str, lambda t, args: f"{t.name}({', '.join(args)})")
+
+    def __eq__(self, other):
+        return self._shape() == other._shape() if type(other) is FunctionApp else NotImplemented
+
+    def __hash__(self):
+        return hash(self._shape())
+
+    def _shape(self) -> tuple:
+        """Type, name and arity of each node in preorder: the arities fix the tree."""
+        return tuple([(type(t), t.name, len(t.args) if isinstance(t, FunctionApp) else 0)
+                      for t in subterms((self,))])
 
 
 Term = Union[Variable, Constant, FunctionApp]
 
 
-def term_variables(t: Term) -> set[str]:
-    if isinstance(t, Variable):
-        return {t.name}
-    if isinstance(t, Constant):
-        return set()
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
+def subterms(terms: Iterable[Term]) -> Iterator[Term]:
+    """Each of ``terms`` and every argument below it, in preorder, left to
+    right, walked with a stack: a term thousands of levels deep is fine."""
+    for root in terms:
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            yield t
+            if isinstance(t, FunctionApp):
+                stack += t.args[::-1]
 
 
-def term_is_ground(t: Term) -> bool:
-    if isinstance(t, FunctionApp):
-        return all(term_is_ground(a) for a in t.args)
-    return isinstance(t, Constant)
+def _fold_term(t: Term, leaf: Callable[[Term], object],
+               app: Callable[[FunctionApp, list], object]) -> object:
+    """``t`` folded bottom-up: ``leaf`` of a variable or constant, ``app`` of an
+    application and its arguments' values, the top entries of a stack as
+    the preorder of ``subterms`` is read from its end."""
+    values: list = []
+    for s in reversed(list(subterms((t,)))):
+        values.append(app(s, [values.pop() for _ in s.args]) if isinstance(s, FunctionApp) else leaf(s))
+    return values[0]
 
 
 def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
-    if isinstance(t, Variable):
-        return mapping.get(t.name, t)
-    if isinstance(t, Constant):
-        return t
-    return FunctionApp(t.name, tuple(substitute_term(a, mapping) for a in t.args))
+    """``t`` with each variable that ``mapping`` names replaced, rebuilt with a stack."""
+    return _fold_term(t, lambda s: mapping.get(s.name, s) if isinstance(s, Variable) else s,
+                      lambda s, args: FunctionApp(s.name, tuple(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +239,8 @@ def subformulas(f: Formula) -> Iterator[tuple[Formula, Mapping[str, int]]]:
 
 def free_variables(f: Formula) -> set[str]:
     """Variables occurring in ``f`` that no enclosing quantifier binds."""
-    return {name for g, binders in subformulas(f) if isinstance(g, Atom)
-            for t in g.args for name in term_variables(t) if name not in binders}
+    return {t.name for g, binders in subformulas(f) if isinstance(g, Atom)
+            for t in subterms(g.args) if isinstance(t, Variable) and t.name not in binders}
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -243,7 +260,7 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
     variable of ``t`` are renamed to a fresh name first, so capture can
     never occur.  The tree is rebuilt with a stack, not by recursion.
     """
-    t_vars = term_variables(t)
+    t_vars = {s.name for s in subterms((t,)) if isinstance(s, Variable)}
     # (formula, None) is to rewrite; (node, make) rebuilds the node by
     # ``make`` from its rewritten children, the last entries of ``done``
     todo: list[tuple[Formula, Optional[Callable[..., Formula]]]] = [(f, None)]
@@ -281,22 +298,20 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     The two preorder walks are compared node by node.  Each node type has a
     fixed number of children, so equal node sequences mean equal shapes.
     """
-
-    def term_eq(x: Term, y: Term, env_a: Mapping[str, int], env_b: Mapping[str, int]) -> bool:
-        if isinstance(x, Variable) and isinstance(y, Variable) and (x.name in env_a or y.name in env_b):
-            return env_a.get(x.name) == env_b.get(y.name)  # bound variables compare by binder depth
-        if type(x) is not type(y) or x.name != y.name:
-            return False
-        return not isinstance(x, FunctionApp) or len(x.args) == len(y.args) and all(
-            term_eq(a, b, env_a, env_b) for a, b in zip(x.args, y.args))
-
     for (a, env_a), (b, env_b) in zip(subformulas(f), subformulas(g)):
         if type(a) is not type(b):
             return False
-        if isinstance(a, Atom) and (
-                a.predicate != b.predicate or len(a.args) != len(b.args)
-                or not all(term_eq(x, y, env_a, env_b) for x, y in zip(a.args, b.args))):
+        if not isinstance(a, Atom):
+            continue
+        if a.predicate != b.predicate or len(a.args) != len(b.args):
             return False
+        for x, y in zip(subterms(a.args), subterms(b.args)):  # the term walks, node by node too
+            if isinstance(x, Variable) and isinstance(y, Variable) and (x.name in env_a or y.name in env_b):
+                if env_a.get(x.name) != env_b.get(y.name):  # bound variables compare by binder depth
+                    return False
+            elif type(x) is not type(y) or x.name != y.name or (
+                    isinstance(x, FunctionApp) and len(x.args) != len(y.args)):
+                return False
     return True
 
 
@@ -328,16 +343,13 @@ class SignedLiteral:
 
     @property
     def is_ground(self) -> bool:
-        return all(term_is_ground(a) for a in self.args)
+        return Variable not in map(type, subterms(self.args))
 
     def negated(self) -> "SignedLiteral":
         return SignedLiteral(self.predicate, self.args, not self.polarity)
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for a in self.args:
-            out |= term_variables(a)
-        return out
+        return {t.name for t in subterms(self.args) if isinstance(t, Variable)}
 
     def substitute(self, mapping: Mapping[str, Term]) -> "SignedLiteral":
         return SignedLiteral(

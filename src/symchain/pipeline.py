@@ -22,7 +22,7 @@ from . import csp as cspmod
 from . import inference
 from .corpus import Problem
 from .folparse import ParseDiagnostic, ParseError, Severity, TranslationBlock, parse_translation_block
-from .gateway import Backend, CompletionRequest, GatewayError
+from .gateway import Backend, CompletionRequest
 from .logic import Label, LogicError
 from .templates import PromptTemplate, Stage, TemplateCatalog
 
@@ -79,8 +79,12 @@ class RunConfig:
         config = cls(**{k: v for k, v in data.items() if k in known})
         config.fallback = FallbackPolicy(config.fallback)
         Method(config.method)  # validate early
-        if type(config.parallelism) is not int or config.parallelism < 1:
-            raise ValueError("parallelism must be an integer ≥ 1")
+        for name, kind, least in (("parallelism", int, 1), ("few_shot", int, 0),
+                                  ("max_tokens", int, 1), ("temperature", float, 0)):
+            value = getattr(config, name)
+            # bool is an int subclass, so types are compared exactly; NaN fails the bound
+            if type(value) not in (int, kind) or not value >= least:
+                raise ValueError(f"{name} must be {'a number' if kind is float else 'an integer'} ≥ {least}")
         return config
 
 
@@ -371,19 +375,21 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
     The verifier's extracted label overrides the solver's whenever present.
     ``executed`` reports whether the symbolic path (or, for LLM-final
     methods, answer extraction) succeeded; when false, the configured
-    fallback policy decides the final label.
+    fallback policy decides the final label.  Any exception, a
+    ``GatewayError`` or another, ends the run unexecuted: the record names
+    it and keeps the stages completed before it.
     """
-    catalog = catalog or TemplateCatalog(config.template_dir, config.demo_dir)
     start = time.perf_counter()
     stages: list[StageRecord] = []
-    bindings = _base_bindings(problem)
-    space = _surface_space(problem)
-    family = problem.family
     error: Optional[str] = None
     final = Label.UNDECIDED
     executed = False
 
     try:
+        catalog = catalog or TemplateCatalog(config.template_dir, config.demo_dir)
+        bindings = _base_bindings(problem)
+        space = _surface_space(problem)
+        family = problem.family
         if method in (Method.NAIVE, Method.COT):
             stage = Stage.NAIVE if method is Method.NAIVE else Stage.COT
             record = run_stage(catalog.get(stage, family), bindings, gateway, config, space)
@@ -416,7 +422,7 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
             executed = final is not Label.UNDECIDED
         if not executed:
             final = _fallback_label(problem, config, gateway, catalog, stages)
-    except GatewayError as err:
+    except Exception as err:  # no exception crosses the batch
         error = f"{type(err).__name__}: {err}"
         final = Label.UNDECIDED
         executed = False
@@ -443,18 +449,7 @@ def run_batch(problems: Sequence[Problem], method: Method, config: RunConfig, ga
     catalog = TemplateCatalog(config.template_dir, config.demo_dir)
 
     def one(problem: Problem) -> RunRecord:
-        try:
-            record = run_problem(problem, method, config, gateway, catalog)
-        except Exception as err:  # total isolation: no exception crosses the batch
-            record = RunRecord(
-                problem_id=problem.id,
-                dataset=problem.dataset,
-                method=method,
-                stages=[],
-                executed=False,
-                final_label=Label.UNDECIDED,
-                error=f"{type(err).__name__}: {err}",
-            )
+        record = run_problem(problem, method, config, gateway, catalog)
         if progress is not None:
             progress(record)
         return record

@@ -287,8 +287,19 @@ class TestConfigAndAnnotations:
         '{"fallback": "bogus"}',
         '{"method": "cot",',
         '["cot"]',
+        '{"few_shot": -1}',
+        '{"few_shot": "2"}',
+        '{"few_shot": true}',
+        '{"max_tokens": 0}',
+        '{"max_tokens": 1.5}',
+        '{"temperature": -1}',
+        '{"temperature": "0.2"}',
+        '{"temperature": false}',
+        '{"temperature": NaN}',
     ], ids=["parallelism-zero", "parallelism-string", "unknown-method", "unknown-fallback", "invalid-json",
-            "not-an-object"])
+            "not-an-object", "few-shot-negative", "few-shot-string", "few-shot-bool", "max-tokens-zero",
+            "max-tokens-float", "temperature-negative", "temperature-string", "temperature-bool",
+            "temperature-nan"])
     def test_invalid_config_file_is_a_usage_error(self, runner, tmp_path, text):
         config = tmp_path / "config.json"
         config.write_text(text)
@@ -300,6 +311,12 @@ class TestConfigAndAnnotations:
         assert result.exit_code == 2, result.output
         assert "invalid config file" in result.output
         assert not out.exists()
+
+    def test_least_generation_settings_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"few_shot": 0, "max_tokens": 1, "temperature": 0}')
+        settings = RunConfig.from_file(config)
+        assert (settings.few_shot, settings.max_tokens, settings.temperature) == (0, 1, 0)
 
     def test_eval_with_annotations(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"

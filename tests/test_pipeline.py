@@ -232,6 +232,21 @@ class TestRunBatch:
         assert sorted(seen) == sorted(p.id for p in corpus.problems[:4])
 
 
+    def test_a_stage_raising_keeps_the_stages_before_it(self, corpus, config):
+        class PlannerRaises(ScriptedCorpusBackend):
+            def complete(self, request):
+                if templates.STAGE_MARKERS[Stage.PLANNER] in request.messages[0][1]:
+                    raise ValueError("planner backend broke")
+                return super().complete(request)
+
+        problem = corpus.problem("arlsat-lockers")
+        (record,) = run_batch([problem], Method.SYMBCOT, config, PlannerRaises(corpus))
+        assert [s.stage for s in record.stages] == ["translator"]
+        assert record.stages[0].response == corpus.stage_text(problem.id, "translator")
+        assert record.error == "ValueError: planner backend broke"
+        assert not record.executed and record.final_label is Label.UNDECIDED
+        assert record.wall_time > 0
+
     def test_deeply_nested_translation_keeps_its_stages(self, corpus, config):
         problem = corpus.problem("proofwriter-anne-white")
         rule = "(" * 600 + "P($x, True) ⇒ Q($x, True)" + ")" * 600
