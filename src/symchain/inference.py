@@ -128,15 +128,18 @@ def eval_formula(f: Formula, model: Mapping[Atom, bool]) -> bool:
     return _kleene(f, model.__getitem__)
 
 
-def truth_table_entails(premises: Iterable[Formula], conclusion: Formula,
-                        max_atoms: int = 12) -> tuple[bool, Optional[dict[Atom, bool]]]:
+TRUTH_TABLE_MAX_ATOMS = 12  # 4,096 rows
+
+
+def truth_table_entails(premises: Iterable[Formula],
+                        conclusion: Formula) -> tuple[bool, Optional[dict[Atom, bool]]]:
     """Check premises ⊨ conclusion by enumeration; returns (entailed, countermodel)."""
     premises = list(premises)
     atoms = sorted(
         set().union(*(_atoms_of(p) for p in premises), _atoms_of(conclusion)),
         key=lambda a: (a.predicate, tuple(str(t) for t in a.args)),
     )
-    if len(atoms) > max_atoms:
+    if len(atoms) > TRUTH_TABLE_MAX_ATOMS:
         raise UnsupportedFragmentError(f"too many atoms for truth-table check: {len(atoms)}")
     for values in itertools.product((False, True), repeat=len(atoms)):
         model = dict(zip(atoms, values))

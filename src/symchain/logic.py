@@ -243,50 +243,49 @@ def free_variables(f: Formula) -> set[str]:
             for t in subterms(g.args) if isinstance(t, Variable) and t.name not in binders}
 
 
-def fresh_name(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    for i in itertools.count(1):
-        candidate = f"{base}_{i}"
-        if candidate not in taken:
-            return candidate
-    raise AssertionError("unreachable")
-
-
 def substitute(f: Formula, var: str, t: Term) -> Formula:
     """Replace every free occurrence of ``var`` in ``f`` by ``t``.
 
-    Bound occurrences are untouched.  Quantifiers that would capture a
-    variable of ``t`` are renamed to a fresh name first, so capture can
+    Bound occurrences are untouched.  A quantifier that would capture a
+    variable of ``t`` binds a new name instead, one outside every variable
+    name of ``f`` and ``t``, and its old name is replaced by the new one
+    below it: the replacements are carried down in one pass, so capture can
     never occur.  The tree is rebuilt with a stack, not by recursion.
     """
     t_vars = {s.name for s in subterms((t,)) if isinstance(s, Variable)}
-    # (formula, None) is to rewrite; (node, make) rebuilds the node by
-    # ``make`` from its rewritten children, the last entries of ``done``
-    todo: list[tuple[Formula, Optional[Callable[..., Formula]]]] = [(f, None)]
+    taken = t_vars | {var}  # names a new binder avoids; a t without variables renames none
+    for g, _ in subformulas(f) if t_vars else ():
+        if isinstance(g, Atom):
+            taken.update(s.name for s in subterms(g.args) if isinstance(s, Variable))
+        elif isinstance(g, QUANTIFIER_NODES):
+            taken.add(g.var)
+    suffixes = itertools.count(1)
+    # (formula, replacements, None) is to rewrite, replacing each name that
+    # ``replacements`` maps; (node, _, make) rebuilds the node by ``make`` from
+    # its rewritten children, the last entries of ``done``
+    todo: list[tuple[Formula, Mapping[str, Term], Optional[Callable[..., Formula]]]] = [(f, {var: t}, None)]
     done: list[Formula] = []
     while todo:
-        g, make = todo.pop()
+        g, env, make = todo.pop()
         if make is not None:
             arity = 2 if isinstance(g, BINARY_NODES) else 1
             done[-arity:] = [make(*done[-arity:])]
+        elif not env:
+            done.append(g)  # every name to replace is bound above here
         elif isinstance(g, Atom):
-            done.append(Atom(g.predicate, tuple(substitute_term(a, {var: t}) for a in g.args)))
+            done.append(Atom(g.predicate, tuple(substitute_term(a, env) for a in g.args)))
         elif isinstance(g, Not):
-            todo += [(g, Not), (g.body, None)]
+            todo += [(g, env, Not), (g.body, env, None)]
         elif isinstance(g, BINARY_NODES):
-            todo += [(g, type(g)), (g.right, None), (g.left, None)]
+            todo += [(g, env, type(g)), (g.right, env, None), (g.left, env, None)]
         elif isinstance(g, QUANTIFIER_NODES):
-            if g.var == var:
-                done.append(g)  # var is bound below here; nothing free to replace
-                continue
-            name, body = g.var, g.body
-            if g.var in t_vars and var in free_variables(g.body):
-                # the body's variable names, free or bound: a quantifier binds above some atom
-                bound = {v for _, binders in subformulas(g.body) for v in binders}
-                name = fresh_name(g.var, free_variables(g.body) | bound | t_vars | {var})
-                body = substitute(g.body, g.var, Variable(name))
-            todo += [(g, functools.partial(type(g), name)), (body, None)]
+            inner = {name: term for name, term in env.items() if name != g.var}
+            name = g.var
+            if name in t_vars and var in inner:
+                name = next(n for n in (f"{g.var}_{i}" for i in suffixes) if n not in taken)
+                taken.add(name)
+                inner[g.var] = Variable(name)
+            todo += [(g, env, functools.partial(type(g), name)), (g.body, inner, None)]
         else:
             raise TypeError(f"not a formula: {g!r}")
     return done[0]

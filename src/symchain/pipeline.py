@@ -7,13 +7,14 @@ input order and per-problem failure isolation.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -35,14 +36,18 @@ class Method(str, Enum):
     TRANSLATE_THEN_SOLVE = "translate_then_solve"
 
 
-# Total records appearing in a RunRecord per method (engine record included).
-METHOD_RECORD_COUNTS = {
-    Method.NAIVE: 1,
-    Method.COT: 1,
-    Method.SYMBCOT: 4,
-    Method.SYMBCOT_NO_VERIFIER: 3,
-    Method.TRANSLATE_THEN_SOLVE: 2,
+# Each method's LLM stages in order: SymbCOT's chain, cut short for its
+# ablations; translate_then_solve hands its translation to an engine stage.
+METHOD_STAGES = {
+    Method.NAIVE: (Stage.NAIVE,),
+    Method.COT: (Stage.COT,),
+    Method.SYMBCOT: (Stage.TRANSLATOR, Stage.PLANNER, Stage.SOLVER, Stage.VERIFIER),
+    Method.SYMBCOT_NO_VERIFIER: (Stage.TRANSLATOR, Stage.PLANNER, Stage.SOLVER),
+    Method.TRANSLATE_THEN_SOLVE: (Stage.TRANSLATOR,),
 }
+
+# The binding under which later templates read a stage's response.
+RESPONSE_BINDINGS = {Stage.TRANSLATOR: "premises_sym", Stage.PLANNER: "plan", Stage.SOLVER: "reasoning"}
 
 
 class FallbackPolicy(str, Enum):
@@ -88,78 +93,79 @@ class RunConfig:
         return config
 
 
-@dataclass
-class StageRecord:
-    stage: str
-    prompt: str
-    response: str
-    label: Label = Label.UNDECIDED
-    completion_tokens: int = 0
-    diagnostics: list[str] = field(default_factory=list)
-    artifact: object = None
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "prompt": self.prompt,
-            "response": self.response,
-            "label": self.label.value,
-            "completion_tokens": self.completion_tokens,
-            "diagnostics": list(self.diagnostics),
-        }
+# Field metadata: an unwritten field lives only in memory; a timing field is
+# rounded to 6 places and left out by ``to_dict(include_wall_time=False)``.
+UNWRITTEN = {"unwritten": True}
+TIMING = {"timing": True}
 
 
-@dataclass
-class RunRecord:
-    problem_id: str
-    dataset: str
-    method: Method
-    stages: list[StageRecord]
-    executed: bool
-    final_label: Label
-    wall_time: float = 0.0
-    error: Optional[str] = None
+# annotation text (this module postpones annotations) -> (writer of a value
+# and the include_wall_time flag, reader of its JSON value); None, and any
+# annotation not listed, keeps the value as it is
+_CODECS = {
+    "Label": (lambda value, _: value.value, Label),
+    "Method": (lambda value, _: value.value, Method),
+    "bool": (None, bool),
+    "list[str]": (lambda value, _: list(value), list),
+    "list[StageRecord]": (lambda stages, timing: [s.to_dict(timing) for s in stages],
+                          lambda data: [StageRecord.from_dict(s) for s in data]),
+}
+_TIMING_CODEC = (lambda value, _: round(value, 6), None)
+
+
+@functools.cache
+def _record_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Optional[Callable], bool], ...]:
+    """(name, writer, reader, is timing) of each written field of ``cls``, once per class."""
+    return tuple((f.name, *(_TIMING_CODEC if "timing" in f.metadata else _CODECS.get(f.type, (None, None))),
+                  "timing" in f.metadata) for f in fields(cls) if "unwritten" not in f.metadata)
+
+
+class _Record:
+    """Written to and read from a JSON object by its dataclass fields: a
+    missing key takes the field's default, and unknown keys are ignored."""
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
-            "problem_id": self.problem_id,
-            "dataset": self.dataset,
-            "method": self.method.value,
-            "stages": [s.to_dict() for s in self.stages],
-            "executed": self.executed,
-            "final_label": self.final_label.value,
-            "error": self.error,
-        }
-        if include_wall_time:
-            out["wall_time"] = round(self.wall_time, 6)
+        out = {}
+        for name, write, _, timing in _record_fields(type(self)):
+            if include_wall_time or not timing:
+                value = getattr(self, name)
+                out[name] = value if write is None else write(value, include_wall_time)
         return out
 
     def to_json(self, include_wall_time: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_time), ensure_ascii=False, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        stages = [
-            StageRecord(
-                stage=s["stage"],
-                prompt=s.get("prompt", ""),
-                response=s.get("response", ""),
-                label=Label(s.get("label", "Undecided")),
-                completion_tokens=s.get("completion_tokens", 0),
-                diagnostics=list(s.get("diagnostics", ())),
-            )
-            for s in data.get("stages", ())
-        ]
-        return cls(
-            problem_id=data["problem_id"],
-            dataset=data.get("dataset", ""),
-            method=Method(data["method"]),
-            stages=stages,
-            executed=bool(data["executed"]),
-            final_label=Label(data["final_label"]),
-            wall_time=data.get("wall_time", 0.0),
-            error=data.get("error"),
-        )
+    def from_dict(cls, data: dict):
+        kwargs = {}
+        for name, _, read, _ in _record_fields(cls):
+            if name in data:
+                value = data[name]
+                kwargs[name] = value if read is None else read(value)
+        return cls(**kwargs)
+
+
+@dataclass
+class StageRecord(_Record):
+    stage: str
+    prompt: str = ""
+    response: str = ""
+    label: Label = Label.UNDECIDED
+    completion_tokens: int = 0
+    diagnostics: list[str] = field(default_factory=list)
+    artifact: object = field(default=None, metadata=UNWRITTEN)
+
+
+@dataclass
+class RunRecord(_Record):
+    problem_id: str
+    method: Method
+    executed: bool
+    final_label: Label
+    dataset: str = ""
+    stages: list[StageRecord] = field(default_factory=list)
+    wall_time: float = field(default=0.0, metadata=TIMING)
+    error: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -346,82 +352,55 @@ def solve_translation(artifact: Translation, errors: Sequence[str], question: st
     return EngineResult(Label(answer), True, f"{response}answer {answer}", answer=answer, verdict=verdict)
 
 
-def _fallback_label(problem: Problem, config: RunConfig, gateway: Backend,
-                    catalog: TemplateCatalog, stages: list[StageRecord]) -> Label:
-    if config.fallback is FallbackPolicy.ABSTAIN:
-        return Label.UNDECIDED
-    if config.fallback is FallbackPolicy.RANDOM:
-        rng = random.Random(f"{config.seed}:{problem.id}")
-        return rng.choice(list(problem.label_space))
-    # cot_backup: one extra CoT stage decides (off by default)
-    template = catalog.get(Stage.COT, problem.family)
-    record = run_stage(template, _base_bindings(problem), gateway, config, _surface_space(problem))
-    stages.append(record)
-    return problem.canonical_label(record.label)
-
-
-def _base_bindings(problem: Problem) -> dict[str, str]:
-    return {
-        "context": problem.context,
-        "question": problem.question,
-        "options": problem.options_text(),
-    }
+def _run_stages(chain: Sequence[Stage], problem: Problem, bindings: dict[str, str], gateway: Backend,
+                config: RunConfig, catalog: TemplateCatalog, stages: list[StageRecord]) -> Label:
+    """Run ``chain`` in order, appending each record to ``stages`` and binding
+    its response for the later templates; returns the last decided label,
+    canonical, or Undecided when no stage decides."""
+    final = Label.UNDECIDED
+    space = _surface_space(problem)
+    for stage in chain:
+        record = run_stage(catalog.get(stage, problem.family), bindings, gateway, config, space)
+        stages.append(record)
+        if stage in RESPONSE_BINDINGS:
+            bindings[RESPONSE_BINDINGS[stage]] = record.response
+        if record.label is not Label.UNDECIDED:
+            final = problem.canonical_label(record.label)
+    return final
 
 
 def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Backend,
                 catalog: Optional[TemplateCatalog] = None) -> RunRecord:
     """Run one problem under one method, producing a full trace.
 
-    The verifier's extracted label overrides the solver's whenever present.
-    ``executed`` reports whether the symbolic path (or, for LLM-final
-    methods, answer extraction) succeeded; when false, the configured
-    fallback policy decides the final label.  Any exception, a
-    ``GatewayError`` or another, ends the run unexecuted: the record names
-    it and keeps the stages completed before it.
+    The method's stages run in order and the last decided label wins, so the
+    verifier's label overrides the solver's.  ``executed`` reports whether
+    the symbolic path (or, for LLM-final methods, answer extraction)
+    succeeded; when false, the configured fallback policy decides the final
+    label.  Any exception, a ``GatewayError`` or another, ends the run
+    unexecuted: the record names it and keeps the stages completed before it.
     """
     start = time.perf_counter()
     stages: list[StageRecord] = []
     error: Optional[str] = None
-    final = Label.UNDECIDED
-    executed = False
 
     try:
         catalog = catalog or TemplateCatalog(config.template_dir, config.demo_dir)
-        bindings = _base_bindings(problem)
-        space = _surface_space(problem)
-        family = problem.family
-        if method in (Method.NAIVE, Method.COT):
-            stage = Stage.NAIVE if method is Method.NAIVE else Stage.COT
-            record = run_stage(catalog.get(stage, family), bindings, gateway, config, space)
-            stages.append(record)
-            final = problem.canonical_label(record.label)
-            executed = final is not Label.UNDECIDED
-        elif method is Method.TRANSLATE_THEN_SOLVE:
-            record = run_stage(catalog.get(Stage.TRANSLATOR, family), bindings, gateway, config)
-            stages.append(record)
-            result = solve_translation(record.artifact, record.diagnostics, problem.question, family.is_csp)
-            stages.append(StageRecord(stage="engine", prompt="", response=result.response,
-                                      label=result.label, diagnostics=list(result.diagnostics)))
-            final, executed = result.label, result.executed
-        else:
-            record = run_stage(catalog.get(Stage.TRANSLATOR, family), bindings, gateway, config)
-            stages.append(record)
-            bindings["premises_sym"] = record.response
-            record = run_stage(catalog.get(Stage.PLANNER, family), bindings, gateway, config)
-            stages.append(record)
-            bindings["plan"] = record.response
-            solver = run_stage(catalog.get(Stage.SOLVER, family), bindings, gateway, config, space)
-            stages.append(solver)
-            final = problem.canonical_label(solver.label)
-            if method is Method.SYMBCOT:
-                bindings["reasoning"] = solver.response
-                verifier = run_stage(catalog.get(Stage.VERIFIER, family), bindings, gateway, config, space)
-                stages.append(verifier)
-                if verifier.label is not Label.UNDECIDED:
-                    final = problem.canonical_label(verifier.label)
-            executed = final is not Label.UNDECIDED
-        if not executed:
-            final = _fallback_label(problem, config, gateway, catalog, stages)
+        bindings = {"context": problem.context, "question": problem.question, "options": problem.options_text()}
+        final = _run_stages(METHOD_STAGES[method], problem, dict(bindings), gateway, config, catalog, stages)
+        executed = final is not Label.UNDECIDED
+        if method is Method.TRANSLATE_THEN_SOLVE:
+            translation = stages[-1]
+            result = solve_translation(translation.artifact, translation.diagnostics, problem.question,
+                                       problem.family.is_csp)
+            stages.append(StageRecord(stage="engine", response=result.response, label=result.label,
+                                      diagnostics=list(result.diagnostics)))
+            final, executed = result.label, result.executed  # Undecided when unexecuted, as abstain keeps
+        if not executed and config.fallback is FallbackPolicy.RANDOM:
+            final = random.Random(f"{config.seed}:{problem.id}").choice(list(problem.label_space))
+        elif not executed and config.fallback is FallbackPolicy.COT_BACKUP:  # off by default
+            # one extra CoT stage decides, from the problem's own bindings
+            final = _run_stages((Stage.COT,), problem, bindings, gateway, config, catalog, stages)
     except Exception as err:  # no exception crosses the batch
         error = f"{type(err).__name__}: {err}"
         final = Label.UNDECIDED

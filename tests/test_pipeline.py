@@ -9,7 +9,7 @@ from symchain.gateway import CompletionCache, ReplayBackend
 from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
-    METHOD_RECORD_COUNTS, FallbackPolicy, Method, RunConfig,
+    FallbackPolicy, Method, RunConfig, RunRecord,
     extract_label, read_records, run_batch, run_problem, write_records,
 )
 from symchain import templates
@@ -107,7 +107,9 @@ class TestRunProblem:
 
     def test_stage_counts_per_method(self, corpus, config):
         problem = corpus.problem("prontoqa-max-sour")
-        for method, count in METHOD_RECORD_COUNTS.items():
+        counts = {Method.NAIVE: 1, Method.COT: 1, Method.SYMBCOT: 4,
+                  Method.SYMBCOT_NO_VERIFIER: 3, Method.TRANSLATE_THEN_SOLVE: 2}
+        for method, count in counts.items():
             record = run_problem(problem, method, config, ScriptedCorpusBackend(corpus))
             assert len(record.stages) == count, method
 
@@ -364,6 +366,21 @@ class TestRecordsIO:
                              "final_label", "error", "wall_time"}
         assert all({"stage", "prompt", "response", "label",
                     "completion_tokens", "diagnostics"} == set(s) for s in data["stages"])
+
+    def test_old_record_reads_with_defaults(self):
+        record = RunRecord.from_dict({
+            "problem_id": "p1", "method": "naive", "executed": 1, "final_label": "True",
+            "stages": [{"stage": "naive", "tokens": 7}], "retired_field": "ignored",
+        })
+        assert (record.dataset, record.wall_time, record.error) == ("", 0.0, None)
+        assert (record.method, record.executed, record.final_label) == (Method.NAIVE, True, Label.TRUE)
+        [stage] = record.stages
+        assert (stage.stage, stage.prompt, stage.response) == ("naive", "", "")
+        assert (stage.label, stage.completion_tokens, stage.diagnostics) == (Label.UNDECIDED, 0, [])
+        assert stage.artifact is None
+        stage.artifact = object()
+        assert "artifact" not in stage.to_dict()
+        assert "artifact" not in json.loads(record.to_json())["stages"][0]
 
 
 class TestTemplates:

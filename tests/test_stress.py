@@ -20,7 +20,7 @@ from symchain.fixtures import ScriptedCorpusBackend
 from symchain.folparse import print_formula
 from symchain.inference import check_step, eval_formula, is_propositional, truth_table_entails
 from symchain.logic import (
-    And, Atom, Constant, ForAll, FunctionApp, Iff, Implies, InferenceRule, Label, Not, Or,
+    And, Atom, Constant, Exists, ForAll, FunctionApp, Iff, Implies, InferenceRule, Label, Not, Or,
     SignedLiteral, Variable, Xor, alpha_equal, free_variables, substitute,
 )
 from symchain.pipeline import Method, RunConfig, run_batch
@@ -148,6 +148,36 @@ def test_term_entry_point_on_deep_term(leaf, function):
     elapsed = time.perf_counter() - started
     assert ok
     assert elapsed < TIME_BOUND_S, f"{function} over {leaf} took {elapsed:.2f} s"
+
+
+# ---------------------------------------------------------------------------
+# Capturing binders: SIZE quantifiers of one name nested over P(x, name);
+# substituting y for x renames every binder of y, so y is the one free
+# variable of the result
+
+BINDERS = {
+    "forall": lambda i, name, body: ForAll(name, body),
+    "forall_exists": lambda i, name, body: (ForAll if i % 2 else Exists)(name, body),
+    "forall_not": lambda i, name, body: ForAll(name, Not(body)),
+}
+
+
+def nested_binders(shape_name: str, name: str, first: str):
+    f = Atom("P", (Variable(first), Variable(name)))
+    for i in range(SIZE):
+        f = BINDERS[shape_name](i, name, f)
+    return f
+
+
+@pytest.mark.parametrize("shape_name", list(BINDERS))
+def test_substitute_renames_nested_capturing_binders(shape_name):
+    f = nested_binders(shape_name, "y", "x")
+    started = time.perf_counter()
+    result = substitute(f, "x", Variable("y"))
+    ok = free_variables(result) == {"y"} and alpha_equal(result, nested_binders(shape_name, "z", "y"))
+    elapsed = time.perf_counter() - started
+    assert ok
+    assert elapsed < TIME_BOUND_S, f"substitute on {shape_name} took {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------
