@@ -277,10 +277,10 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
     A line that is not JSON, or a record that is not a JSON object, becomes
     a ``Malformed`` error named ``record-<i>``, and a record whose options
     or depth have the wrong shape a ``Malformed`` error under its id; the
-    other records still load.
+    other records still load.  A leading byte-order mark is skipped.
     """
     result = LoadResult()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         if _first_non_space(f) == "[":
             records = json.load(f)
         else:

@@ -186,7 +186,7 @@ def faithfulness_tally(rows: Iterable[tuple[str, str, str]]) -> FaithfulnessTall
 
 def read_annotations(path) -> list[tuple[str, str, str]]:
     """CSV with header problem_id,annotator_id,verdict."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         return [(row["problem_id"], row["annotator_id"], row["verdict"]) for row in reader]
 

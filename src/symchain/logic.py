@@ -72,7 +72,7 @@ class Constant:
 
 @dataclass(frozen=True, slots=True)
 class FunctionApp:
-    """A function applied to terms; ``str``, ``==`` and ``hash`` walk ``subterms``."""
+    """A function applied to terms; ``str``, ``repr``, ``==`` and ``hash`` walk ``subterms``."""
 
     name: str
     args: tuple["Term", ...]
@@ -85,6 +85,10 @@ class FunctionApp:
 
     def __str__(self):
         return _fold_term(self, str, lambda t, args: f"{t.name}({', '.join(args)})")
+
+    def __repr__(self):  # the generated repr's text; a 1-tuple keeps its comma
+        return _fold_term(self, repr, lambda t, args: (
+            f"FunctionApp(name={t.name!r}, args=({', '.join(args)}{',' * (len(args) == 1)}))"))
 
     def __eq__(self, other):
         return self._shape() == other._shape() if type(other) is FunctionApp else NotImplemented

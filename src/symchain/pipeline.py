@@ -25,7 +25,7 @@ from .corpus import Problem
 from .folparse import ParseDiagnostic, ParseError, Severity, TranslationBlock, parse_translation_block
 from .gateway import Backend, CompletionRequest
 from .logic import Label, LogicError
-from .templates import PromptTemplate, Stage, TemplateCatalog
+from .templates import RESPONSE_BINDINGS, PromptTemplate, Stage, TemplateCatalog
 
 
 class Method(str, Enum):
@@ -45,9 +45,6 @@ METHOD_STAGES = {
     Method.SYMBCOT_NO_VERIFIER: (Stage.TRANSLATOR, Stage.PLANNER, Stage.SOLVER),
     Method.TRANSLATE_THEN_SOLVE: (Stage.TRANSLATOR,),
 }
-
-# The binding under which later templates read a stage's response.
-RESPONSE_BINDINGS = {Stage.TRANSLATOR: "premises_sym", Stage.PLANNER: "plan", Stage.SOLVER: "reasoning"}
 
 
 class FallbackPolicy(str, Enum):
@@ -77,7 +74,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "RunConfig":
         """Read a JSON config file; raises ``ValueError`` on invalid JSON or values."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         if not isinstance(data, dict):
             raise ValueError("a config file holds one JSON object")
         known = {f for f in cls.__dataclass_fields__}

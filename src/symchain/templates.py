@@ -1,8 +1,10 @@
 """Prompt templates for every pipeline stage and dataset family.
 
-Template bodies are small enough to live here; few-shot demonstrations ship
-as plain-text fixture files under ``data/demos/<family>/<stage>.txt`` and a
-config may point at an override directory with the same layout.
+Each packaged body is built from one table of instruction paragraphs and
+one layout row per stage (its input sections and the heading the model
+continues); few-shot demonstrations ship as plain-text fixture files under
+``data/demos/<family>/<stage>.txt``, and a config may point at override
+directories of bodies or demos with the same layout.
 """
 
 from __future__ import annotations
@@ -37,23 +39,92 @@ class Family(str, Enum):
         return self.value.startswith("csp")
 
 
-# Families sharing a symbolic notation share template bodies and demo sets.
-_GROUP = {
-    Family.FOL_PRONTOQA: "fol_kb",
-    Family.FOL_PROOFWRITER: "fol_kb",
-    Family.FOL_FOLIO: "fol_folio",
-    Family.CSP_LOGICALDEDUCTION: "csp",
-    Family.CSP_ARLSAT: "csp",
+# Families sharing a symbolic notation share instructions: ProntoQA and
+# ProofWriter translate to Facts/Rules, FOLIO to first-order formulas.
+_KB = (Family.FOL_PRONTOQA, Family.FOL_PROOFWRITER)
+_FOL = (*_KB, Family.FOL_FOLIO)
+_CSP = (Family.CSP_LOGICALDEDUCTION, Family.CSP_ARLSAT)
+
+# Each stage's instruction paragraph, keyed by the stage and the families
+# whose prompts open with it; a brace is doubled, as everywhere in a body.
+_INSTRUCTIONS = {
+    (Stage.TRANSLATOR, _KB): """Translate the problem into the symbolic form below.
+Define every predicate, list the ground facts, write the rules, and parse
+the question into a query. Use exactly these section headers: Predicates,
+Facts, Rules, Query. Facts are written Pred(constant, True) or
+Pred(constant, False); rules use $-prefixed variables, e.g.
+Pred($x, True) ⇒ Other($x, True). A gloss may follow any line after ':::'.
+For compound predicates separated by a comma, treat the comma as 'or'.""",
+    (Stage.TRANSLATOR, (Family.FOL_FOLIO,)): """Translate the problem into the symbolic form below.
+Parse the problem and the question into first-order logic using the grammar:
+conjunction expr1 ∧ expr2, disjunction expr1 ∨ expr2, exclusive disjunction
+expr1 ⊕ expr2, negation ¬expr1, implication expr1 → expr2, biconditional
+expr1 ↔ expr2, universal quantification ∀x, existential quantification ∃x.
+Use exactly these section headers: Predicates, Premises, Query. One formula
+per line; a gloss may follow after ':::'.""",
+    (Stage.TRANSLATOR, _CSP): """Translate the problem into the symbolic form below.
+Parse the problem as a constraint satisfaction problem, defining the domain,
+the variables, the constraints, and one query per option. Use exactly these
+section headers: Domain, Variables, Constraints, Query. Declare variables as
+name ∈ {{1, 2, ..., n}}; write constraints with ==, !=, <, <=, >, >=,
+AllDifferentConstraint([a, b, c]), |a - b| != k, and combinations with
+and / or / not / ->. Query lines start with the option letter, e.g.
+A) station_wagon == 2. A gloss may follow any line after ':::'.""",
+    (Stage.PLANNER, _FOL): """Derive a step-by-step plan that uses the premises and
+first-order logic inference rules (Modus Ponens, Modus Tollens, Universal
+Instantiation, and the rest) to determine the query. Start by identifying
+the goal, then break the necessary inferences down step by step.""",
+    (Stage.PLANNER, _CSP): """Derive a step-by-step plan that uses the domain, the
+variables, and the constraints to choose the correct option. Start by
+identifying the variables and their domains, then describe how to apply
+each constraint and how to evaluate the option queries.""",
+    (Stage.SOLVER, _FOL): """Execute the plan step by step. Select the relevant premises
+and apply first-order logic inference rules, naming the rule used at each
+step. Conclude whether the query statement is true, false, or unknown, and
+finish with a line of the form: Final answer: {{true/false/unknown}}""",
+    (Stage.SOLVER, _CSP): """Execute the plan step by step: apply the constraints,
+enumerate the possibilities that satisfy all of them, evaluate each option
+query against those possibilities, and choose the single correct option.
+Finish with a line of the form: Final answer: {{X}}""",
+    (Stage.VERIFIER, _FOL): """Verify the translation and the solving process. Check,
+first, that the symbolic translation is semantically consistent with the
+natural-language context (for compound predicates separated by a comma,
+treat the comma as 'or'); second, that every solving step applies a valid
+first-order logic inference rule using only facts from the context or
+earlier steps. Refine anything invalid, then state the verified answer as:
+Final answer: {{true/false/unknown}}""",
+    (Stage.VERIFIER, _CSP): """Verify the translation and the solving process. Check the
+domain direction carefully (e.g. with '1: oldest', a smaller value means
+older), check each constraint against the natural language (change only the
+symbolic form if they disagree), and re-solve if the proposed solution
+violates any constraint. State the verified answer as:
+Final answer: {{X}}""",
+    (Stage.NAIVE, tuple(Family)): """Answer directly with the best option. Reply with a single line
+of the form: Answer: {{X}}""",
+    (Stage.COT, tuple(Family)): """Reason step by step, then conclude. Think through the problem
+carefully and end with a line of the form: The correct option is: X)""",
 }
 
-REQUIRED_PLACEHOLDERS = {
-    Stage.TRANSLATOR: {"context", "question"},
-    Stage.PLANNER: {"context", "question", "premises_sym"},
-    Stage.SOLVER: {"context", "question", "premises_sym", "plan"},
-    Stage.VERIFIER: {"context", "question", "premises_sym", "reasoning"},
-    Stage.NAIVE: {"context", "question", "options"},
-    Stage.COT: {"context", "question", "options"},
+_CONTEXT = (("Context", "context"), ("Question", "question"))
+_OPTIONS = ("Options", "options")
+_SYMBOLIC = (*_CONTEXT, ("Symbolic translation", "premises_sym"))
+
+# Each stage's input sections as (heading, placeholder) pairs, then the
+# heading the model continues; the CSP translator also shows the options.
+_LAYOUT = {
+    Stage.TRANSLATOR: ((("Problem", "context"), ("Question", "question")), "Translation"),
+    Stage.PLANNER: (_SYMBOLIC, "Plan"),
+    Stage.SOLVER: ((*_SYMBOLIC, ("Plan", "plan")), "Execution"),
+    Stage.VERIFIER: ((*_SYMBOLIC, ("Original execution", "reasoning")), "Verification"),
+    Stage.NAIVE: ((*_CONTEXT, _OPTIONS), "Answer"),
+    Stage.COT: ((*_CONTEXT, _OPTIONS), "Reasoning"),
 }
+
+# The placeholders a body of each stage must hold, besides the demos slot.
+REQUIRED_PLACEHOLDERS = {stage: {name for _, name in sections} for stage, (sections, _) in _LAYOUT.items()}
+
+# The placeholder under which later stages read a stage's response.
+RESPONSE_BINDINGS = {Stage.TRANSLATOR: "premises_sym", Stage.PLANNER: "plan", Stage.SOLVER: "reasoning"}
 
 # Distinctive instruction phrases, one per stage, used by the scripted
 # corpus backend to recognize which stage a rendered prompt belongs to.
@@ -67,230 +138,16 @@ STAGE_MARKERS = {
 }
 
 
-_TRANSLATOR_FOL_KB = """Translate the problem into the symbolic form below.
-Define every predicate, list the ground facts, write the rules, and parse
-the question into a query. Use exactly these section headers: Predicates,
-Facts, Rules, Query. Facts are written Pred(constant, True) or
-Pred(constant, False); rules use $-prefixed variables, e.g.
-Pred($x, True) ⇒ Other($x, True). A gloss may follow any line after ':::'.
-For compound predicates separated by a comma, treat the comma as 'or'.
+def _packaged_body(stage: Stage, family: Family) -> str:
+    """The packaged body of ``(stage, family)``: its instructions, the demos
+    slot, each input section, and the heading the model continues."""
+    instructions = next(text for (s, families), text in _INSTRUCTIONS.items() if s is stage and family in families)
+    sections, continued = _LAYOUT[stage]
+    if stage is Stage.TRANSLATOR and family.is_csp:
+        sections += (_OPTIONS,)
+    inputs = "".join(f"{heading}:\n{{{name}}}\n\n" for heading, name in sections)
+    return f"{instructions}\n\n{{demos}}{inputs}{continued}:\n"
 
-{demos}Problem:
-{context}
-
-Question:
-{question}
-
-Translation:
-"""
-
-_TRANSLATOR_FOL_FOLIO = """Translate the problem into the symbolic form below.
-Parse the problem and the question into first-order logic using the grammar:
-conjunction expr1 ∧ expr2, disjunction expr1 ∨ expr2, exclusive disjunction
-expr1 ⊕ expr2, negation ¬expr1, implication expr1 → expr2, biconditional
-expr1 ↔ expr2, universal quantification ∀x, existential quantification ∃x.
-Use exactly these section headers: Predicates, Premises, Query. One formula
-per line; a gloss may follow after ':::'.
-
-{demos}Problem:
-{context}
-
-Question:
-{question}
-
-Translation:
-"""
-
-_TRANSLATOR_CSP = """Translate the problem into the symbolic form below.
-Parse the problem as a constraint satisfaction problem, defining the domain,
-the variables, the constraints, and one query per option. Use exactly these
-section headers: Domain, Variables, Constraints, Query. Declare variables as
-name ∈ {{1, 2, ..., n}}; write constraints with ==, !=, <, <=, >, >=,
-AllDifferentConstraint([a, b, c]), |a - b| != k, and combinations with
-and / or / not / ->. Query lines start with the option letter, e.g.
-A) station_wagon == 2. A gloss may follow any line after ':::'.
-
-{demos}Problem:
-{context}
-
-Question:
-{question}
-
-Options:
-{options}
-
-Translation:
-"""
-
-_PLANNER_FOL = """Derive a step-by-step plan that uses the premises and
-first-order logic inference rules (Modus Ponens, Modus Tollens, Universal
-Instantiation, and the rest) to determine the query. Start by identifying
-the goal, then break the necessary inferences down step by step.
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Symbolic translation:
-{premises_sym}
-
-Plan:
-"""
-
-_PLANNER_CSP = """Derive a step-by-step plan that uses the domain, the
-variables, and the constraints to choose the correct option. Start by
-identifying the variables and their domains, then describe how to apply
-each constraint and how to evaluate the option queries.
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Symbolic translation:
-{premises_sym}
-
-Plan:
-"""
-
-_SOLVER_FOL = """Execute the plan step by step. Select the relevant premises
-and apply first-order logic inference rules, naming the rule used at each
-step. Conclude whether the query statement is true, false, or unknown, and
-finish with a line of the form: Final answer: {{true/false/unknown}}
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Symbolic translation:
-{premises_sym}
-
-Plan:
-{plan}
-
-Execution:
-"""
-
-_SOLVER_CSP = """Execute the plan step by step: apply the constraints,
-enumerate the possibilities that satisfy all of them, evaluate each option
-query against those possibilities, and choose the single correct option.
-Finish with a line of the form: Final answer: {{X}}
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Symbolic translation:
-{premises_sym}
-
-Plan:
-{plan}
-
-Execution:
-"""
-
-_VERIFIER_FOL = """Verify the translation and the solving process. Check,
-first, that the symbolic translation is semantically consistent with the
-natural-language context (for compound predicates separated by a comma,
-treat the comma as 'or'); second, that every solving step applies a valid
-first-order logic inference rule using only facts from the context or
-earlier steps. Refine anything invalid, then state the verified answer as:
-Final answer: {{true/false/unknown}}
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Symbolic translation:
-{premises_sym}
-
-Original execution:
-{reasoning}
-
-Verification:
-"""
-
-_VERIFIER_CSP = """Verify the translation and the solving process. Check the
-domain direction carefully (e.g. with '1: oldest', a smaller value means
-older), check each constraint against the natural language (change only the
-symbolic form if they disagree), and re-solve if the proposed solution
-violates any constraint. State the verified answer as:
-Final answer: {{X}}
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Symbolic translation:
-{premises_sym}
-
-Original execution:
-{reasoning}
-
-Verification:
-"""
-
-_NAIVE = """Answer directly with the best option. Reply with a single line
-of the form: Answer: {{X}}
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Options:
-{options}
-
-Answer:
-"""
-
-_COT = """Reason step by step, then conclude. Think through the problem
-carefully and end with a line of the form: The correct option is: X)
-
-{demos}Context:
-{context}
-
-Question:
-{question}
-
-Options:
-{options}
-
-Reasoning:
-"""
-
-_BODIES = {
-    ("fol_kb", Stage.TRANSLATOR): _TRANSLATOR_FOL_KB,
-    ("fol_folio", Stage.TRANSLATOR): _TRANSLATOR_FOL_FOLIO,
-    ("csp", Stage.TRANSLATOR): _TRANSLATOR_CSP,
-    ("fol_kb", Stage.PLANNER): _PLANNER_FOL,
-    ("fol_folio", Stage.PLANNER): _PLANNER_FOL,
-    ("csp", Stage.PLANNER): _PLANNER_CSP,
-    ("fol_kb", Stage.SOLVER): _SOLVER_FOL,
-    ("fol_folio", Stage.SOLVER): _SOLVER_FOL,
-    ("csp", Stage.SOLVER): _SOLVER_CSP,
-    ("fol_kb", Stage.VERIFIER): _VERIFIER_FOL,
-    ("fol_folio", Stage.VERIFIER): _VERIFIER_FOL,
-    ("csp", Stage.VERIFIER): _VERIFIER_CSP,
-    ("fol_kb", Stage.NAIVE): _NAIVE,
-    ("fol_folio", Stage.NAIVE): _NAIVE,
-    ("csp", Stage.NAIVE): _NAIVE,
-    ("fol_kb", Stage.COT): _COT,
-    ("fol_folio", Stage.COT): _COT,
-    ("csp", Stage.COT): _COT,
-}
 
 # a doubled brace is an escaped one (group 1 empty); a placeholder touches no other brace.
 # Every branch starts with a brace, so a search skips straight to the next one.
@@ -384,7 +241,7 @@ class TemplateCatalog:
                 if candidate.exists():
                     text = candidate.read_text(encoding="utf-8")
             if text is None:
-                text = _BODIES[(_GROUP[family], stage)]
+                text = _packaged_body(stage, family)
             demos = _load_demos(family, stage, self.demo_dir)
             self._cache[key] = PromptTemplate(stage, family, text, demos)
         return self._cache[key]

@@ -318,6 +318,12 @@ class TestConfigAndAnnotations:
         settings = RunConfig.from_file(config)
         assert (settings.few_shot, settings.max_tokens, settings.temperature) == (0, 1, 0)
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"few_shot": 1, "method": "cot"}', encoding="utf-8-sig")
+        settings = RunConfig.from_file(config)
+        assert (settings.few_shot, settings.method) == (1, "cot")
+
     def test_eval_with_annotations(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"
         runner.invoke(main, [

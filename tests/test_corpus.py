@@ -238,6 +238,16 @@ class TestLoad:
             result = load("ProofWriter", path)
         assert result.problems[0].depth == 3
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        records = [{"id": "1", "context": "c", "question": "q", "answer": "A",
+                    "options": ["A) x", "B) y", "C) z"]}]
+        path = tmp_path / "ld.json"
+        path.write_text(json.dumps(records), encoding="utf-8-sig")
+        with pytest.warns(UserWarning, match="loaded 1 records"):
+            result = load("LogicalDeduction", path)
+        assert [p.id for p in result.problems] == ["1"]
+        assert not result.errors
+
     def test_jsonl_accepted(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text(
@@ -322,7 +332,6 @@ class TestLoad:
 _GOOD = {"id": "ok", "dataset": "ProofWriter", "context": "c", "question": "q", "gold": "True"}
 _LINE, _LINE2 = json.dumps(_GOOD), json.dumps(dict(_GOOD, id="ok2"))
 _ARRAY = json.dumps([_GOOD, dict(_GOOD, id="ok2")])
-_BOM_ERROR = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
 
 
 class TestLoaderLayouts:
@@ -340,9 +349,9 @@ class TestLoaderLayouts:
          [("record-1", "Malformed", "expected a JSON object, got list")]),
         (f"{_LINE}\r\n\r\n{_LINE2}\r\n", ["ok", "ok2"], []),
         (f"{_LINE}\r{_LINE2}\r", ["ok", "ok2"], []),
-        # a byte-order mark is not whitespace: the file is read as JSON lines
-        (f"\ufeff{_LINE}\n{_LINE2}\n", ["ok2"], [("record-0", "Malformed", _BOM_ERROR)]),
-        ("\ufeff" + _ARRAY, [], [("record-0", "Malformed", _BOM_ERROR)]),
+        # a leading byte-order mark is skipped, so it hides neither layout
+        (f"\ufeff{_LINE}\n{_LINE2}\n", ["ok", "ok2"], []),
+        ("\ufeff" + _ARRAY, ["ok", "ok2"], []),
         (f"{_LINE}\n{{not json\n{_LINE2}", ["ok", "ok2"], [(
             "record-1", "Malformed",
             "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")]),

@@ -6,7 +6,7 @@ import pytest
 from symchain.evalkit import (
     EvalReport, IdMismatchError, accuracy, build_report, depth_breakdown,
     execution_rate, faithfulness_tally, label_metrics,
-    prediction_distribution, render_comparison, render_report,
+    prediction_distribution, read_annotations, render_comparison, render_report,
     stage_output_lengths,
 )
 from symchain.corpus import Problem
@@ -199,6 +199,11 @@ class TestFaithfulness:
     def test_unknown_verdict_rejected(self):
         with pytest.raises(ValueError):
             faithfulness_tally([("p1", "a0", "plausible")])
+
+    def test_annotations_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "annotations.csv"
+        path.write_text("problem_id,annotator_id,verdict\np1,a0,faithful\n", encoding="utf-8-sig")
+        assert read_annotations(path) == [("p1", "a0", "faithful")]
 
 
 class TestReports:

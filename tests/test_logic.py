@@ -186,6 +186,12 @@ def test_values_are_slotted_frozen_and_round_trip(value):
         setattr(value, name, getattr(value, name))
 
 
+def test_function_app_repr_reads_as_the_generated_one():
+    # one argument keeps the 1-tuple's comma; more do not add one
+    assert repr(VALUES[2]) == "FunctionApp(name='f', args=(Constant(name='a'), Variable(name='x')))"
+    assert repr(FunctionApp("g", (VALUES[2],))) == f"FunctionApp(name='g', args=({VALUES[2]!r},))"
+
+
 def test_replace_still_validates():
     with pytest.raises(LogicError):
         dataclasses.replace(Constant("a"), name="")

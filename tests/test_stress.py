@@ -133,6 +133,8 @@ TERM_CASES = {
     "SignedLiteral.is_ground": lambda leaf, t, p: SignedLiteral("P", (t,)).is_ground == (leaf == A),
     "SignedLiteral.variables": lambda leaf, t, p: (
         SignedLiteral("P", (t,)).variables() == ({"x"} if leaf == X else set())),
+    "repr": lambda leaf, t, p: repr(p) == (
+        "Atom(predicate='P', args=(" + "FunctionApp(name='f', args=(" * SIZE + repr(leaf) + ",))" * (SIZE + 1)),
     "== and hash": lambda leaf, t, p: (
         t == deep_term(leaf) and hash(t) == hash(deep_term(leaf))
         and t != deep_term(Constant("b")) and t != deep_term(leaf, SIZE - 1)),
