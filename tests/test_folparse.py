@@ -93,6 +93,12 @@ class TestParseFormula:
         assert isinstance(got, And)
         assert isinstance(got.left, ForAll)
 
+    def test_quantifier_scope_ends_at_its_operand(self):
+        got = parse_formula("∀w P(w) ∧ Q(w)")
+        assert got == And(ForAll("w", Atom("P", (v("w"),))), Atom("Q", (c("w"),)))
+        got = parse_formula("∀w (P(w) ∧ Q(w))")
+        assert got == ForAll("w", And(Atom("P", (v("w"),)), Atom("Q", (v("w"),))))
+
     def test_signature_arity_check(self):
         with pytest.raises(ParseError) as exc:
             parse_formula("P(a, b)", signature={"P": 1})
@@ -148,6 +154,11 @@ DIAGNOSTIC_TABLE = [
     ("P(a) Q(b)", None, ("unexpected trailing input 'Q'", 5)),
     ("P(a)) ", None, ("unexpected trailing input ')'", 4)),
     ("(P)(Q)", None, ("unexpected trailing input '('", 3)),
+    ("(P(a)))", None, ("unexpected trailing input ')'", 6)),
+    ("(P(a) Q(a)", None, ("expected ')', found 'Q'", 6)),
+    ("¬)", None, ("unexpected ')', expected a formula", 1)),
+    ("P(f(a) b)", None, ("expected ')', found 'b'", 7)),
+    ("P(f(g(a))", None, ("unbalanced parenthesis", 9)),
     ("x ∀", None, ("unexpected trailing input '∀'", 2)),
     ("P(a, b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 0)),
     ("Q ∧ P(a,b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 4)),
