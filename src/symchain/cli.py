@@ -30,7 +30,7 @@ from .pipeline import (
 def _read_input(source) -> str:
     if source == "-" or source is None:
         return sys.stdin.read()
-    return Path(source).read_text(encoding="utf-8")
+    return Path(source).read_text(encoding="utf-8-sig")
 
 
 def _fail(message: str, code: int = 1):
@@ -242,7 +242,7 @@ def cmd_report(report_files, out):
     """Merge JSON eval reports into one markdown comparison table."""
     reports = []
     for path in report_files:
-        reports.append(evalkit.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8"))))
+        reports.append(evalkit.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig"))))
     rendered = evalkit.render_comparison(reports)
     if out:
         Path(out).write_text(rendered, encoding="utf-8")

@@ -275,9 +275,9 @@ def _casings(word: str) -> list[str]:
 
 
 class _ExprParser(TokenCursor):
-    """Precedence climbing, loosest first: ``->`` (grouping to the right),
-    ``or``, ``and``; then ``not`` and the comparisons.  The keywords are
-    case-insensitive."""
+    """The shunting-yard loop, loosest first: ``->`` (grouping to the right),
+    ``or``, ``and``; then the prefix ``not``.  A leaf is a comparison,
+    ``|a - b| != k`` or ``AllDifferent``.  The keywords are case-insensitive."""
 
     token_re = re.compile(r"\s*(->|=>|<=|>=|==|!=|\d+|[A-Za-z_][A-Za-z0-9_]*|\S)")
     symbols = frozenset((*_ARROWS, *_COMPARATORS, *_MINUS, "(", ")", "[", "]", "|", ","))
@@ -287,6 +287,7 @@ class _ExprParser(TokenCursor):
         **dict.fromkeys(_casings("and"), (3, CAnd, False)),
     }
     symbol_context = " in constraint"
+    unclosed = "unbalanced parenthesis"
 
     @staticmethod
     def is_name(tok: str) -> bool:
@@ -305,25 +306,24 @@ class _ExprParser(TokenCursor):
             raise self.error(self.i - 1, f"expected {what}, found {tok!r}")
         return tok
 
-    def _unary(self) -> ConstraintExpr:
+    def _prefix(self, tok: Optional[str]) -> Optional[Callable[[ConstraintExpr], ConstraintExpr]]:
+        if tok is not None and tok.lower() == "not":
+            self.i += 1
+            return CNot
+        return None
+
+    def _leaf(self) -> ConstraintExpr:
         tok = self.tokens[self.i]
-        if tok is None:
-            raise self.error(self.i, "unexpected end of constraint")
-        if tok.lower() == "not":
-            self.i += 1
-            return CNot(self._unary())
-        if tok == "(":
-            self.i += 1
-            inner = self._binary()
-            if self.tokens[self.i] != ")":
-                raise self.error(self.i, "unbalanced parenthesis")
-            self.i += 1
-            return inner
         if tok == "|":
             return self._absdiff()
         if tok in ("AllDifferentConstraint", "AllDifferent"):
             return self._alldifferent()
-        return self._comparison()
+        lhs = self._operand()
+        op = self.tokens[self.i]
+        if op not in _COMPARATORS:
+            raise self.error(self.i, "expected a comparison operator")
+        self.i += 1
+        return Compare(lhs, _OP_ALIASES.get(op, op), self._operand())
 
     def _absdiff(self) -> ConstraintExpr:
         self.i += 1  # |
@@ -351,14 +351,6 @@ class _ExprParser(TokenCursor):
             self._expect("]".__eq__, "']'")
         self._expect(")".__eq__, "')'")
         return AllDifferent(tuple(names))
-
-    def _comparison(self) -> ConstraintExpr:
-        lhs = self._operand()
-        op = self.tokens[self.i]
-        if op not in _COMPARATORS:
-            raise self.error(self.i, "expected a comparison operator")
-        self.i += 1
-        return Compare(lhs, _OP_ALIASES.get(op, op), self._operand())
 
     def _operand(self) -> LinearTerm:
         tok = self._next()

@@ -8,11 +8,11 @@ with optional ``::: gloss`` suffixes).
 Formulas are parsed in one pass.  :class:`TokenCursor` splits an expression
 into plain string tokens with one ``findall``, looks each token's kind up in
 the parser's symbol set, and finds character offsets only when it raises a
-:class:`ParseError`.  Binary connectives are parsed by precedence climbing
-(Pratt 1973, "Top Down Operator Precedence") over one table of
-``(precedence, node, right-associative)`` entries.  The section reader and
-the token cursor, climbing loop included, are shared with the CSP block
-parser in :mod:`symchain.csp`.
+:class:`ParseError`.  Groups, prefix operators and binary connectives are
+parsed by one loop over explicit stacks (Dijkstra's shunting-yard, 1961) and
+one table of ``(precedence, node, right-associative)`` entries, so no input
+shape recurses.  The section reader and the token cursor, loop included, are
+shared with the CSP block parser in :mod:`symchain.csp`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class TokenCursor:
-    r"""A tokenized expression, a read position and a precedence-climbing loop.
+    r"""A tokenized expression, a read position and a shunting-yard loop.
 
     ``token_re`` captures one token after optional whitespace, so one
     ``findall`` splits the expression into token strings.  Its last
@@ -74,8 +74,10 @@ class TokenCursor:
     Offsets are found again, by ``finditer``, only for an error.
 
     The formula and constraint parsers subclass it with their own pattern,
-    ``symbols``, ``is_name`` test, ``binary`` operator table and ``_unary``
-    operand parser; ``symbol_context`` follows the symbol in unknown-symbol errors.
+    ``symbols``, ``is_name`` test, ``binary`` operator table, ``_prefix``
+    operators and ``_leaf`` reader; ``symbol_context`` follows the symbol in
+    unknown-symbol errors, and ``unclosed`` reports a token other than ``)``
+    after an operand in an open group.
     """
 
     token_re: re.Pattern
@@ -83,6 +85,7 @@ class TokenCursor:
     # operator token: (precedence, node, right-associative)
     binary: dict[str, tuple[int, Callable, bool]]
     symbol_context = ""
+    unclosed = "expected ')', found {!r}"
 
     def __init__(self, text: str):
         self.text = text
@@ -100,30 +103,57 @@ class TokenCursor:
         m = next(itertools.islice(self.token_re.finditer(self.text), i, None), None)
         return ParseError(len(self.text) if m is None else m.start(1), message)
 
-    def _binary(self, min_prec: int = 1):
-        """Operands joined by ``binary`` operators of precedence ``min_prec`` or more."""
-        left = self._unary()
-        tokens, binary = self.tokens, self.binary
-        while (op := binary.get(tokens[self.i])) is not None and op[0] >= min_prec:
-            prec, node, right_assoc = op
-            self.i += 1
-            left = node(left, self._binary(prec if right_assoc else prec + 1))
-        return left
+    def _unclosed(self, i: int) -> ParseError:
+        tok = self.tokens[i]
+        return self.error(i, "unbalanced parenthesis" if tok is None else self.unclosed.format(tok))
 
     def parse(self):
         """The whole input as one expression.
 
-        An expression nested deeper than the interpreter's recursion limit
-        allows is a :class:`ParseError` at its first token.
-        """
-        try:
-            expr = self._binary()
-        except RecursionError:
-            raise self.error(0, "expression nested too deeply") from None
-        tok = self.tokens[self.i]
-        if tok is not None:
-            raise self.error(self.i, f"unexpected trailing input {tok!r}")
-        return expr
+        Dijkstra's shunting-yard loop: ``pending`` holds open groups
+        (``None``), prefix nodes and ``binary`` entries, innermost last, and
+        ``operands`` the left operand of each pending binary entry.  A
+        prefix node applies as soon as its operand is complete, a binary
+        entry once its right operand is followed by a ``)``, the end of
+        input or an operator that binds less tightly (or as tightly, to the
+        left)."""
+        tokens, binary = self.tokens, self.binary
+        operands: list = []
+        pending: list = []
+        while True:
+            tok = tokens[self.i]
+            if tok == "(":
+                self.i += 1
+                pending.append(None)
+                continue
+            if (prefix := self._prefix(tok)) is not None:
+                pending.append(prefix)
+                continue
+            expr = self._leaf()
+            while True:  # expr is complete: close groups until an operator or the end
+                while pending and callable(pending[-1]):
+                    expr = pending.pop()(expr)
+                tok = tokens[self.i]
+                op = binary.get(tok)
+                # apply the entries that bind tighter than op, or as tight when
+                # op groups to the left; any other token applies them all
+                prec = 0 if op is None else op[0] + op[2]
+                while pending and (top := pending[-1]) is not None and top[0] >= prec:
+                    pending.pop()
+                    expr = top[1](operands.pop(), expr)
+                if op is not None:
+                    self.i += 1
+                    operands.append(expr)
+                    pending.append(op)
+                    break
+                if not pending:
+                    if tok is not None:
+                        raise self.error(self.i, f"unexpected trailing input {tok!r}")
+                    return expr
+                if tok != ")":
+                    raise self._unclosed(self.i)
+                self.i += 1
+                pending.pop()
 
 
 _XYZ_VAR_RE = re.compile(r"^[xyz]\d*$")
@@ -147,8 +177,8 @@ def _is_ident(tok: Optional[str]) -> bool:
 
 
 class _FormulaParser(TokenCursor):
-    """Precedence climbing over ``_BINARY``, after Pratt's top-down
-    operator precedence; ``¬`` and quantifiers bind tightest."""
+    """The shunting-yard loop over ``_BINARY``; ``¬`` and quantifiers are
+    prefixes, which bind tightest, and a leaf is an atom."""
 
     token_re = re.compile(r"\s*(<->|->|=>|\$?[A-Za-z_][A-Za-z0-9_]*|\S)")
     symbols = _SYMBOLS
@@ -164,50 +194,36 @@ class _FormulaParser(TokenCursor):
     def is_name(tok: str) -> bool:
         return tok[0] in NAME_START or (tok[0] == "$" and len(tok) > 1)
 
-    def _close(self) -> None:
-        tok = self.tokens[self.i]
-        if tok != ")":
-            raise self.error(self.i, "unbalanced parenthesis" if tok is None
-                             else f"expected ')', found {tok!r}")
-        self.i += 1
-
-    def _unary(self) -> Formula:
-        tok = self.tokens[self.i]
-        if tok is None:
-            raise self.error(self.i, "unexpected end of input, expected a formula")
+    def _prefix(self, tok: Optional[str]) -> Optional[Callable[[Formula], Formula]]:
+        """The node a ``¬`` or quantifier at ``tok`` wraps its operand in, read
+        with its variable; a quantifier's variable is bound until it applies."""
         if tok in _NEGATIONS:
             self.i += 1
-            return Not(self._unary())
+            return Not
         quantifier = _QUANTIFIERS.get(tok)
-        if quantifier is not None:
-            self.i += 1
-            var = self.tokens[self.i]
-            if not (_is_ident(var) or var is not None and var[0] == "$"):
-                raise self.error(self.i, "dangling quantifier: expected a variable name")
-            self.i += 1
-            name = var.lstrip("$")
-            self.bound.append(name)
-            try:
-                body = self._unary()
-            finally:
-                self.bound.pop()
-            return quantifier(name, body)
-        if tok == "(":
-            self.i += 1
-            inner = self._binary()
-            self._close()
-            return inner
-        if _is_ident(tok):
-            return self._atom()
-        raise self.error(self.i, f"unexpected {tok!r}, expected a formula")
+        if quantifier is None:
+            return None
+        var = self.tokens[self.i + 1]
+        if not (_is_ident(var) or var is not None and var[0] == "$"):
+            raise self.error(self.i + 1, "dangling quantifier: expected a variable name")
+        self.i += 2
+        name = var.lstrip("$")
+        self.bound.append(name)
 
-    def _atom(self) -> Formula:
+        def bind(body: Formula) -> Formula:
+            self.bound.pop()
+            return quantifier(name, body)
+        return bind
+
+    def _leaf(self) -> Formula:
+        """An atom: a predicate name and its arguments, if any."""
         start = self.i
         name = self.tokens[start]
+        if not _is_ident(name):
+            raise self.error(start, "unexpected end of input, expected a formula" if name is None
+                             else f"unexpected {name!r}, expected a formula")
         self.i += 1
-        args: tuple[Term, ...] = ()
-        if self.tokens[self.i] == "(":
-            args = self._arguments()
+        args = self._arguments() if self.tokens[self.i] == "(" else ()
         if self.signature is not None:
             expected = self.signature.get(name)
             if expected is not None and expected != len(args):
@@ -215,36 +231,46 @@ class _FormulaParser(TokenCursor):
         return Atom(name, args)
 
     def _arguments(self) -> tuple[Term, ...]:
-        """``(t1, …, tn)``, from its opening parenthesis."""
-        self.i += 1
-        args = [self._term()]
-        while self.tokens[self.i] == ",":
-            self.i += 1
-            args.append(self._term())
-        self._close()
-        return tuple(args)
-
-    def _term(self) -> Term:
-        tok = self.tokens[self.i]
-        if tok is None:
-            raise self.error(self.i, "unexpected end of input, expected a term")
-        if tok[0] == "$":
-            self.i += 1
-            term = self.terms.get(tok)
-            if term is None:
-                term = self.terms[tok] = Variable(tok[1:])
-            return term
-        if not _is_ident(tok):
-            raise self.error(self.i, f"expected a term, found {tok!r}")
-        self.i += 1
-        if self.tokens[self.i] == "(":
-            return FunctionApp(tok, self._arguments())
-        if tok in self.bound:
-            return Variable(tok)
-        term = self.terms.get(tok)
-        if term is None:
-            term = self.terms[tok] = Variable(tok) if _XYZ_VAR_RE.match(tok) else Constant(tok)
-        return term
+        """``(t1, …, tn)``, from its opening parenthesis; each open function
+        application is a frame of its name and the arguments read so far."""
+        tokens, terms = self.tokens, self.terms
+        frames: list[tuple[str, list[Term]]] = []
+        name, args = "", []
+        i = self.i + 1
+        while True:
+            tok = tokens[i]
+            if tok is None:
+                raise self.error(i, "unexpected end of input, expected a term")
+            i += 1
+            if tok[0] == "$":
+                term = terms.get(tok)
+                if term is None:
+                    term = terms[tok] = Variable(tok[1:])
+            elif not _is_ident(tok):
+                raise self.error(i - 1, f"expected a term, found {tok!r}")
+            elif tokens[i] == "(":
+                frames.append((name, args))
+                name, args = tok, []
+                i += 1
+                continue
+            elif tok in self.bound:
+                term = Variable(tok)
+            else:
+                term = terms.get(tok)
+                if term is None:
+                    term = terms[tok] = Variable(tok) if _XYZ_VAR_RE.match(tok) else Constant(tok)
+            args.append(term)
+            while (tok := tokens[i]) != ",":
+                if tok != ")":
+                    raise self._unclosed(i)
+                i += 1
+                if not frames:
+                    self.i = i
+                    return tuple(args)
+                term = FunctionApp(name, tuple(args))
+                name, args = frames.pop()
+                args.append(term)
+            i += 1
 
 
 def parse_formula(text: str, signature: Optional[dict[str, int]] = None) -> Formula:

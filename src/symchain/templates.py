@@ -216,7 +216,7 @@ def _load_demos(family: Family, stage: Stage, demo_dir: Optional[Path]) -> tuple
     if demo_dir is not None:
         candidate = Path(demo_dir) / family.value / f"{stage.value}.txt"
         if candidate.exists():
-            return tuple(parse_demo_file(candidate.read_text(encoding="utf-8")))
+            return tuple(parse_demo_file(candidate.read_text(encoding="utf-8-sig")))
     return _packaged_demos(family, stage)
 
 
@@ -239,7 +239,7 @@ class TemplateCatalog:
             if self.template_dir is not None:
                 candidate = self.template_dir / family.value / f"{stage.value}.txt"
                 if candidate.exists():
-                    text = candidate.read_text(encoding="utf-8")
+                    text = candidate.read_text(encoding="utf-8-sig")
             if text is None:
                 text = _packaged_body(stage, family)
             demos = _load_demos(family, stage, self.demo_dir)

@@ -91,6 +91,12 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "Unknown"
 
+    def test_translation_with_a_byte_order_mark(self, runner, tmp_path, corpus):
+        path = tmp_path / "anne.txt"
+        path.write_text(corpus.translation("proofwriter-anne-white"), encoding="utf-8-sig")
+        result = runner.invoke(main, ["solve", str(path), "--engine", "fol"])
+        assert (result.exit_code, result.stdout) == (0, "Unknown\n")
+
     def test_inconsistent_kb_exit_one(self, runner, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\n"
@@ -195,6 +201,17 @@ class TestRunEvalReport:
         merged = runner.invoke(main, ["report", str(report)])
         assert merged.exit_code == 0
         assert "100.00" in merged.output
+
+    def test_report_with_a_byte_order_mark(self, runner, tmp_path, corpus):
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(list(corpus.problems), Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)),
+                      records)
+        evaluated = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
+        report = tmp_path / "report.json"
+        report.write_text(evaluated.stdout, encoding="utf-8-sig")
+        merged = runner.invoke(main, ["report", str(report)])
+        assert merged.exit_code == 0, merged.output
+        assert "100.00" in merged.stdout
 
     def test_eval_reads_a_response_holding_line_separators(self, runner, tmp_path, corpus):
         problem = corpus.problem("prontoqa-max-sour")

@@ -257,9 +257,8 @@ class TestRunBatch:
         (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, backend)
         assert record.error is None
         assert [s.stage for s in record.stages] == ["translator", "engine"]
-        offset = translation.index(rule)
-        assert record.stages[0].diagnostics == [f"error at offset {offset}: expression nested too deeply"]
-        assert record.final_label is Label.UNDECIDED
+        assert record.stages[0].diagnostics == []
+        assert record.executed and record.final_label is Label.TRUE
 
     def test_flat_chain_query_keeps_its_stages(self, corpus, config):
         problem = corpus.problem("proofwriter-anne-white")

@@ -14,10 +14,10 @@ import pytest
 from symchain.corpus import mini_corpus
 from symchain.csp import (
     CAnd, CImplies, CNot, Compare, OptionStatus, eval_expr, evaluate_queries, expr_variables,
-    parse_csp_block, print_expr,
+    parse_constraint, parse_csp_block, print_expr,
 )
 from symchain.fixtures import ScriptedCorpusBackend
-from symchain.folparse import print_formula
+from symchain.folparse import parse_formula, print_formula
 from symchain.inference import check_step, eval_formula, is_propositional, truth_table_entails
 from symchain.logic import (
     And, Atom, Constant, Exists, ForAll, FunctionApp, Iff, Implies, InferenceRule, Label, Not, Or,
@@ -81,6 +81,7 @@ CASES = {
     "check_step UniversalInstantiation": lambda s, fa, fx, fy: (
         check_step([ForAll("x", fx)], InferenceRule.UNIVERSAL_INSTANTIATION, fa).valid),
     "print_formula": lambda s, fa, fx, fy: print_formula(fa) == printed(s),
+    "parse_formula of print_formula": lambda s, fa, fx, fy: alpha_equal(parse_formula(print_formula(fx)), fx),
     # an even count of true operands for ⊕; an even count of ¬
     "eval_formula": lambda s, fa, fx, fy: eval_formula(fa, {P_A: True}) == (s != "xor"),
 }
@@ -123,6 +124,7 @@ TERM_CASES = {
         alpha_equal(ForAll("x", p), ForAll("y", substitute(p, "x", Variable("y"))))
         and not alpha_equal(p, Atom("P", (deep_term(Constant("b")),)))),
     "print_formula": lambda leaf, t, p: print_formula(p) == f"P({term_text(leaf.name)})",
+    "parse_formula of print_formula": lambda leaf, t, p: alpha_equal(parse_formula(print_formula(p)), p),
     "is_propositional": lambda leaf, t, p: is_propositional(p) == (leaf == A),
     "truth_table_entails": lambda leaf, t, p: truth_table_entails([p], p) == (True, None),
     "check_step UniversalInstantiation": lambda leaf, t, p: (
@@ -182,6 +184,18 @@ def test_substitute_renames_nested_capturing_binders(shape_name):
     assert elapsed < TIME_BOUND_S, f"substitute on {shape_name} took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("names", ["repeated", "distinct"])
+def test_nested_binders_round_trip(names):
+    f = Atom("P", (Variable("v0"),))
+    for i in range(SIZE):
+        f = ForAll("v0" if names == "repeated" else f"v{i}", f)
+    started = time.perf_counter()
+    ok = alpha_equal(parse_formula(print_formula(f)), f)
+    elapsed = time.perf_counter() - started
+    assert ok
+    assert elapsed < TIME_BOUND_S, f"round trip of {names} binders took {elapsed:.2f} s"
+
+
 # ---------------------------------------------------------------------------
 # Constraint expressions, built with the constructors; T holds and F fails
 # under ASSIGNMENT
@@ -206,6 +220,9 @@ CONSTRAINT_CASES = {
     "expr_variables": lambda e, variables, value, text: expr_variables(e) == variables,
     "eval_expr": lambda e, variables, value, text: eval_expr(e, ASSIGNMENT) is value,
     "print_expr": lambda e, variables, value, text: print_expr(e) == text,
+    # the generated == of a deep expression recurses, so the printed forms are compared
+    "parse_constraint of print_expr": lambda e, variables, value, text: (
+        print_expr(parse_constraint(print_expr(e))) == print_expr(e)),
 }
 
 
@@ -220,6 +237,14 @@ def test_constraint_entry_point_on_shape(name, function):
     elapsed = time.perf_counter() - started
     assert ok
     assert elapsed < TIME_BOUND_S, f"{function} on {name} took {elapsed:.2f} s"
+
+
+def test_constraint_in_nested_parentheses_parses():
+    started = time.perf_counter()
+    ok = print_expr(parse_constraint("(" * SIZE + "x == 1" + ")" * SIZE)) == "x == 1"
+    elapsed = time.perf_counter() - started
+    assert ok
+    assert elapsed < TIME_BOUND_S, f"parse_constraint took {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

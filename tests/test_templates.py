@@ -189,3 +189,24 @@ def test_override_lacking_the_demos_slot_names_it(tmp_path, stage):
     catalog = override(tmp_path, Family.FOL_PROOFWRITER, stage, slots(ALL_NAMES) + "{{demos}}")
     with pytest.raises(TemplateError, match=f"{stage.value}/fol-proofwriter lacks the demos slot"):
         catalog.get(stage, Family.FOL_PROOFWRITER)
+
+
+def test_override_with_a_byte_order_mark(tmp_path):
+    body = "Custom instructions.\n{demos}" + slots(REQUIRED[Stage.COT])
+    path = tmp_path / Family.FOL_FOLIO.value / f"{Stage.COT.value}.txt"
+    path.parent.mkdir(parents=True)
+    path.write_text(body, encoding="utf-8-sig")
+    template = TemplateCatalog(template_dir=str(tmp_path)).get(Stage.COT, Family.FOL_FOLIO)
+    prompt = template.render({"context": "c", "question": "q", "options": "o"}, few_shot=0)
+    assert template.text == body and prompt.startswith("Custom instructions.")
+
+
+# demo_dir: demo files laid out as <family>/<stage>.txt
+
+
+def test_demo_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / Family.FOL_FOLIO.value / f"{Stage.COT.value}.txt"
+    path.parent.mkdir(parents=True)
+    path.write_text("--- input\nA question.\n--- output\nAn answer.\n", encoding="utf-8-sig")
+    template = TemplateCatalog(demo_dir=str(tmp_path)).get(Stage.COT, Family.FOL_FOLIO)
+    assert template.demos == (("A question.", "An answer."),)
