@@ -134,9 +134,6 @@ CONSTRAINT_DIAGNOSTICS = [
     ("a - b", ("expected a comparison operator", 2)),
     ("a <> b", ("expected a variable or integer, found '>'", 3)),
     ("(a < b", ("unbalanced parenthesis", 6)),
-    ("(a < b c", ("unbalanced parenthesis", 7)),
-    ("not (a == 1", ("unbalanced parenthesis", 11)),
-    ("not )", ("expected a variable or integer, found ')'", 4)),
     ("a < b c", ("unexpected trailing input 'c'", 6)),
     ("a < b)", ("unexpected trailing input ')'", 5)),
     ("|a - b| < 1", ("absolute-difference constraints support only '!='", 8)),
@@ -145,6 +142,9 @@ CONSTRAINT_DIAGNOSTICS = [
     ("|a - b| != x", ("expected an integer, found 'x'", 11)),
     ("AllDifferent([a, b)", ("expected ']', found ')'", 18)),
     ("AllDifferent(a b)", ("expected ')', found 'b'", 15)),
+    ("(a < b c", ("unbalanced parenthesis", 7)),
+    ("not (a == 1", ("unbalanced parenthesis", 11)),
+    ("not )", ("expected a variable or integer, found ')'", 4)),
 ]
 
 

@@ -155,14 +155,14 @@ DIAGNOSTIC_TABLE = [
     ("P(a) Q(b)", None, ("unexpected trailing input 'Q'", 5)),
     ("P(a)) ", None, ("unexpected trailing input ')'", 4)),
     ("(P)(Q)", None, ("unexpected trailing input '('", 3)),
+    ("x ∀", None, ("unexpected trailing input '∀'", 2)),
+    ("P(a, b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 0)),
+    ("Q ∧ P(a,b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 4)),
     ("(P(a)))", None, ("unexpected trailing input ')'", 6)),
     ("(P(a) Q(a)", None, ("expected ')', found 'Q'", 6)),
     ("¬)", None, ("unexpected ')', expected a formula", 1)),
     ("P(f(a) b)", None, ("expected ')', found 'b'", 7)),
     ("P(f(g(a))", None, ("unbalanced parenthesis", 9)),
-    ("x ∀", None, ("unexpected trailing input '∀'", 2)),
-    ("P(a, b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 0)),
-    ("Q ∧ P(a,b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 4)),
 ]
 
 
