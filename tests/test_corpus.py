@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -77,6 +78,17 @@ class TestMiniCorpus:
         for p in corpus.problems:
             if p.depth is not None:
                 assert p.dataset == "ProofWriter"
+
+    def test_content_pinned(self, corpus):
+        # every problem, translation and stage text, in order: a change to
+        # how the corpus is stored or loaded must not change what it holds
+        dump = json.dumps({
+            "problems": [p.to_dict() for p in corpus.problems],
+            "translations": corpus.translations,
+            "stage_texts": sorted([list(key), text] for key, text in corpus.stage_texts.items()),
+        }, ensure_ascii=False, sort_keys=True)
+        digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
+        assert digest == "dddb16b973094a1db7f32c7cd6b8d23e954cb2ef7d26495989351e95f8e7fde4"
 
 
 def _lockers_brute_force():
