@@ -29,7 +29,7 @@ from .pipeline import (
 
 def _read_input(source) -> str:
     if source == "-" or source is None:
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     return Path(source).read_text(encoding="utf-8-sig")
 
 
@@ -142,7 +142,7 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
               help="Dataset JSON file (defaults to the config's dataset_paths).")
 @click.option("--limit", type=click.IntRange(min=0), default=None, help="Run only the first N problems.")
 @click.option("--replay", is_flag=False, flag_value="", default=None,
-              help="Offline replay; optional cache directory (embedded fixtures when omitted).")
+              help="Offline replay; optional cache directory (the packaged mini-corpus fixtures when omitted).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), default=None, help="JSON-lines output path.")
 @click.option("--parallelism", type=click.IntRange(min=1), default=None)
@@ -213,7 +213,10 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
               help="Faithfulness CSV (problem_id,annotator_id,verdict).")
 def cmd_eval(records_file, gold_source, fmt, out, annotations):
     """Score a records file against gold labels and emit an EvalReport."""
-    records = read_records(records_file)
+    try:
+        records = read_records(records_file)
+    except ValueError as err:
+        _fail(str(err))
     if _is_mini_corpus(gold_source):
         corpus = mini_corpus()
         problems = list(corpus.problems)

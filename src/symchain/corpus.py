@@ -1,8 +1,10 @@
 """Benchmark problems: dataset adapters, normalization, and the mini-corpus.
 
 ``load`` normalizes the five benchmark datasets' JSON files into Problem
-records; ``mini_corpus`` returns the embedded, fully offline fixture set
-whose symbolic translations the engines solve exactly.
+records; ``mini_corpus`` reads the packaged, fully offline fixture set
+(``data/minicorpus.jsonl``: one normalized problem per line, with its
+canned text for every stage) whose symbolic translations the engines solve
+exactly.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, TextIO, Union
 
-from . import _minicorpus
 from .logic import Label
-from .templates import Family
+from .templates import Family, Stage
 
 
 class CorpusError(Exception):
@@ -343,7 +345,7 @@ def load_normalized(path: Union[str, Path]) -> LoadResult:
 
 
 # ---------------------------------------------------------------------------
-# Embedded mini-corpus
+# Packaged mini-corpus
 
 
 @dataclass(frozen=True)
@@ -372,26 +374,20 @@ class MiniCorpus:
 
 
 def mini_corpus() -> MiniCorpus:
-    problems = []
-    translations = {}
-    stage_texts = {}
-    for item in _minicorpus.ITEMS:
-        problems.append(
-            Problem(
-                id=item["id"],
-                dataset=item["dataset"],
-                context=item["context"].strip(),
-                question=item["question"].strip(),
-                options=tuple(item.get("options", ())),
-                gold=Label(item["gold"]),
-                depth=item.get("depth"),
-            )
-        )
-        translations[item["id"]] = item["translation"].strip()
-        stage_texts[(item["id"], "translator")] = item["translation"].strip()
-        stage_texts[(item["id"], "planner")] = item["plan"].strip()
-        stage_texts[(item["id"], "solver")] = item["solving"].strip()
-        stage_texts[(item["id"], "verifier")] = item["verification"].strip()
-        stage_texts[(item["id"], "cot")] = item["cot"].strip()
-        stage_texts[(item["id"], "naive")] = item["naive"].strip()
+    """The packaged mini-corpus, each record normalized like any dataset record.
+
+    A record that fails to normalize, or lacks a stage text, raises.
+    """
+    ref = resources.files("symchain").joinpath("data", "minicorpus.jsonl")
+    problems, translations, stage_texts = [], {}, {}
+    # a line ends only at "\n": str.splitlines would also break inside a text
+    for line in ref.read_text(encoding="utf-8").split("\n"):
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        problem = normalize_record(record, dataset_info(record["dataset"]))
+        problems.append(problem)
+        translations[problem.id] = record[Stage.TRANSLATOR.value]
+        for stage in Stage:
+            stage_texts[(problem.id, stage.value)] = record[stage.value]
     return MiniCorpus(tuple(problems), translations, stage_texts)

@@ -1,8 +1,9 @@
-"""Offline gateway fixtures for the embedded mini-corpus.
+"""Offline gateway fixtures for the packaged mini-corpus.
 
 The scripted corpus backend answers any pipeline request by recognizing the
 stage (via its instruction marker) and the problem (via its context) inside
-the rendered prompt, then returning the corpus's canned response.  Routing
+the rendered prompt, then returning the corpus's canned response, read from
+the stage's field of the problem's record in ``data/minicorpus.jsonl``.  Routing
 it through a write-through cache materializes a replay fixture directory
 keyed by the real request hashes.
 """

@@ -449,7 +449,18 @@ def read_records(path: Union[str, Path]) -> list[RunRecord]:
     """Read the records ``write_records`` wrote.
 
     A line ends only at a newline, so a response holding U+2028, U+2029 or
-    U+0085 (written unescaped) stays one record.
+    U+0085 (written unescaped) stays one record.  A leading byte-order mark
+    is skipped; a line that is not JSON raises ``ValueError`` naming the
+    file and its 1-based line number.
     """
-    with open(path, encoding="utf-8") as f:
-        return [RunRecord.from_dict(json.loads(line.rstrip("\n"))) for line in f if line.strip()]
+    records = []
+    with open(path, encoding="utf-8-sig") as f:
+        for number, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}, line {number}: not JSON ({err})") from None
+            records.append(RunRecord.from_dict(data))
+    return records

@@ -97,6 +97,11 @@ class TestSolve:
         result = runner.invoke(main, ["solve", str(path), "--engine", "fol"])
         assert (result.exit_code, result.stdout) == (0, "Unknown\n")
 
+    def test_stdin_with_a_byte_order_mark(self, runner, corpus):
+        text = "\ufeff" + corpus.translation("proofwriter-anne-white")
+        result = runner.invoke(main, ["solve", "-", "--engine", "fol"], input=text)
+        assert (result.exit_code, result.stdout) == (0, "Unknown\n")
+
     def test_inconsistent_kb_exit_one(self, runner, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\n"
@@ -225,6 +230,25 @@ class TestRunEvalReport:
         datasets = json.loads(result.output)["datasets"]
         assert sum(d["count"] for d in datasets.values()) == len(corpus.problems)
         assert datasets["ProntoQA"]["accuracy"] == 1.0
+
+    def test_eval_records_with_a_byte_order_mark(self, runner, tmp_path, corpus):
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(list(corpus.problems), Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)),
+                      records)
+        plain = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
+        records.write_text(records.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        result = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
+        assert (result.exit_code, result.stdout) == (0, plain.stdout)
+
+    def test_eval_records_line_not_json_exit_one(self, runner, tmp_path, corpus):
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(list(corpus.problems)[:2], Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)),
+                      records)
+        records.write_text(records.read_text(encoding="utf-8") + "\n{not json\n", encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"{records}, line 4: not JSON")
 
     def test_eval_id_mismatch_exit_one(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"

@@ -3,9 +3,12 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from symchain import corpus as corpusmod
 from symchain import csp as cspmod
 from symchain.corpus import (
     CorpusError, Problem, dataset_info, dump_problems, load, load_normalized,
@@ -89,6 +92,30 @@ class TestMiniCorpus:
         }, ensure_ascii=False, sort_keys=True)
         digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
         assert digest == "dddb16b973094a1db7f32c7cd6b8d23e954cb2ef7d26495989351e95f8e7fde4"
+
+    def test_packaged_record_that_fails_to_normalize_raises(self, tmp_path, monkeypatch):
+        packaged = (Path(corpusmod.__file__).parent / "data" / "minicorpus.jsonl").read_text(encoding="utf-8")
+        first, rest = packaged.split("\n", 1)
+        record = json.loads(first)
+        record["gold"] = "Maybe"
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "minicorpus.jsonl").write_text(
+            json.dumps(record, ensure_ascii=False) + "\n" + rest, encoding="utf-8")
+        monkeypatch.setattr(corpusmod, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(ValueError, match="unreadable label 'Maybe'"):
+            mini_corpus()
+
+
+def test_package_data_globs_cover_every_data_file():
+    # setuptools leaves out of a built wheel any file these globs miss
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["symchain"]
+    package = root / "src" / "symchain"
+    covered = {path for pattern in globs for path in package.glob(pattern)}
+    files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert files and files <= covered, sorted(str(path) for path in files - covered)
 
 
 def _lockers_brute_force():

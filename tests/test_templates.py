@@ -10,6 +10,8 @@ import hashlib
 import pytest
 
 from symchain.corpus import mini_corpus
+from symchain.folparse import Severity
+from symchain.pipeline import NO_KNOWLEDGE_BASE, extract_label, parse_translation, solve_translation
 from symchain.templates import STAGE_MARKERS, Family, Stage, TemplateCatalog, TemplateError
 
 PAIRS = [(family, stage) for family in Family for stage in Stage]
@@ -210,3 +212,34 @@ def test_demo_file_with_a_byte_order_mark(tmp_path):
     path.write_text("--- input\nA question.\n--- output\nAn answer.\n", encoding="utf-8-sig")
     template = TemplateCatalog(demo_dir=str(tmp_path)).get(Stage.COT, Family.FOL_FOLIO)
     assert template.demos == (("A question.", "An answer."),)
+
+
+# The prompt <-> engine contract: the notation the translator demos teach is
+# the notation the engines read, and the engines agree with the solver demos.
+
+
+def _question(demo_input: str) -> str:
+    """The text under a demo input's ``Question:`` heading."""
+    return demo_input.split("Question:\n", 1)[1].split("\n\n", 1)[0]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_translator_demos_parse_and_agree_with_the_solver_demos(family):
+    catalog = TemplateCatalog()
+    translator = catalog.get(Stage.TRANSLATOR, family).demos
+    solver = catalog.get(Stage.SOLVER, family).demos
+    assert translator and len(translator) == len(solver)
+    for (demo_input, output), (_, solved) in zip(translator, solver):
+        heading, text = output.split("\n", 1)
+        assert heading == "Translation:"
+        artifact, diagnostics = parse_translation(text, family.is_csp)
+        errors = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
+        assert not errors, errors
+        result = solve_translation(artifact, errors, _question(demo_input), family.is_csp)
+        if family is Family.FOL_FOLIO:
+            # Premises: are not auto-decided yet; this flips once FOLIO
+            # premises are decided by grounding (ROADMAP item 4)
+            assert result.response == NO_KNOWLEDGE_BASE
+            continue
+        assert result.executed, result.response
+        assert result.label is extract_label(solved)
