@@ -6,13 +6,18 @@ thereof.  ``solve_all`` enumerates every satisfying assignment (backtracking
 that checks each constraint at its last variable and prunes top-level
 all-different constraints value by value, but output-equivalent to naive
 enumeration) and ``evaluate_queries`` classifies each answer option as
-must / may / cannot be true.
+must / may / cannot be true.  Both compile each constraint and query once
+per call into a closure over the assignment (``compile_expr``); ``eval_expr``
+is the reference evaluator, and evaluates whole any expression nested too
+deeply to compile.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,14 +45,8 @@ class NoSolutionsError(CspError):
 
 LinearTerm = Union[str, int]  # a variable name or an integer constant
 
-_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,61 @@ def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
                 value = True  # a false condition
         else:
             return value
+
+
+Check = Callable[[dict[str, int]], bool]
+
+# the boolean nesting beyond which ``compile_expr`` leaves an expression to
+# ``eval_expr``, so that calling a closure never nests more Python frames
+COMPILE_DEPTH = 64
+
+
+def _compile_leaf(e: ConstraintExpr) -> Check:
+    if isinstance(e, AbsDiffNotEqual):
+        a, b, k = e.var_a, e.var_b, e.k
+        return lambda s: abs(s[a] - s[b]) != k
+    if isinstance(e, AllDifferent):
+        names, size = e.names, len(e.names)
+        return lambda s: len({s[n] for n in names}) == size
+    op, lhs, rhs = _OPS[e.op], e.lhs, e.rhs
+    if isinstance(lhs, str):
+        if isinstance(rhs, str):
+            return lambda s: op(s[lhs], s[rhs])
+        return lambda s: op(s[lhs], rhs)
+    if isinstance(rhs, str):
+        return lambda s: op(lhs, s[rhs])
+    value = op(lhs, rhs)
+    return lambda s: value
+
+
+def _compile_boolean(e: ConstraintExpr, f: Check, g: Optional[Check]) -> Check:
+    if isinstance(e, CNot):
+        return lambda s: not f(s)
+    if isinstance(e, CAnd):
+        return lambda s: f(s) and g(s)
+    if isinstance(e, COr):
+        return lambda s: f(s) or g(s)
+    return lambda s: not f(s) or g(s)
+
+
+def compile_expr(expr: ConstraintExpr) -> Check:
+    """A function of an assignment that returns what ``eval_expr`` returns,
+    evaluating operands in the same order (so a missing variable raises
+    ``KeyError`` exactly where it does there).  Built by a fold like
+    ``print_expr``'s; an expression whose boolean nesting exceeds
+    ``COMPILE_DEPTH`` is evaluated whole by ``eval_expr``."""
+    compiled: list[tuple[Check, int]] = []  # (closure, boolean nesting)
+    for e in reversed(list(_walk(expr))):
+        if not isinstance(e, _BOOLEAN):
+            compiled.append((_compile_leaf(e), 0))
+            continue
+        f, depth = compiled.pop()
+        g, other = (None, 0) if isinstance(e, CNot) else compiled.pop()
+        depth = max(depth, other) + 1
+        if depth > COMPILE_DEPTH:
+            return functools.partial(eval_expr, expr)
+        compiled.append((_compile_boolean(e, f, g), depth))
+    return compiled[0][0]
 
 
 def print_expr(expr: ConstraintExpr) -> str:
@@ -486,14 +540,14 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
     names = [n for n, _ in model.variables]
     domains = [d for _, d in model.variables]
     position = {n: i for i, n in enumerate(names)}
-    # constraint -> index of the last variable it mentions
-    checks: list[list[ConstraintExpr]] = [[] for _ in names]
+    # per variable, the compiled constraints whose last variable it is
+    checks: list[list[Check]] = [[] for _ in names]
     # variable -> earlier-declared variables it must differ from
     distinct_from: list[set[str]] = [set() for _ in names]
     for expr in model.constraints:
         used = expr_variables(expr)
         last = max(position[v] for v in used) if used else 0
-        checks[last].append(expr)
+        checks[last].append(compile_expr(expr))
         if isinstance(expr, AllDifferent):
             for name in expr.names:
                 distinct_from[position[name]].update(
@@ -513,7 +567,10 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
         for value in values:
             if value not in taken:
                 assignment[names[i]] = value
-                if all(eval_expr(c, assignment) for c in checks[i]):
+                for check in checks[i]:
+                    if not check(assignment):
+                        break
+                else:  # every check holds: keep the value
                     break
         else:
             levels.pop()  # every value tried: back to the previous variable
@@ -560,7 +617,8 @@ def evaluate_queries(model: CspModel) -> QueryVerdict:
         raise NoSolutionsError("model has no solutions; verdicts are undefined")
     statuses = {}
     for letter, expr in model.queries:
-        holds = [eval_expr(expr, s) for s in result.solutions]
+        check = compile_expr(expr)
+        holds = [check(s) for s in result.solutions]
         if all(holds):
             statuses[letter] = OptionStatus.MUST_BE_TRUE
         elif any(holds):

@@ -157,17 +157,19 @@ class CompletionCache:
         return sorted(p.stem for p in self.directory.glob("*.json"))
 
     def entry(self, key: str) -> Optional[dict]:
-        path = self.path_for(key)
-        if not path.exists():
+        """The stored entry, or None when there is none (or it was just removed)."""
+        try:
+            text = self.path_for(key).read_text(encoding="utf-8")
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
 
     def remove(self, key: str) -> bool:
-        path = self.path_for(key)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
+        try:
+            self.path_for(key).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ class _Record:
 
     @classmethod
     def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a {cls.__name__} object, found {data!r}")
         kwargs = {}
         for name, _, read, _ in _record_fields(cls):
             if name in data:
@@ -450,8 +452,9 @@ def read_records(path: Union[str, Path]) -> list[RunRecord]:
 
     A line ends only at a newline, so a response holding U+2028, U+2029 or
     U+0085 (written unescaped) stays one record.  A leading byte-order mark
-    is skipped; a line that is not JSON raises ``ValueError`` naming the
-    file and its 1-based line number.
+    is skipped.  A line that is not JSON, or not a record (not an object, a
+    stage that is not an object, a bad or missing field), raises
+    ``ValueError`` naming the file and its 1-based line number.
     """
     records = []
     with open(path, encoding="utf-8-sig") as f:
@@ -462,5 +465,8 @@ def read_records(path: Union[str, Path]) -> list[RunRecord]:
                 data = json.loads(line.rstrip("\n"))
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}, line {number}: not JSON ({err})") from None
-            records.append(RunRecord.from_dict(data))
+            try:
+                records.append(RunRecord.from_dict(data))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{path}, line {number}: not a record ({err})") from None
     return records

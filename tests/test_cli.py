@@ -250,6 +250,22 @@ class TestRunEvalReport:
         assert result.stdout == ""
         assert result.stderr.startswith(f"{records}, line 4: not JSON")
 
+    @pytest.mark.parametrize("edit,found", [
+        (lambda record: [1, 2], "expected a RunRecord object, found [1, 2]"),
+        (lambda record: {**record, "stages": [7]}, "expected a StageRecord object, found 7"),
+        (lambda record: {**record, "final_label": "bogus"}, "'bogus' is not a valid Label"),
+    ], ids=["array", "stage-not-an-object", "bad-label"])
+    def test_eval_records_line_not_a_record_exit_one(self, runner, tmp_path, corpus, edit, found):
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(list(corpus.problems)[:2], Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)),
+                      records)
+        first, second = records.read_text(encoding="utf-8").splitlines()
+        records.write_text(f"{first}\n{json.dumps(edit(json.loads(second)))}\n", encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{records}, line 2: not a record ({found})\n"
+
     def test_eval_id_mismatch_exit_one(self, runner, tmp_path):
         records = tmp_path / "records.jsonl"
         records.write_text(json.dumps({

@@ -6,7 +6,7 @@ import pytest
 from symchain.csp import (
     AbsDiffNotEqual, AllDifferent, CAnd, CImplies, CNot, COr, Compare,
     CspModel, NoSolutionsError, OptionStatus, QuestionMode,
-    SearchSpaceTooLargeError, Undecided, detect_question_mode,
+    COMPILE_DEPTH, SearchSpaceTooLargeError, Undecided, compile_expr, detect_question_mode,
     eval_expr, evaluate_queries, expr_variables, parse_constraint, parse_csp_block,
     print_expr, select_answer, solve_all,
 )
@@ -505,3 +505,103 @@ class TestLongChains:
             for values in itertools.product((1, 2, 3), repeat=3):
                 assignment = dict(zip(names, values))
                 assert eval_expr(e, assignment) is helpers.oracle_eval(e, assignment)
+
+
+# ---------------------------------------------------------------------------
+# Compiled constraints against the reference evaluators
+
+NAMES = ("a", "b", "c")
+OPERATORS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+def random_constraint(rng: random.Random, depth: int, names=NAMES):
+    """Every node kind; a comparison may have two integer operands, and an
+    ``AllDifferent`` may repeat a name."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(3)
+        if kind == 0:
+            def operand():
+                return rng.choice(names) if rng.random() < 0.6 else rng.randint(1, 3)
+            return Compare(operand(), rng.choice(OPERATORS), operand())
+        if kind == 1:
+            return AbsDiffNotEqual(rng.choice(names), rng.choice(names), rng.randint(0, 2))
+        return AllDifferent(tuple(rng.choice(names) for _ in range(rng.randint(1, 4))))
+    node = rng.choice([CAnd, COr, CImplies, CNot])
+    if node is CNot:
+        return CNot(random_constraint(rng, depth - 1, names))
+    return node(random_constraint(rng, depth - 1, names), random_constraint(rng, depth - 1, names))
+
+
+def random_chain(rng: random.Random, levels: int):
+    """``levels`` boolean nodes, each around the last on a random side."""
+    e = random_constraint(rng, 0)
+    for _ in range(levels):
+        node = rng.choice([CAnd, COr, CImplies, CNot])
+        if node is CNot:
+            e = CNot(e)
+        else:
+            leaf = random_constraint(rng, 0)
+            e = node(e, leaf) if rng.random() < 0.5 else node(leaf, e)
+    return e
+
+
+def outcome(evaluate, assignment):
+    """The value (with its type) or the key of the ``KeyError`` raised."""
+    try:
+        value = evaluate(assignment)
+    except KeyError as err:
+        return "KeyError", err.args
+    return type(value), value
+
+
+def partial_assignments():
+    """Every assignment of 1..3 to every subset of NAMES, the empty one included."""
+    for kept in itertools.product((False, True), repeat=len(NAMES)):
+        kept_names = [n for n, keep in zip(NAMES, kept) if keep]
+        for values in itertools.product((1, 2, 3), repeat=len(kept_names)):
+            yield dict(zip(kept_names, values))
+
+
+def assert_compiled_matches_reference(e):
+    check = compile_expr(e)
+    for assignment in partial_assignments():
+        got = outcome(check, assignment)
+        assert got == outcome(lambda a: eval_expr(e, a), assignment), (print_expr(e), assignment)
+        if len(assignment) == len(NAMES):
+            assert got == (bool, helpers.oracle_eval(e, assignment)), (print_expr(e), assignment)
+
+
+class TestCompiledConstraints:
+    def test_random_constraints_match_eval_expr_and_the_oracle(self):
+        rng = random.Random(46)
+        for _ in range(400):
+            assert_compiled_matches_reference(random_constraint(rng, 4))
+
+    @pytest.mark.parametrize("levels", [COMPILE_DEPTH - 1, COMPILE_DEPTH, COMPILE_DEPTH + 1, 3 * COMPILE_DEPTH])
+    def test_chains_around_the_compile_depth_match_eval_expr(self, levels):
+        rng = random.Random(47 + levels)
+        for _ in range(20):
+            assert_compiled_matches_reference(random_chain(rng, levels))
+
+    def test_solver_matches_the_oracle_on_random_models(self):
+        for seed in range(80):
+            rng = random.Random(seed)
+            model = helpers.random_csp_model(rng)
+            names = tuple(n for n, _ in model.variables)
+            model.queries += [(letter, random_constraint(rng, 3, names)) for letter in "CDE"]
+            want = helpers.oracle_solutions(model)
+            for limit in (None, 1, 3):
+                result = solve_all(model, limit=limit)
+                assert list(result.solutions) == want[:limit]
+                assert result.truncated is (limit is not None and len(want) >= limit)
+            if not want:
+                with pytest.raises(NoSolutionsError):
+                    evaluate_queries(model)
+                continue
+            verdict = evaluate_queries(model)
+            assert verdict.solution_count == len(want)
+            for letter, expr in model.queries:
+                holds = [helpers.oracle_eval(expr, s) for s in want]
+                assert verdict.statuses[letter] is (
+                    OptionStatus.MUST_BE_TRUE if all(holds) else
+                    OptionStatus.MAY_BE_TRUE if any(holds) else OptionStatus.CANNOT_BE_TRUE)

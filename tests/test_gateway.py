@@ -3,6 +3,7 @@ import textwrap
 import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from pathlib import Path
 
 import pytest
 import requests
@@ -130,6 +131,16 @@ class TestReplayBackend:
         backend = ReplayBackend(tmp_path)
         with pytest.raises(ReplayMissError):
             backend.complete(req("never seen"))
+
+    def test_entry_removed_after_an_existence_check_is_a_miss(self, tmp_path, monkeypatch):
+        # as if the file went away between a check and the read
+        cache = CompletionCache(tmp_path)
+        monkeypatch.setattr(Path, "exists", lambda self: True)
+        key = req("removed").cache_key()
+        assert cache.load(key) is None
+        assert cache.remove(key) is False
+        with pytest.raises(ReplayMissError):
+            ReplayBackend(cache).complete(req("removed"))
 
 
 class CountingBackend(Backend):

@@ -357,6 +357,30 @@ class TestRecordsIO:
         loaded = read_records(path)
         assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
 
+    @pytest.mark.parametrize("line,found", [
+        ('[1, 2]', "expected a RunRecord object, found [1, 2]"),
+        ('"naive"', "expected a RunRecord object, found 'naive'"),
+        ('null', "expected a RunRecord object, found None"),
+        ('{"problem_id": "p1"}', "RunRecord.__init__() missing 3 required positional arguments: "
+                                 "'method', 'executed', and 'final_label'"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "stages": [[]]}',
+         "expected a StageRecord object, found []"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "stages": 3}',
+         "'int' object is not iterable"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "bogus"}',
+         "'bogus' is not a valid Label"),
+        ('{"problem_id": "p1", "method": "bogus", "executed": true, "final_label": "True"}',
+         "'bogus' is not a valid Method"),
+    ], ids=["array", "string", "null", "missing-fields", "stage-not-an-object", "stages-not-a-list",
+            "bad-label", "bad-method"])
+    def test_line_not_a_record_names_file_and_line(self, corpus, config, tmp_path, line, found):
+        path = tmp_path / "records.jsonl"
+        write_records(run_batch([corpus.problems[0]], Method.NAIVE, config, ScriptedCorpusBackend(corpus)), path)
+        path.write_text(path.read_text(encoding="utf-8") + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_records(path)
+        assert str(exc.value) == f"{path}, line 3: not a record ({found})"
+
     def test_record_dict_shape(self, corpus, config):
         record = run_problem(corpus.problem("prontoqa-max-sour"), Method.SYMBCOT, config,
                              ScriptedCorpusBackend(corpus))

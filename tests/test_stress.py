@@ -13,8 +13,8 @@ import pytest
 
 from symchain.corpus import mini_corpus
 from symchain.csp import (
-    CAnd, CImplies, CNot, Compare, OptionStatus, eval_expr, evaluate_queries, expr_variables,
-    parse_constraint, parse_csp_block, print_expr,
+    CAnd, CImplies, CNot, Compare, CspModel, OptionStatus, eval_expr, evaluate_queries,
+    expr_variables, parse_constraint, parse_csp_block, print_expr, solve_all,
 )
 from symchain.fixtures import ScriptedCorpusBackend
 from symchain.folparse import parse_formula, print_formula
@@ -204,6 +204,12 @@ T, F = Compare("x", "==", 1), Compare("y", "!=", 1)
 ASSIGNMENT = {"x": 1, "y": 1}
 
 
+def one_assignment_model(constraints, queries=()) -> CspModel:
+    """x, y ∈ {1}: ASSIGNMENT is the only assignment."""
+    return CspModel(1, variables=[("x", (1,)), ("y", (1,))], constraints=list(constraints),
+                    queries=list(queries))
+
+
 # name: (innermost operand, levels, one level around e, variables, value, text);
 # the -> nested in its condition alternates between false and true from the
 # innermost level, so SIZE - 1 levels of it are false
@@ -223,6 +229,12 @@ CONSTRAINT_CASES = {
     # the generated == of a deep expression recurses, so the printed forms are compared
     "parse_constraint of print_expr": lambda e, variables, value, text: (
         print_expr(parse_constraint(print_expr(e))) == print_expr(e)),
+    # the shape as the model's only constraint, then as its only query
+    "solve_all": lambda e, variables, value, text: (
+        solve_all(one_assignment_model([e])).solutions == ((ASSIGNMENT,) if value else ())),
+    "evaluate_queries": lambda e, variables, value, text: evaluate_queries(
+        one_assignment_model([], [("A", e)])).statuses == {
+            "A": OptionStatus.MUST_BE_TRUE if value else OptionStatus.CANNOT_BE_TRUE},
 }
 
 
