@@ -109,13 +109,37 @@ class TestParseCspBlock:
          "Query:\nA) v == 1\n", [ParseDiagnostic(61, "unbalanced parenthesis")]),
         ("Domain:\nVariables:\nConstraints:\n", [ParseDiagnostic(32, "missing Query section")]),
         ("- Domain:\n- Query:\n", [ParseDiagnostic(19, "no variables declared")]),
-    ], ids=["bullets", "numbers", "outside-lines", "bad-constraint", "bulleted-bad-constraint", "no-query", "no-variables"])
+        ("Domain:\nlow end: 1 to 2\nVariable:\nv ∈ {1, 2}\nConstraint:\nv == 1\nQueries for options:\n"
+         "A) v == 1\n", []),
+        ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 1\nOptions:\nA) v == 1\n", []),
+        ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 1\nOption:\nA) v == 1\n", []),
+    ], ids=["bullets", "numbers", "outside-lines", "bad-constraint", "bulleted-bad-constraint", "no-query", "no-variables",
+            "header-aliases", "options-header", "option-header"])
     def test_section_reader_layouts(self, text, diagnostics):
         model, got = parse_csp_block(text)
         assert got == diagnostics
         if model is not None:
             assert model.variables == [("v", (1, 2))]
             assert model.queries == [("A", Compare("v", "==", 1))]
+
+    @pytest.mark.parametrize("domain,size,gloss,diagnostics", [
+        ("1: low\n3: high\n", 3, ("1: low", "3: high"), []),
+        ("positions: 1 to 5\n", 5, ("positions: 1 to 5",), []),
+        ("slots: 1..4\nslots: 1 – 3\nslots: 2-3\n", 4, ("slots: 1..4", "slots: 1 – 3", "slots: 2-3"), []),
+        # an endpoint line, though its gloss reads as a range: the variables set the size
+        ("1: 1 to 5\n", 2, ("1: 1 to 5",), []),
+        ("", 2, (), []),
+        ("low to high\n", 2, (), [ParseDiagnostic(8, "cannot read domain line: 'low to high'")]),
+    ], ids=["endpoints", "range-to", "ranges-dots-dashes", "endpoint-before-range", "no-domain-lines", "unreadable"])
+    def test_domain_line_forms(self, domain, size, gloss, diagnostics):
+        model, got = parse_csp_block(f"Domain:\n{domain}Variables:\nv ∈ {{1, 2}}\nConstraints:\nQuery:\nA) v == 1\n")
+        assert got == diagnostics
+        assert (model.domain_size, model.domain_gloss) == (size, gloss)
+
+    @pytest.mark.parametrize("domain,values", [("", "0"), ("0: none\n", "-1, 0")], ids=["zero", "negative"])
+    def test_non_positive_domain_is_a_diagnostic(self, domain, values):
+        text = f"Domain:\n{domain}Variables:\nv ∈ {{{values}}}\nConstraints:\nQuery:\nA) v == 0\n"
+        assert parse_csp_block(text) == (None, [ParseDiagnostic(0, "domain size must be ≥ 1")])
 
 
 # (constraint, (message, offset)); pinned across tokenizer rewrites

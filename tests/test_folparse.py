@@ -373,7 +373,25 @@ Love(miroslav, music) ::: Miroslav loved music.
          "Query:\nQ(a, True)\n", "",
          [ParseDiagnostic(0, "line outside any section: 'stray'"),
           ParseDiagnostic(8, "line outside any section: 'stray line'")]),
-    ], ids=["bullets", "numbers", "header-aliases", "outside-lines"])
+        ("Predicate:\nP(x, bool) ::: x is p\nFacts:\nP(a, True)\nRules with compound predicates:\n"
+         "P($x, True) ⇒ Q($x, True)\nConclusion:\nQ(a, True)\n", "", []),
+        ("Facts:\nP(a, True)\nConditional rules with compound predicates:\nP($x, True) ⇒ Q($x, True)\n"
+         "Statement:\nQ(a, True)\n", "", []),
+        ("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQuery:\nQ(a, True) ::: a is q\nQ(b, True)\n",
+         "a is q", [ParseDiagnostic(80, "extra statement line ignored: 'Q(b, True)'", Severity.WARNING)]),
+        ("Facts:\nP(a, True)\nP($x, True)\nP(a, True) ∧ P(b, True)\nRules:\nP($x, True) ⇒ Q($x, True)\n"
+         "Query:\nQ(a, True)\n", "",
+         [ParseDiagnostic(18, "fact is not a ground literal: 'P($x, True)'"),
+          ParseDiagnostic(30, "fact is not a ground literal: 'P(a, True) ∧ P(b, True)'")]),
+        ("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nP(a, True) ∧ Q(a, True)\n"
+         "P($x, True) ⇒ Q($y, True)\nP($x, True) ⇒ Q($x, True) ∧ R($x, True)\n"
+         "(P($x, True) → R($x)) ⇒ Q($x, True)\nQuery:\nQ(a, True)\n", "",
+         [ParseDiagnostic(51, "a rule must be an implication"),
+          ParseDiagnostic(75, "rule head uses variables not bound in the body: y"),
+          ParseDiagnostic(101, "rule head must be a single literal"),
+          ParseDiagnostic(141, "rule body must be a conjunction of literals")]),
+    ], ids=["bullets", "numbers", "header-aliases", "outside-lines", "compound-rules-conclusion",
+            "conditional-compound-rules-statement", "extra-statement-line", "non-ground-facts", "non-horn-rules"])
     def test_section_reader_layouts(self, text, gloss, diagnostics):
         block = parse_translation_block(text)
         assert block.diagnostics == diagnostics
@@ -381,6 +399,19 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert SignedLiteral("P", (c("a"),), True) in block.kb.facts
         assert block.query == SignedLiteral("Q", (c("a"),), True)
         assert block.statement_gloss == gloss
+
+    @pytest.mark.parametrize("text,diagnostics", [
+        # a line after the Query section, the extra statement line, then the statement's error
+        ("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQuery:\nQ(a, True\nQ(b, True)\nFacts:\nP(b\n",
+         [ParseDiagnostic(89, "unbalanced parenthesis"),
+          ParseDiagnostic(68, "extra statement line ignored: 'Q(b, True)'", Severity.WARNING),
+          ParseDiagnostic(67, "unbalanced parenthesis")]),
+        ("Premise:\nP(a)\nPremises:\nP(a\nQuery:\nP(a)\nP(b\n",
+         [ParseDiagnostic(27, "unbalanced parenthesis"),
+          ParseDiagnostic(40, "extra statement line ignored: 'P(b'", Severity.WARNING)]),
+    ], ids=["broken-statement", "broken-premise"])
+    def test_diagnostic_order(self, text, diagnostics):
+        assert parse_translation_block(text).diagnostics == diagnostics
 
     @pytest.mark.parametrize("text", [
         "Facts:\nQuery:\n",

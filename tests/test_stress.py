@@ -1,5 +1,5 @@
-"""The formula, term and constraint entry points and the CSP search on long
-and deep shapes.
+"""The formula, term and constraint entry points, the block parsers and the
+CSP search on long, deep and wide shapes.
 
 Every case must return the expected result within a time bound, so that a
 walk that recurses once per node fails with ``RecursionError`` and a
@@ -17,8 +17,8 @@ from symchain.csp import (
     expr_variables, parse_constraint, parse_csp_block, print_expr, solve_all,
 )
 from symchain.fixtures import ScriptedCorpusBackend
-from symchain.folparse import parse_formula, print_formula
-from symchain.inference import check_step, eval_formula, is_propositional, truth_table_entails
+from symchain.folparse import parse_formula, parse_translation_block, print_formula
+from symchain.inference import check_step, decide, eval_formula, is_propositional, truth_table_entails
 from symchain.logic import (
     And, Atom, Constant, Exists, ForAll, FunctionApp, Iff, Implies, InferenceRule, Label, Not, Or,
     SignedLiteral, Variable, Xor, alpha_equal, free_variables, substitute,
@@ -293,3 +293,65 @@ def test_wide_csp_block_keeps_its_stages_through_run_batch():
     assert [s.stage for s in record.stages] == ["translator", "engine"]
     assert record.executed and record.final_label is Label.A
     assert elapsed < TIME_BOUND_S, f"run_batch took {elapsed:.2f} s"
+
+
+# ---------------------------------------------------------------------------
+# The block parsers on wide blocks, each block then decided or evaluated
+
+ARITY = 1000  # arguments of a wide atom
+
+
+def arguments(prefix: str) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(ARITY))
+
+
+# name: (block, whether the parsed block has the shape's size)
+TRANSLATION_BLOCKS = {
+    "atoms_of_1000_arguments": (
+        f"Facts:\nP({arguments('a')}, True)\nRules:\nP({arguments('$x')}, True) ⇒ Q($x{ARITY - 1}, True)\n"
+        f"Query:\nQ(a{ARITY - 1}, True)\n",
+        lambda block: len(block.kb.rules[0].body[0].args) == ARITY),
+    "facts": (
+        "Facts:\n" + "".join(f"P(a{i}, True)\n" for i in range(SIZE)) + "Rules:\nP($x, True) ⇒ Q($x, True)\n"
+        f"Query:\nQ(a{SIZE - 1}, True)\n",
+        lambda block: len(block.kb.facts) == SIZE),
+    "rule_body": (
+        "Facts:\n" + "".join(f"P{i}(a, True)\n" for i in range(SIZE)) + "Rules:\n"
+        + " ∧ ".join(f"P{i}($x, True)" for i in range(SIZE)) + " ⇒ Q($x, True)\nQuery:\nQ(a, True)\n",
+        lambda block: len(block.kb.rules[0].body) == SIZE),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSLATION_BLOCKS))
+def test_translation_block_on_wide_shape(name):
+    text, sized = TRANSLATION_BLOCKS[name]
+    started = time.perf_counter()
+    block = parse_translation_block(text)
+    ok = block.diagnostics == [] and sized(block) and decide(block.kb, block.query) is Label.TRUE
+    elapsed = time.perf_counter() - started
+    assert ok
+    assert elapsed < TIME_BOUND_S, f"parse_translation_block on {name} took {elapsed:.2f} s"
+
+
+# name: (block, variables, constraints, the verdict of each query)
+CSP_BLOCKS = {
+    "variables": (WIDE_BLOCK, SIZE, 2, {"A": OptionStatus.MUST_BE_TRUE, "B": OptionStatus.CANNOT_BE_TRUE,
+                                        "C": OptionStatus.CANNOT_BE_TRUE}),
+    "constraints": (
+        "\n".join(["Domain:", "positions: 1 to 3", "Variables:", "x ∈ {1, 2, 3}", "y ∈ {1, 2, 3}", "Constraints:",
+                   *(f"y > x ::: constraint {i}" for i in range(SIZE)), "Query:", "A) x == 1", "B) y == 1",
+                   "C) y > x"]),
+        2, SIZE, {"A": OptionStatus.MAY_BE_TRUE, "B": OptionStatus.CANNOT_BE_TRUE, "C": OptionStatus.MUST_BE_TRUE}),
+}
+
+
+@pytest.mark.parametrize("name", list(CSP_BLOCKS))
+def test_csp_block_on_wide_shape(name):
+    text, variables, constraints, statuses = CSP_BLOCKS[name]
+    started = time.perf_counter()
+    model, diagnostics = parse_csp_block(text)
+    ok = (not diagnostics and (len(model.variables), len(model.constraints)) == (variables, constraints)
+          and evaluate_queries(model).statuses == statuses)
+    elapsed = time.perf_counter() - started
+    assert ok
+    assert elapsed < TIME_BOUND_S, f"parse_csp_block on {name} took {elapsed:.2f} s"
