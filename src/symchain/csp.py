@@ -292,32 +292,23 @@ class CspModel:
 # ---------------------------------------------------------------------------
 # Block parsing
 
+# each alternative names the section it opens
 _CSP_HEADER_RE = re.compile(
-    r"^\s*(?P<name>domain|variables?|constraints?|quer(?:y|ies)(?:\s+for\s+options)?|options?)\s*:?\s*$",
+    r"^\s*(?:(?P<domain>domain)|(?P<variables>variables?)|(?P<constraints>constraints?)"
+    r"|(?P<queries>quer(?:y|ies)(?:\s+for\s+options)?|options?))\s*:?\s*$",
     re.IGNORECASE,
 )
 _VAR_DECL_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:∈|in)\s*\{(?P<values>[^}]*)\}\s*$"
 )
-_DOMAIN_ENDPOINT_RE = re.compile(r"^(?P<num>\d+)\s*:\s*(?P<gloss>.+)$")
-_DOMAIN_RANGE_RE = re.compile(r"^(?P<gloss>[^:]+):\s*(?P<lo>\d+)\s*(?:to|\.\.|–|-)\s*(?P<hi>\d+)\s*$")
+# an endpoint, ``3: newest``, tried before a range, ``positions: 1 to 5``
+_DOMAIN_RE = re.compile(r"^(?:(?P<num>\d+)\s*:\s*.+|[^:]+:\s*\d+\s*(?:to|\.\.|–|-)\s*(?P<hi>\d+)\s*)$")
 _QUERY_RE = re.compile(r"^(?P<letter>[A-E])\s*[).]\s*(?P<rest>.+)$")
 
 _OP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">=", "=": "=="}
 _COMPARATORS = frozenset((*_OPS, *_OP_ALIASES))
 _ARROWS = ("->", "→", "⇒", "=>")
 _MINUS = frozenset(("-", "−"))
-
-
-def _csp_section_kind(header: str) -> str:
-    h = header.lower()
-    if h.startswith("domain"):
-        return "domain"
-    if h.startswith("variable"):
-        return "variables"
-    if h.startswith("constraint"):
-        return "constraints"
-    return "queries"
 
 
 def _is_var(tok: str) -> bool:
@@ -443,18 +434,14 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
     constraints: list[ConstraintExpr] = []
     queries: list[tuple[str, ConstraintExpr]] = []
 
-    headers, lines = read_sections(text, _CSP_HEADER_RE, _csp_section_kind)
+    headers, lines = read_sections(text, _CSP_HEADER_RE)
     for section, content, body, _, pos in lines:
         if section is None:
             diagnostics.append(ParseDiagnostic(pos, f"line outside any section: {content[:40]!r}"))
         elif section == "domain":
-            endpoint = _DOMAIN_ENDPOINT_RE.match(body)
-            ranged = _DOMAIN_RANGE_RE.match(body)
-            if endpoint:
-                domain_max = max(domain_max, int(endpoint.group("num")))
-                domain_gloss.append(body)
-            elif ranged:
-                domain_max = max(domain_max, int(ranged.group("hi")))
+            m = _DOMAIN_RE.match(body)
+            if m:
+                domain_max = max(domain_max, int(m.group("num") or m.group("hi")))
                 domain_gloss.append(body)
             else:
                 diagnostics.append(ParseDiagnostic(pos, f"cannot read domain line: {body!r}"))
@@ -497,7 +484,7 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
 
     try:
         model = CspModel(
-            domain_size=domain_max or max(max(vals) for _, vals in variables),
+            domain_size=domain_max,
             domain_gloss=tuple(domain_gloss),
             variables=variables,
             constraints=constraints,

@@ -385,35 +385,17 @@ def formula_to_rules(f: Formula) -> list[Rule]:
 # ---------------------------------------------------------------------------
 # Translation blocks
 
+# each alternative names the section it opens
 _HEADER_RE = re.compile(
-    r"^\s*(?P<name>predicates?|premises?|facts?|(?:conditional\s+)?rules?(?:\s+with\s+compound\s+predicates)?"
-    r"|quer(?:y|ies)|statement|conclusion)\s*:?\s*$",
+    r"^\s*(?:(?P<predicates>predicates?)|(?P<premises>premises?)|(?P<facts>facts?)"
+    r"|(?P<rules>(?:conditional\s+)?rules?(?:\s+with\s+compound\s+predicates)?)"
+    r"|(?P<statement>quer(?:y|ies)|statement|conclusion))\s*:?\s*$",
     re.IGNORECASE,
 )
 
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]\s+|\d+[.)]\s+)")
 
 _PRED_DECL_RE = re.compile(r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\((?P<args>[^)]*)\)\s*(?::::?:?|:)?\s*(?P<gloss>.*)$")
-
-
-def _section_kind(header: str) -> str:
-    h = header.lower()
-    if h.startswith("predicate"):
-        return "predicates"
-    if h.startswith("premise"):
-        return "premises"
-    if h.startswith("fact"):
-        return "facts"
-    if "rule" in h:
-        return "rules"
-    return "statement"
-
-
-def _split_gloss(line: str) -> tuple[str, str]:
-    if ":::" in line:
-        body, gloss = line.split(":::", 1)
-        return body.strip(), gloss.strip()
-    return line.strip(), ""
 
 
 @dataclass
@@ -473,14 +455,13 @@ class SectionLine(NamedTuple):
     offset: int  # of the first character of ``text`` in the block
 
 
-def read_sections(text: str, header_re: re.Pattern,
-                  section_of: Callable[[str], str]) -> tuple[list[str], list[SectionLine]]:
+def read_sections(text: str, header_re: re.Pattern) -> tuple[list[str], list[SectionLine]]:
     """Split a labeled block into its header sections and content lines.
 
     A line loses its bullet (``-``, ``*``, ``•``, ``1.``, ``1)``) before it
-    is matched against ``header_re``; ``section_of`` maps the match's
-    ``name`` group to a section name.  Returns the section of every header,
-    in order, and every content line.
+    is matched against ``header_re``, whose named group that matched is the
+    section's name.  Returns the section of every header, in order, and
+    every content line.
     """
     headers: list[str] = []
     lines: list[SectionLine] = []
@@ -491,13 +472,13 @@ def read_sections(text: str, header_re: re.Pattern,
         stripped = _BULLET_RE.sub("", line)
         m = header_re.match(stripped)
         if m:
-            section = section_of(m.group("name"))
+            section = m.lastgroup
             headers.append(section)
         else:
             content = stripped.strip()
             if content:
-                body, gloss = _split_gloss(content)
-                lines.append(SectionLine(section, content, body, gloss,
+                body, _, gloss = content.partition(":::")
+                lines.append(SectionLine(section, content, body.strip(), gloss.strip(),
                                          offset + len(line) - len(stripped.lstrip())))
         offset += len(raw)
     return headers, lines
@@ -505,7 +486,7 @@ def read_sections(text: str, header_re: re.Pattern,
 
 def has_section_header(text: str) -> bool:
     """Whether some line of ``text`` is a FOL translation block header."""
-    headers, _ = read_sections(text, _HEADER_RE, _section_kind)
+    headers, _ = read_sections(text, _HEADER_RE)
     return bool(headers)
 
 
@@ -516,23 +497,30 @@ def parse_translation_block(text: str) -> TranslationBlock:
     raised; a block with any error diagnostic is not executable.  A block
     with no recognizable sections at all raises :class:`ParseError`.
     """
+    _, lines = read_sections(text, _HEADER_RE)
+    if all(line.section is None for line in lines):
+        raise ParseError(0, "no sections found")
     block = TranslationBlock()
     facts: list[SignedLiteral] = []
     rules: list[Rule] = []
-    statement_lines: list[tuple[str, str, int]] = []
-    saw_section = False
-    saw_kb_sections = False
+    has_rules = False
+    statement_lines: list[SectionLine] = []
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
 
-    _, lines = read_sections(text, _HEADER_RE, _section_kind)
-    for section, _, body, gloss, offset in lines:
+    def parsed(body: str, offset: int, lower: Callable = lambda f: f):
+        """``lower`` of the line's formula, or None once a ParseError from
+        either is recorded at its offset in the block."""
+        try:
+            return lower(_parse_formula(body, None, terms))
+        except ParseError as err:
+            block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
+            return None
+
+    for line in lines:
+        section, _, body, gloss, offset = line
         if section is None:
-            block.diagnostics.append(
-                ParseDiagnostic(offset, f"line outside any section: {body[:40]!r}")
-            )
-            continue
-        saw_section = True
-        if section == "predicates":
+            block.diagnostics.append(ParseDiagnostic(offset, f"line outside any section: {body[:40]!r}"))
+        elif section == "predicates":
             m = _PRED_DECL_RE.match(body)
             if not m:
                 block.diagnostics.append(ParseDiagnostic(offset, f"cannot read predicate declaration: {body!r}"))
@@ -541,58 +529,42 @@ def parse_translation_block(text: str) -> TranslationBlock:
             decl_gloss = gloss or m.group("gloss").strip()
             block.predicates.append((m.group("name"), len(args), decl_gloss))
         elif section == "premises":
-            try:
-                block.premises.append((_parse_formula(body, None, terms), gloss))
-            except ParseError as err:
-                block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
+            if (formula := parsed(body, offset)) is not None:
+                block.premises.append((formula, gloss))
         elif section == "facts":
-            try:
-                lit = formula_to_literal(_parse_formula(body, None, terms))
-            except ParseError as err:
-                block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
+            if (formula := parsed(body, offset)) is None:
                 continue
+            lit = formula_to_literal(formula)
             if lit is None or not lit.is_ground:
                 block.diagnostics.append(ParseDiagnostic(offset, f"fact is not a ground literal: {body!r}"))
-                continue
-            facts.append(lit)
+            else:
+                facts.append(lit)
         elif section == "rules":
-            saw_kb_sections = True
+            has_rules = True
             try:
-                rules.extend(formula_to_rules(_parse_formula(body, None, terms)))
-            except ParseError as err:
-                block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
+                rules.extend(parsed(body, offset, formula_to_rules) or ())
             except LogicError as err:
                 block.diagnostics.append(ParseDiagnostic(offset, str(err)))
         else:
-            statement_lines.append((body, gloss, offset))
-        if section == "facts":
-            saw_kb_sections = True
-
-    if not saw_section:
-        raise ParseError(0, "no sections found")
+            statement_lines.append(line)
 
     if not statement_lines:
         block.diagnostics.append(ParseDiagnostic(len(text), "missing Query/Statement section"))
     else:
-        body, gloss, offset = statement_lines[0]
-        for extra_body, _, extra_offset in statement_lines[1:]:
-            block.diagnostics.append(
-                ParseDiagnostic(extra_offset, f"extra statement line ignored: {extra_body[:40]!r}",
-                                Severity.WARNING)
-            )
-        try:
-            raw = _parse_formula(body, None, terms)
-            lit = formula_to_literal(raw)
+        first, *extra = statement_lines
+        for line in extra:
+            block.diagnostics.append(ParseDiagnostic(
+                line.offset, f"extra statement line ignored: {line.body[:40]!r}", Severity.WARNING))
+        if (formula := parsed(first.body, first.offset)) is not None:
+            lit = formula_to_literal(formula)
             if lit is not None:
                 block.query = lit
                 block.statement = lit.to_formula()
             else:
-                block.statement = raw
-            block.statement_gloss = gloss
-        except ParseError as err:
-            block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
+                block.statement = formula
+            block.statement_gloss = first.gloss
 
-    if saw_kb_sections or facts:
+    if has_rules or facts:
         try:
             block.kb = KnowledgeBase.build(facts, rules)
         except LogicError as err:
