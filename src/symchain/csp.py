@@ -471,7 +471,7 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
             try:
                 queries.append((qm.group("letter"), _parse_with_colon_gloss(qm.group("rest"))))
             except ParseError as err:
-                diagnostics.append(ParseDiagnostic(pos + err.position, err.message))
+                diagnostics.append(ParseDiagnostic(pos + qm.start("rest") + err.position, err.message))
 
     if not headers:
         raise ParseError(0, "no sections found")

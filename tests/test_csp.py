@@ -113,8 +113,13 @@ class TestParseCspBlock:
          "A) v == 1\n", []),
         ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 1\nOptions:\nA) v == 1\n", []),
         ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 1\nOption:\nA) v == 1\n", []),
+        # offsets count from the start of the block, past the option letter: the first "?" is at 80
+        ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 1\nQuery:\nA) v == 1\nB)  v ?? 1\n",
+         [ParseDiagnostic(80, "unknown symbol '?' in constraint")]),
+        ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 1\nQuery:\nA) v == 1\n  - C. (v == 1\n",
+         [ParseDiagnostic(88, "unbalanced parenthesis")]),
     ], ids=["bullets", "numbers", "outside-lines", "bad-constraint", "bulleted-bad-constraint", "no-query", "no-variables",
-            "header-aliases", "options-header", "option-header"])
+            "header-aliases", "options-header", "option-header", "bad-query", "bulleted-bad-query"])
     def test_section_reader_layouts(self, text, diagnostics):
         model, got = parse_csp_block(text)
         assert got == diagnostics
