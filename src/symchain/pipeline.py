@@ -77,10 +77,21 @@ class RunConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         if not isinstance(data, dict):
             raise ValueError("a config file holds one JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        config = cls(**{k: v for k, v in data.items() if k in known})
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
+        config = cls(**data)
         config.fallback = FallbackPolicy(config.fallback)
         Method(config.method)  # validate early
+        for f in fields(cls):
+            if f.type in ("str", "Optional[str]"):
+                try:
+                    _CODECS[f.type][1](getattr(config, f.name))
+                except ValueError as err:
+                    raise ValueError(f"{f.name}: {err}") from None
+        paths = config.dataset_paths
+        if type(paths) is not dict or not all(type(path) is str for path in paths.values()):
+            raise ValueError(f"dataset_paths must map dataset names to path strings, found {paths!r}")
         for name, kind, least in (("parallelism", int, 1), ("few_shot", int, 0),
                                   ("max_tokens", int, 1), ("temperature", float, 0)):
             value = getattr(config, name)
@@ -96,18 +107,43 @@ UNWRITTEN = {"unwritten": True}
 TIMING = {"timing": True}
 
 
+def _exact(what: str, *types: type) -> Callable:
+    """A reader that keeps a JSON value whose type is one of ``types``, compared
+    exactly (``bool`` is an ``int`` subclass), and raises ``ValueError`` on any other."""
+    def read(value):
+        if type(value) not in types:
+            raise ValueError(f"expected {what}, found {value!r}")
+        return value
+    return read
+
+
+def _read_bool(value) -> bool:
+    if type(value) not in (bool, int) or value not in (0, 1):  # an integer 0 or 1 reads as a boolean
+        raise ValueError(f"expected a boolean, found {value!r}")
+    return bool(value)
+
+
+def _read_strings(value) -> list[str]:
+    if type(value) is not list or not all(type(item) is str for item in value):
+        raise ValueError(f"expected a list of strings, found {value!r}")
+    return value
+
+
 # annotation text (this module postpones annotations) -> (writer of a value
-# and the include_wall_time flag, reader of its JSON value); None, and any
-# annotation not listed, keeps the value as it is
+# and the include_wall_time flag, reader of its JSON value); None keeps the
+# value as it is, and a reader of a plain type raises ``ValueError`` on another
 _CODECS = {
     "Label": (lambda value, _: value.value, Label),
     "Method": (lambda value, _: value.value, Method),
-    "bool": (None, bool),
-    "list[str]": (lambda value, _: list(value), list),
+    "bool": (None, _read_bool),
+    "int": (None, _exact("an integer", int)),
+    "str": (None, _exact("a string", str)),
+    "Optional[str]": (None, _exact("a string or null", str, type(None))),
+    "list[str]": (lambda value, _: list(value), _read_strings),
     "list[StageRecord]": (lambda stages, timing: [s.to_dict(timing) for s in stages],
                           lambda data: [StageRecord.from_dict(s) for s in data]),
 }
-_TIMING_CODEC = (lambda value, _: round(value, 6), None)
+_TIMING_CODEC = (lambda value, _: round(value, 6), _exact("a number", int, float))
 
 
 @functools.cache
@@ -119,7 +155,8 @@ def _record_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Optional[C
 
 class _Record:
     """Written to and read from a JSON object by its dataclass fields: a
-    missing key takes the field's default, and unknown keys are ignored."""
+    missing key takes the field's default, unknown keys are ignored, and a
+    value of the wrong type raises ``ValueError``."""
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
         out = {}

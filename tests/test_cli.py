@@ -353,10 +353,17 @@ class TestConfigAndAnnotations:
         '{"temperature": "0.2"}',
         '{"temperature": false}',
         '{"temperature": NaN}',
+        '{"paralellism": 4}',
+        '{"cache_dir": 5}',
+        '{"template_dir": ["a"]}',
+        '{"model": null}',
+        '{"dataset_paths": ["minicorpus.json"]}',
+        '{"dataset_paths": {"minicorpus": 5}}',
     ], ids=["parallelism-zero", "parallelism-string", "unknown-method", "unknown-fallback", "invalid-json",
             "not-an-object", "few-shot-negative", "few-shot-string", "few-shot-bool", "max-tokens-zero",
             "max-tokens-float", "temperature-negative", "temperature-string", "temperature-bool",
-            "temperature-nan"])
+            "temperature-nan", "misspelled-key", "cache-dir-integer", "template-dir-list", "model-null",
+            "dataset-paths-list", "dataset-path-integer"])
     def test_invalid_config_file_is_a_usage_error(self, runner, tmp_path, text):
         config = tmp_path / "config.json"
         config.write_text(text)

@@ -371,8 +371,32 @@ class TestRecordsIO:
          "'bogus' is not a valid Label"),
         ('{"problem_id": "p1", "method": "bogus", "executed": true, "final_label": "True"}',
          "'bogus' is not a valid Method"),
+        ('{"problem_id": "p1", "method": "naive", "executed": "false", "final_label": "True"}',
+         "expected a boolean, found 'false'"),
+        ('{"problem_id": "p1", "method": "naive", "executed": 2, "final_label": "True"}',
+         "expected a boolean, found 2"),
+        ('{"problem_id": 1, "method": "naive", "executed": true, "final_label": "True"}',
+         "expected a string, found 1"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "error": 5}',
+         "expected a string or null, found 5"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "wall_time": "1.5"}',
+         "expected a number, found '1.5'"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "wall_time": false}',
+         "expected a number, found False"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
+         '"stages": [{"stage": "naive", "completion_tokens": "7"}]}', "expected an integer, found '7'"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
+         '"stages": [{"stage": "naive", "completion_tokens": true}]}', "expected an integer, found True"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
+         '"stages": [{"stage": "naive", "diagnostics": "ab"}]}', "expected a list of strings, found 'ab'"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
+         '"stages": [{"stage": "naive", "diagnostics": ["a", 1]}]}', "expected a list of strings, found ['a', 1]"),
+        ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
+         '"stages": [{"stage": "naive", "prompt": null}]}', "expected a string, found None"),
     ], ids=["array", "string", "null", "missing-fields", "stage-not-an-object", "stages-not-a-list",
-            "bad-label", "bad-method"])
+            "bad-label", "bad-method", "executed-string", "executed-two", "problem-id-integer", "error-integer",
+            "wall-time-string", "wall-time-bool", "tokens-string", "tokens-bool", "diagnostics-string",
+            "diagnostics-integer-item", "prompt-null"])
     def test_line_not_a_record_names_file_and_line(self, corpus, config, tmp_path, line, found):
         path = tmp_path / "records.jsonl"
         write_records(run_batch([corpus.problems[0]], Method.NAIVE, config, ScriptedCorpusBackend(corpus)), path)
@@ -401,6 +425,9 @@ class TestRecordsIO:
         assert (stage.stage, stage.prompt, stage.response) == ("naive", "", "")
         assert (stage.label, stage.completion_tokens, stage.diagnostics) == (Label.UNDECIDED, 0, [])
         assert stage.artifact is None
+        assert RunRecord.from_dict({"problem_id": "p1", "method": "naive", "executed": 0,
+                                    "final_label": "True"}).executed is False
+        assert record.to_dict()["executed"] is True
         stage.artifact = object()
         assert "artifact" not in stage.to_dict()
         assert "artifact" not in json.loads(record.to_json())["stages"][0]
