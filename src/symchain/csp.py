@@ -101,6 +101,7 @@ class CNot:
 
 ConstraintExpr = Union[Compare, AbsDiffNotEqual, AllDifferent, CImplies, CAnd, COr, CNot]
 _BOOLEAN = (CImplies, CAnd, COr, CNot)
+_LEAVES = (Compare, AbsDiffNotEqual, AllDifferent)
 
 
 def _walk(expr: ConstraintExpr) -> Iterator[ConstraintExpr]:
@@ -116,7 +117,7 @@ def _walk(expr: ConstraintExpr) -> Iterator[ConstraintExpr]:
             stack += [e.right, e.left]
         elif isinstance(e, CNot):
             stack.append(e.body)
-        elif not isinstance(e, (Compare, AbsDiffNotEqual, AllDifferent)):
+        elif not isinstance(e, _LEAVES):
             raise CspError(f"not a constraint expression: {e!r}")
 
 
@@ -133,18 +134,9 @@ def expr_variables(expr: ConstraintExpr) -> set[str]:
 
 
 def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
-    """The value of ``expr`` under ``assignment``, left first and short-circuiting."""
-    if isinstance(expr, Compare):
-        lhs = assignment[expr.lhs] if isinstance(expr.lhs, str) else expr.lhs
-        rhs = assignment[expr.rhs] if isinstance(expr.rhs, str) else expr.rhs
-        return _OPS[expr.op](lhs, rhs)
-    if isinstance(expr, AbsDiffNotEqual):
-        return abs(assignment[expr.var_a] - assignment[expr.var_b]) != expr.k
-    if isinstance(expr, AllDifferent):
-        values = [assignment[n] for n in expr.names]
-        return len(set(values)) == len(values)
-    if not isinstance(expr, _BOOLEAN):
-        raise CspError(f"not a constraint expression: {expr!r}")
+    """The value of ``expr`` under ``assignment``, left first and short-circuiting.
+    A leaf is evaluated by its compiled check, so ``compile_expr`` gives each
+    leaf the same meaning."""
     # the boolean nodes waiting on their first operand, innermost last; one
     # that the operand leaves undecided is replaced by its second operand
     waiting: list[ConstraintExpr] = []
@@ -152,7 +144,9 @@ def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
         while isinstance(expr, _BOOLEAN):
             waiting.append(expr)
             expr = expr.body if isinstance(expr, CNot) else expr.cond if isinstance(expr, CImplies) else expr.left
-        value = eval_expr(expr, assignment)
+        if not isinstance(expr, _LEAVES):
+            raise CspError(f"not a constraint expression: {expr!r}")
+        value = _compile_leaf(expr)(assignment)
         while waiting:
             node = waiting.pop()
             if isinstance(node, CNot):

@@ -217,15 +217,23 @@ _PREMISE_COUNTS = {rule: [n for r, n in _RULES if r is rule] for rule in Inferen
 
 def _bind(schema: Formula, f: Formula, env: dict[str, Formula]) -> bool:
     """Match ``f`` against ``schema``, binding each letter to one formula up to
-    alpha-equivalence; ``env`` keeps the first formula each letter matched."""
-    if isinstance(schema, Atom):
-        bound = env.setdefault(schema.predicate, f)
-        return bound is f or alpha_equal(bound, f)
-    if type(schema) is not type(f):
-        return False
-    if isinstance(schema, Not):
-        return _bind(schema.body, f.body, env)
-    return _bind(schema.left, f.left, env) and _bind(schema.right, f.right, env)
+    alpha-equivalence; ``env`` keeps the first formula each letter matched.
+    The pairs of schema and formula nodes left to match are a stack, left
+    operand on top, so letters bind in the schema's preorder."""
+    pairs = [(schema, f)]
+    while pairs:
+        schema, f = pairs.pop()
+        if isinstance(schema, Atom):
+            bound = env.setdefault(schema.predicate, f)
+            if not (bound is f or alpha_equal(bound, f)):
+                return False
+        elif type(schema) is not type(f):
+            return False
+        elif isinstance(schema, Not):
+            pairs.append((schema.body, f.body))
+        else:
+            pairs += [(schema.right, f.right), (schema.left, f.left)]
+    return True
 
 
 def _terms_of(f: Formula) -> Iterator[tuple[Term, Mapping[str, int]]]:

@@ -16,10 +16,7 @@ import symchain
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # module.function on a cycle: why its depth is bounded
-ALLOWED = {
-    "inference._bind": "recurses once per node of a schema in the rule table, at most a few levels deep",
-    "csp.eval_expr": "calls itself only on a comparison, AllDifferent or |a - b| != k leaf, which returns at once",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def call_graph(source: str) -> dict[str, set[str]]:
