@@ -79,7 +79,7 @@ class RunConfig:
             raise ValueError("a config file holds one JSON object")
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
-            raise ValueError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
+            raise ValueError(f"unknown keys: {', '.join(unknown)}")
         config = cls(**data)
         config.fallback = FallbackPolicy(config.fallback)
         Method(config.method)  # validate early
