@@ -295,8 +295,9 @@ _CSP_HEADER_RE = re.compile(
 _VAR_DECL_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:∈|in)\s*\{(?P<values>[^}]*)\}\s*$"
 )
-# an endpoint, ``3: newest``, tried before a range, ``positions: 1 to 5``
-_DOMAIN_RE = re.compile(r"^(?:(?P<num>\d+)\s*:\s*.+|[^:]+:\s*\d+\s*(?:to|\.\.|–|-)\s*(?P<hi>\d+)\s*)$")
+# an endpoint, ``3: newest``, tried before a range, ``positions: 1 to 5`` or
+# bare, ``1 to 5`` (as ``CspModel.to_text`` writes a model without domain lines)
+_DOMAIN_RE = re.compile(r"^(?:(?P<num>\d+)\s*:\s*.+|(?:[^:]+:\s*)?\d+\s*(?:to|\.\.|–|-)\s*(?P<hi>\d+)\s*)$")
 _QUERY_RE = re.compile(r"^(?P<letter>[A-E])\s*[).]\s*(?P<rest>.+)$")
 
 _OP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">=", "=": "=="}

@@ -79,8 +79,9 @@ class LabelMetrics:
     zero_division_labels: frozenset[str]
 
 
-def _canonical_labels(confusion: Mapping[tuple[str, str], int]) -> list[str]:
-    seen = {g for g, _ in confusion} | {p for _, p in confusion}
+def _canonical_labels(values: Iterable[str]) -> list[str]:
+    """Label values in ``LABEL_ORDER``, then any others sorted."""
+    seen = set(values)
     order = [label.value for label in LABEL_ORDER]
     return [v for v in order if v in seen] + sorted(seen - set(order))
 
@@ -91,7 +92,7 @@ def label_metrics(confusion: Mapping[tuple[str, str], int],
 
     A zero denominator yields 0 and flags the label rather than raising.
     """
-    labels = list(labels) if labels is not None else _canonical_labels(confusion)
+    labels = list(labels) if labels is not None else _canonical_labels(v for pair in confusion for v in pair)
     per_label = {}
     flagged = set()
     for label in labels:
@@ -386,7 +387,7 @@ def render_comparison(reports: Sequence[EvalReport]) -> str:
             if d.metrics.per_label:
                 lines.append("| Label | Precision | Recall | F1 |")
                 lines.append("|---|---|---|---|")
-                for label in d.metrics.per_label:
+                for label in _canonical_labels(d.metrics.per_label):
                     s = d.metrics.per_label[label]
                     lines.append(f"| {label} | {_pct(s.precision)} | {_pct(s.recall)} | {_pct(s.f1)} |")
                 lines.append(

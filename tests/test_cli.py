@@ -55,6 +55,16 @@ class TestParse:
         assert result.exit_code == 0, result.output
         assert "station_wagon == 1" in result.output
 
+    @pytest.mark.parametrize("command", ["parse", "solve"])
+    def test_csp_canonical_form_reads_back(self, runner, command):
+        first = runner.invoke(main, ["parse", "-", "--format", "csp"],
+                              input="Variables:\na ∈ {1, 2}\nConstraints:\na != 2\nQuery:\nA) a == 1\n")
+        assert first.exit_code == 0, first.output
+        flag = "--format" if command == "parse" else "--engine"
+        again = runner.invoke(main, [command, "-", flag, "csp"], input=first.output)
+        assert again.exit_code == 0, again.output
+        assert again.output == (first.output if command == "parse" else "A (MustBeTrue)\n")
+
     def test_bare_formula_lines(self, runner):
         result = runner.invoke(main, ["parse", "-", "--format", "fol"],
                                input="forall x (P(x) -> Q(x))\n")

@@ -93,6 +93,15 @@ class TestParseCspBlock:
         assert again.constraints == model.constraints
         assert again.queries == model.queries
 
+    def test_canonical_form_without_domain_lines_parses_back(self):
+        model, diagnostics = parse_csp_block("Variables:\na ∈ {1, 2}\nConstraints:\na != 2\nQuery:\nA) a == 1\n")
+        assert not diagnostics and model.domain_gloss == ()
+        again, diagnostics = parse_csp_block(model.to_text())
+        assert not diagnostics
+        assert (again.domain_size, again.variables, again.constraints, again.queries) == \
+            (model.domain_size, model.variables, model.constraints, model.queries)
+        assert again.to_text() == model.to_text()
+
     @pytest.mark.parametrize("text,diagnostics", [
         ("- Domain:\n- 1: low ::: the low end\n- 2: high\n- Variables:\n- v ∈ {1, 2}\n"
          "- Constraints:\n- v == 1 ::: v is low\n- Query:\n- A) v == 1\n", []),
@@ -135,7 +144,10 @@ class TestParseCspBlock:
         ("1: 1 to 5\n", 2, ("1: 1 to 5",), []),
         ("", 2, (), []),
         ("low to high\n", 2, (), [ParseDiagnostic(8, "cannot read domain line: 'low to high'")]),
-    ], ids=["endpoints", "range-to", "ranges-dots-dashes", "endpoint-before-range", "no-domain-lines", "unreadable"])
+        ("1 to 5\n", 5, ("1 to 5",), []),
+        ("1..3\n2 - 4\n", 4, ("1..3", "2 - 4"), []),
+    ], ids=["endpoints", "range-to", "ranges-dots-dashes", "endpoint-before-range", "no-domain-lines", "unreadable",
+            "bare-range", "bare-ranges-dots-dash"])
     def test_domain_line_forms(self, domain, size, gloss, diagnostics):
         model, got = parse_csp_block(f"Domain:\n{domain}Variables:\nv ∈ {{1, 2}}\nConstraints:\nQuery:\nA) v == 1\n")
         assert got == diagnostics

@@ -9,9 +9,10 @@ from symchain.evalkit import (
     prediction_distribution, read_annotations, render_comparison, render_report,
     stage_output_lengths,
 )
-from symchain.corpus import Problem
+from symchain.corpus import Problem, mini_corpus
+from symchain.fixtures import ScriptedCorpusBackend
 from symchain.logic import Label
-from symchain.pipeline import Method, RunRecord, StageRecord
+from symchain.pipeline import Method, RunConfig, RunRecord, StageRecord, run_batch
 
 
 def rec(problem_id, label, executed=True, dataset="ProofWriter", stages=()):
@@ -240,6 +241,23 @@ class TestReports:
         report = self._report()
         again = EvalReport.from_dict(json.loads(render_report(report, "json")))
         assert render_report(again, "json") == render_report(report, "json")
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_markdown_after_a_json_round_trip(self, method):
+        corpus = mini_corpus()
+        problems = list(corpus.problems)
+        records = run_batch(problems, method, RunConfig(), ScriptedCorpusBackend(corpus))
+        report = build_report(records, corpus.golds(), problems, method=method.value)
+        again = EvalReport.from_dict(json.loads(render_report(report, "json")))
+        assert render_report(again, "markdown") == render_report(report, "markdown")
+
+    def test_label_rows_in_canonical_order(self):
+        records = [rec("a", Label.TRUE), rec("b", Label.FALSE), rec("c", Label.UNKNOWN)]
+        golds = {"a": Label.UNKNOWN, "b": Label.FALSE, "c": Label.TRUE}
+        report = build_report(records, golds, [], method="cot")
+        markdown = render_report(EvalReport.from_dict(json.loads(render_report(report, "json"))))
+        rows = [line.split(" | ")[0] for line in markdown.splitlines() if line.startswith("| ")]
+        assert rows[rows.index("| Label"):][1:4] == ["| True", "| False", "| Unknown"]
 
     def test_merged_comparison_rows(self):
         r1 = self._report()
