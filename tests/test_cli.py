@@ -120,6 +120,26 @@ class TestSolve:
         assert result.exit_code == 1
         assert "inconsistency" in result.output + (result.stderr or "")
 
+    @pytest.mark.parametrize("text,engine,stderr", [
+        ("Premises:\nP(a)\nConclusion:\nQ(a ∧\n", "fol",
+         "error at offset 31: expected ')', found '∧'\ntranslation is not executable\n"),
+        ("Variables:\na ∈ {1, x}\nConstraints:\nQuery:\nA) a == 1\n", "csp",
+         "error at offset 11: non-integer domain value in: 'a ∈ {1, x}'\n"
+         "error at offset 52: no variables declared\nmodel is not executable\n"),
+        ("Premises:\n∀x (P(x) → Q(x))\nConclusion:\nQ(a)\n", "fol",
+         "no knowledge base in translation; general FOL is not auto-decided\n"),
+        ("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQuery:\n∀x Q(x, True)\n", "fol",
+         "unsupported query: quantified statements are not auto-decided\n"),
+    ], ids=["fol-not-executable", "csp-not-executable", "no-knowledge-base", "unsupported-query"])
+    def test_unsolvable_translation_exit_one(self, runner, text, engine, stderr):
+        result = runner.invoke(main, ["solve", "-", "--engine", engine], input=text)
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", stderr)
+
+    def test_csp_undecided_answer_exit_one(self, runner):
+        result = runner.invoke(main, ["solve", "-", "--engine", "csp"],
+                               input="Variables:\na ∈ {1}\nConstraints:\nQuery:\nA) a == 1\nB) a >= 1\n")
+        assert (result.exit_code, result.stdout) == (1, "Undecided{A, B}\n")
+
     def test_csp_without_solutions_exit_one(self, runner):
         block = ("Domain:\n1: low\n2: high\nVariables:\nv ∈ {1, 2}\nConstraints:\nv == 3\n"
                  "Query:\nA) v == 1\n")

@@ -136,6 +136,21 @@ class TestParseCspBlock:
             assert model.variables == [("v", (1, 2))]
             assert model.queries == [("A", Compare("v", "==", 1))]
 
+    @pytest.mark.parametrize("line,diagnostic", [
+        ("a = 1,2", ParseDiagnostic(11, "cannot read variable declaration: 'a = 1,2'")),
+        ("a ∈ {1, x}", ParseDiagnostic(11, "non-integer domain value in: 'a ∈ {1, x}'")),
+    ], ids=["variable-declaration", "domain-value"])
+    def test_unreadable_variable_line(self, line, diagnostic):
+        text = f"Variables:\n{line}\nv ∈ {{1, 2}}\nConstraints:\nQuery:\nA) v == 1\n"
+        model, diagnostics = parse_csp_block(text)
+        assert diagnostics == [diagnostic]
+        assert model.variables == [("v", (1, 2))]
+
+    def test_query_line_without_an_option_letter(self):
+        model, diagnostics = parse_csp_block("Variables:\nv ∈ {1, 2}\nConstraints:\nQuery:\nA) v == 1\nv == 2\n")
+        assert diagnostics == [ParseDiagnostic(52, "query line must start with an option letter: 'v == 2'")]
+        assert model.queries == [("A", Compare("v", "==", 1))]
+
     @pytest.mark.parametrize("domain,size,gloss,diagnostics", [
         ("1: low\n3: high\n", 3, ("1: low", "3: high"), []),
         ("positions: 1 to 5\n", 5, ("positions: 1 to 5",), []),

@@ -267,6 +267,36 @@ class TestReports:
         assert "| symbcot |" in merged
         assert "| cot |" in merged
 
+    def _annotated_report(self):
+        stages = [StageRecord("translator", "", "", completion_tokens=12),
+                  StageRecord("solver", "", "", completion_tokens=7),
+                  StageRecord("engine", "", "", completion_tokens=0)]
+        records = [rec("a", Label.TRUE, stages=stages), rec("b", Label.FALSE, stages=stages[1:])]
+        rows = [("a", "x", "faithful"), ("a", "y", "faithful"), ("b", "x", "faithful"), ("b", "y", "false")]
+        return build_report(records, {"a": Label.TRUE, "b": Label.TRUE}, [], method="symbcot", annotations=rows)
+
+    def test_faithfulness_section_in_markdown(self):
+        markdown = render_report(self._annotated_report(), "markdown")
+        assert markdown.endswith("## Faithfulness (symbcot)\n\n- faithful: 1\n- unfaithful: 0\n- false: 0\n"
+                                 "- even splits excluded: b\n")
+
+    def test_faithfulness_and_stage_length_rows_in_csv(self):
+        lines = render_report(self._annotated_report(), "csv").splitlines()
+        assert lines[-5:] == [
+            "symbcot,ProofWriter,mean_completion_tokens,solver,7.0",
+            "symbcot,ProofWriter,mean_completion_tokens,translator,12.0",
+            "symbcot,,faithfulness,faithful,1",
+            "symbcot,,faithfulness,unfaithful,0",
+            "symbcot,,faithfulness,false,0",
+        ]
+
+    def test_faithfulness_json_round_trip(self):
+        report = self._annotated_report()
+        again = EvalReport.from_dict(json.loads(render_report(report, "json")))
+        assert again.faithfulness == report.faithfulness
+        for fmt in ("json", "csv", "markdown"):
+            assert render_report(again, fmt) == render_report(report, fmt)
+
     def test_empty_faithfulness_section_omitted(self):
         markdown = render_report(self._report(), "markdown")
         assert "Faithfulness" not in markdown

@@ -355,6 +355,12 @@ Love(miroslav, music) ::: Miroslav loved music.
         body = text.index("P(a, True :::")
         assert block.diagnostics == [ParseDiagnostic(body + len("P(a, True"), "unbalanced parenthesis")]
 
+    def test_unreadable_predicate_declaration(self):
+        block = parse_translation_block("Predicates:\nP(x) ::: x is p\nnot a declaration\nFacts:\n"
+                                        "P(a, True)\nQuery:\nP(a, True)\n")
+        assert block.diagnostics == [ParseDiagnostic(28, "cannot read predicate declaration: 'not a declaration'")]
+        assert block.predicates == [("P", 1, "x is p")]
+
     def test_round_trip_canonical_text(self):
         block = parse_translation_block(PRONTOQA_BLOCK)
         again = parse_translation_block(block.to_text())

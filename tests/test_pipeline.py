@@ -10,7 +10,8 @@ from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
     FallbackPolicy, Method, RunConfig, RunRecord,
-    extract_label, read_records, run_batch, run_problem, write_records,
+    extract_label, parse_translation, read_records, run_batch, run_problem, solve_translation,
+    write_records,
 )
 from symchain import templates
 from symchain.templates import Family, Stage, TemplateCatalog, parse_demo_file
@@ -39,6 +40,7 @@ class TestExtractLabel:
         ("we can conclude that (Yellow(ben) ∨ Ugly(ben)) is false by contradiction.", Label.FALSE),
         ("Therefore, the final answer is C.", Label.C),
         ("it is uncertain", Label.UNKNOWN),
+        ("Reading the shelf left to right.\nB) the blue book", Label.B),
     ])
     def test_cases(self, text, expected):
         assert extract_label(text) is expected
@@ -54,6 +56,15 @@ class TestExtractLabel:
     def test_braces_beat_phrases(self):
         text = "the answer is true ... Final answer: {false}"
         assert extract_label(text) is Label.FALSE
+
+
+def test_csp_answer_undecided_between_two_options():
+    model, diagnostics = parse_translation(
+        "Variables:\na ∈ {1}\nConstraints:\nQuery:\nA) a == 1\nB) a >= 1\n", csp=True)
+    result = solve_translation(model, [], "", csp=True)
+    assert not diagnostics
+    assert (result.label, result.executed, str(result.answer)) == (Label.UNDECIDED, True, "Undecided{A, B}")
+    assert result.response == "verdicts [A:MustBeTrue, B:MustBeTrue] over 1 solutions; Undecided{A, B}"
 
 
 class TestRunProblem:
