@@ -245,7 +245,10 @@ def cmd_report(report_files, out):
     """Merge JSON eval reports into one markdown comparison table."""
     reports = []
     for path in report_files:
-        reports.append(evalkit.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig"))))
+        try:
+            reports.append(evalkit.EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig"))))
+        except ValueError as err:
+            _fail(f"{path}: not a report ({err})")
     rendered = evalkit.render_comparison(reports)
     if out:
         Path(out).write_text(rendered, encoding="utf-8")

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Problem
 from .logic import LABEL_ORDER, Label
-from .pipeline import RunRecord
+from .pipeline import Record, RunRecord
 
 
 class IdMismatchError(Exception):
@@ -197,17 +197,23 @@ def read_annotations(path) -> list[tuple[str, str, str]]:
 
 
 @dataclass
-class DatasetReport:
-    dataset: str
-    count: int
-    accuracy: float
-    execution_rate: float
-    undecided_rate: float
-    confusion: dict[tuple[str, str], int]
-    metrics: LabelMetrics
-    depth_breakdown: dict[int, float]
-    prediction_distribution: dict[str, float]
-    stage_output_lengths: dict[str, float]
+class DatasetReport(Record):
+    """One dataset's scores in the JSON shape they are written in: confusion
+    keyed ``"gold->predicted"``, label scores as ``{"precision", "recall",
+    "f1"}`` objects and depth buckets keyed by their decimal text.  A key
+    missing from the JSON takes the field's default."""
+
+    count: int = 0
+    accuracy: float = 0.0
+    execution_rate: float = 0.0
+    undecided_rate: float = 0.0
+    confusion: dict[str, int] = field(default_factory=dict)
+    per_label: dict[str, dict[str, float]] = field(default_factory=dict)
+    macro: dict[str, float] = field(default_factory=lambda: {"precision": 0.0, "recall": 0.0, "f1": 0.0})
+    zero_division_labels: list[str] = field(default_factory=list)
+    depth_breakdown: dict[str, float] = field(default_factory=dict)
+    prediction_distribution: dict[str, float] = field(default_factory=dict)
+    stage_output_lengths: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -217,71 +223,19 @@ class EvalReport:
     faithfulness: Optional[FaithfulnessTally] = None
 
     def to_dict(self) -> dict:
-        out = {"method": self.method, "datasets": {}}
-        for name in sorted(self.datasets):
-            d = self.datasets[name]
-            out["datasets"][name] = {
-                "count": d.count,
-                "accuracy": d.accuracy,
-                "execution_rate": d.execution_rate,
-                "undecided_rate": d.undecided_rate,
-                "confusion": {f"{g}->{p}": n for (g, p), n in sorted(d.confusion.items())},
-                "per_label": {
-                    label: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-                    for label, s in d.metrics.per_label.items()
-                },
-                "macro": {
-                    "precision": d.metrics.macro_precision,
-                    "recall": d.metrics.macro_recall,
-                    "f1": d.metrics.macro_f1,
-                },
-                "zero_division_labels": sorted(d.metrics.zero_division_labels),
-                "depth_breakdown": {str(k): v for k, v in d.depth_breakdown.items()},
-                "prediction_distribution": d.prediction_distribution,
-                "stage_output_lengths": d.stage_output_lengths,
-            }
+        out = {"method": self.method, "datasets": {name: d.to_dict() for name, d in self.datasets.items()}}
         if self.faithfulness is not None:
-            out["faithfulness"] = {
-                "counts": self.faithfulness.counts,
-                "even_splits": list(self.faithfulness.even_splits),
-            }
+            out["faithfulness"] = {"counts": self.faithfulness.counts,
+                                   "even_splits": list(self.faithfulness.even_splits)}
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
-        report = cls(method=data.get("method", "?"))
-        for name, d in data.get("datasets", {}).items():
-            confusion = {}
-            for key, n in d.get("confusion", {}).items():
-                gold, pred = key.split("->", 1)
-                confusion[(gold, pred)] = n
-            metrics = LabelMetrics(
-                per_label={
-                    label: LabelScores(s["precision"], s["recall"], s["f1"])
-                    for label, s in d.get("per_label", {}).items()
-                },
-                macro_precision=d.get("macro", {}).get("precision", 0.0),
-                macro_recall=d.get("macro", {}).get("recall", 0.0),
-                macro_f1=d.get("macro", {}).get("f1", 0.0),
-                zero_division_labels=frozenset(d.get("zero_division_labels", ())),
-            )
-            report.datasets[name] = DatasetReport(
-                dataset=name,
-                count=d.get("count", 0),
-                accuracy=d.get("accuracy", 0.0),
-                execution_rate=d.get("execution_rate", 0.0),
-                undecided_rate=d.get("undecided_rate", 0.0),
-                confusion=confusion,
-                metrics=metrics,
-                depth_breakdown={int(k): v for k, v in d.get("depth_breakdown", {}).items()},
-                prediction_distribution=d.get("prediction_distribution", {}),
-                stage_output_lengths=d.get("stage_output_lengths", {}),
-            )
+        report = cls(method=data.get("method", "?"),
+                     datasets={name: DatasetReport.from_dict(d) for name, d in data.get("datasets", {}).items()})
         if "faithfulness" in data:
-            report.faithfulness = FaithfulnessTally(
-                counts=data["faithfulness"]["counts"],
-                even_splits=tuple(data["faithfulness"]["even_splits"]),
-            )
+            report.faithfulness = FaithfulnessTally(counts=data["faithfulness"]["counts"],
+                                                    even_splits=tuple(data["faithfulness"]["even_splits"]))
         return report
 
 
@@ -297,15 +251,18 @@ def build_report(records: Sequence[RunRecord], golds: Mapping[str, Label],
         subset = by_dataset[name]
         subset_problems = [problem_index[r.problem_id] for r in subset if r.problem_id in problem_index]
         confusion = confusion_matrix(subset, golds)
+        metrics = label_metrics(confusion)
         report.datasets[name] = DatasetReport(
-            dataset=name,
             count=len(subset),
             accuracy=accuracy(subset, golds),
             execution_rate=execution_rate(subset),
             undecided_rate=undecided_rate(subset),
-            confusion=confusion,
-            metrics=label_metrics(confusion),
-            depth_breakdown=depth_breakdown(subset, golds, subset_problems),
+            confusion={f"{g}->{p}": n for (g, p), n in confusion.items()},
+            per_label={label: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
+                       for label, s in metrics.per_label.items()},
+            macro={"precision": metrics.macro_precision, "recall": metrics.macro_recall, "f1": metrics.macro_f1},
+            zero_division_labels=sorted(metrics.zero_division_labels),
+            depth_breakdown={str(d): v for d, v in depth_breakdown(subset, golds, subset_problems).items()},
             prediction_distribution=prediction_distribution(subset),
             stage_output_lengths=stage_output_lengths(subset),
         )
@@ -339,12 +296,10 @@ def _render_csv(report: EvalReport) -> str:
         writer.writerow([report.method, name, "accuracy", "", repr(d.accuracy)])
         writer.writerow([report.method, name, "execution_rate", "", repr(d.execution_rate)])
         writer.writerow([report.method, name, "undecided_rate", "", repr(d.undecided_rate)])
-        for label in sorted(d.metrics.per_label):
-            s = d.metrics.per_label[label]
-            writer.writerow([report.method, name, "precision", label, repr(s.precision)])
-            writer.writerow([report.method, name, "recall", label, repr(s.recall)])
-            writer.writerow([report.method, name, "f1", label, repr(s.f1)])
-        writer.writerow([report.method, name, "macro_f1", "", repr(d.metrics.macro_f1)])
+        for label in sorted(d.per_label):
+            for metric in ("precision", "recall", "f1"):
+                writer.writerow([report.method, name, metric, label, repr(d.per_label[label][metric])])
+        writer.writerow([report.method, name, "macro_f1", "", repr(d.macro["f1"])])
         for depth in sorted(d.depth_breakdown):
             writer.writerow([report.method, name, "depth_accuracy", depth, repr(d.depth_breakdown[depth])])
         for label in sorted(d.prediction_distribution):
@@ -384,16 +339,12 @@ def render_comparison(reports: Sequence[EvalReport]) -> str:
             lines.append(f"- execution rate: {_pct(d.execution_rate)}")
             lines.append(f"- undecided: {_pct(d.undecided_rate)}")
             lines.append("")
-            if d.metrics.per_label:
+            if d.per_label:
                 lines.append("| Label | Precision | Recall | F1 |")
                 lines.append("|---|---|---|---|")
-                for label in _canonical_labels(d.metrics.per_label):
-                    s = d.metrics.per_label[label]
-                    lines.append(f"| {label} | {_pct(s.precision)} | {_pct(s.recall)} | {_pct(s.f1)} |")
-                lines.append(
-                    f"| macro | {_pct(d.metrics.macro_precision)} | "
-                    f"{_pct(d.metrics.macro_recall)} | {_pct(d.metrics.macro_f1)} |"
-                )
+                rows = [(label, d.per_label[label]) for label in _canonical_labels(d.per_label)]
+                for label, s in rows + [("macro", d.macro)]:
+                    lines.append(f"| {label} | {_pct(s['precision'])} | {_pct(s['recall'])} | {_pct(s['f1'])} |")
                 lines.append("")
             if d.depth_breakdown:
                 lines.append("| Depth | Accuracy |")

@@ -129,7 +129,7 @@ def _read_strings(value) -> list[str]:
     return value
 
 
-# annotation text (this module postpones annotations) -> (writer of a value
+# annotation text (record modules postpone annotations) -> (writer of a value
 # and the include_wall_time flag, reader of its JSON value); None keeps the
 # value as it is, and a reader of a plain type raises ``ValueError`` on another
 _CODECS = {
@@ -137,13 +137,14 @@ _CODECS = {
     "Method": (lambda value, _: value.value, Method),
     "bool": (None, _read_bool),
     "int": (None, _exact("an integer", int)),
+    "float": (None, _exact("a number", int, float)),
     "str": (None, _exact("a string", str)),
     "Optional[str]": (None, _exact("a string or null", str, type(None))),
     "list[str]": (lambda value, _: list(value), _read_strings),
     "list[StageRecord]": (lambda stages, timing: [s.to_dict(timing) for s in stages],
                           lambda data: [StageRecord.from_dict(s) for s in data]),
 }
-_TIMING_CODEC = (lambda value, _: round(value, 6), _exact("a number", int, float))
+_TIMING_CODEC = (lambda value, _: round(value, 6), _CODECS["float"][1])
 
 
 @functools.cache
@@ -153,7 +154,7 @@ def _record_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Optional[C
                   "timing" in f.metadata) for f in fields(cls) if "unwritten" not in f.metadata)
 
 
-class _Record:
+class Record:
     """Written to and read from a JSON object by its dataclass fields: a
     missing key takes the field's default, unknown keys are ignored, and a
     value of the wrong type raises ``ValueError``."""
@@ -182,7 +183,7 @@ class _Record:
 
 
 @dataclass
-class StageRecord(_Record):
+class StageRecord(Record):
     stage: str
     prompt: str = ""
     response: str = ""
@@ -193,7 +194,7 @@ class StageRecord(_Record):
 
 
 @dataclass
-class RunRecord(_Record):
+class RunRecord(Record):
     problem_id: str
     method: Method
     executed: bool

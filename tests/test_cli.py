@@ -237,6 +237,28 @@ class TestRunEvalReport:
         assert merged.exit_code == 0
         assert "100.00" in merged.output
 
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_report_prints_the_eval_markdown(self, runner, tmp_path, method):
+        records = tmp_path / "records.jsonl"
+        runner.invoke(main, ["run", "--method", method, "--replay", "--out", str(records)])
+        report = tmp_path / "report.json"
+        runner.invoke(main, ["eval", str(records), "--format", "json", "--out", str(report)])
+        markdown = runner.invoke(main, ["eval", str(records), "--format", "markdown"])
+        merged = runner.invoke(main, ["report", str(report)])
+        assert (merged.exit_code, merged.stdout) == (0, markdown.stdout)
+
+    @pytest.mark.parametrize("text,found", [
+        ("{", "not a report (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+        ('{"datasets": {"x": {"count": "3"}}}', "not a report (expected an integer, found '3')"),
+        ('{"datasets": {"x": {"accuracy": "1"}}}', "not a report (expected a number, found '1')"),
+        ('{"datasets": {"x": []}}', "not a report (expected a DatasetReport object, found [])"),
+    ], ids=["not-json", "count-string", "accuracy-string", "dataset-not-object"])
+    def test_report_file_not_a_report_exit_one(self, runner, tmp_path, text, found):
+        report = tmp_path / "report.json"
+        report.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["report", str(report)])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"{report}: {found}\n")
+
     def test_report_with_a_byte_order_mark(self, runner, tmp_path, corpus):
         records = tmp_path / "records.jsonl"
         write_records(run_batch(list(corpus.problems), Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)),
