@@ -174,12 +174,6 @@ class LoadResult:
     problems: list[Problem] = field(default_factory=list)
     errors: list[LoadError] = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.problems)
-
-    def __len__(self):
-        return len(self.problems)
-
 
 _FIELD_ALIASES = {
     "id": ("id", "example_id", "qid", "ID"),

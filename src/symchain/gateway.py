@@ -250,16 +250,21 @@ class CachingBackend(Backend):
         return response
 
 
-# The longest wait a server's Retry-After can impose before the next attempt.
+# Attempts per request, the first backoff wait (doubled after each failed
+# attempt), the per-attempt timeout, and the longest wait a server's
+# Retry-After can impose before the next attempt.
+MAX_ATTEMPTS = 5
+BACKOFF_BASE_S = 1.0
+TIMEOUT_S = 120.0
 MAX_RETRY_AFTER_S = 60.0
 
 
 class HttpBackend(Backend):
     """Live chat-completions client (messages array in, choices[0] out).
 
-    Retries network failures with exponential backoff (max 5 attempts) and
-    honors a server-provided Retry-After on rate limits, up to
-    ``MAX_RETRY_AFTER_S``.
+    Retries network failures with exponential backoff (``MAX_ATTEMPTS``
+    attempts from ``BACKOFF_BASE_S``) and honors a server-provided
+    Retry-After on rate limits, up to ``MAX_RETRY_AFTER_S``.
     """
 
     def __init__(
@@ -267,17 +272,11 @@ class HttpBackend(Backend):
         endpoint: str,
         api_key: Optional[str] = None,
         *,
-        max_attempts: int = 5,
-        backoff_base: float = 1.0,
         post: Optional[Callable] = None,
         sleep: Callable[[float], None] = time.sleep,
-        timeout: float = 120.0,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.timeout = timeout
         self._post = post
         self._sleep = sleep
 
@@ -291,11 +290,11 @@ class HttpBackend(Backend):
         body = request.to_dict()
 
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(self._delay(attempt, last_error))
             try:
-                resp = post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
+                resp = post(self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S)
             except requests.RequestException as err:
                 last_error = NetworkError(str(err))
                 continue
@@ -329,7 +328,7 @@ class HttpBackend(Backend):
     def _delay(self, attempt: int, last_error: Optional[Exception]) -> float:
         if isinstance(last_error, RateLimitedError) and last_error.retry_after is not None:
             return min(last_error.retry_after, MAX_RETRY_AFTER_S)
-        return self.backoff_base * (2 ** (attempt - 1))
+        return BACKOFF_BASE_S * (2 ** (attempt - 1))
 
 
 def _parse_retry_after(resp) -> Optional[float]:

@@ -245,7 +245,7 @@ class TestHttpBackend:
             raise requests.ConnectionError("down")
 
         sleeps = []
-        backend = HttpBackend("http://example", post=post, sleep=sleeps.append, backoff_base=1.0)
+        backend = HttpBackend("http://example", post=post, sleep=sleeps.append)
         with pytest.raises(NetworkError):
             backend.complete(req())
         assert len(attempts) == 5
