@@ -209,11 +209,15 @@ class DatasetReport(Record):
     undecided_rate: float = 0.0
     confusion: dict[str, int] = field(default_factory=dict)
     per_label: dict[str, dict[str, float]] = field(default_factory=dict)
-    macro: dict[str, float] = field(default_factory=lambda: {"precision": 0.0, "recall": 0.0, "f1": 0.0})
+    macro: dict[str, float] = field(default_factory=dict)
     zero_division_labels: list[str] = field(default_factory=list)
     depth_breakdown: dict[str, float] = field(default_factory=dict)
     prediction_distribution: dict[str, float] = field(default_factory=dict)
     stage_output_lengths: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a macro score missing from the JSON reads as 0.0
+        self.macro = {"precision": 0.0, "recall": 0.0, "f1": 0.0, **self.macro}
 
 
 @dataclass

@@ -259,6 +259,17 @@ class TestReports:
         rows = [line.split(" | ")[0] for line in markdown.splitlines() if line.startswith("| ")]
         assert rows[rows.index("| Label"):][1:4] == ["| True", "| False", "| Unknown"]
 
+    def test_missing_keys_take_defaults(self):
+        report = EvalReport.from_dict({"datasets": {"x": {
+            "per_label": {"True": {"precision": 1.0, "recall": 0.5, "f1": 0.75}}, "macro": {"precision": 0.5}}}})
+        assert report.method == "?" and report.faithfulness is None
+        d = report.datasets["x"]
+        assert (d.count, d.accuracy, d.confusion, d.depth_breakdown) == (0, 0.0, {}, {})
+        assert d.macro == {"precision": 0.5, "recall": 0.0, "f1": 0.0}
+        assert "| macro | 50.00 | 0.00 | 0.00 |" in render_report(report, "markdown")
+        assert EvalReport.from_dict({"datasets": {"x": {}}}).datasets["x"].macro == \
+            {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+
     def test_merged_comparison_rows(self):
         r1 = self._report()
         r2 = self._report()
