@@ -229,8 +229,10 @@ class EvalReport:
     def to_dict(self) -> dict:
         out = {"method": self.method, "datasets": {name: d.to_dict() for name, d in self.datasets.items()}}
         if self.faithfulness is not None:
-            out["faithfulness"] = {"counts": self.faithfulness.counts,
-                                   "even_splits": list(self.faithfulness.even_splits)}
+            out["faithfulness"] = {
+                "counts": self.faithfulness.counts,
+                "even_splits": list(self.faithfulness.even_splits),
+            }
         return out
 
     @classmethod
@@ -238,8 +240,10 @@ class EvalReport:
         report = cls(method=data.get("method", "?"),
                      datasets={name: DatasetReport.from_dict(d) for name, d in data.get("datasets", {}).items()})
         if "faithfulness" in data:
-            report.faithfulness = FaithfulnessTally(counts=data["faithfulness"]["counts"],
-                                                    even_splits=tuple(data["faithfulness"]["even_splits"]))
+            report.faithfulness = FaithfulnessTally(
+                counts=data["faithfulness"]["counts"],
+                even_splits=tuple(data["faithfulness"]["even_splits"]),
+            )
         return report
 
 
