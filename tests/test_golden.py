@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 from random import Random
@@ -124,12 +123,12 @@ def test_outputs_match_the_golden_digests_under_three_hash_seeds():
         got = json.loads(stdout)
         if got == expected:
             continue
-        for case, output_description, output in _cases():
+        for case, described, output in _cases():
             if got.get(case) != expected.get(case):
                 kind = case.split(":", 1)[0]
                 raise AssertionError(
                     f"under PYTHONHASHSEED={seed}, case {case} ({kind}) digests to {got.get(case)}, "
-                    f"expected {expected.get(case)}\ninput: {output_description}\noutput:\n{output[:2000]}")
+                    f"expected {expected.get(case)}\ninput: {described}\noutput:\n{output[:2000]}")
         missing = sorted(set(expected) - set(got))
         raise AssertionError(f"under PYTHONHASHSEED={seed}, cases without an output: {missing[:5]}")
 
@@ -137,4 +136,4 @@ def test_outputs_match_the_golden_digests_under_three_hash_seeds():
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {DIGESTS}\n")
+    print(f"wrote {DIGESTS}")
