@@ -154,8 +154,6 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
         config = RunConfig.from_file(config_path) if config_path else RunConfig()
     except ValueError as err:
         raise click.UsageError(f"invalid config file {config_path}: {err}") from None
-    if method is None:
-        method = config.method
     if parallelism is not None:
         config.parallelism = parallelism
     if seed is not None:
@@ -183,7 +181,7 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
         cache_dir = config.cache_dir or ".symchain-cache"
         gateway = CachingBackend(live, CompletionCache(cache_dir))
 
-    records = run_batch(problems, Method(method), config, gateway)
+    records = run_batch(problems, Method(method or config.method), config, gateway)
     write_records(records, out or "-")
 
     misses = [r for r in records if r.error and "ReplayMiss" in r.error]
@@ -217,20 +215,17 @@ def cmd_eval(records_file, gold_source, fmt, out, annotations):
         records = read_records(records_file)
     except ValueError as err:
         _fail(str(err))
-    if _is_mini_corpus(gold_source):
-        corpus = mini_corpus()
-        problems = list(corpus.problems)
-        golds = corpus.golds()
-    else:
-        result = load_normalized(gold_source)
-        problems = result.problems
-        golds = {p.id: p.gold for p in problems}
+    corpus = mini_corpus() if _is_mini_corpus(gold_source) else load_normalized(gold_source)
+    problems = list(corpus.problems)
+    golds = {p.id: p.gold for p in problems}
     method = records[0].method.value if records else "?"
-    rows = evalkit.read_annotations(annotations) if annotations else None
     try:
+        rows = evalkit.read_annotations(annotations) if annotations else None
         report = evalkit.build_report(records, golds, problems, method=method, annotations=rows)
     except evalkit.IdMismatchError as err:
         _fail(str(err))
+    except ValueError as err:  # a missing column or an unknown verdict; the records were read already
+        _fail(f"{annotations}: not an annotations file ({err})")
     rendered = evalkit.render_report(report, fmt)
     if out:
         Path(out).write_text(rendered, encoding="utf-8")
@@ -265,14 +260,21 @@ def cmd_cache():
     """Inspect or prune the completion cache."""
 
 
+def _model_and_stamp(cache: CompletionCache, key: str) -> tuple:
+    """An entry's model and timestamp, "?" where it has none or cannot be read."""
+    try:
+        entry = cache.entry(key) or {}
+        return entry.get("request", {}).get("model", "?"), entry.get("timestamp", "?")
+    except (AttributeError, ValueError):  # not a JSON object, or not JSON
+        return "?", "?"
+
+
 @cmd_cache.command("ls")
 @click.option("--dir", "directory", default=".symchain-cache", show_default=True)
 def cache_ls(directory):
     cache = CompletionCache(directory)
     for key in cache.keys():
-        entry = cache.entry(key)
-        model = entry.get("request", {}).get("model", "?") if entry else "?"
-        stamp = entry.get("timestamp", "?") if entry else "?"
+        model, stamp = _model_and_stamp(cache, key)
         click.echo(f"{key}  {model}  {stamp}")
 
 
@@ -291,11 +293,9 @@ def cache_gc(directory, days, wipe):
         if wipe:
             removed += cache.remove(key)
             continue
-        entry = cache.entry(key)
-        stamp = entry.get("timestamp") if entry else None
         try:
-            age = calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")) if stamp else 0
-        except (TypeError, ValueError):
+            age = calendar.timegm(time.strptime(_model_and_stamp(cache, key)[1], "%Y-%m-%dT%H:%M:%SZ"))
+        except (TypeError, ValueError):  # undated
             age = 0
         if age < cutoff:
             removed += cache.remove(key)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Problem
 from .logic import LABEL_ORDER, Label
-from .pipeline import Record, RunRecord
+from .pipeline import CODECS, Record, RunRecord, read_object
 
 
 class IdMismatchError(Exception):
@@ -141,15 +141,12 @@ def prediction_distribution(records: Sequence[RunRecord]) -> dict[str, float]:
 
 def stage_output_lengths(records: Sequence[RunRecord]) -> dict[str, float]:
     """Mean completion tokens per stage name across all records."""
-    sums: defaultdict = defaultdict(int)
-    counts: defaultdict = defaultdict(int)
+    tokens: defaultdict = defaultdict(list)
     for r in records:
         for s in r.stages:
-            if s.stage == "engine":
-                continue
-            sums[s.stage] += s.completion_tokens
-            counts[s.stage] += 1
-    return {stage: sums[stage] / counts[stage] for stage in sorted(sums)}
+            if s.stage != "engine":
+                tokens[s.stage].append(s.completion_tokens)
+    return {stage: sum(values) / len(values) for stage, values in sorted(tokens.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +155,14 @@ def stage_output_lengths(records: Sequence[RunRecord]) -> dict[str, float]:
 VERDICTS = ("faithful", "unfaithful", "false")
 
 
-@dataclass(frozen=True)
-class FaithfulnessTally:
-    counts: dict[str, int]
-    even_splits: tuple[str, ...]
+@dataclass
+class FaithfulnessTally(Record):
+    counts: dict[str, int] = field(default_factory=dict)
+    even_splits: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # a verdict count missing from the JSON reads as 0
+        self.counts = {**dict.fromkeys(VERDICTS, 0), **self.counts}
 
 
 def faithfulness_tally(rows: Iterable[tuple[str, str, str]]) -> FaithfulnessTally:
@@ -186,9 +187,12 @@ def faithfulness_tally(rows: Iterable[tuple[str, str, str]]) -> FaithfulnessTall
 
 
 def read_annotations(path) -> list[tuple[str, str, str]]:
-    """CSV with header problem_id,annotator_id,verdict."""
+    """CSV with header problem_id,annotator_id,verdict (a missing column raises ``ValueError``)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
+        missing = {"problem_id", "annotator_id", "verdict"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"no {', '.join(sorted(missing))} column")
         return [(row["problem_id"], row["annotator_id"], row["verdict"]) for row in reader]
 
 
@@ -216,35 +220,31 @@ class DatasetReport(Record):
     stage_output_lengths: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        # a macro score missing from the JSON reads as 0.0
-        self.macro = {"precision": 0.0, "recall": 0.0, "f1": 0.0, **self.macro}
+        # a label or macro score missing from the JSON reads as 0.0
+        zero = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        self.per_label = {label: {**zero, **scores} for label, scores in self.per_label.items()}
+        self.macro = {**zero, **self.macro}
+
+
+CODECS.update({
+    "dict[str, DatasetReport]": (lambda datasets, timing: {name: d.to_dict(timing) for name, d in datasets.items()},
+                                 read_object(DatasetReport.from_dict)),
+    "Optional[FaithfulnessTally]": (lambda tally, timing: None if tally is None else tally.to_dict(timing),
+                                    lambda data: None if data is None else FaithfulnessTally.from_dict(data)),
+})
 
 
 @dataclass
-class EvalReport:
-    method: str
+class EvalReport(Record):
+    method: str = "?"
     datasets: dict[str, DatasetReport] = field(default_factory=dict)
     faithfulness: Optional[FaithfulnessTally] = None
 
-    def to_dict(self) -> dict:
-        out = {"method": self.method, "datasets": {name: d.to_dict() for name, d in self.datasets.items()}}
-        if self.faithfulness is not None:
-            out["faithfulness"] = {
-                "counts": self.faithfulness.counts,
-                "even_splits": list(self.faithfulness.even_splits),
-            }
+    def to_dict(self, include_wall_time: bool = True) -> dict:
+        out = super().to_dict(include_wall_time)
+        if self.faithfulness is None:  # a report without annotations has no faithfulness key
+            del out["faithfulness"]
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        report = cls(method=data.get("method", "?"),
-                     datasets={name: DatasetReport.from_dict(d) for name, d in data.get("datasets", {}).items()})
-        if "faithfulness" in data:
-            report.faithfulness = FaithfulnessTally(
-                counts=data["faithfulness"]["counts"],
-                even_splits=tuple(data["faithfulness"]["even_splits"]),
-            )
-        return report
 
 
 def build_report(records: Sequence[RunRecord], golds: Mapping[str, Label],

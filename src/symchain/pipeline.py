@@ -53,54 +53,6 @@ class FallbackPolicy(str, Enum):
     COT_BACKUP = "cot_backup"
 
 
-@dataclass
-class RunConfig:
-    model: str = "offline-model"
-    endpoint: str = "http://localhost:8000/v1/chat/completions"
-    api_key_env: str = "SYMCHAIN_API_KEY"
-    method: str = "translate_then_solve"
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    few_shot: int = 2
-    fallback: FallbackPolicy = FallbackPolicy.ABSTAIN
-    seed: int = 0
-    parallelism: int = 1
-    cache_dir: Optional[str] = None
-    template_dir: Optional[str] = None
-    demo_dir: Optional[str] = None
-    dataset_paths: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "RunConfig":
-        """Read a JSON config file; raises ``ValueError`` on invalid JSON or values."""
-        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-        if not isinstance(data, dict):
-            raise ValueError("a config file holds one JSON object")
-        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown keys: {', '.join(unknown)}")
-        config = cls(**data)
-        config.fallback = FallbackPolicy(config.fallback)
-        Method(config.method)  # validate early
-        for f in fields(cls):
-            if f.type in ("str", "Optional[str]"):
-                try:
-                    _CODECS[f.type][1](getattr(config, f.name))
-                except ValueError as err:
-                    raise ValueError(f"{f.name}: {err}") from None
-        paths = config.dataset_paths
-        if type(paths) is not dict or not all(type(path) is str for path in paths.values()):
-            raise ValueError(f"dataset_paths must map dataset names to path strings, found {paths!r}")
-        for name, kind, least in (("parallelism", int, 1), ("few_shot", int, 0),
-                                  ("max_tokens", int, 1), ("temperature", float, 0)):
-            value = getattr(config, name)
-            # bool is an int subclass, so types are compared exactly; NaN fails the bound
-            if type(value) not in (int, kind) or not value >= least:
-                raise ValueError(f"{name} must be {'a number' if kind is float else 'an integer'} ≥ {least}")
-        return config
-
-
 # Field metadata: an unwritten field lives only in memory; a timing field is
 # rounded to 6 places and left out by ``to_dict(include_wall_time=False)``.
 UNWRITTEN = {"unwritten": True}
@@ -129,35 +81,53 @@ def _read_strings(value) -> list[str]:
     return value
 
 
+def read_object(read_value: Callable) -> Callable:
+    """A reader of a JSON object that reads each value with ``read_value``."""
+    def read(value):
+        if type(value) is not dict:
+            raise ValueError(f"expected an object, found {value!r}")
+        return {key: read_value(item) for key, item in value.items()}
+    return read
+
+
+_NUMBER = _exact("a number", int, float)
+
 # annotation text (record modules postpone annotations) -> (writer of a value
-# and the include_wall_time flag, reader of its JSON value); None keeps the
-# value as it is, and a reader of a plain type raises ``ValueError`` on another
-_CODECS = {
+# and the include_wall_time flag, reader of its JSON value); a None writer
+# keeps the value as it is, and a reader raises ``ValueError`` on a value it
+# cannot read.  ``evalkit`` adds the entries of its report types.
+CODECS = {
     "Label": (lambda value, _: value.value, Label),
     "Method": (lambda value, _: value.value, Method),
+    "FallbackPolicy": (lambda value, _: value.value, FallbackPolicy),
     "bool": (None, _read_bool),
     "int": (None, _exact("an integer", int)),
-    "float": (None, _exact("a number", int, float)),
+    "float": (None, _NUMBER),
     "str": (None, _exact("a string", str)),
     "Optional[str]": (None, _exact("a string or null", str, type(None))),
     "list[str]": (lambda value, _: list(value), _read_strings),
+    "tuple[str, ...]": (lambda value, _: list(value), lambda value: tuple(_read_strings(value))),
+    "dict[str, str]": (None, read_object(_exact("a string", str))),
+    "dict[str, int]": (None, read_object(_exact("an integer", int))),
+    "dict[str, float]": (None, read_object(_NUMBER)),
+    "dict[str, dict[str, float]]": (None, read_object(read_object(_NUMBER))),
     "list[StageRecord]": (lambda stages, timing: [s.to_dict(timing) for s in stages],
                           lambda data: [StageRecord.from_dict(s) for s in data]),
 }
-_TIMING_CODEC = (lambda value, _: round(value, 6), _CODECS["float"][1])
+_TIMING_CODEC = (lambda value, _: round(value, 6), _NUMBER)
 
 
 @functools.cache
-def _record_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Optional[Callable], bool], ...]:
+def _record_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Callable, bool], ...]:
     """(name, writer, reader, is timing) of each written field of ``cls``, once per class."""
-    return tuple((f.name, *(_TIMING_CODEC if "timing" in f.metadata else _CODECS.get(f.type, (None, None))),
-                  "timing" in f.metadata) for f in fields(cls) if "unwritten" not in f.metadata)
+    return tuple((f.name, *(_TIMING_CODEC if "timing" in f.metadata else CODECS[f.type]), "timing" in f.metadata)
+                 for f in fields(cls) if "unwritten" not in f.metadata)
 
 
 class Record:
     """Written to and read from a JSON object by its dataclass fields: a
     missing key takes the field's default, unknown keys are ignored, and a
-    value of the wrong type raises ``ValueError``."""
+    value that its field cannot read raises ``ValueError`` naming the field."""
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
         out = {}
@@ -177,8 +147,10 @@ class Record:
         kwargs = {}
         for name, _, read, _ in _record_fields(cls):
             if name in data:
-                value = data[name]
-                kwargs[name] = value if read is None else read(value)
+                try:
+                    kwargs[name] = read(data[name])
+                except ValueError as err:
+                    raise ValueError(f"{name}: {err}") from None
         return cls(**kwargs)
 
 
@@ -203,6 +175,39 @@ class RunRecord(Record):
     stages: list[StageRecord] = field(default_factory=list)
     wall_time: float = field(default=0.0, metadata=TIMING)
     error: Optional[str] = None
+
+
+@dataclass
+class RunConfig(Record):
+    model: str = "offline-model"
+    endpoint: str = "http://localhost:8000/v1/chat/completions"
+    api_key_env: str = "SYMCHAIN_API_KEY"
+    method: Method = Method.TRANSLATE_THEN_SOLVE
+    temperature: float = 0.0
+    max_tokens: int = 1024
+    few_shot: int = 2
+    fallback: FallbackPolicy = FallbackPolicy.ABSTAIN
+    seed: int = 0
+    parallelism: int = 1
+    cache_dir: Optional[str] = None
+    template_dir: Optional[str] = None
+    demo_dir: Optional[str] = None
+    dataset_paths: dict[str, str] = field(default_factory=dict)
+    output_path: Optional[str] = None
+
+    @classmethod
+    def from_file(cls, path: Union[str, Path]) -> "RunConfig":
+        """Read a JSON config file, skipping a byte-order mark; raises
+        ``ValueError`` on invalid JSON, an unknown key or a bad value."""
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__)) if isinstance(data, dict) else ()
+        if unknown:
+            raise ValueError(f"unknown keys: {', '.join(unknown)}")
+        config = cls.from_dict(data)
+        for name, least in (("parallelism", 1), ("few_shot", 0), ("max_tokens", 1), ("temperature", 0)):
+            if not getattr(config, name) >= least:  # NaN fails too
+                raise ValueError(f"{name} must be ≥ {least}, found {getattr(config, name)!r}")
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +274,8 @@ def extract_label(text: str, label_space: Optional[Sequence[Label]] = None) -> L
 
 def _surface_space(problem: Problem) -> list[Label]:
     """Labels acceptable in raw stage output, before letter canonicalization."""
-    space = list(problem.label_space)
-    for letter in problem.info.letter_map:
-        label = Label(letter)
-        if label not in space:
-            space.append(label)
-    if problem.options:
-        for letter, _ in problem.options:
-            label = Label(letter)
-            if label not in space:
-                space.append(label)
-    return space
+    letters = [*problem.info.letter_map, *(letter for letter, _ in problem.options)]
+    return list(dict.fromkeys([*problem.label_space, *map(Label, letters)]))
 
 
 # ---------------------------------------------------------------------------

@@ -249,15 +249,48 @@ class TestRunEvalReport:
 
     @pytest.mark.parametrize("text,found", [
         ("{", "not a report (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
-        ('{"datasets": {"x": {"count": "3"}}}', "not a report (expected an integer, found '3')"),
-        ('{"datasets": {"x": {"accuracy": "1"}}}', "not a report (expected a number, found '1')"),
-        ('{"datasets": {"x": []}}', "not a report (expected a DatasetReport object, found [])"),
-    ], ids=["not-json", "count-string", "accuracy-string", "dataset-not-object"])
+        ('{"datasets": {"x": {"count": "3"}}}', "not a report (datasets: count: expected an integer, found '3')"),
+        ('{"datasets": {"x": {"accuracy": "1"}}}', "not a report (datasets: accuracy: expected a number, found '1')"),
+        ('{"datasets": {"x": []}}', "not a report (datasets: expected a DatasetReport object, found [])"),
+        ("[]", "not a report (expected a EvalReport object, found [])"),
+        ('{"datasets": []}', "not a report (datasets: expected an object, found [])"),
+        ('{"method": 5}', "not a report (method: expected a string, found 5)"),
+        ('{"datasets": {"x": {"macro": []}}}', "not a report (datasets: macro: expected an object, found [])"),
+        ('{"datasets": {"x": {"per_label": {"True": 3}}}}',
+         "not a report (datasets: per_label: expected an object, found 3)"),
+        ('{"datasets": {"x": {"per_label": {"True": {"f1": "1"}}}}}',
+         "not a report (datasets: per_label: expected a number, found '1')"),
+        ('{"datasets": {"x": {"confusion": {"True->True": 1.5}}}}',
+         "not a report (datasets: confusion: expected an integer, found 1.5)"),
+        ('{"faithfulness": []}', "not a report (faithfulness: expected a FaithfulnessTally object, found [])"),
+        ('{"faithfulness": {"counts": {"faithful": "1"}}}',
+         "not a report (faithfulness: counts: expected an integer, found '1')"),
+        ('{"faithfulness": {"even_splits": "p1"}}',
+         "not a report (faithfulness: even_splits: expected a list of strings, found 'p1')"),
+    ], ids=["not-json", "count-string", "accuracy-string", "dataset-not-object", "array", "datasets-array",
+            "method-integer", "macro-array", "label-scores-not-object", "label-score-string", "confusion-float",
+            "faithfulness-array", "verdict-count-string", "even-splits-string"])
     def test_report_file_not_a_report_exit_one(self, runner, tmp_path, text, found):
         report = tmp_path / "report.json"
         report.write_text(text, encoding="utf-8")
         result = runner.invoke(main, ["report", str(report)])
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"{report}: {found}\n")
+
+    @pytest.mark.parametrize("text,found", [
+        ('{"faithfulness": {}}', "- faithful: 0\n- unfaithful: 0\n- false: 0\n"),
+        ('{"faithfulness": {"counts": {}, "even_splits": []}}', "- faithful: 0\n- unfaithful: 0\n- false: 0\n"),
+        ('{"faithfulness": {"counts": {"false": 2}}}', "- faithful: 0\n- unfaithful: 0\n- false: 2\n"),
+        ('{"faithfulness": null}', "# Evaluation report\n"),
+        ('{"datasets": {"x": {"per_label": {"True": {}}}}}', "| True | 0.00 | 0.00 | 0.00 |\n"),
+        ('{"datasets": {"x": {"per_label": {"True": {"recall": 0.5}}}}}', "| True | 0.00 | 50.00 | 0.00 |\n"),
+    ], ids=["faithfulness-empty", "counts-empty", "one-count", "faithfulness-null", "label-scores-empty",
+            "label-score-missing"])
+    def test_report_reads_missing_scores_and_counts_as_zero(self, runner, tmp_path, text, found):
+        report = tmp_path / "report.json"
+        report.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["report", str(report)])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert found in result.stdout
 
     def test_report_with_a_byte_order_mark(self, runner, tmp_path, corpus):
         records = tmp_path / "records.jsonl"
@@ -304,8 +337,8 @@ class TestRunEvalReport:
 
     @pytest.mark.parametrize("edit,found", [
         (lambda record: [1, 2], "expected a RunRecord object, found [1, 2]"),
-        (lambda record: {**record, "stages": [7]}, "expected a StageRecord object, found 7"),
-        (lambda record: {**record, "final_label": "bogus"}, "'bogus' is not a valid Label"),
+        (lambda record: {**record, "stages": [7]}, "stages: expected a StageRecord object, found 7"),
+        (lambda record: {**record, "final_label": "bogus"}, "final_label: 'bogus' is not a valid Label"),
     ], ids=["array", "stage-not-an-object", "bad-label"])
     def test_eval_records_line_not_a_record_exit_one(self, runner, tmp_path, corpus, edit, found):
         records = tmp_path / "records.jsonl"
@@ -411,11 +444,14 @@ class TestConfigAndAnnotations:
         '{"model": null}',
         '{"dataset_paths": ["minicorpus.json"]}',
         '{"dataset_paths": {"minicorpus": 5}}',
+        '{"seed": "x"}',
+        '{"seed": 1.5}',
+        '{"seed": true}',
     ], ids=["parallelism-zero", "parallelism-string", "unknown-method", "unknown-fallback", "invalid-json",
             "not-an-object", "few-shot-negative", "few-shot-string", "few-shot-bool", "max-tokens-zero",
             "max-tokens-float", "temperature-negative", "temperature-string", "temperature-bool",
             "temperature-nan", "misspelled-key", "cache-dir-integer", "template-dir-list", "model-null",
-            "dataset-paths-list", "dataset-path-integer"])
+            "dataset-paths-list", "dataset-path-integer", "seed-string", "seed-float", "seed-bool"])
     def test_invalid_config_file_is_a_usage_error(self, runner, tmp_path, text):
         config = tmp_path / "config.json"
         config.write_text(text)
@@ -461,6 +497,23 @@ class TestConfigAndAnnotations:
         data = json.loads(result.output)
         assert data["faithfulness"]["counts"]["faithful"] == 1
 
+    @pytest.mark.parametrize("text,found", [
+        ("problem_id,annotator,verdict\nprontoqa-max-sour,a0,faithful\n", "no annotator_id column"),
+        ("", "no annotator_id, problem_id, verdict column"),
+        ("problem_id,annotator_id,verdict\nprontoqa-max-sour,a0,maybe\n",
+         "unknown faithfulness verdict 'maybe' for prontoqa-max-sour"),
+        ("problem_id,annotator_id,verdict\nprontoqa-max-sour,a0\n",
+         "unknown faithfulness verdict '' for prontoqa-max-sour"),
+    ], ids=["missing-column", "empty", "unknown-verdict", "missing-verdict"])
+    def test_eval_with_a_bad_annotations_file_exit_one(self, runner, tmp_path, text, found):
+        records = tmp_path / "records.jsonl"
+        runner.invoke(main, ["run", "--method", "cot", "--replay", "--limit", "2", "--out", str(records)])
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(records), "--annotations", str(annotations)])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"{annotations}: not an annotations file ({found})\n"
+
 
 class TestCache:
     def test_ls_and_gc(self, runner, tmp_path):
@@ -474,6 +527,21 @@ class TestCache:
         assert "removed 13" in wiped.output
         relisting = runner.invoke(main, ["cache", "ls", "--dir", str(fixtures)])
         assert relisting.output.strip() == ""
+
+    @pytest.mark.parametrize("text", ["not json", "[1]", '{"request": [1]}', "\udcff"],
+                             ids=["not-json", "array", "request-array", "not-utf-8"])
+    def test_unreadable_entry_lists_as_unknown_and_collects_as_undated(self, runner, tmp_path, text):
+        cache = CompletionCache(tmp_path)
+        key = cache.store(CompletionRequest(model="m", messages=(("user", "q"),)), CompletionResponse(content="a"))
+        cache.path_for("bad").write_bytes(text.encode("utf-8", "surrogateescape"))
+        listing = runner.invoke(main, ["cache", "ls", "--dir", str(tmp_path)])
+        assert listing.exit_code == 0, listing.output
+        lines = listing.output.splitlines()
+        assert len(lines) == 2 and "bad  ?  ?" in lines
+        assert any(line.startswith(f"{key}  m  20") for line in lines)
+        collected = runner.invoke(main, ["cache", "gc", "--dir", str(tmp_path), "--older-than", "1"])
+        assert (collected.exit_code, collected.output) == (0, "removed 1 entries\n")
+        assert cache.keys() == [key]
 
     def test_gc_requires_selector(self, runner, tmp_path):
         result = runner.invoke(main, ["cache", "gc", "--dir", str(tmp_path)])

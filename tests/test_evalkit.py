@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symchain.evalkit import (
-    EvalReport, IdMismatchError, accuracy, build_report, depth_breakdown,
+    EvalReport, FaithfulnessTally, IdMismatchError, accuracy, build_report, depth_breakdown,
     execution_rate, faithfulness_tally, label_metrics,
     prediction_distribution, read_annotations, render_comparison, render_report,
     stage_output_lengths,
@@ -206,6 +206,22 @@ class TestFaithfulness:
         path.write_text("problem_id,annotator_id,verdict\np1,a0,faithful\n", encoding="utf-8-sig")
         assert read_annotations(path) == [("p1", "a0", "faithful")]
 
+    def test_annotations_without_a_column_rejected(self, tmp_path):
+        path = tmp_path / "annotations.csv"
+        path.write_text("problem_id,verdict\np1,faithful\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^no annotator_id column$"):
+            read_annotations(path)
+
+    def test_annotations_short_row_reads_empty_cells(self, tmp_path):
+        path = tmp_path / "annotations.csv"
+        path.write_text("problem_id,annotator_id,verdict\np1,a0\n", encoding="utf-8")
+        assert read_annotations(path) == [("p1", "a0", "")]
+
+    def test_missing_verdict_count_reads_as_zero(self):
+        tally = FaithfulnessTally.from_dict({"counts": {"false": 2}})
+        assert (tally.counts, tally.even_splits) == ({"faithful": 0, "unfaithful": 0, "false": 2}, ())
+        assert FaithfulnessTally.from_dict({"even_splits": ["p1"]}).even_splits == ("p1",)
+
 
 class TestReports:
     def _report(self):
@@ -269,6 +285,18 @@ class TestReports:
         assert "| macro | 50.00 | 0.00 | 0.00 |" in render_report(report, "markdown")
         assert EvalReport.from_dict({"datasets": {"x": {}}}).datasets["x"].macro == \
             {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+
+    def test_missing_label_scores_read_as_zero(self):
+        report = EvalReport.from_dict({"datasets": {"x": {"per_label": {"True": {"recall": 0.5}, "False": {}}}}})
+        assert report.datasets["x"].per_label == {"True": {"precision": 0.0, "recall": 0.5, "f1": 0.0},
+                                                  "False": {"precision": 0.0, "recall": 0.0, "f1": 0.0}}
+        markdown = render_report(report, "markdown")
+        assert "| True | 0.00 | 50.00 | 0.00 |\n| False | 0.00 | 0.00 | 0.00 |\n" in markdown
+        assert "x,recall,True,0.5\n" in render_report(report, "csv")
+
+    def test_json_without_annotations_has_no_faithfulness_key(self):
+        assert "faithfulness" not in json.loads(render_report(self._report(), "json"))
+        assert EvalReport.from_dict({"faithfulness": None}).faithfulness is None
 
     def test_merged_comparison_rows(self):
         r1 = self._report()

@@ -1,6 +1,11 @@
+import importlib
 import json
+import pkgutil
+from dataclasses import fields
 
 import pytest
+
+import symchain
 
 from symchain.corpus import mini_corpus
 from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
@@ -9,7 +14,7 @@ from symchain.gateway import CompletionCache, ReplayBackend
 from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
-    FallbackPolicy, Method, RunConfig, RunRecord,
+    CODECS, FallbackPolicy, Method, Record, RunConfig, RunRecord,
     extract_label, parse_translation, read_records, run_batch, run_problem, solve_translation,
     write_records,
 )
@@ -375,35 +380,39 @@ class TestRecordsIO:
         ('{"problem_id": "p1"}', "RunRecord.__init__() missing 3 required positional arguments: "
                                  "'method', 'executed', and 'final_label'"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "stages": [[]]}',
-         "expected a StageRecord object, found []"),
+         "stages: expected a StageRecord object, found []"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "stages": 3}',
          "'int' object is not iterable"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "bogus"}',
-         "'bogus' is not a valid Label"),
+         "final_label: 'bogus' is not a valid Label"),
         ('{"problem_id": "p1", "method": "bogus", "executed": true, "final_label": "True"}',
-         "'bogus' is not a valid Method"),
+         "method: 'bogus' is not a valid Method"),
         ('{"problem_id": "p1", "method": "naive", "executed": "false", "final_label": "True"}',
-         "expected a boolean, found 'false'"),
+         "executed: expected a boolean, found 'false'"),
         ('{"problem_id": "p1", "method": "naive", "executed": 2, "final_label": "True"}',
-         "expected a boolean, found 2"),
+         "executed: expected a boolean, found 2"),
         ('{"problem_id": 1, "method": "naive", "executed": true, "final_label": "True"}',
-         "expected a string, found 1"),
+         "problem_id: expected a string, found 1"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "error": 5}',
-         "expected a string or null, found 5"),
+         "error: expected a string or null, found 5"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "wall_time": "1.5"}',
-         "expected a number, found '1.5'"),
+         "wall_time: expected a number, found '1.5'"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "wall_time": false}',
-         "expected a number, found False"),
+         "wall_time: expected a number, found False"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
-         '"stages": [{"stage": "naive", "completion_tokens": "7"}]}', "expected an integer, found '7'"),
+         '"stages": [{"stage": "naive", "completion_tokens": "7"}]}',
+         "stages: completion_tokens: expected an integer, found '7'"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
-         '"stages": [{"stage": "naive", "completion_tokens": true}]}', "expected an integer, found True"),
+         '"stages": [{"stage": "naive", "completion_tokens": true}]}',
+         "stages: completion_tokens: expected an integer, found True"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
-         '"stages": [{"stage": "naive", "diagnostics": "ab"}]}', "expected a list of strings, found 'ab'"),
+         '"stages": [{"stage": "naive", "diagnostics": "ab"}]}',
+         "stages: diagnostics: expected a list of strings, found 'ab'"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
-         '"stages": [{"stage": "naive", "diagnostics": ["a", 1]}]}', "expected a list of strings, found ['a', 1]"),
+         '"stages": [{"stage": "naive", "diagnostics": ["a", 1]}]}',
+         "stages: diagnostics: expected a list of strings, found ['a', 1]"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", '
-         '"stages": [{"stage": "naive", "prompt": null}]}', "expected a string, found None"),
+         '"stages": [{"stage": "naive", "prompt": null}]}', "stages: prompt: expected a string, found None"),
     ], ids=["array", "string", "null", "missing-fields", "stage-not-an-object", "stages-not-a-list",
             "bad-label", "bad-method", "executed-string", "executed-two", "problem-id-integer", "error-integer",
             "wall-time-string", "wall-time-bool", "tokens-string", "tokens-bool", "diagnostics-string",
@@ -442,6 +451,48 @@ class TestRecordsIO:
         stage.artifact = object()
         assert "artifact" not in stage.to_dict()
         assert "artifact" not in json.loads(record.to_json())["stages"][0]
+
+    def test_every_written_record_field_has_a_codec(self):
+        # a written field whose annotation has no codec entry would be read back unchecked
+        for module in pkgutil.iter_modules(symchain.__path__):
+            importlib.import_module(f"symchain.{module.name}")
+        classes, todo = [], [Record]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            classes += subclasses
+            todo += subclasses
+        unread = [f"{cls.__name__}.{f.name}: {f.type}" for cls in classes for f in fields(cls)
+                  if not {"unwritten", "timing"} & set(f.metadata) and f.type not in CODECS]
+        assert unread == []
+        assert {"RunRecord", "StageRecord", "RunConfig", "DatasetReport", "EvalReport",
+                "FaithfulnessTally"} <= {cls.__name__ for cls in classes}
+
+    def test_config_round_trips_through_the_record_codec(self, tmp_path):
+        config = RunConfig(method=Method.COT, fallback=FallbackPolicy.RANDOM, seed=7, temperature=0.5,
+                           dataset_paths={"FOLIO": "folio.json"}, cache_dir="cache")
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json(), encoding="utf-8")
+        assert RunConfig.from_file(path) == config
+        assert json.loads(config.to_json())["fallback"] == "random"
+        assert RunConfig.from_dict({}) == RunConfig()
+
+    @pytest.mark.parametrize("text,found", [
+        ('{"seed": "x"}', "seed: expected an integer, found 'x'"),
+        ('{"cache_dir": 5}', "cache_dir: expected a string or null, found 5"),
+        ('{"dataset_paths": {"FOLIO": 5}}', "dataset_paths: expected a string, found 5"),
+        ('{"fallback": "bogus"}', "fallback: 'bogus' is not a valid FallbackPolicy"),
+        ('{"parallelism": 0}', "parallelism must be ≥ 1, found 0"),
+        ('{"temperature": NaN}', "temperature must be ≥ 0, found nan"),
+        ('{"paralellism": 4, "sed": 1}', "unknown keys: paralellism, sed"),
+        ('["cot"]', "expected a RunConfig object, found ['cot']"),
+    ], ids=["seed-string", "cache-dir-integer", "dataset-path-integer", "unknown-fallback", "parallelism-zero",
+            "temperature-nan", "unknown-keys", "not-an-object"])
+    def test_config_file_errors_name_the_field(self, tmp_path, text, found):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == found
 
 
 class TestTemplates:
