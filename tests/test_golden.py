@@ -15,7 +15,14 @@ Case kinds:
 * ``report-comparison``: the five methods' reports of one seed merged by
   ``render_comparison``;
 * ``replay-records``: ``symchain run --replay`` records for one method,
-  without ``wall_time``.
+  without ``wall_time``;
+* ``forward-chain``: ``forward_chain`` over a seeded ``helpers.random_horn_kb``
+  or ``helpers.random_long_body_kb``, each derivation as its ``to_text("kb")``
+  literal, its depth and its ``via`` rule text with the binding;
+* ``fol-block``: ``parse_translation_block`` of a mini-corpus FOL translation,
+  as it is and after a seeded line deletion, header insertion or line
+  shuffle, as ``to_text()`` and each diagnostic's severity, offset and
+  message.
 
 After an intended output change, rewrite the digests with
 ``PYTHONPATH=src python tests/test_golden.py`` and state how many cases
@@ -34,6 +41,9 @@ from typing import Iterator
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 REPORT_SEEDS = (1, 2, 3)
+KB_SEEDS = range(40)
+BLOCK_SEEDS = range(8)
+HEADERS = ("Predicates:", "Premises:", "Facts:", "Rules:", "Query:", "Conclusion:")
 
 
 def _cases() -> Iterator[tuple[str, str, str]]:
@@ -104,6 +114,63 @@ def _cases() -> Iterator[tuple[str, str, str]]:
                                      f"{result.exit_code}: {result.output}")
             records = "".join(r.to_json(include_wall_time=False) + "\n" for r in read_records(out))
             yield f"replay-records:{method.value}", f"symchain run --replay --method {method.value}", records
+
+    yield from _chain_cases()
+    yield from _block_cases(corpus)
+
+
+def _chain_cases() -> Iterator[tuple[str, str, str]]:
+    import helpers
+
+    from symchain.inference import forward_chain
+    from symchain.logic import InconsistencyError
+
+    for make in (helpers.random_horn_kb, helpers.random_long_body_kb):
+        for seed in KB_SEEDS:
+            kb = make(Random(seed))
+            try:
+                result = forward_chain(kb)
+            except InconsistencyError as err:
+                output = f"InconsistencyError: {err}"
+            else:
+                lines = [f"truncated: {result.truncated}"]
+                for d in result.derivations:
+                    line = f"{d.literal.to_text('kb')} at depth {d.depth}"
+                    if d.via is not None:
+                        rule, binding = d.via
+                        line += f" via {rule.to_text()} with {', '.join(f'{n}={c}' for n, c in binding)}"
+                    lines.append(line)
+                output = "\n".join(lines)
+            yield f"forward-chain:{make.__name__}/{seed}", f"helpers.{make.__name__}(Random({seed}))", output
+
+
+def _block_cases(corpus) -> Iterator[tuple[str, str, str]]:
+    from symchain.folparse import parse_translation_block
+
+    def mutations(lines: list[str], rng: Random) -> Iterator[tuple[str, list[str]]]:
+        kept = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            del kept[rng.randrange(len(kept))]
+        yield "deletion", kept
+        yield "header", lines[:(at := rng.randrange(len(lines) + 1))] + [rng.choice(HEADERS)] + lines[at:]
+        start = rng.randrange(len(lines) - 1)
+        end = rng.randint(start + 2, len(lines))
+        window = lines[start:end]
+        rng.shuffle(window)
+        yield "shuffle", lines[:start] + window + lines[end:]
+
+    for problem in corpus.problems:
+        if problem.family.is_csp:
+            continue
+        text = corpus.translation(problem.id)
+        inputs = [("as-is", text)]
+        for seed in BLOCK_SEEDS:
+            rng = Random(f"{problem.id}/{seed}")
+            inputs += [(f"{name}-{seed}", "\n".join(lines)) for name, lines in mutations(text.split("\n"), rng)]
+        for name, block_text in inputs:
+            block = parse_translation_block(block_text)
+            output = "\n".join([block.to_text(), *map(str, block.diagnostics)])
+            yield f"fol-block:{problem.id}/{name}", f"{problem.id}, {name}:\n{block_text}", output
 
 
 def _digest(output: str) -> str:
