@@ -427,7 +427,7 @@ class TranslationBlock:
                 out.append(f"{line} ::: {gloss}" if gloss else line)
         if self.kb is not None:
             out.append("Facts:")
-            for fact in sorted(self.kb.facts, key=lambda l: l.to_text("kb")):
+            for fact in self.kb.facts:
                 out.append(fact.to_text("kb"))
             if self.kb.rules:
                 out.append("Rules:")

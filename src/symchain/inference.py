@@ -558,15 +558,15 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
 
     The rounds run in ``_saturate`` over interned literals ``(predicate,
     polarity, constant names)``, with each rule compiled once per call into
-    join steps.  The given facts enter the core in ``to_text("kb")`` order,
-    not in the frozenset's hash order, so ``via`` is the same in every
-    process.  This function sorts the core's interned literals by depth and
-    then by their ``to_text("kb")`` rendering, formatted from the interned
-    form, and materialises them in that order as :class:`Derivation`\\ s:
-    the knowledge base's own facts at depth 0, and one ``via`` pair tuple
-    for all the derivations whose rules have the same variable slots and
-    binding.  It keeps the interned depths for ``ChainResult.holds`` and
-    ``depth_of``.
+    join steps.  The given facts enter the core in the knowledge base's
+    ``to_text("kb")`` order, so ``via`` is the same in every process, and
+    they are the derivations of depth 0 in that order.  This function sorts
+    the derived interned literals by depth and then by their
+    ``to_text("kb")`` rendering, formatted from the interned form, and
+    materialises them in that order as :class:`Derivation`\\ s, with one
+    ``via`` pair tuple for all the derivations whose rules have the same
+    variable slots and binding.  It keeps the interned depths for
+    ``ChainResult.holds`` and ``depth_of``.
 
     Terminates because the Herbrand base of a function-free knowledge base
     is finite; stops early after ``max_depth`` rounds with the truncation
@@ -574,11 +574,8 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
     literal become derivable, naming the first clashing literal of that
     round in ``to_text("kb")`` order.
     """
-    # no two literals share a text, so these tuples sort by their texts alone
-    grounds = [_ground(fact) for fact in kb.facts]
-    given = sorted(zip(itertools.starmap(kb_text, grounds), grounds, kb.facts))
-    depths, via, truncated = _saturate(kb.rules, [ground for _, ground, _ in given], max_depth)
-    derivations = [Derivation(fact, 0) for _, _, fact in given]
+    depths, via, truncated = _saturate(kb.rules, [_ground(fact) for fact in kb.facts], max_depth)
+    derivations = [Derivation(fact, 0) for fact in kb.facts]
     constant = {c.name: c for c in kb.constants()}  # every name a literal or binding holds
     slots = [tuple(sorted(_slots(rule).items())) for rule in kb.rules]
     # shared by the derivations whose rules have the same slots and binding

@@ -418,9 +418,9 @@ def _check_literal(lit: SignedLiteral, where: str, arities: dict[str, int]) -> N
         raise ArityMismatchError(lit.predicate, seen, expected)
 
 
-def _check_facts(facts: Iterable[SignedLiteral], given: Mapping[str, int]) -> dict[str, int]:
-    """``given`` plus the arities of ``facts``; raises the first fault in iteration order."""
-    arities = dict(given)
+def _check_facts(facts: Iterable[SignedLiteral]) -> dict[str, int]:
+    """The arities of ``facts``; raises the first fault in iteration order."""
+    arities: dict[str, int] = {}
     positives: set[tuple] = set()
     negatives: set[tuple] = set()
     for fact in facts:
@@ -438,23 +438,21 @@ def _check_facts(facts: Iterable[SignedLiteral], given: Mapping[str, int]) -> di
 class KnowledgeBase:
     """Ground signed facts plus horn rules over a consistent signature.
 
-    Construction rejects a fact asserted with both polarities, non-ground
-    facts, function symbols (the chaining fragment is function-free), and
-    predicates used with inconsistent arities.
+    ``facts`` holds the distinct facts given, in ``to_text("kb")`` order,
+    whatever iterable construction was passed; every reader takes them in
+    that order.  Construction rejects a fact asserted with both polarities,
+    non-ground facts, function symbols (the chaining fragment is
+    function-free), and predicates used with inconsistent arities, naming
+    the first fault in that order.
     """
 
-    facts: frozenset[SignedLiteral]
+    facts: tuple[SignedLiteral, ...]
     rules: tuple[Rule, ...] = ()
-    predicate_arities: Mapping[str, int] = field(default_factory=dict)
+    predicate_arities: Mapping[str, int] = field(init=False)
 
     def __post_init__(self):
-        try:
-            arities = _check_facts(self.facts, self.predicate_arities)
-        except LogicError:
-            # scan a faulty set again in text order, so that the fault it
-            # names does not follow the frozenset's hash order
-            _check_facts(sorted(self.facts, key=lambda f: f.to_text("kb")), self.predicate_arities)
-            raise
+        object.__setattr__(self, "facts", tuple(sorted(dict.fromkeys(self.facts), key=lambda f: f.to_text("kb"))))
+        arities = _check_facts(self.facts)
         for rule in self.rules:
             for lit in rule.body:
                 _check_literal(lit, "rule bodies", arities)
@@ -464,7 +462,7 @@ class KnowledgeBase:
     @classmethod
     def build(cls, facts: Iterator[SignedLiteral] | list[SignedLiteral],
               rules: Iterator[Rule] | list[Rule] = ()) -> "KnowledgeBase":
-        return cls(facts=frozenset(facts), rules=tuple(rules))
+        return cls(facts=facts, rules=tuple(rules))
 
     def constants(self) -> set[Constant]:
         out: set[Constant] = set()

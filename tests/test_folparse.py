@@ -1,4 +1,5 @@
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,6 +452,31 @@ Love(miroslav, music) ::: Miroslav loved music.
         # the first use sets P's arity: the chain was walked left to right
         assert [d.message for d in block.diagnostics] == [
             "predicate 'P' declared with arity 3 but used with 1"]
+
+    def test_arity_diagnostics_come_in_text_order_under_every_hash_seed(self):
+        messages = helpers.run_under_hash_seeds(textwrap.dedent("""
+            from symchain.folparse import parse_translation_block
+            block = parse_translation_block(
+                "Predicates:\\nAlpha(x)\\nBeta(x)\\nGamma(x)\\n"
+                "Facts:\\nGamma(c, a, b, True)\\nAlpha(a, b, c, True)\\nBeta(b, c, a, True)\\n"
+                "Query:\\nAlpha(a, b, c, True)\\n")
+            for d in block.diagnostics:
+                print(d)
+        """), seeds=range(1, 7))
+        assert set(messages.values()) == {"".join(
+            f"error at offset 0: predicate {name!r} declared with arity 1 but used with 3\n"
+            for name in ("Alpha", "Beta", "Gamma"))}
+
+    def test_mini_corpus_blocks_repr_the_same_under_every_hash_seed(self):
+        reprs = helpers.run_under_hash_seeds(textwrap.dedent("""
+            from symchain.corpus import mini_corpus
+            from symchain.folparse import parse_translation_block
+            corpus = mini_corpus()
+            for p in corpus.problems:
+                if not p.family.is_csp:
+                    print(repr(parse_translation_block(corpus.translation(p.id))))
+        """), seeds=range(1, 7))
+        assert len(set(reprs.values())) == 1
 
     def test_block_shares_one_term_per_token(self):
         block = parse_translation_block(

@@ -510,8 +510,8 @@ class TestForwardChain:
         assert peak < 1_000_000
 
     def test_via_is_the_same_under_every_hash_seed(self):
-        # kb.facts is a frozenset, whose order follows string hashing; the
-        # chainer must not let that order pick the binding a via records
+        # string hashing must not pick the binding a via records: the
+        # chainer takes kb.facts in their text order
         digests = helpers.run_under_hash_seeds(textwrap.dedent("""
             import hashlib, random
             import helpers

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import textwrap
@@ -209,8 +210,8 @@ class TestKnowledgeBase:
         assert "P(a" in str(exc.value)
 
     def test_clash_names_the_first_clashing_fact_in_text_order(self):
-        # kb.facts is a frozenset: the clash it meets first follows string
-        # hashing, the one it names must not
+        # the facts are given out of text order, and the clash named must
+        # not follow string hashing
         messages = helpers.run_under_hash_seeds(textwrap.dedent("""
             from symchain.logic import Constant, KnowledgeBase, LogicError, SignedLiteral
             facts = [SignedLiteral(p, (Constant(c),), polarity)
@@ -223,8 +224,8 @@ class TestKnowledgeBase:
         assert set(messages.values()) == {"inconsistency: P(a) asserted with both polarities\n"}
 
     def test_mixed_faults_name_the_first_in_text_order(self):
-        # a clash and an arity fault: which one the hash-order scan meets
-        # first follows string hashing, the one raised must not
+        # a clash and an arity fault: the one raised must be the first in
+        # text order, under every string hashing
         messages = helpers.run_under_hash_seeds(textwrap.dedent("""
             from symchain.logic import Constant, KnowledgeBase, LogicError, SignedLiteral
             a, b = Constant("a"), Constant("b")
@@ -238,6 +239,19 @@ class TestKnowledgeBase:
         assert set(messages.values()) == {
             "InconsistencyError inconsistency: P(a) asserted with both polarities\n"
             "ArityMismatchError predicate 'A' used with arity 2, expected 1\n"}
+
+    def test_build_keeps_distinct_facts_in_text_order(self):
+        a, b = Constant("a"), Constant("b")
+        facts = [SignedLiteral("Q", (b,)), SignedLiteral("P", (a, b)), SignedLiteral("P", (b, a), False),
+                 SignedLiteral("Q", (a,))]
+        in_text_order = tuple(sorted(facts, key=lambda fact: fact.to_text("kb")))
+        for order in itertools.permutations(facts):
+            assert KnowledgeBase.build(order).facts == in_text_order
+            assert KnowledgeBase.build(iter([*order, order[-1]])).facts == in_text_order
+
+    def test_arities_are_not_an_init_parameter(self):
+        with pytest.raises(TypeError):
+            KnowledgeBase(facts=(), predicate_arities={"P": 1})
 
     def test_non_ground_fact_rejected(self):
         with pytest.raises(LogicError):

@@ -238,7 +238,7 @@ def test_translator_demos_parse_and_agree_with_the_solver_demos(family):
         result = solve_translation(artifact, errors, _question(demo_input), family.is_csp)
         if family is Family.FOL_FOLIO:
             # Premises: are not auto-decided yet; this flips once FOLIO
-            # premises are decided by grounding (ROADMAP item 4)
+            # premises are decided by grounding (ROADMAP item 5)
             assert result.response == NO_KNOWLEDGE_BASE
             continue
         assert result.executed, result.response
