@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import evalkit
-from .corpus import load, load_normalized, mini_corpus
+from .corpus import LoadResult, Problem, load, load_normalized, mini_corpus
 from .folparse import ParseError, Severity, has_section_header, parse_formula, print_formula
 from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .inference import UnsupportedFragmentError
@@ -128,7 +128,11 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
     path = data_file or config.dataset_paths.get(dataset)
     if path is None:
         raise click.UsageError(f"no data file known for dataset {dataset!r}; pass --data-file")
-    result = load(dataset, path)
+    return _loaded(load(dataset, path))
+
+
+def _loaded(result: LoadResult) -> list[Problem]:
+    """The problems of ``result``, after each of its load errors on stderr."""
     for err in result.errors:
         click.echo(str(err), err=True)
     return result.problems
@@ -215,8 +219,7 @@ def cmd_eval(records_file, gold_source, fmt, out, annotations):
         records = read_records(records_file)
     except ValueError as err:
         _fail(str(err))
-    corpus = mini_corpus() if _is_mini_corpus(gold_source) else load_normalized(gold_source)
-    problems = list(corpus.problems)
+    problems = list(mini_corpus().problems) if _is_mini_corpus(gold_source) else _loaded(load_normalized(gold_source))
     golds = {p.id: p.gold for p in problems}
     method = records[0].method.value if records else "?"
     try:

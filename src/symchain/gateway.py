@@ -323,7 +323,7 @@ class HttpBackend(Backend):
                 )
             except (ValueError, LookupError, TypeError, AttributeError) as err:
                 raise MalformedResponseError(f"malformed completion reply: {type(err).__name__}: {err}") from err
-        raise last_error if last_error else NetworkError("no attempts made")
+        raise last_error
 
     def _delay(self, attempt: int, last_error: Optional[Exception]) -> float:
         if isinstance(last_error, RateLimitedError) and last_error.retry_after is not None:

@@ -438,10 +438,9 @@ def _check_facts(facts: Iterable[SignedLiteral]) -> dict[str, int]:
 class KnowledgeBase:
     """Ground signed facts plus horn rules over a consistent signature.
 
-    ``facts`` holds the distinct facts given, in ``to_text("kb")`` order,
-    whatever iterable construction was passed; every reader takes them in
-    that order.  Construction rejects a fact asserted with both polarities,
-    non-ground facts, function symbols (the chaining fragment is
+    ``facts`` holds the distinct facts of any iterable given, in
+    ``to_text("kb")`` order.  Construction rejects a fact asserted with both
+    polarities, non-ground facts, function symbols (the chaining fragment is
     function-free), and predicates used with inconsistent arities, naming
     the first fault in that order.
     """

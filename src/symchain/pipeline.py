@@ -112,7 +112,7 @@ CODECS = {
     "dict[str, float]": (None, read_object(_NUMBER)),
     "dict[str, dict[str, float]]": (None, read_object(read_object(_NUMBER))),
     "list[StageRecord]": (lambda stages, timing: [s.to_dict(timing) for s in stages],
-                          lambda data: [StageRecord.from_dict(s) for s in data]),
+                          lambda data: [StageRecord.from_dict(s) for s in _exact("a list", list)(data)]),
 }
 _TIMING_CODEC = (lambda value, _: round(value, 6), _NUMBER)
 

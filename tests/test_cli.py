@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from symchain.cli import main
-from symchain.corpus import mini_corpus
+from symchain.corpus import dump_problems, mini_corpus
 from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
 from symchain.gateway import CompletionCache, CompletionRequest, CompletionResponse
 from symchain.pipeline import Method, RunConfig, run_batch, write_records
@@ -324,6 +324,18 @@ class TestRunEvalReport:
         records.write_text(records.read_text(encoding="utf-8"), encoding="utf-8-sig")
         result = runner.invoke(main, ["eval", str(records), "--gold", "minicorpus", "--format", "json"])
         assert (result.exit_code, result.stdout) == (0, plain.stdout)
+
+    def test_eval_prints_the_gold_file_load_errors(self, runner, tmp_path, corpus):
+        problems = list(corpus.problems)[:3]
+        lines = [json.loads(line) for line in dump_problems(problems).splitlines()]
+        lines[1]["verdict"] = lines[1].pop("gold")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(problems, Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)), records)
+        result = runner.invoke(main, ["eval", str(records), "--gold", str(gold)])
+        assert (result.exit_code, result.stderr) == (1, "MissingField(prontoqa-max-sour): gold\n"
+                                                        "records without gold labels: prontoqa-max-sour\n")
 
     def test_eval_records_line_not_json_exit_one(self, runner, tmp_path, corpus):
         records = tmp_path / "records.jsonl"

@@ -382,7 +382,7 @@ class TestRecordsIO:
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "stages": [[]]}',
          "stages: expected a StageRecord object, found []"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "True", "stages": 3}',
-         "'int' object is not iterable"),
+         "stages: expected a list, found 3"),
         ('{"problem_id": "p1", "method": "naive", "executed": true, "final_label": "bogus"}',
          "final_label: 'bogus' is not a valid Label"),
         ('{"problem_id": "p1", "method": "bogus", "executed": true, "final_label": "True"}',
