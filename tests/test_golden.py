@@ -22,11 +22,22 @@ Case kinds:
 * ``fol-block``: ``parse_translation_block`` of a mini-corpus FOL translation,
   as it is and after a seeded line deletion, header insertion or line
   shuffle, as ``to_text()`` and each diagnostic's severity, offset and
-  message.
+  message;
+* ``extract-label``: ``extract_label`` of a mini-corpus solver, verifier,
+  naive or CoT stage text, as it is, after a seeded deletion of 1–3 lines,
+  and with another stage text spliced in at a seeded line, so hits of
+  several tiers compete; the label with no label space and with the
+  problem's ``_surface_space``;
+* ``csp-answer``: a seeded ``helpers.random_csp_model`` or a mini-corpus CSP
+  model; ``solve_all`` with ``limit`` None, 1 and 3 (the solutions in order
+  and ``truncated``), then the ``evaluate_queries`` statuses and solution
+  count, or the ``NoSolutionsError`` text, and ``select_answer`` under each
+  ``QuestionMode``.
 
 After an intended output change, rewrite the digests with
-``PYTHONPATH=src python tests/test_golden.py`` and state how many cases
-changed, of which kinds, and why.
+``PYTHONPATH=src python tests/test_golden.py``; it prints how many cases
+changed, were added and were removed, by kind. State those counts, and why
+they moved, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -117,6 +128,8 @@ def _cases() -> Iterator[tuple[str, str, str]]:
 
     yield from _chain_cases()
     yield from _block_cases(corpus)
+    yield from _label_cases(corpus)
+    yield from _csp_cases(corpus)
 
 
 def _chain_cases() -> Iterator[tuple[str, str, str]]:
@@ -173,6 +186,63 @@ def _block_cases(corpus) -> Iterator[tuple[str, str, str]]:
             yield f"fol-block:{problem.id}/{name}", f"{problem.id}, {name}:\n{block_text}", output
 
 
+def _label_cases(corpus) -> Iterator[tuple[str, str, str]]:
+    from symchain.pipeline import _surface_space, extract_label
+
+    stages = ("solver", "verifier", "naive", "cot")
+    texts = {(problem.id, stage): corpus.stage_text(problem.id, stage)
+             for problem in corpus.problems for stage in stages}
+    for problem in corpus.problems:
+        space = _surface_space(problem)
+        for stage in stages:
+            text = texts[(problem.id, stage)]
+            inputs = [("as-is", text)]
+            for seed in BLOCK_SEEDS:
+                rng = Random(f"{problem.id}/{stage}/{seed}")
+                lines = text.split("\n")
+                for _ in range(rng.randint(1, min(3, len(lines)))):
+                    del lines[rng.randrange(len(lines))]
+                inputs.append((f"deletion-{seed}", "\n".join(lines)))
+                other = rng.choice(sorted(key for key in texts if key != (problem.id, stage)))
+                lines = text.split("\n")
+                at = rng.randrange(len(lines) + 1)
+                inputs.append((f"splice-{seed}", "\n".join(lines[:at] + texts[other].split("\n") + lines[at:])))
+            for name, answer in inputs:
+                output = f"any: {extract_label(answer).value}\nsurface: {extract_label(answer, space).value}"
+                yield (f"extract-label:{problem.id}/{stage}/{name}",
+                       f"{problem.id}, {stage}, {name}, surface space {[l.value for l in space]}:\n{answer}", output)
+
+
+def _csp_cases(corpus) -> Iterator[tuple[str, str, str]]:
+    import helpers
+
+    from symchain.csp import (
+        NoSolutionsError, QuestionMode, evaluate_queries, parse_csp_block, select_answer, solve_all,
+    )
+
+    models = [(f"random_csp_model/{seed}", f"helpers.random_csp_model(Random({seed}))",
+               helpers.random_csp_model(Random(seed))) for seed in KB_SEEDS]
+    for problem in corpus.problems:
+        if problem.family.is_csp:
+            text = corpus.translation(problem.id)
+            models.append((problem.id, f"{problem.id}:\n{text}", parse_csp_block(text)[0]))
+    for name, described, model in models:
+        lines = []
+        for limit in (None, 1, 3):
+            result = solve_all(model, limit)
+            lines.append(f"limit {limit}: truncated {result.truncated}")
+            lines += [" ".join(f"{v}={value}" for v, value in s.items()) for s in result.solutions]
+        try:
+            verdict = evaluate_queries(model)
+        except NoSolutionsError as err:
+            lines.append(f"NoSolutionsError: {err}")
+        else:
+            lines.append(f"{verdict.solution_count} solutions: "
+                         + ", ".join(f"{letter}:{status.value}" for letter, status in verdict.statuses.items()))
+            lines += [f"{mode.value}: {select_answer(verdict, mode)}" for mode in QuestionMode]
+        yield f"csp-answer:{name}", described, "\n".join(lines)
+
+
 def _digest(output: str) -> str:
     return hashlib.sha256(output.encode("utf-8")).hexdigest()[:16]
 
@@ -201,6 +271,17 @@ def test_outputs_match_the_golden_digests_under_three_hash_seeds():
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+    new = digests()
+    moved: dict[str, list[int]] = {}  # kind -> [changed, added, removed]
+    for case in old.keys() | new.keys():
+        if old.get(case) != new.get(case):
+            column = 2 if case not in new else 1 if case not in old else 0
+            moved.setdefault(case.split(":", 1)[0], [0, 0, 0])[column] += 1
+    for kind, (changed, added, removed) in sorted(moved.items()):
+        print(f"{kind}: {changed} changed, {added} added, {removed} removed")
+    if not moved:
+        print("no case moved")
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {DIGESTS}")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS} ({len(new)} cases)")
