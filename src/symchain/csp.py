@@ -577,16 +577,6 @@ class QueryVerdict:
     statuses: dict[str, OptionStatus]
     solution_count: int
 
-    def must(self, letter: str) -> bool:
-        return self.statuses[letter] is OptionStatus.MUST_BE_TRUE
-
-    def may(self, letter: str) -> bool:
-        # must-be-true options hold in every solution, hence in at least one
-        return self.statuses[letter] in (OptionStatus.MUST_BE_TRUE, OptionStatus.MAY_BE_TRUE)
-
-    def cannot(self, letter: str) -> bool:
-        return self.statuses[letter] is OptionStatus.CANNOT_BE_TRUE
-
 
 def evaluate_queries(model: CspModel) -> QueryVerdict:
     """Classify each option over the full solution set.
@@ -651,16 +641,19 @@ class Undecided:
         return f"Undecided{{{inner}}}"
 
 
+# the option statuses that answer each question mode; a must-be-true option
+# holds in every solution, hence in at least one
+_ANSWERING = {
+    QuestionMode.MUST_BE_TRUE: {OptionStatus.MUST_BE_TRUE},
+    QuestionMode.COULD_BE_TRUE: {OptionStatus.MUST_BE_TRUE, OptionStatus.MAY_BE_TRUE},
+    QuestionMode.CANNOT_BE_TRUE: {OptionStatus.CANNOT_BE_TRUE},
+    QuestionMode.COULD_BE_FALSE: {OptionStatus.MAY_BE_TRUE, OptionStatus.CANNOT_BE_TRUE},
+}
+
+
 def select_answer(verdict: QueryVerdict, mode: QuestionMode) -> Union[str, Undecided]:
-    """The unique option matching the question mode, else Undecided."""
-    if mode is QuestionMode.MUST_BE_TRUE:
-        hits = [letter for letter in verdict.statuses if verdict.must(letter)]
-    elif mode is QuestionMode.COULD_BE_TRUE:
-        hits = [letter for letter in verdict.statuses if verdict.may(letter)]
-    elif mode is QuestionMode.CANNOT_BE_TRUE:
-        hits = [letter for letter in verdict.statuses if verdict.cannot(letter)]
-    else:
-        hits = [letter for letter in verdict.statuses if not verdict.must(letter)]
+    """The unique option whose status answers the question mode, else Undecided."""
+    hits = [letter for letter, status in verdict.statuses.items() if status in _ANSWERING[mode]]
     if len(hits) == 1:
         return hits[0]
     return Undecided(frozenset(hits))

@@ -226,49 +226,33 @@ _TIER_PHRASES = [
     re.compile(r"\b(?:is|remains)\s+(" + _WORDS + r")\b", re.IGNORECASE),
 ]
 _TIER_TRAILING_LETTER = re.compile(r"\b(?:option|answer)?\s*\(?([A-E])\)")
+# (patterns, whether each of the last three non-blank lines is scanned on its own), most confident first
+_TIERS = (((_TIER_BRACED,), False), (_TIER_PHRASES, False), ((_TIER_TRAILING_LETTER,), True))
 
 
 def extract_label(text: str, label_space: Optional[Sequence[Label]] = None) -> Label:
     """Pull the answer label out of free-form stage output.
 
-    Scans, in order of confidence: the last brace-wrapped label, then
-    "final answer" style phrases (last match wins), then option letters on
-    the concluding lines.  "uncertain" aliases to Unknown.  Returns
+    Scans the tiers in order of confidence: brace-wrapped labels, then
+    "final answer" style phrases, then option letters on the concluding
+    lines.  The first tier with an admitted hit answers, with the hit that
+    starts last (on a later line, for the concluding lines); on equal starts
+    the earlier pattern wins.  "uncertain" aliases to Unknown.  Returns
     :data:`Label.UNDECIDED` when nothing in the allowed space matches.
     """
     space = set(label_space) if label_space is not None else None
-
-    def admit(raw: str) -> Optional[Label]:
-        label = Label.from_text(raw)
-        if label is None:
-            return None
-        if space is not None and label not in space:
-            return None
-        return label
-
-    hits = [admit(m.group(1)) for m in _TIER_BRACED.finditer(text)]
-    hits = [h for h in hits if h is not None]
-    if hits:
-        return hits[-1]
-
-    phrase_hits: list[tuple[int, Label]] = []
-    for pattern in _TIER_PHRASES:
-        for m in pattern.finditer(text):
-            label = admit(m.group(1))
-            if label is not None:
-                phrase_hits.append((m.start(), label))
-    if phrase_hits:
-        return max(phrase_hits, key=lambda pair: pair[0])[1]
-
-    tail_lines = [line for line in text.splitlines() if line.strip()][-3:]
-    tail_hits = []
-    for line in tail_lines:
-        for m in _TIER_TRAILING_LETTER.finditer(line):
-            label = admit(m.group(1))
-            if label is not None:
-                tail_hits.append(label)
-    if tail_hits:
-        return tail_hits[-1]
+    for patterns, by_line in _TIERS:
+        segments = [line for line in text.splitlines() if line.strip()][-3:] if by_line else [text]
+        best, best_at = None, None
+        for line_no, segment in enumerate(segments):
+            for pattern in patterns:
+                for m in pattern.finditer(segment):
+                    label = Label.from_text(m.group(1))
+                    at = (line_no, m.start())
+                    if label is not None and (space is None or label in space) and (best_at is None or at > best_at):
+                        best, best_at = label, at
+        if best is not None:
+            return best
     return Label.UNDECIDED
 
 

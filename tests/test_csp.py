@@ -352,19 +352,6 @@ class TestEvaluateQueries:
         with pytest.raises(NoSolutionsError):
             evaluate_queries(model)
 
-    def test_must_implies_may_and_disjointness(self):
-        rng = random.Random(43)
-        for _ in range(40):
-            model = helpers.random_csp_model(rng)
-            try:
-                verdict = evaluate_queries(model)
-            except NoSolutionsError:
-                continue
-            for letter in verdict.statuses:
-                if verdict.must(letter):
-                    assert verdict.may(letter)
-                    assert not verdict.cannot(letter)
-
     def test_verdicts_match_oracle(self):
         rng = random.Random(44)
         for _ in range(40):
@@ -418,6 +405,31 @@ class TestSelectAnswer:
             queries=[("A", Compare("x", "==", 1)), ("B", Compare("x", "==", 3))],
         ))
         assert select_answer(verdict, QuestionMode.COULD_BE_TRUE) == "A"
+
+    # whether an option fits each mode, from the truth of its query in every solution
+    ORACLE_FITS = {
+        QuestionMode.MUST_BE_TRUE: all,
+        QuestionMode.COULD_BE_TRUE: any,
+        QuestionMode.CANNOT_BE_TRUE: lambda holds: not any(holds),
+        QuestionMode.COULD_BE_FALSE: lambda holds: not all(holds),
+    }
+
+    def test_every_mode_matches_the_oracle(self):
+        rng = random.Random(43)
+        checked = set()
+        for _ in range(60):
+            model = helpers.random_csp_model(rng)
+            solutions = helpers.oracle_solutions(model)
+            if not solutions:
+                continue
+            verdict = evaluate_queries(model)
+            for mode, fits in self.ORACLE_FITS.items():
+                fitting = [letter for letter, expr in model.queries
+                           if fits([helpers.oracle_eval(expr, s) for s in solutions])]
+                expected = fitting[0] if len(fitting) == 1 else Undecided(frozenset(fitting))
+                assert select_answer(verdict, mode) == expected, (mode, model)
+                checked.add((mode, isinstance(expected, str)))
+        assert len(checked) == 8  # each mode gave both a unique option and Undecided
 
 
 class TestQuestionMode:
