@@ -395,7 +395,8 @@ _HEADER_RE = re.compile(
 
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]\s+|\d+[.)]\s+)")
 
-_PRED_DECL_RE = re.compile(r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\((?P<args>[^)]*)\)\s*(?::::?:?|:)?\s*(?P<gloss>.*)$")
+# after the closing parenthesis: nothing, or a gloss after one to four colons
+_PRED_DECL_RE = re.compile(r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\((?P<args>[^)]*)\)\s*(?::{1,4}\s*(?P<gloss>.*))?$")
 
 
 @dataclass
@@ -506,6 +507,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     has_rules = False
     statement_lines: list[SectionLine] = []
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
+    declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
 
     def parsed(body: str, offset: int, lower: Callable = lambda f: f):
         """``lower`` of the line's formula, or None once a ParseError from
@@ -526,8 +528,8 @@ def parse_translation_block(text: str) -> TranslationBlock:
                 block.diagnostics.append(ParseDiagnostic(offset, f"cannot read predicate declaration: {body!r}"))
                 continue
             args = [a for a in m.group("args").split(",") if a.strip()]
-            decl_gloss = gloss or m.group("gloss").strip()
-            block.predicates.append((m.group("name"), len(args), decl_gloss))
+            block.predicates.append((m.group("name"), len(args), gloss or (m.group("gloss") or "").strip()))
+            declared[m.group("name")] = (len(args), offset)
         elif section == "premises":
             if (formula := parsed(body, offset)) is not None:
                 block.premises.append((formula, gloss))
@@ -571,7 +573,6 @@ def parse_translation_block(text: str) -> TranslationBlock:
             block.diagnostics.append(ParseDiagnostic(0, str(err)))
 
     # Declared arities must agree with usage.
-    declared = {name: arity for name, arity, _ in block.predicates}
     used: dict[str, int] = dict(block.kb.predicate_arities) if block.kb else {}
 
     # atoms are visited left to right, as the first use sets the arity
@@ -580,10 +581,9 @@ def parse_translation_block(text: str) -> TranslationBlock:
             if isinstance(f, Atom):
                 used.setdefault(f.predicate, len(f.args))
     for name, arity in used.items():
-        if name in declared and declared[name] not in (arity, arity + 1):
+        if name in declared and declared[name][0] not in (arity, arity + 1):
             # +1 tolerates polarity-style declarations like Quiet(x, bool)
-            block.diagnostics.append(
-                ParseDiagnostic(0, f"predicate {name!r} declared with arity {declared[name]} but used with {arity}")
-            )
+            block.diagnostics.append(ParseDiagnostic(
+                declared[name][1], f"predicate {name!r} declared with arity {declared[name][0]} but used with {arity}"))
 
     return block

@@ -136,6 +136,12 @@ class TestParseCspBlock:
             assert model.variables == [("v", (1, 2))]
             assert model.queries == [("A", Compare("v", "==", 1))]
 
+    def test_option_queried_twice(self):
+        text = "Variables:\na ∈ {1, 2}\nConstraints:\na == 1\nQuery:\nA) a == 1\nA) a == 2\nB) a == 2\n"
+        model, diagnostics = parse_csp_block(text)
+        assert diagnostics == [ParseDiagnostic(text.index("A) a == 2"), "option A is queried twice")]
+        assert model.queries == [("A", Compare("a", "==", 1)), ("B", Compare("a", "==", 2))]
+
     @pytest.mark.parametrize("line,diagnostic", [
         ("a = 1,2", ParseDiagnostic(11, "cannot read variable declaration: 'a = 1,2'")),
         ("a ∈ {1, x}", ParseDiagnostic(11, "non-integer domain value in: 'a ∈ {1, x}'")),

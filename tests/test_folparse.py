@@ -362,6 +362,23 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert block.diagnostics == [ParseDiagnostic(28, "cannot read predicate declaration: 'not a declaration'")]
         assert block.predicates == [("P", 1, "x is p")]
 
+    def test_only_a_colon_gloss_may_follow_a_declaration(self):
+        text = ("Predicates:\nP(x) garbage here\nJompus($x, True) ⇒ Fruity($x, True) ::: Each jompus is fruity.\n"
+                "Q(x): x is q\nR(x) :: x is r\nS(x)\nFacts:\nQ(a, True)\nQuery:\nQ(a, True)\n")
+        block = parse_translation_block(text)
+        assert block.diagnostics == [
+            ParseDiagnostic(text.index("P(x)"), "cannot read predicate declaration: 'P(x) garbage here'"),
+            ParseDiagnostic(text.index("Jompus"),
+                            "cannot read predicate declaration: 'Jompus($x, True) ⇒ Fruity($x, True)'"),
+        ]
+        assert block.predicates == [("Q", 1, "x is q"), ("R", 1, "x is r"), ("S", 1, "")]
+
+    def test_arity_diagnostic_points_at_the_declaration_in_force(self):
+        # the later of two declarations sets the arity, so it is the one reported
+        text = "Predicates:\nP(x)\nP(x, y, z, w)\nFacts:\nP(a, True)\nQuery:\nP(a, True)\n"
+        assert parse_translation_block(text).diagnostics == [ParseDiagnostic(
+            text.index("P(x, y, z, w)"), "predicate 'P' declared with arity 4 but used with 1")]
+
     def test_round_trip_canonical_text(self):
         block = parse_translation_block(PRONTOQA_BLOCK)
         again = parse_translation_block(block.to_text())
@@ -464,8 +481,8 @@ Love(miroslav, music) ::: Miroslav loved music.
                 print(d)
         """), seeds=range(1, 7))
         assert set(messages.values()) == {"".join(
-            f"error at offset 0: predicate {name!r} declared with arity 1 but used with 3\n"
-            for name in ("Alpha", "Beta", "Gamma"))}
+            f"error at offset {offset}: predicate {name!r} declared with arity 1 but used with 3\n"
+            for name, offset in (("Alpha", 12), ("Beta", 21), ("Gamma", 29)))}
 
     def test_mini_corpus_blocks_repr_the_same_under_every_hash_seed(self):
         reprs = helpers.run_under_hash_seeds(textwrap.dedent("""
