@@ -463,11 +463,12 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
             if not qm:
                 diagnostics.append(ParseDiagnostic(pos, f"query line must start with an option letter: {body!r}"))
                 continue
-            if any(letter == qm.group("letter") for letter, _ in queries):
-                diagnostics.append(ParseDiagnostic(pos, f"option {qm.group('letter')} is queried twice"))
+            letter = qm.group("letter")
+            if any(seen == letter for seen, _ in queries):
+                diagnostics.append(ParseDiagnostic(pos, f"option {letter} is queried twice"))
                 continue
             try:
-                queries.append((qm.group("letter"), _parse_with_colon_gloss(qm.group("rest"))))
+                queries.append((letter, _parse_with_colon_gloss(qm.group("rest"))))
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + qm.start("rest") + err.position, err.message))
 

@@ -243,13 +243,13 @@ def extract_label(text: str, label_space: Optional[Sequence[Label]] = None) -> L
     space = set(label_space) if label_space is not None else None
     for patterns, by_line in _TIERS:
         segments = [line for line in text.splitlines() if line.strip()][-3:] if by_line else [text]
-        best, best_at = None, None
+        best, best_at = None, (-1, -1)
         for line_no, segment in enumerate(segments):
             for pattern in patterns:
                 for m in pattern.finditer(segment):
                     label = Label.from_text(m.group(1))
                     at = (line_no, m.start())
-                    if label is not None and (space is None or label in space) and (best_at is None or at > best_at):
+                    if label is not None and (space is None or label in space) and at > best_at:
                         best, best_at = label, at
         if best is not None:
             return best
