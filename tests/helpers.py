@@ -487,6 +487,49 @@ def random_csp_model(rng: Random) -> CspModel:
                     constraints=constraints, queries=queries)
 
 
+CSP_NAMES = ("a", "b", "c")
+CSP_OPERATORS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+def random_constraint(rng: Random, depth: int, names=CSP_NAMES):
+    """Every node kind; a comparison may have two integer operands, and an
+    ``AllDifferent`` may repeat a name."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(3)
+        if kind == 0:
+            def operand():
+                return rng.choice(names) if rng.random() < 0.6 else rng.randint(1, 3)
+            return Compare(operand(), rng.choice(CSP_OPERATORS), operand())
+        if kind == 1:
+            return AbsDiffNotEqual(rng.choice(names), rng.choice(names), rng.randint(0, 2))
+        return AllDifferent(tuple(rng.choice(names) for _ in range(rng.randint(1, 4))))
+    node = rng.choice([CAnd, COr, CImplies, CNot])
+    if node is CNot:
+        return CNot(random_constraint(rng, depth - 1, names))
+    return node(random_constraint(rng, depth - 1, names), random_constraint(rng, depth - 1, names))
+
+
+def random_chain(rng: Random, levels: int):
+    """``levels`` boolean nodes, each around the last on a random side."""
+    e = random_constraint(rng, 0)
+    for _ in range(levels):
+        node = rng.choice([CAnd, COr, CImplies, CNot])
+        if node is CNot:
+            e = CNot(e)
+        else:
+            leaf = random_constraint(rng, 0)
+            e = node(e, leaf) if rng.random() < 0.5 else node(leaf, e)
+    return e
+
+
+def partial_assignments():
+    """Every assignment of 1..3 to every subset of CSP_NAMES, the empty one included."""
+    for kept in itertools.product((False, True), repeat=len(CSP_NAMES)):
+        kept_names = [n for n, keep in zip(CSP_NAMES, kept) if keep]
+        for values in itertools.product((1, 2, 3), repeat=len(kept_names)):
+            yield dict(zip(kept_names, values))
+
+
 # ---------------------------------------------------------------------------
 # Random formula generator (round-trip and property tests)
 

@@ -584,41 +584,6 @@ class TestLongChains:
 # ---------------------------------------------------------------------------
 # Compiled constraints against the reference evaluators
 
-NAMES = ("a", "b", "c")
-OPERATORS = ["==", "!=", "<", "<=", ">", ">="]
-
-
-def random_constraint(rng: random.Random, depth: int, names=NAMES):
-    """Every node kind; a comparison may have two integer operands, and an
-    ``AllDifferent`` may repeat a name."""
-    if depth == 0 or rng.random() < 0.3:
-        kind = rng.randrange(3)
-        if kind == 0:
-            def operand():
-                return rng.choice(names) if rng.random() < 0.6 else rng.randint(1, 3)
-            return Compare(operand(), rng.choice(OPERATORS), operand())
-        if kind == 1:
-            return AbsDiffNotEqual(rng.choice(names), rng.choice(names), rng.randint(0, 2))
-        return AllDifferent(tuple(rng.choice(names) for _ in range(rng.randint(1, 4))))
-    node = rng.choice([CAnd, COr, CImplies, CNot])
-    if node is CNot:
-        return CNot(random_constraint(rng, depth - 1, names))
-    return node(random_constraint(rng, depth - 1, names), random_constraint(rng, depth - 1, names))
-
-
-def random_chain(rng: random.Random, levels: int):
-    """``levels`` boolean nodes, each around the last on a random side."""
-    e = random_constraint(rng, 0)
-    for _ in range(levels):
-        node = rng.choice([CAnd, COr, CImplies, CNot])
-        if node is CNot:
-            e = CNot(e)
-        else:
-            leaf = random_constraint(rng, 0)
-            e = node(e, leaf) if rng.random() < 0.5 else node(leaf, e)
-    return e
-
-
 def outcome(evaluate, assignment):
     """The value (with its type) or the key of the ``KeyError`` raised."""
     try:
@@ -628,20 +593,12 @@ def outcome(evaluate, assignment):
     return type(value), value
 
 
-def partial_assignments():
-    """Every assignment of 1..3 to every subset of NAMES, the empty one included."""
-    for kept in itertools.product((False, True), repeat=len(NAMES)):
-        kept_names = [n for n, keep in zip(NAMES, kept) if keep]
-        for values in itertools.product((1, 2, 3), repeat=len(kept_names)):
-            yield dict(zip(kept_names, values))
-
-
 def assert_compiled_matches_reference(e):
     check = compile_expr(e)
-    for assignment in partial_assignments():
+    for assignment in helpers.partial_assignments():
         got = outcome(check, assignment)
         assert got == outcome(lambda a: eval_expr(e, a), assignment), (print_expr(e), assignment)
-        if len(assignment) == len(NAMES):
+        if len(assignment) == len(helpers.CSP_NAMES):
             assert got == (bool, helpers.oracle_eval(e, assignment)), (print_expr(e), assignment)
 
 
@@ -649,20 +606,20 @@ class TestCompiledConstraints:
     def test_random_constraints_match_eval_expr_and_the_oracle(self):
         rng = random.Random(46)
         for _ in range(400):
-            assert_compiled_matches_reference(random_constraint(rng, 4))
+            assert_compiled_matches_reference(helpers.random_constraint(rng, 4))
 
     @pytest.mark.parametrize("levels", [COMPILE_DEPTH - 1, COMPILE_DEPTH, COMPILE_DEPTH + 1, 3 * COMPILE_DEPTH])
     def test_chains_around_the_compile_depth_match_eval_expr(self, levels):
         rng = random.Random(47 + levels)
         for _ in range(20):
-            assert_compiled_matches_reference(random_chain(rng, levels))
+            assert_compiled_matches_reference(helpers.random_chain(rng, levels))
 
     def test_solver_matches_the_oracle_on_random_models(self):
         for seed in range(80):
             rng = random.Random(seed)
             model = helpers.random_csp_model(rng)
             names = tuple(n for n, _ in model.variables)
-            model.queries += [(letter, random_constraint(rng, 3, names)) for letter in "CDE"]
+            model.queries += [(letter, helpers.random_constraint(rng, 3, names)) for letter in "CDE"]
             want = helpers.oracle_solutions(model)
             for limit in (None, 1, 3):
                 result = solve_all(model, limit=limit)

@@ -23,6 +23,9 @@ Case kinds:
   as it is and after a seeded line deletion, header insertion or line
   shuffle, as ``to_text()`` and each diagnostic's severity, offset and
   message;
+* ``csp-block``: ``parse_csp_block`` of a mini-corpus CSP translation, with the
+  same mutations and CSP section headers, as the model's ``to_text()`` (or
+  ``None``) and each diagnostic's severity, offset and message;
 * ``extract-label``: ``extract_label`` of a mini-corpus solver, verifier,
   naive or CoT stage text, as it is, after a seeded deletion of 1–3 lines,
   and with another stage text spliced in at a seeded line, so hits of
@@ -32,7 +35,11 @@ Case kinds:
   model; ``solve_all`` with ``limit`` None, 1 and 3 (the solutions in order
   and ``truncated``), then the ``evaluate_queries`` statuses and solution
   count, or the ``NoSolutionsError`` text, and ``select_answer`` under each
-  ``QuestionMode``.
+  ``QuestionMode``;
+* ``csp-expr``: a seeded ``helpers.random_constraint`` of depth 4 or
+  ``helpers.random_chain`` of 63, 64, 65 and 192 boolean levels, as its
+  ``print_expr`` text and the ``compile_expr`` check's value, or the name in
+  its ``KeyError``, under each of the 64 ``helpers.partial_assignments``.
 
 After an intended output change, rewrite the digests with
 ``PYTHONPATH=src python tests/test_golden.py``; it prints how many cases
@@ -55,6 +62,10 @@ REPORT_SEEDS = (1, 2, 3)
 KB_SEEDS = range(40)
 BLOCK_SEEDS = range(8)
 HEADERS = ("Predicates:", "Premises:", "Facts:", "Rules:", "Query:", "Conclusion:")
+CSP_HEADERS = ("Domain:", "Variables:", "Constraints:", "Query:")
+EXPR_SEEDS = range(100)
+CHAIN_LEVELS = (63, 64, 65, 192)
+CHAIN_SEEDS = range(5)
 
 
 def _cases() -> Iterator[tuple[str, str, str]]:
@@ -130,6 +141,7 @@ def _cases() -> Iterator[tuple[str, str, str]]:
     yield from _block_cases(corpus)
     yield from _label_cases(corpus)
     yield from _csp_cases(corpus)
+    yield from _expr_cases()
 
 
 def _chain_cases() -> Iterator[tuple[str, str, str]]:
@@ -157,15 +169,17 @@ def _chain_cases() -> Iterator[tuple[str, str, str]]:
             yield f"forward-chain:{make.__name__}/{seed}", f"helpers.{make.__name__}(Random({seed}))", output
 
 
-def _block_cases(corpus) -> Iterator[tuple[str, str, str]]:
-    from symchain.folparse import parse_translation_block
+def _mutated_blocks(corpus, csp: bool) -> Iterator[tuple[str, str, str]]:
+    """(problem id, input name, text) of each mini-corpus FOL or CSP translation,
+    as it is and after each seeded line deletion, header insertion and line shuffle."""
+    headers = CSP_HEADERS if csp else HEADERS
 
     def mutations(lines: list[str], rng: Random) -> Iterator[tuple[str, list[str]]]:
         kept = list(lines)
         for _ in range(rng.randint(1, 3)):
             del kept[rng.randrange(len(kept))]
         yield "deletion", kept
-        yield "header", lines[:(at := rng.randrange(len(lines) + 1))] + [rng.choice(HEADERS)] + lines[at:]
+        yield "header", lines[:(at := rng.randrange(len(lines) + 1))] + [rng.choice(headers)] + lines[at:]
         start = rng.randrange(len(lines) - 1)
         end = rng.randint(start + 2, len(lines))
         window = lines[start:end]
@@ -173,17 +187,28 @@ def _block_cases(corpus) -> Iterator[tuple[str, str, str]]:
         yield "shuffle", lines[:start] + window + lines[end:]
 
     for problem in corpus.problems:
-        if problem.family.is_csp:
+        if problem.family.is_csp != csp:
             continue
         text = corpus.translation(problem.id)
-        inputs = [("as-is", text)]
+        yield problem.id, "as-is", text
         for seed in BLOCK_SEEDS:
             rng = Random(f"{problem.id}/{seed}")
-            inputs += [(f"{name}-{seed}", "\n".join(lines)) for name, lines in mutations(text.split("\n"), rng)]
-        for name, block_text in inputs:
-            block = parse_translation_block(block_text)
-            output = "\n".join([block.to_text(), *map(str, block.diagnostics)])
-            yield f"fol-block:{problem.id}/{name}", f"{problem.id}, {name}:\n{block_text}", output
+            for name, lines in mutations(text.split("\n"), rng):
+                yield problem.id, f"{name}-{seed}", "\n".join(lines)
+
+
+def _block_cases(corpus) -> Iterator[tuple[str, str, str]]:
+    from symchain.csp import parse_csp_block
+    from symchain.folparse import parse_translation_block
+
+    for problem_id, name, block_text in _mutated_blocks(corpus, csp=False):
+        block = parse_translation_block(block_text)
+        output = "\n".join([block.to_text(), *map(str, block.diagnostics)])
+        yield f"fol-block:{problem_id}/{name}", f"{problem_id}, {name}:\n{block_text}", output
+    for problem_id, name, block_text in _mutated_blocks(corpus, csp=True):
+        model, diagnostics = parse_csp_block(block_text)
+        output = "\n".join([str(model and model.to_text()), *map(str, diagnostics)])
+        yield f"csp-block:{problem_id}/{name}", f"{problem_id}, {name}:\n{block_text}", output
 
 
 def _label_cases(corpus) -> Iterator[tuple[str, str, str]]:
@@ -241,6 +266,27 @@ def _csp_cases(corpus) -> Iterator[tuple[str, str, str]]:
                          + ", ".join(f"{letter}:{status.value}" for letter, status in verdict.statuses.items()))
             lines += [f"{mode.value}: {select_answer(verdict, mode)}" for mode in QuestionMode]
         yield f"csp-answer:{name}", described, "\n".join(lines)
+
+
+def _expr_cases() -> Iterator[tuple[str, str, str]]:
+    import helpers
+
+    from symchain.csp import compile_expr, print_expr
+
+    exprs = [(f"random_constraint/{seed}", f"helpers.random_constraint(Random({seed}), 4)",
+              helpers.random_constraint(Random(seed), 4)) for seed in EXPR_SEEDS]
+    exprs += [(f"random_chain/{levels}/{seed}", f"helpers.random_chain(Random({seed}), {levels})",
+               helpers.random_chain(Random(seed), levels)) for levels in CHAIN_LEVELS for seed in CHAIN_SEEDS]
+    for name, described, expr in exprs:
+        check = compile_expr(expr)
+        lines = [print_expr(expr)]
+        for assignment in helpers.partial_assignments():
+            try:
+                value = check(assignment)
+            except KeyError as err:
+                value = f"KeyError {err.args[0]}"
+            lines.append(f"{' '.join(f'{var}={val}' for var, val in assignment.items()) or '-'}: {value}")
+        yield f"csp-expr:{name}", described, "\n".join(lines)
 
 
 def _digest(output: str) -> str:
