@@ -7,14 +7,12 @@ that checks each constraint at its last variable and prunes top-level
 all-different constraints value by value, but output-equivalent to naive
 enumeration) and ``evaluate_queries`` classifies each answer option as
 must / may / cannot be true.  Both compile each constraint and query once
-per call into a closure over the assignment (``compile_expr``); ``eval_expr``
-is the reference evaluator, and evaluates whole any expression nested too
-deeply to compile.
+per call (``compile_expr``) into one flat program of leaf checks joined by
+their true and false exits, which one loop runs at any nesting depth.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -100,7 +98,6 @@ class CNot:
 
 
 ConstraintExpr = Union[Compare, AbsDiffNotEqual, AllDifferent, CImplies, CAnd, COr, CNot]
-_BOOLEAN = (CImplies, CAnd, COr, CNot)
 _LEAVES = (Compare, AbsDiffNotEqual, AllDifferent)
 
 
@@ -133,38 +130,7 @@ def expr_variables(expr: ConstraintExpr) -> set[str]:
     return out
 
 
-def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
-    """The value of ``expr`` under ``assignment``, left first and short-circuiting.
-    A leaf is evaluated by its compiled check, so ``compile_expr`` gives each
-    leaf the same meaning."""
-    # the boolean nodes waiting on their first operand, innermost last; one
-    # that the operand leaves undecided is replaced by its second operand
-    waiting: list[ConstraintExpr] = []
-    while True:
-        while isinstance(expr, _BOOLEAN):
-            waiting.append(expr)
-            expr = expr.body if isinstance(expr, CNot) else expr.cond if isinstance(expr, CImplies) else expr.left
-        if not isinstance(expr, _LEAVES):
-            raise CspError(f"not a constraint expression: {expr!r}")
-        value = _compile_leaf(expr)(assignment)
-        while waiting:
-            node = waiting.pop()
-            if isinstance(node, CNot):
-                value = not value
-            elif value == isinstance(node, (CAnd, CImplies)):  # a true and/-> operand, a false or operand
-                expr = node.then if isinstance(node, CImplies) else node.right
-                break
-            elif isinstance(node, CImplies):
-                value = True  # a false condition
-        else:
-            return value
-
-
 Check = Callable[[dict[str, int]], bool]
-
-# the boolean nesting beyond which ``compile_expr`` leaves an expression to
-# ``eval_expr``, so that calling a closure never nests more Python frames
-COMPILE_DEPTH = 64
 
 
 def _compile_leaf(e: ConstraintExpr) -> Check:
@@ -185,34 +151,52 @@ def _compile_leaf(e: ConstraintExpr) -> Check:
     return lambda s: value
 
 
-def _compile_boolean(e: ConstraintExpr, f: Check, g: Optional[Check]) -> Check:
-    if isinstance(e, CNot):
-        return lambda s: not f(s)
-    if isinstance(e, CAnd):
-        return lambda s: f(s) and g(s)
-    if isinstance(e, COr):
-        return lambda s: f(s) or g(s)
-    return lambda s: not f(s) or g(s)
+# the results a program step can go to in place of a next step
+_TRUE, _FALSE = -1, -2
 
 
 def compile_expr(expr: ConstraintExpr) -> Check:
-    """A function of an assignment that returns what ``eval_expr`` returns,
-    evaluating operands in the same order (so a missing variable raises
-    ``KeyError`` exactly where it does there).  Built by a fold like
-    ``print_expr``'s; an expression whose boolean nesting exceeds
-    ``COMPILE_DEPTH`` is evaluated whole by ``eval_expr``."""
-    compiled: list[tuple[Check, int]] = []  # (closure, boolean nesting)
-    for e in reversed(list(_walk(expr))):
-        if not isinstance(e, _BOOLEAN):
-            compiled.append((_compile_leaf(e), 0))
-            continue
-        f, depth = compiled.pop()
-        g, other = (None, 0) if isinstance(e, CNot) else compiled.pop()
-        depth = max(depth, other) + 1
-        if depth > COMPILE_DEPTH:
-            return functools.partial(eval_expr, expr)
-        compiled.append((_compile_boolean(e, f, g), depth))
-    return compiled[0][0]
+    """A function of an assignment that returns the value of ``expr``, left
+    first and short-circuiting, so a missing variable raises ``KeyError`` at
+    the first leaf that reads it.  A lone leaf compiles to its leaf check;
+    any other expression to a program of steps ``(leaf check, next if true,
+    next if false)``, laid out with one stack: ``not`` swaps its operand's
+    exits, and a binary node lays out its second operand first, then its
+    first with exits to that operand's entry step or to the node's result."""
+    if isinstance(expr, _LEAVES):
+        return _compile_leaf(expr)
+    steps: list[tuple[Check, int, int]] = []  # the entry step of each part is laid out last
+    stack = [(expr, _TRUE, _FALSE, False)]  # (node, next if true, next if false, second operand laid out)
+    while stack:
+        e, if_true, if_false, second_laid_out = stack.pop()
+        if isinstance(e, CNot):
+            stack.append((e.body, if_false, if_true, False))
+        elif isinstance(e, (CAnd, COr, CImplies)) and not second_laid_out:
+            second = e.then if isinstance(e, CImplies) else e.right
+            stack += [(e, if_true, if_false, True), (second, if_true, if_false, False)]
+        elif isinstance(e, CAnd):
+            stack.append((e.left, len(steps) - 1, if_false, False))
+        elif isinstance(e, COr):
+            stack.append((e.left, if_true, len(steps) - 1, False))
+        elif isinstance(e, CImplies):
+            stack.append((e.cond, len(steps) - 1, if_true, False))
+        elif isinstance(e, _LEAVES):
+            steps.append((_compile_leaf(e), if_true, if_false))
+        else:
+            raise CspError(f"not a constraint expression: {e!r}")
+    entry = len(steps) - 1
+
+    def run(s: dict[str, int]) -> bool:
+        i = entry
+        while i >= 0:
+            check, if_true, if_false = steps[i]
+            i = if_true if check(s) else if_false
+        return i == _TRUE
+    return run
+
+
+def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
+    return compile_expr(expr)(assignment)
 
 
 def print_expr(expr: ConstraintExpr) -> str:
