@@ -243,7 +243,11 @@ class CspModel:
             undeclared = expr_variables(expr) - declared
             if undeclared:
                 raise CspError(f"constraint references undeclared variables: {sorted(undeclared)}")
-        for _, expr in self.queries:
+        letters: set[str] = set()
+        for letter, expr in self.queries:
+            if letter in letters:
+                raise CspError(f"option {letter} is queried twice")
+            letters.add(letter)
             undeclared = expr_variables(expr) - declared
             if undeclared:
                 raise CspError(f"query references undeclared variables: {sorted(undeclared)}")
@@ -463,6 +467,9 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
         return None, diagnostics
     if not variables:
         diagnostics.append(ParseDiagnostic(len(text), "no variables declared"))
+        return None, diagnostics
+    if not any(line.section == "queries" for line in lines):
+        diagnostics.append(ParseDiagnostic(len(text), "missing Query section"))
         return None, diagnostics
 
     try:

@@ -508,6 +508,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     statement_lines: list[SectionLine] = []
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
     declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
+    first_arity: dict[str, int] = {}  # predicate -> arity of its first declaration
 
     def parsed(body: str, offset: int, lower: Callable = lambda f: f):
         """``lower`` of the line's formula, or None once a ParseError from
@@ -527,9 +528,14 @@ def parse_translation_block(text: str) -> TranslationBlock:
             if not m:
                 block.diagnostics.append(ParseDiagnostic(offset, f"cannot read predicate declaration: {body!r}"))
                 continue
-            args = [a for a in m.group("args").split(",") if a.strip()]
-            block.predicates.append((m.group("name"), len(args), gloss or (m.group("gloss") or "").strip()))
-            declared[m.group("name")] = (len(args), offset)
+            name = m.group("name")
+            arity = len([a for a in m.group("args").split(",") if a.strip()])
+            first = first_arity.setdefault(name, arity)
+            if first != arity:
+                block.diagnostics.append(ParseDiagnostic(
+                    offset, f"predicate {name!r} declared again with arity {arity}, first with arity {first}"))
+            block.predicates.append((name, arity, gloss or (m.group("gloss") or "").strip()))
+            declared[name] = (arity, offset)
         elif section == "premises":
             if (formula := parsed(body, offset)) is not None:
                 block.premises.append((formula, gloss))

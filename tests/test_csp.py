@@ -5,7 +5,7 @@ import pytest
 
 from symchain.csp import (
     AbsDiffNotEqual, AllDifferent, CAnd, CImplies, CNot, COr, Compare,
-    CspModel, NoSolutionsError, OptionStatus, QuestionMode,
+    CspError, CspModel, NoSolutionsError, OptionStatus, QuestionMode,
     SearchSpaceTooLargeError, Undecided, compile_expr, detect_question_mode,
     eval_expr, evaluate_queries, expr_variables, parse_constraint, parse_csp_block,
     print_expr, select_answer, solve_all,
@@ -62,6 +62,10 @@ class TestParseCspBlock:
         model, diagnostics = parse_csp_block(text)
         assert model is None
         assert any("Query" in d.message for d in diagnostics)
+
+    def test_empty_query_section_is_missing(self):
+        text = "Variables:\na ∈ {1, 2}\nQuery:\n"
+        assert parse_csp_block(text) == (None, [ParseDiagnostic(len(text), "missing Query section")])
 
     def test_undeclared_variable(self):
         text = CAR_BLOCK.replace("station_wagon == 1", "steamroller == 1")
@@ -141,6 +145,12 @@ class TestParseCspBlock:
         model, diagnostics = parse_csp_block(text)
         assert diagnostics == [ParseDiagnostic(text.index("A) a == 2"), "option A is queried twice")]
         assert model.queries == [("A", Compare("a", "==", 1)), ("B", Compare("a", "==", 2))]
+
+    def test_model_refuses_an_option_queried_twice(self):
+        with pytest.raises(CspError, match="^option A is queried twice$"):
+            CspModel(domain_size=2, variables=[("a", (1, 2))], constraints=[Compare("a", "==", 1)],
+                     queries=[("A", Compare("a", "==", 1)), ("A", Compare("a", "==", 2)),
+                              ("B", Compare("a", "==", 2))])
 
     @pytest.mark.parametrize("line,diagnostic", [
         ("a = 1,2", ParseDiagnostic(11, "cannot read variable declaration: 'a = 1,2'")),

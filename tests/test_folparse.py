@@ -376,8 +376,21 @@ Love(miroslav, music) ::: Miroslav loved music.
     def test_arity_diagnostic_points_at_the_declaration_in_force(self):
         # the later of two declarations sets the arity, so it is the one reported
         text = "Predicates:\nP(x)\nP(x, y, z, w)\nFacts:\nP(a, True)\nQuery:\nP(a, True)\n"
-        assert parse_translation_block(text).diagnostics == [ParseDiagnostic(
-            text.index("P(x, y, z, w)"), "predicate 'P' declared with arity 4 but used with 1")]
+        at = text.index("P(x, y, z, w)")
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(at, "predicate 'P' declared again with arity 4, first with arity 1"),
+            ParseDiagnostic(at, "predicate 'P' declared with arity 4 but used with 1")]
+
+    def test_predicate_declared_again_with_another_arity(self):
+        text = "Predicates:\nP(x)\nP(x, y)\nFacts:\nP(a, True)\nQuery:\nP(a, True)\n"
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(
+            text.index("P(x, y)"), "predicate 'P' declared again with arity 2, first with arity 1")]
+        assert not block.executable
+        # a repeat with the same arity stays silent
+        again = parse_translation_block(text.replace("P(x, y)", "P(y) ::: y is p"))
+        assert again.diagnostics == []
+        assert again.predicates == [("P", 1, ""), ("P", 1, "y is p")]
 
     def test_round_trip_canonical_text(self):
         block = parse_translation_block(PRONTOQA_BLOCK)
