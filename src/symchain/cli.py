@@ -17,12 +17,12 @@ import click
 
 from . import evalkit
 from .corpus import LoadResult, Problem, load, load_normalized, mini_corpus
-from .folparse import ParseError, Severity, has_section_header, parse_formula, print_formula
+from .folparse import ParseError, has_section_header, parse_formula, print_formula
 from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .inference import UnsupportedFragmentError
 from .logic import Label
 from .pipeline import (
-    NO_KNOWLEDGE_BASE, NOT_EXECUTABLE, FallbackPolicy, Method, RunConfig, parse_translation,
+    NO_KNOWLEDGE_BASE, FallbackPolicy, Method, RunConfig, parse_translation,
     read_records, run_batch, solve_translation, write_records,
 )
 
@@ -54,12 +54,7 @@ def main():
 def cmd_parse(source, fmt):
     """Parse a translation block (file or stdin) and print its canonical form."""
     text = _read_input(source)
-    csp = fmt == "csp"
-    try:
-        artifact, diagnostics = parse_translation(text, csp)
-    except ParseError as err:
-        if csp or err.message != "no sections found" or has_section_header(text):
-            _fail(str(err.diagnostic))
+    if fmt == "fol" and not has_section_header(text):
         # no header at all: bare formulas, one per line
         failures = 0
         for line in text.splitlines():
@@ -72,9 +67,10 @@ def cmd_parse(source, fmt):
                 click.echo(str(line_err.diagnostic), err=True)
                 failures += 1
         sys.exit(1 if failures else 0)
+    artifact, diagnostics = parse_translation(text, fmt == "csp")
     for d in diagnostics:
         click.echo(str(d), err=True)
-    if artifact is None or (diagnostics if csp else not artifact.executable):
+    if artifact is None:
         sys.exit(1)
     click.echo(artifact.to_text())
 
@@ -89,16 +85,12 @@ def cmd_parse(source, fmt):
 def cmd_solve(source, engine):
     """Solve a symbolic translation file with the matching engine."""
     csp = engine == "csp"
-    try:
-        artifact, diagnostics = parse_translation(_read_input(source), csp)
-    except ParseError as err:
-        _fail(str(err.diagnostic))
-    errors = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
-    result = solve_translation(artifact, errors, "", csp)
-    if result.response == NOT_EXECUTABLE:
+    artifact, diagnostics = parse_translation(_read_input(source), csp)
+    if artifact is None:
         for d in diagnostics:
             click.echo(str(d), err=True)
         _fail("model is not executable" if csp else "translation is not executable")
+    result = solve_translation(artifact, [], "", csp)
     if result.response == NO_KNOWLEDGE_BASE:
         _fail("no knowledge base in translation; general FOL is not auto-decided")
     if isinstance(result.error, UnsupportedFragmentError):

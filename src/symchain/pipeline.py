@@ -292,11 +292,8 @@ def run_stage(template: PromptTemplate, bindings: dict[str, str], gateway: Backe
         completion_tokens=response.completion_tokens,
     )
     if template.stage is Stage.TRANSLATOR:
-        try:
-            record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp)
-            record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
-        except ParseError as err:
-            record.diagnostics = [str(err.diagnostic)]
+        record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp)
+        record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
     elif template.stage in (Stage.SOLVER, Stage.VERIFIER, Stage.NAIVE, Stage.COT):
         record.label = extract_label(response.content, label_space)
     return record
@@ -309,16 +306,19 @@ NO_KNOWLEDGE_BASE = "no knowledge base; general FOL is not auto-decided"
 
 
 def parse_translation(text: str, csp: bool) -> tuple[Translation, list[ParseDiagnostic]]:
-    """Parse a translation in CSP or FOL notation.
+    """Parse a translation in CSP or FOL notation, deciding whether it is executable.
 
-    Returns the artifact (None when a CSP model cannot be assembled) and all
-    of its diagnostics; raises :class:`ParseError` when the text has no
-    sections.
+    Returns the artifact, None unless the translation is executable, and all
+    of its diagnostics; a text with no sections has that one diagnostic.
     """
-    if csp:
-        return cspmod.parse_csp_block(text)
-    block = parse_translation_block(text)
-    return block, block.diagnostics
+    try:
+        if not csp:
+            block = parse_translation_block(text)
+            return (block if block.executable else None), block.diagnostics
+        model, diagnostics = cspmod.parse_csp_block(text)
+    except ParseError as err:
+        return None, [err.diagnostic]
+    return (None if any(d.severity is Severity.ERROR for d in diagnostics) else model), diagnostics
 
 
 @dataclass(frozen=True)
@@ -343,12 +343,12 @@ def solve_translation(artifact: Translation, errors: Sequence[str], question: st
                       csp: bool) -> EngineResult:
     """Run the engine of the translation's notation.
 
-    ``errors`` are the translation's error diagnostics; any of them makes it
-    not executable.  FOL decides the query over the Facts/Rules knowledge
-    base; CSP selects the option that matches the question's mode (must /
-    could / cannot be true; must be true when the question names none).
+    ``artifact`` is None when the translation is not executable, and
+    ``errors`` are its error diagnostics.  FOL decides the query over the
+    Facts/Rules knowledge base; CSP selects the option matching the question's
+    mode (must / could / cannot be true; must be true when none is named).
     """
-    if artifact is None or errors or (not csp and artifact.statement is None):
+    if artifact is None:
         # a CSP engine record repeats the parse errors; a FOL one only names the failure
         return EngineResult(Label.UNDECIDED, False, NOT_EXECUTABLE,
                             tuple(errors) if csp and errors else (NOT_EXECUTABLE,))
