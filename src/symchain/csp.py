@@ -19,7 +19,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Collection, Iterator, Optional, Union
 
 from .folparse import NAME_START, ParseDiagnostic, ParseError, TokenCursor, read_sections
 from .logic import LogicError
@@ -403,12 +403,13 @@ def _parse_with_colon_gloss(body: str) -> ConstraintExpr:
         raise
 
 
-def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic]]:
+def parse_csp_block(text: str, options: Optional[Collection[str]] = None
+                    ) -> tuple[Optional[CspModel], list[ParseDiagnostic]]:
     """Parse a Domain / Variables / Constraints / Query block.
 
     Returns the model (or None when it cannot be assembled) plus per-line
-    diagnostics.  An input with no recognizable sections raises
-    :class:`ParseError`.
+    diagnostics; a query of a letter outside ``options`` (when given) is an
+    error.  An input with no recognizable sections raises :class:`ParseError`.
     """
     diagnostics: list[ParseDiagnostic] = []
     domain_gloss: list[str] = []
@@ -452,6 +453,9 @@ def parse_csp_block(text: str) -> tuple[Optional[CspModel], list[ParseDiagnostic
                 diagnostics.append(ParseDiagnostic(pos, f"query line must start with an option letter: {body!r}"))
                 continue
             letter = qm.group("letter")
+            if options is not None and letter not in options:
+                diagnostics.append(ParseDiagnostic(pos, f"the problem has no option {letter}"))
+                continue
             if any(seen == letter for seen, _ in queries):
                 diagnostics.append(ParseDiagnostic(pos, f"option {letter} is queried twice"))
                 continue

@@ -86,13 +86,12 @@ def _canonical_labels(values: Iterable[str]) -> list[str]:
     return [v for v in order if v in seen] + sorted(seen - set(order))
 
 
-def label_metrics(confusion: Mapping[tuple[str, str], int],
-                  labels: Optional[Sequence[str]] = None) -> LabelMetrics:
+def label_metrics(confusion: Mapping[tuple[str, str], int]) -> LabelMetrics:
     """Per-label precision/recall/F1 plus macro averages.
 
     A zero denominator yields 0 and flags the label rather than raising.
     """
-    labels = list(labels) if labels is not None else _canonical_labels(v for pair in confusion for v in pair)
+    labels = _canonical_labels(v for pair in confusion for v in pair)
     per_label = {}
     flagged = set()
     for label in labels:

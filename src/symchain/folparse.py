@@ -24,8 +24,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .logic import (
-    BINARY_NODES, And, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff, Implies,
-    KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands, subformulas,
+    BINARY_NODES, And, ArityMismatchError, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff,
+    Implies, KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands, subformulas,
 )
 
 
@@ -508,6 +508,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     statement_lines: list[SectionLine] = []
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
     declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
+    first_use: dict[tuple[str, int], int] = {}  # (predicate, arity) -> offset of its first Facts/Rules line
     first_arity: dict[str, int] = {}  # predicate -> arity of its first declaration
 
     def parsed(body: str, offset: int, lower: Callable = lambda f: f):
@@ -547,12 +548,18 @@ def parse_translation_block(text: str) -> TranslationBlock:
                 block.diagnostics.append(ParseDiagnostic(offset, f"fact is not a ground literal: {body!r}"))
             else:
                 facts.append(lit)
+                first_use.setdefault((lit.predicate, len(lit.args)), offset)
         elif section == "rules":
             has_rules = True
             try:
-                rules.extend(parsed(body, offset, formula_to_rules) or ())
+                line_rules = parsed(body, offset, formula_to_rules) or ()
             except LogicError as err:
                 block.diagnostics.append(ParseDiagnostic(offset, str(err)))
+                continue
+            rules.extend(line_rules)
+            for rule in line_rules:
+                for lit in (*rule.body, rule.head):
+                    first_use.setdefault((lit.predicate, len(lit.args)), offset)
         else:
             statement_lines.append(line)
 
@@ -575,8 +582,16 @@ def parse_translation_block(text: str) -> TranslationBlock:
     if has_rules or facts:
         try:
             block.kb = KnowledgeBase.build(facts, rules)
+        except ArityMismatchError as err:
+            block.diagnostics.append(ParseDiagnostic(first_use[err.name, err.seen], str(err)))
         except LogicError as err:
             block.diagnostics.append(ParseDiagnostic(0, str(err)))
+    if block.kb is not None and block.query is not None:
+        name, seen = block.query.predicate, len(block.query.args)
+        expected = block.kb.predicate_arities.get(name, seen)
+        if expected != seen:
+            block.diagnostics.append(ParseDiagnostic(statement_lines[0].offset,
+                                                     str(ArityMismatchError(name, seen, expected))))
 
     # Declared arities must agree with usage.
     used: dict[str, int] = dict(block.kb.predicate_arities) if block.kb else {}

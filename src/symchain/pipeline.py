@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from . import csp as cspmod
 from . import inference
@@ -292,7 +292,9 @@ def run_stage(template: PromptTemplate, bindings: dict[str, str], gateway: Backe
         completion_tokens=response.completion_tokens,
     )
     if template.stage is Stage.TRANSLATOR:
-        record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp)
+        # a CSP problem's label space is its option letters
+        options = None if label_space is None else [label.value for label in label_space]
+        record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp, options)
         record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
     elif template.stage in (Stage.SOLVER, Stage.VERIFIER, Stage.NAIVE, Stage.COT):
         record.label = extract_label(response.content, label_space)
@@ -305,17 +307,19 @@ NOT_EXECUTABLE = "translation not executable"
 NO_KNOWLEDGE_BASE = "no knowledge base; general FOL is not auto-decided"
 
 
-def parse_translation(text: str, csp: bool) -> tuple[Translation, list[ParseDiagnostic]]:
+def parse_translation(text: str, csp: bool, options: Optional[Collection[str]] = None
+                      ) -> tuple[Translation, list[ParseDiagnostic]]:
     """Parse a translation in CSP or FOL notation, deciding whether it is executable.
 
     Returns the artifact, None unless the translation is executable, and all
-    of its diagnostics; a text with no sections has that one diagnostic.
+    of its diagnostics; a text with no sections has that one diagnostic.  A
+    CSP query of a letter outside ``options`` (when given) is an error.
     """
     try:
         if not csp:
             block = parse_translation_block(text)
             return (block if block.executable else None), block.diagnostics
-        model, diagnostics = cspmod.parse_csp_block(text)
+        model, diagnostics = cspmod.parse_csp_block(text, options)
     except ParseError as err:
         return None, [err.diagnostic]
     return (None if any(d.severity is Severity.ERROR for d in diagnostics) else model), diagnostics

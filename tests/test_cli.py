@@ -8,7 +8,10 @@ from symchain.cli import main
 from symchain.corpus import dump_problems, mini_corpus
 from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
 from symchain.gateway import CompletionCache, CompletionRequest, CompletionResponse
-from symchain.pipeline import Method, RunConfig, run_batch, write_records
+from symchain.pipeline import (
+    NOT_EXECUTABLE, Method, RunConfig, parse_translation, run_batch, run_problem, write_records,
+)
+from test_golden import _mutated_blocks
 
 
 @pytest.fixture()
@@ -130,7 +133,11 @@ class TestSolve:
          "no knowledge base in translation; general FOL is not auto-decided\n"),
         ("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQuery:\n∀x Q(x, True)\n", "fol",
          "unsupported query: quantified statements are not auto-decided\n"),
-    ], ids=["fol-not-executable", "csp-not-executable", "no-knowledge-base", "unsupported-query"])
+        ("P(a)\n", "fol", "error at offset 0: no sections found\ntranslation is not executable\n"),
+        ("Facts:\nP(a, True)\nQuery:\nP(a, b, True)\n", "fol",
+         "error at offset 25: predicate 'P' used with arity 2, expected 1\ntranslation is not executable\n"),
+    ], ids=["fol-not-executable", "csp-not-executable", "no-knowledge-base", "unsupported-query",
+            "no-section-header", "query-arity"])
     def test_unsolvable_translation_exit_one(self, runner, text, engine, stderr):
         result = runner.invoke(main, ["solve", "-", "--engine", engine], input=text)
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", stderr)
@@ -147,6 +154,29 @@ class TestSolve:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "model has no solutions; verdicts are undefined\n"
+
+
+@pytest.mark.parametrize("csp", [False, True], ids=["fol-block", "csp-block"])
+def test_parse_solve_and_the_pipeline_agree_on_every_golden_block(runner, corpus, csp):
+    """On each golden block input, all four or none of: `symchain parse` exits 1,
+    ``parse_translation`` gives no artifact, `symchain solve` ends with the
+    not-executable line, and a translate_then_solve run records the engine
+    response ``NOT_EXECUTABLE``."""
+    flag = "csp" if csp else "fol"
+    not_executable = f"{'model' if csp else 'translation'} is not executable\n"
+    seen, disagreements = set(), []
+    for problem_id, name, text in _mutated_blocks(corpus, csp):
+        parsed = runner.invoke(main, ["parse", "-", "--format", flag], input=text)
+        solved = runner.invoke(main, ["solve", "-", "--engine", flag], input=text)
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem_id, "translator"): text})
+        record = run_problem(corpus.problem(problem_id), Method.TRANSLATE_THEN_SOLVE, RunConfig(), backend)
+        verdicts = {parsed.exit_code == 1, parse_translation(text, csp)[0] is None,
+                    solved.stderr.endswith(not_executable), record.stages[-1].response == NOT_EXECUTABLE}
+        seen |= verdicts
+        if len(verdicts) != 1:
+            disagreements.append((problem_id, name))
+    assert disagreements == []
+    assert seen == {True, False}  # both kinds of input occur
 
 
 class TestRunEvalReport:

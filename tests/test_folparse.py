@@ -392,6 +392,21 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert again.diagnostics == []
         assert again.predicates == [("P", 1, ""), ("P", 1, "y is p")]
 
+    def test_query_arity_mismatch_points_at_the_statement(self):
+        text = "Facts:\nP(a, True)\nQuery:\nP(a, b, True)\n"
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(25, "predicate 'P' used with arity 2, expected 1")]
+        assert not block.executable
+
+    def test_knowledge_base_arity_mismatch_points_at_the_first_line_using_that_arity(self):
+        text = "Facts:\nP(a, b, True)\nP(a, True)\nQuery:\nP(a, True)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(7, "predicate 'P' used with arity 2, expected 1")]
+        # a rule line is found in block order too: facts are checked first, so P's arity is 2 here
+        text = "Facts:\nQ(a, True)\nRules:\nQ($x, True) ⇒ P($x, $x, True)\nP($x, True) ⇒ R($x, True)\nQuery:\nR(a)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(text.index("P($x, True)"), "predicate 'P' used with arity 1, expected 2")]
+
     def test_round_trip_canonical_text(self):
         block = parse_translation_block(PRONTOQA_BLOCK)
         again = parse_translation_block(block.to_text())

@@ -91,6 +91,19 @@ class TestRunProblem:
         assert not record.executed
         assert record.final_label is Label.UNDECIDED
 
+    def test_query_of_an_option_the_problem_lacks_is_an_error(self, corpus, config):
+        problem = corpus.problem("logicaldeduction-antique-cars")
+        assert [letter for letter, _ in problem.options] == ["A", "B", "C"]
+        text = corpus.translation(problem.id).rstrip("\n") + "\nD) station_wagon == 1\n"
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): text})
+        record = run_problem(problem, Method.TRANSLATE_THEN_SOLVE, config, backend)
+        error = f"error at offset {text.index('D) station_wagon')}: the problem has no option D"
+        assert [(s.stage, s.diagnostics) for s in record.stages] == [("translator", [error]), ("engine", [error])]
+        assert (record.executed, record.final_label) == (False, Label.UNDECIDED)
+        # without the problem's options, as in `symchain solve`, any letter A-E may be queried
+        model, diagnostics = parse_translation(text, csp=True)
+        assert model is not None and diagnostics == []
+
     def test_fallback_random_is_seeded(self, corpus, corpus_config=None):
         problem = corpus.problem("logicaldeduction-antique-cars")
         broken = corpus.translation(problem.id).replace("Query:", "Nonsense:")
