@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Problem
-from .logic import LABEL_ORDER, Label
+from .logic import Label
 from .pipeline import CODECS, Record, RunRecord, read_object
 
 
@@ -80,9 +80,9 @@ class LabelMetrics:
 
 
 def _canonical_labels(values: Iterable[str]) -> list[str]:
-    """Label values in ``LABEL_ORDER``, then any others sorted."""
+    """Label values in ``Label``'s declaration order, then any others sorted."""
     seen = set(values)
-    order = [label.value for label in LABEL_ORDER]
+    order = [label.value for label in Label]
     return [v for v in order if v in seen] + sorted(seen - set(order))
 
 

@@ -408,7 +408,6 @@ class TranslationBlock:
     statement: Optional[Formula] = None
     statement_gloss: str = ""
     kb: Optional[KnowledgeBase] = None
-    query: Optional[SignedLiteral] = None
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
     @property
@@ -572,11 +571,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
                 line.offset, f"extra statement line ignored: {line.body[:40]!r}", Severity.WARNING))
         if (formula := parsed(first.body, first.offset)) is not None:
             lit = formula_to_literal(formula)
-            if lit is not None:
-                block.query = lit
-                block.statement = lit.to_formula()
-            else:
-                block.statement = formula
+            block.statement = formula if lit is None else lit.to_formula()
             block.statement_gloss = first.gloss
 
     if has_rules or facts:
@@ -586,12 +581,14 @@ def parse_translation_block(text: str) -> TranslationBlock:
             block.diagnostics.append(ParseDiagnostic(first_use[err.name, err.seen], str(err)))
         except LogicError as err:
             block.diagnostics.append(ParseDiagnostic(0, str(err)))
-    if block.kb is not None and block.query is not None:
-        name, seen = block.query.predicate, len(block.query.args)
-        expected = block.kb.predicate_arities.get(name, seen)
-        if expected != seen:
-            block.diagnostics.append(ParseDiagnostic(statement_lines[0].offset,
-                                                     str(ArityMismatchError(name, seen, expected))))
+    if block.kb is not None and block.statement is not None:
+        # every atom of the statement, folded as decide_formula folds it
+        arities = block.kb.predicate_arities
+        folded = (formula_to_literal(f) for f, _ in subformulas(block.statement) if isinstance(f, Atom))
+        lit = next((lit for lit in folded if arities.get(lit.predicate, len(lit.args)) != len(lit.args)), None)
+        if lit is not None:
+            block.diagnostics.append(ParseDiagnostic(statement_lines[0].offset, str(
+                ArityMismatchError(lit.predicate, len(lit.args), arities[lit.predicate]))))
 
     # Declared arities must agree with usage.
     used: dict[str, int] = dict(block.kb.predicate_arities) if block.kb else {}

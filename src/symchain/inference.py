@@ -18,10 +18,10 @@ interned ground literals ``(predicate, polarity, constant names)``, with
 each rule body compiled once per call into join steps; a rule body is
 joined one literal at a time in a loop.  ``forward_chain`` then
 materialises the core's result as :class:`Derivation` records.
-``decide`` and ``decide_formula`` chain through ``forward_chain`` and look
-their literals up in the core's interned map.  They answer with open-world
-three-valued semantics through one strong-Kleene evaluator, of which
-``eval_formula`` is the two-valued case.
+``decide_formula`` chains through ``forward_chain`` and looks its literals
+up in the core's interned map.  It answers with open-world three-valued
+semantics through one strong-Kleene evaluator, of which ``eval_formula`` is
+the two-valued case.
 """
 
 from __future__ import annotations
@@ -598,19 +598,13 @@ def forward_chain(kb: KnowledgeBase, max_depth: Optional[int] = 20) -> ChainResu
 _LABELS = {True: Label.TRUE, False: Label.FALSE, None: Label.UNKNOWN}
 
 
-def decide(kb: KnowledgeBase, query: SignedLiteral) -> Label:
-    """Open-world three-valued answer for a ground query literal."""
-    if not query.is_ground:
-        raise UnsupportedFragmentError(f"query must be ground: {query.to_text()}")
-    return _LABELS[forward_chain(kb, None).holds(query)]
-
-
 def decide_formula(kb: KnowledgeBase, statement: Formula) -> Label:
-    """Three-valued (Kleene) evaluation of a ground compound statement.
+    """Open-world three-valued (Kleene) answer for a ground statement.
 
-    Atoms take the value ``decide`` gives their literal; connectives follow
-    strong Kleene semantics, so e.g. a disjunction of two refuted disjuncts
-    is False, the chainer's rendering of "false by contradiction".
+    An atom is True if its literal was derived, False if its negation was,
+    else Unknown; connectives follow strong Kleene semantics, so e.g. a
+    disjunction of two refuted disjuncts is False, the chainer's rendering
+    of "false by contradiction".
     """
     result = forward_chain(kb, None)
 

@@ -528,11 +528,3 @@ class Label(str, Enum):
         if len(t) == 1 and t.upper() in "ABCDE":
             return cls(t.upper())
         return None
-
-
-# Canonical ordering used by reports and metrics.
-LABEL_ORDER = (
-    Label.TRUE, Label.FALSE, Label.UNKNOWN,
-    Label.A, Label.B, Label.C, Label.D, Label.E,
-    Label.UNDECIDED,
-)

@@ -142,6 +142,15 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "-", "--engine", engine], input=text)
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", stderr)
 
+    def test_statement_atom_of_another_arity_exit_one(self, runner):
+        # an atom of a compound statement, not only a one-literal statement
+        text = "Facts:\nP(a, True)\nQuery:\nP(a, b, True) ∨ P(a, True)\n"
+        error = "error at offset 25: predicate 'P' used with arity 2, expected 1\n"
+        solved = runner.invoke(main, ["solve", "-", "--engine", "fol"], input=text)
+        assert (solved.exit_code, solved.stdout, solved.stderr) == (1, "", error + "translation is not executable\n")
+        parsed = runner.invoke(main, ["parse", "-", "--format", "fol"], input=text)
+        assert (parsed.exit_code, parsed.stderr) == (1, error)
+
     def test_csp_undecided_answer_exit_one(self, runner):
         result = runner.invoke(main, ["solve", "-", "--engine", "csp"],
                                input="Variables:\na ∈ {1}\nConstraints:\nQuery:\nA) a == 1\nB) a >= 1\n")

@@ -8,7 +8,7 @@ from symchain.folparse import (
     ParseDiagnostic, ParseError, Severity, formula_to_literal, formula_to_rules, parse_formula,
     parse_translation_block, print_formula,
 )
-from symchain.inference import decide
+from symchain.inference import decide_formula
 from symchain.logic import (
     And, Atom, Constant, Exists, ForAll, Implies, Label, Not, Or, SignedLiteral,
     Variable, Xor, alpha_equal,
@@ -292,7 +292,7 @@ class TestTranslationBlock:
         assert block.kb is not None
         assert SignedLiteral("Tumpus", (c("alex"),), True) in block.kb.facts
         assert len(block.kb.rules) == 1
-        assert block.query == SignedLiteral("Shy", (c("alex"),), False)
+        assert formula_to_literal(block.statement) == SignedLiteral("Shy", (c("alex"),), False)
         assert [p[0] for p in block.predicates] == ["Jompus", "Fruity", "Shy"]
 
     def test_single_bad_line_marks_non_executable(self):
@@ -398,6 +398,16 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert block.diagnostics == [ParseDiagnostic(25, "predicate 'P' used with arity 2, expected 1")]
         assert not block.executable
 
+    def test_every_statement_atom_is_checked_against_the_knowledge_base(self):
+        text = "Facts:\nP(a, True)\nQuery:\nP(a, b, True) ∨ P(a, True)\n"
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(25, "predicate 'P' used with arity 2, expected 1")]
+        assert not block.executable
+        # the first mismatch in the statement's preorder; a predicate the knowledge base lacks is none
+        text = "Facts:\nP(a, True)\nQ(a, b, True)\nQuery:\n¬(R(a) ∧ P(a, True)) → Q(a, True) ∨ P(a, b)\n"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(39, "predicate 'Q' used with arity 1, expected 2")]
+
     def test_knowledge_base_arity_mismatch_points_at_the_first_line_using_that_arity(self):
         text = "Facts:\nP(a, b, True)\nP(a, True)\nQuery:\nP(a, True)"
         assert parse_translation_block(text).diagnostics == [
@@ -412,7 +422,7 @@ Love(miroslav, music) ::: Miroslav loved music.
         again = parse_translation_block(block.to_text())
         assert again.executable
         assert again.kb.facts == block.kb.facts
-        assert again.query == block.query
+        assert formula_to_literal(again.statement) == formula_to_literal(block.statement)
 
     @pytest.mark.parametrize("text,gloss,diagnostics", [
         ("- Facts:\n- P(a, True) ::: a is p\n- Rules:\n- P($x, True) ⇒ Q($x, True)\n"
@@ -449,7 +459,7 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert block.diagnostics == diagnostics
         assert block.kb is not None and len(block.kb.rules) == 1
         assert SignedLiteral("P", (c("a"),), True) in block.kb.facts
-        assert block.query == SignedLiteral("Q", (c("a"),), True)
+        assert formula_to_literal(block.statement) == SignedLiteral("Q", (c("a"),), True)
         assert block.statement_gloss == gloss
 
     @pytest.mark.parametrize("text,diagnostics", [
@@ -479,8 +489,8 @@ Love(miroslav, music) ::: Miroslav loved music.
         text = f"Facts:\nP(a, True)\nRules:\n{rule}\nQuery:\nQ(a, True)\n"
         block = parse_translation_block(text)
         assert block.diagnostics == []
-        assert block.query == SignedLiteral("Q", (c("a"),), True)
-        assert decide(block.kb, block.query) is Label.TRUE
+        assert formula_to_literal(block.statement) == SignedLiteral("Q", (c("a"),), True)
+        assert decide_formula(block.kb, block.statement) is Label.TRUE
 
     def test_flat_chains_of_thousands_parse(self):
         # TokenCursor builds such chains iteratively, and so must every walk over them
@@ -531,11 +541,11 @@ Love(miroslav, music) ::: Miroslav loved music.
         facts = {fact.predicate: fact for fact in block.kb.facts}
         first, second = block.kb.rules
         assert facts["P"].args[0] is facts["R"].args[0] is second.body[0].args[1]
-        assert facts["R"].args[1] is block.query.args[0]
+        assert facts["R"].args[1] is formula_to_literal(block.statement).args[0]
         assert first.body[0].args[0] is first.body[1].args[0] is second.body[0].args[0]
         assert first.body[1].args[1] is first.head.args[0]
         # ``$a`` stays a variable beside the constant ``a``
         block = parse_translation_block("Facts:\nP(a, True)\nRules:\nP($a, True) ⇒ Q($a, True)\n"
                                         "Query:\nQ(a, True)\n")
         (rule,) = block.kb.rules
-        assert rule.body[0].args == (v("a"),) and block.query.args == (c("a"),)
+        assert rule.body[0].args == (v("a"),) and formula_to_literal(block.statement).args == (c("a"),)

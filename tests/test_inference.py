@@ -11,7 +11,7 @@ from symchain import inference
 from symchain.folparse import parse_formula, parse_translation_block
 from symchain.inference import (
     SchemaArityMismatchError, UnknownRuleError, UnsupportedFragmentError,
-    check_step, decide, decide_formula, forward_chain, truth_table_entails,
+    check_step, decide_formula, forward_chain, truth_table_entails,
 )
 from symchain.logic import (
     And, Constant, FunctionApp, Iff, Implies, InconsistencyError, InferenceRule,
@@ -491,7 +491,7 @@ class TestForwardChain:
         result = forward_chain(kb, max_depth=None)
         assert result.depth_of(lit("Q", "a")) == 1 and result.holds(lit("Q", "b")) is None
         assert result.depth_of(lit("P1", "b")) == 1
-        assert decide(kb, lit("Q", "a")) is Label.TRUE
+        assert decide_formula(kb, lit("Q", "a").to_formula()) is Label.TRUE
 
     def test_a_cross_product_body_joins_in_little_memory(self):
         # 22,500 (x, y) partial bindings pass Q(y); held as one join level
@@ -586,14 +586,12 @@ def _assert_decides_as_chained(kb, queries):
     derived = forward_chain(kb, max_depth=None).literals()
     for query in queries:
         want = _expected_label(derived, query)
-        assert decide(kb, query) is want, query
         assert decide_formula(kb, query.to_formula()) is want, query
 
 
 class TestDecideOnTheFixpointCore:
-    """``decide`` and ``decide_formula`` look literals up in the chainer's
-    interned map; they must answer as a lookup in ``forward_chain``'s
-    literals would."""
+    """``decide_formula`` looks literals up in the chainer's interned map;
+    it must answer as a lookup in ``forward_chain``'s literals would."""
 
     def test_random_kbs_agree_with_forward_chain(self):
         rng = random.Random(36)
@@ -609,11 +607,10 @@ class TestDecideOnTheFixpointCore:
             try:
                 forward_chain(kb, max_depth=None)
             except InconsistencyError as err:
-                for decider, query in ((decide, queries[0]), (decide_formula, queries[0].to_formula())):
-                    with pytest.raises(InconsistencyError) as exc:
-                        decider(kb, query)
-                    assert str(exc.value) == str(err)
-                    assert exc.value.literal == err.literal
+                with pytest.raises(InconsistencyError) as exc:
+                    decide_formula(kb, queries[0].to_formula())
+                assert str(exc.value) == str(err)
+                assert exc.value.literal == err.literal
                 inconsistent += 1
                 continue
             _assert_decides_as_chained(kb, queries)
@@ -627,17 +624,17 @@ class TestDecideOnTheFixpointCore:
                       SignedLiteral("T", (x,), False))]
         kb = kb_from([lit("R", "a", "b"), lit("R", "c", "a"), lit("S", "a", "a"), lit("S", "c", "a")], rules)
         _assert_decides_as_chained(kb, [lit("Q", "a"), lit("Q", "c"), lit("T", "a"), lit("T", "c")])
-        assert decide(kb, lit("Q", "a")) is Label.TRUE
-        assert decide(kb, lit("Q", "c")) is Label.UNKNOWN
-        assert decide(kb, lit("T", "a")) is Label.FALSE
+        assert decide_formula(kb, lit("Q", "a").to_formula()) is Label.TRUE
+        assert decide_formula(kb, lit("Q", "c").to_formula()) is Label.UNKNOWN
+        assert decide_formula(kb, lit("T", "a").to_formula()) is Label.FALSE
 
     def test_repeated_variable(self):
         x = Variable("x")
         kb = kb_from([lit("R", "a", "a"), lit("R", "a", "b"), lit("R", "b", "c")],
                      [Rule((SignedLiteral("R", (x, x)),), SignedLiteral("Q", (x,)))])
         _assert_decides_as_chained(kb, [lit("Q", "a"), lit("Q", "b"), lit("Q", "c")])
-        assert decide(kb, lit("Q", "a")) is Label.TRUE
-        assert decide(kb, lit("Q", "b")) is Label.UNKNOWN
+        assert decide_formula(kb, lit("Q", "a").to_formula()) is Label.TRUE
+        assert decide_formula(kb, lit("Q", "b").to_formula()) is Label.UNKNOWN
 
     def test_zero_arity_literals(self):
         x = Variable("x")
@@ -646,7 +643,7 @@ class TestDecideOnTheFixpointCore:
                  Rule((SignedLiteral("Wet", (x,)),), SignedLiteral("Dry", (), False))]
         kb = kb_from([lit("Rain"), lit("Out", "a")], rules)
         _assert_decides_as_chained(kb, [lit("Cloudy"), lit("Wet", "a"), lit("Dry"), lit("Sunny")])
-        assert decide(kb, lit("Dry")) is Label.FALSE
+        assert decide_formula(kb, lit("Dry").to_formula()) is Label.FALSE
         assert decide_formula(kb, parse_formula("Cloudy ∧ Wet(a)")) is Label.TRUE
 
     def test_decide_goes_through_forward_chain(self, monkeypatch):
@@ -661,7 +658,7 @@ class TestDecideOnTheFixpointCore:
 
         monkeypatch.setattr(inference, "forward_chain", counted)
         kb = kb_from([lit("P", "a")], [rule([("P", "x", True)], ("Q", "x", True))])
-        assert decide(kb, lit("Q", "a")) is Label.TRUE
+        assert decide_formula(kb, lit("Q", "a").to_formula()) is Label.TRUE
         assert decide_formula(kb, parse_formula("Q(a) ∧ ¬P(b)")) is Label.UNKNOWN
         assert calls == [None, None]
 
@@ -670,30 +667,29 @@ class TestDecideOnTheFixpointCore:
         nested = FunctionApp("a", (Constant("a"),))
         for query in (SignedLiteral("P", (nested,)), SignedLiteral("P", (nested,), False),
                       SignedLiteral("R", (nested, Constant("a")), False)):
-            assert decide(kb, query) is Label.UNKNOWN
             assert decide_formula(kb, query.to_formula()) is Label.UNKNOWN
-        assert decide(kb, lit("P", "a")) is Label.TRUE
+        assert decide_formula(kb, lit("P", "a").to_formula()) is Label.TRUE
 
 
 class TestDecide:
     def test_anne_unknown(self):
         block = parse_translation_block(_anne_translation())
-        assert decide(block.kb, lit("White", "anne")) is Label.UNKNOWN
+        assert decide_formula(block.kb, lit("White", "anne").to_formula()) is Label.UNKNOWN
 
     def test_tiger_not_young_false(self):
         block = parse_translation_block(_tiger_translation())
-        assert decide(block.kb, SignedLiteral("Young", (Constant("tiger"),), False)) is Label.FALSE
+        assert decide_formula(block.kb, SignedLiteral("Young", (Constant("tiger"),), False).to_formula()) is Label.FALSE
 
     def test_max_sour_false(self):
         block = parse_translation_block(_max_translation())
-        assert decide(block.kb, lit("Sour", "max")) is Label.FALSE
+        assert decide_formula(block.kb, lit("Sour", "max").to_formula()) is Label.FALSE
 
     def test_empty_kb_unknown(self):
-        assert decide(kb_from([]), lit("P", "a")) is Label.UNKNOWN
+        assert decide_formula(kb_from([]), lit("P", "a").to_formula()) is Label.UNKNOWN
 
     def test_non_ground_query_rejected(self):
         with pytest.raises(UnsupportedFragmentError):
-            decide(kb_from([]), SignedLiteral("P", (Variable("x"),)))
+            decide_formula(kb_from([]), SignedLiteral("P", (Variable("x"),)).to_formula())
 
     def test_order_independence(self):
         rng = random.Random(33)
@@ -703,14 +699,14 @@ class TestDecide:
                 continue
             query = lit("P", "a")
             try:
-                want = decide(kb, query)
+                want = decide_formula(kb, query.to_formula())
             except InconsistencyError:
                 continue
             for _ in range(3):
                 shuffled = list(kb.rules)
                 rng.shuffle(shuffled)
                 again = KnowledgeBase.build(kb.facts, shuffled)
-                assert decide(again, query) is want
+                assert decide_formula(again, query.to_formula()) is want
 
     def test_kleene_disjunction_false(self):
         kb = kb_from([lit("Yellow", "ben", polarity=False), lit("Ugly", "ben", polarity=False)])
