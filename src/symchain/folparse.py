@@ -24,8 +24,9 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .logic import (
-    BINARY_NODES, And, ArityMismatchError, Atom, Constant, Exists, ForAll, Formula, FunctionApp, Iff,
-    Implies, KnowledgeBase, LogicError, Not, Or, Rule, SignedLiteral, Term, Variable, Xor, operands, subformulas,
+    BINARY_NODES, And, ArityMismatchError, Atom, Constant, Exists, ForAll, Formula, FunctionApp,
+    FunctionSymbolError, Iff, Implies, InconsistencyError, KnowledgeBase, LogicError, Not, Or, Rule,
+    SignedLiteral, Term, Variable, Xor, operands, subformulas,
 )
 
 
@@ -490,6 +491,30 @@ def has_section_header(text: str) -> bool:
     return bool(headers)
 
 
+# a Facts or Rules line: its offset, its section and the literals it holds, in order
+_KbLine = tuple[int, str, tuple[SignedLiteral, ...]]
+
+
+def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
+    """The offset of the line that causes a fault of ``KnowledgeBase.build``.
+
+    An arity clash is at the first line, in block order, that uses the
+    predicate with the arity the error names as used; an inconsistency at
+    the first fact line of whichever polarity of the literal appears last;
+    a function symbol at the first line holding the literal the error
+    names.  Other faults, which no parsed line causes, are at offset 0.
+    """
+    def first(holds: Callable[[SignedLiteral], bool], section: Optional[str] = None) -> int:
+        return next(offset for offset, s, lits in kb_lines if section in (None, s) and any(map(holds, lits)))
+    if isinstance(err, ArityMismatchError):
+        return first(lambda lit: lit.predicate == err.name and len(lit.args) == err.seen)
+    if isinstance(err, InconsistencyError):
+        return max(first(err.literal.__eq__, "facts"), first(err.literal.negated().__eq__, "facts"))
+    if isinstance(err, FunctionSymbolError):
+        return first(err.literal.__eq__)
+    return 0
+
+
 def parse_translation_block(text: str) -> TranslationBlock:
     """Parse a labeled FOL translation block.
 
@@ -507,7 +532,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     statement_lines: list[SectionLine] = []
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
     declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
-    first_use: dict[tuple[str, int], int] = {}  # (predicate, arity) -> offset of its first Facts/Rules line
+    kb_lines: list[_KbLine] = []
     first_arity: dict[str, int] = {}  # predicate -> arity of its first declaration
 
     def parsed(body: str, offset: int, lower: Callable = lambda f: f):
@@ -547,7 +572,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
                 block.diagnostics.append(ParseDiagnostic(offset, f"fact is not a ground literal: {body!r}"))
             else:
                 facts.append(lit)
-                first_use.setdefault((lit.predicate, len(lit.args)), offset)
+                kb_lines.append((offset, section, (lit,)))
         elif section == "rules":
             has_rules = True
             try:
@@ -556,9 +581,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
                 block.diagnostics.append(ParseDiagnostic(offset, str(err)))
                 continue
             rules.extend(line_rules)
-            for rule in line_rules:
-                for lit in (*rule.body, rule.head):
-                    first_use.setdefault((lit.predicate, len(lit.args)), offset)
+            kb_lines.append((offset, section, tuple(lit for rule in line_rules for lit in (*rule.body, rule.head))))
         else:
             statement_lines.append(line)
 
@@ -577,10 +600,8 @@ def parse_translation_block(text: str) -> TranslationBlock:
     if has_rules or facts:
         try:
             block.kb = KnowledgeBase.build(facts, rules)
-        except ArityMismatchError as err:
-            block.diagnostics.append(ParseDiagnostic(first_use[err.name, err.seen], str(err)))
         except LogicError as err:
-            block.diagnostics.append(ParseDiagnostic(0, str(err)))
+            block.diagnostics.append(ParseDiagnostic(_kb_fault_offset(err, kb_lines), str(err)))
     if block.kb is not None and block.statement is not None:
         # every atom of the statement, folded as decide_formula folds it
         arities = block.kb.predicate_arities

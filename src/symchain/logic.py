@@ -34,6 +34,14 @@ class InconsistencyError(LogicError):
         self.literal = literal
 
 
+class FunctionSymbolError(LogicError):
+    """A knowledge-base literal holds a function application."""
+
+    def __init__(self, literal: "SignedLiteral", where: str):
+        super().__init__(f"function symbols are not allowed in {where}: {literal.to_text()}")
+        self.literal = literal
+
+
 class RangeRestrictionError(LogicError):
     def __init__(self, rule: "Rule", variables: set[str]):
         names = ", ".join(sorted(variables))
@@ -411,7 +419,7 @@ def _literal_has_functions(lit: SignedLiteral) -> bool:
 def _check_literal(lit: SignedLiteral, where: str, arities: dict[str, int]) -> None:
     """Reject function symbols and an arity other than ``arities`` records (recording a new one)."""
     if _literal_has_functions(lit):
-        raise LogicError(f"function symbols are not allowed in {where}: {lit.to_text()}")
+        raise FunctionSymbolError(lit, where)
     seen = len(lit.args)
     expected = arities.setdefault(lit.predicate, seen)
     if seen != expected:

@@ -57,6 +57,12 @@ class TestParseCspBlock:
         expr = parse_constraint("thursday == 1 -> friday == 2")
         assert isinstance(expr, CImplies)
 
+    def test_arrows_group_to_the_right(self):
+        expr = parse_constraint("a == 1 -> b == 1 -> c == 1")
+        assert print_expr(expr) == "(a == 1) -> ((b == 1) -> (c == 1))"
+        # grouped to the left, the false antecedent a == 1 would not decide it
+        assert compile_expr(expr)({"a": 0, "b": 0, "c": 0}) is True
+
     def test_missing_query_section(self):
         text = CAR_BLOCK.split("Query:")[0]
         model, diagnostics = parse_csp_block(text)

@@ -417,6 +417,23 @@ Love(miroslav, music) ::: Miroslav loved music.
         assert parse_translation_block(text).diagnostics == [
             ParseDiagnostic(text.index("P($x, True)"), "predicate 'P' used with arity 1, expected 2")]
 
+    def test_inconsistent_facts_point_at_the_line_where_the_second_polarity_appears(self):
+        text = "Facts:\nP(a, True)\nP(a, False)\nQuery:\nP(a, True)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(18, "inconsistency: P(a) asserted with both polarities")]
+        # a rule line holding the literal asserts nothing; a repeated fact keeps its first line
+        text = "Rules:\nP(a, True) ⇒ Q(a, True)\nFacts:\nP(a, False)\nP(a, True)\nP(a, False)\nQuery:\nQ(a)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(text.index("P(a, True)\nP"), "inconsistency: P(a) asserted with both polarities")]
+
+    def test_function_symbol_points_at_the_line_holding_it(self):
+        text = "Facts:\nP(f(a), True)\nQuery:\nP(f(a), True)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(7, "function symbols are not allowed in facts: P(f(a))")]
+        text = "Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQ($x, True) ⇒ R(g($x), True)\nQuery:\nQ(a)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(text.index("Q($x, True) ⇒ R"), "function symbols are not allowed in rule heads: R(g(x))")]
+
     def test_round_trip_canonical_text(self):
         block = parse_translation_block(PRONTOQA_BLOCK)
         again = parse_translation_block(block.to_text())

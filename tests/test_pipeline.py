@@ -14,7 +14,7 @@ from symchain.gateway import CompletionCache, ReplayBackend
 from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
-    CODECS, FallbackPolicy, Method, Record, RunConfig, RunRecord,
+    CODECS, NO_KNOWLEDGE_BASE, FallbackPolicy, Method, Record, RunConfig, RunRecord,
     extract_label, parse_translation, read_records, run_batch, run_problem, solve_translation,
     write_records,
 )
@@ -71,6 +71,22 @@ def test_csp_answer_undecided_between_two_options():
     assert (result.label, result.executed, str(result.answer)) == (Label.UNDECIDED, True, "Undecided{A, B}")
     assert result.response == "verdicts [A:MustBeTrue, B:MustBeTrue] over 1 solutions; Undecided{A, B}"
 
+
+
+def test_fol_translation_without_a_knowledge_base_is_not_executed():
+    block, diagnostics = parse_translation("Premises:\n∀x (P(x) → Q(x))\nConclusion:\nQ(a)\n", csp=False)
+    assert block is not None and block.kb is None and not diagnostics
+    result = solve_translation(block, [], "", csp=False)
+    assert (result.label, result.executed, result.response) == (Label.UNDECIDED, False, NO_KNOWLEDGE_BASE)
+
+
+def test_fol_engine_record_names_the_failure_not_the_parse_errors():
+    # a CSP engine record repeats the parse errors; a FOL one does not
+    block, diagnostics = parse_translation("Facts:\nP(a, True)\nQuery:\nP(a, b, True)\n", csp=False)
+    errors = [str(d) for d in diagnostics]
+    assert block is None and errors
+    result = solve_translation(block, errors, "", csp=False)
+    assert (result.executed, result.diagnostics) == (False, ("translation not executable",))
 
 class TestRunProblem:
     def test_translate_then_solve_car(self, corpus, config):
