@@ -532,7 +532,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     statement_lines: list[SectionLine] = []
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
     declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
-    kb_lines: list[_KbLine] = []
+    kb_lines: list[_KbLine] = []  # the Facts/Rules lines, in block order
     first_arity: dict[str, int] = {}  # predicate -> arity of its first declaration
 
     def parsed(body: str, offset: int, lower: Callable = lambda f: f):
