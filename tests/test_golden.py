@@ -32,10 +32,9 @@ Case kinds:
   several tiers compete; the label with no label space and with the
   problem's ``_surface_space``;
 * ``csp-answer``: a seeded ``helpers.random_csp_model`` or a mini-corpus CSP
-  model; ``solve_all`` with ``limit`` None, 1 and 3 (the solutions in order
-  and ``truncated``), then the ``evaluate_queries`` statuses and solution
-  count, or the ``NoSolutionsError`` text, and ``select_answer`` under each
-  ``QuestionMode``;
+  model; the ``solve_all`` solutions in order, then the ``evaluate_queries``
+  statuses and solution count, or the ``NoSolutionsError`` text, and
+  ``select_answer`` under each ``QuestionMode``;
 * ``csp-expr``: a seeded ``helpers.random_constraint`` of depth 4 or
   ``helpers.random_chain`` of 63, 64, 65 and 192 boolean levels, as its
   ``print_expr`` text and the ``compile_expr`` check's value, or the name in
@@ -252,11 +251,7 @@ def _csp_cases(corpus) -> Iterator[tuple[str, str, str]]:
             text = corpus.translation(problem.id)
             models.append((problem.id, f"{problem.id}:\n{text}", parse_csp_block(text)[0]))
     for name, described, model in models:
-        lines = []
-        for limit in (None, 1, 3):
-            result = solve_all(model, limit)
-            lines.append(f"limit {limit}: truncated {result.truncated}")
-            lines += [" ".join(f"{v}={value}" for v, value in s.items()) for s in result.solutions]
+        lines = [" ".join(f"{v}={value}" for v, value in s.items()) for s in solve_all(model).solutions]
         try:
             verdict = evaluate_queries(model)
         except NoSolutionsError as err:
