@@ -63,6 +63,21 @@ class TestParseCspBlock:
         # grouped to the left, the false antecedent a == 1 would not decide it
         assert compile_expr(expr)({"a": 0, "b": 0, "c": 0}) is True
 
+    def test_single_colon_gloss_reads_as_the_triple_colon_form(self):
+        text = CAR_BLOCK.replace(" ::: ", " : ")
+        model, diagnostics = parse_csp_block(text)
+        assert diagnostics == [] and model is not None
+        assert (model, diagnostics) == parse_csp_block(CAR_BLOCK)
+
+    def test_line_malformed_before_its_colon_gloss_keeps_its_diagnostic(self):
+        text = CAR_BLOCK.replace("minivan > convertible :::", "minivan >> convertible :").replace(
+            "A) station_wagon == 2 :::", "A) station_wagon == : 2")
+        _, diagnostics = parse_csp_block(text)
+        assert diagnostics == [
+            ParseDiagnostic(text.index(">> convertible") + 1, "expected a variable or integer, found '>'"),
+            ParseDiagnostic(text.index(": 2"), "unexpected end of constraint"),
+        ]
+
     def test_missing_query_section(self):
         text = CAR_BLOCK.split("Query:")[0]
         model, diagnostics = parse_csp_block(text)

@@ -38,7 +38,11 @@ Case kinds:
 * ``csp-expr``: a seeded ``helpers.random_constraint`` of depth 4 or
   ``helpers.random_chain`` of 63, 64, 65 and 192 boolean levels, as its
   ``print_expr`` text and the ``compile_expr`` check's value, or the name in
-  its ``KeyError``, under each of the 64 ``helpers.partial_assignments``.
+  its ``KeyError``, under each of the 64 ``helpers.partial_assignments``;
+* ``formula``: a seeded ``helpers.random_formula`` with free variables, some
+  atom arguments wrapped in one or two function applications, as its
+  ``print_formula`` text, whether ``parse_formula`` of that text gives the
+  same formula, and its sorted ``free_variables``.
 
 After an intended output change, rewrite the digests with
 ``PYTHONPATH=src python tests/test_golden.py``; it prints how many cases
@@ -65,6 +69,7 @@ CSP_HEADERS = ("Domain:", "Variables:", "Constraints:", "Query:")
 EXPR_SEEDS = range(100)
 CHAIN_LEVELS = (63, 64, 65, 192)
 CHAIN_SEEDS = range(5)
+FORMULA_SEEDS = range(120)
 
 
 def _cases() -> Iterator[tuple[str, str, str]]:
@@ -141,6 +146,7 @@ def _cases() -> Iterator[tuple[str, str, str]]:
     yield from _label_cases(corpus)
     yield from _csp_cases(corpus)
     yield from _expr_cases()
+    yield from _formula_cases()
 
 
 def _chain_cases() -> Iterator[tuple[str, str, str]]:
@@ -282,6 +288,41 @@ def _expr_cases() -> Iterator[tuple[str, str, str]]:
                 value = f"KeyError {err.args[0]}"
             lines.append(f"{' '.join(f'{var}={val}' for var, val in assignment.items()) or '-'}: {value}")
         yield f"csp-expr:{name}", described, "\n".join(lines)
+
+
+def _formula_cases() -> Iterator[tuple[str, str, str]]:
+    import helpers
+
+    from symchain.folparse import ParseError, parse_formula, print_formula
+    from symchain.logic import Atom, Exists, ForAll, FunctionApp, Not, free_variables
+
+    def wrapped(f, rng: Random):
+        """``f`` with each atom argument left as it is or wrapped in one or two
+        applications of ``f(t)`` or ``g(t, t)``."""
+        if isinstance(f, Atom):
+            args = []
+            for t in f.args:
+                for _ in range(rng.choice((0, 0, 1, 2))):
+                    t = FunctionApp("f", (t,)) if rng.random() < 0.7 else FunctionApp("g", (t, t))
+                args.append(t)
+            return Atom(f.predicate, tuple(args))
+        if isinstance(f, Not):
+            return Not(wrapped(f.body, rng))
+        if isinstance(f, (ForAll, Exists)):
+            return type(f)(f.var, wrapped(f.body, rng))
+        return type(f)(wrapped(f.left, rng), wrapped(f.right, rng))
+
+    for seed in FORMULA_SEEDS:
+        rng = Random(seed)
+        formula = wrapped(helpers.random_formula(rng, allow_free=True), rng)
+        text = print_formula(formula)
+        try:
+            same = parse_formula(text) == formula
+        except ParseError as err:
+            same = f"ParseError {err.message} at {err.position}"
+        free = " ".join(sorted(free_variables(formula))) or "-"
+        output = "\n".join([text, f"parses back: {same}", f"free: {free}"])
+        yield f"formula:random_formula/{seed}", f"seed {seed}: {formula!r}", output
 
 
 def _digest(output: str) -> str:
