@@ -195,10 +195,6 @@ def compile_expr(expr: ConstraintExpr) -> Check:
     return run
 
 
-def eval_expr(expr: ConstraintExpr, assignment: dict[str, int]) -> bool:
-    return compile_expr(expr)(assignment)
-
-
 def print_expr(expr: ConstraintExpr) -> str:
     """The text of ``expr``: a fold over the preorder of its nodes, read from
     its end, so a node's operands are the top entries of a stack."""
@@ -393,23 +389,15 @@ def parse_constraint(text: str) -> ConstraintExpr:
     return _ExprParser(text).parse()
 
 
-def _parse_with_colon_gloss(body: str) -> ConstraintExpr:
-    """Parse, tolerating a trailing ``: gloss`` when ::: was not used."""
-    try:
-        return parse_constraint(body)
-    except ParseError:
-        if ":" in body:
-            return parse_constraint(body.split(":", 1)[0])
-        raise
-
-
 def parse_csp_block(text: str, options: Optional[Collection[str]] = None
                     ) -> tuple[Optional[CspModel], list[ParseDiagnostic]]:
     """Parse a Domain / Variables / Constraints / Query block.
 
     Returns the model (or None when it cannot be assembled) plus per-line
     diagnostics; a query of a letter outside ``options`` (when given) is an
-    error.  An input with no recognizable sections raises :class:`ParseError`.
+    error.  A constraint or query may end in a gloss after ``:::`` or a
+    single ``:``, which no constraint contains.  An input with no
+    recognizable sections raises :class:`ParseError`.
     """
     diagnostics: list[ParseDiagnostic] = []
     domain_gloss: list[str] = []
@@ -444,7 +432,7 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
                     domain_max = max(domain_max, max(values))
         elif section == "constraints":
             try:
-                constraints.append(_parse_with_colon_gloss(body))
+                constraints.append(parse_constraint(body.partition(":")[0]))
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + err.position, err.message))
         else:
@@ -460,7 +448,7 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
                 diagnostics.append(ParseDiagnostic(pos, f"option {letter} is queried twice"))
                 continue
             try:
-                queries.append((letter, _parse_with_colon_gloss(qm.group("rest"))))
+                queries.append((letter, parse_constraint(qm.group("rest").partition(":")[0])))
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + qm.start("rest") + err.position, err.message))
 
@@ -499,10 +487,9 @@ SEARCH_SPACE_GUARD = 10_000_000
 @dataclass(frozen=True)
 class SolveResult:
     solutions: tuple[dict[str, int], ...]
-    truncated: bool
 
 
-def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
+def solve_all(model: CspModel) -> SolveResult:
     """All satisfying assignments, ordered as naive lexicographic enumeration.
 
     Backtracks over variables in declaration order, checking each constraint
@@ -560,9 +547,7 @@ def solve_all(model: CspModel, limit: Optional[int] = None) -> SolveResult:
             levels.append((iter(domains[i + 1]), {assignment[name] for name in distinct_from[i + 1]}))
         else:
             solutions.append(dict(assignment))
-            if limit is not None and len(solutions) >= limit:
-                return SolveResult(tuple(solutions), True)
-    return SolveResult(tuple(solutions), False)
+    return SolveResult(tuple(solutions))
 
 
 class OptionStatus(str, Enum):

@@ -185,10 +185,9 @@ class _FormulaParser(TokenCursor):
     symbols = _SYMBOLS
     binary = _BINARY
 
-    def __init__(self, text: str, signature: Optional[dict[str, int]], terms: dict[str, Term]):
+    def __init__(self, text: str, terms: dict[str, Term]):
         super().__init__(text)
         self.bound: list[str] = []
-        self.signature = signature
         self.terms = terms
 
     @staticmethod
@@ -225,10 +224,6 @@ class _FormulaParser(TokenCursor):
                              else f"unexpected {name!r}, expected a formula")
         self.i += 1
         args = self._arguments() if self.tokens[self.i] == "(" else ()
-        if self.signature is not None:
-            expected = self.signature.get(name)
-            if expected is not None and expected != len(args):
-                raise self.error(start, f"predicate {name!r} has arity {expected}, used with {len(args)}")
         return Atom(name, args)
 
     def _arguments(self) -> tuple[Term, ...]:
@@ -274,19 +269,19 @@ class _FormulaParser(TokenCursor):
             i += 1
 
 
-def parse_formula(text: str, signature: Optional[dict[str, int]] = None) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse one formula; raises :class:`ParseError` with a position on failure.
 
     Accepts Unicode connectives (∀ ∃ ∧ ∨ ⊕ ¬ → ↔) and their ASCII aliases
     (forall, exists, &, |, ^, ~ or not, ->, <->), with ⇒ read as implication.
     """
-    return _parse_formula(text, signature, {})
+    return _parse_formula(text, {})
 
 
-def _parse_formula(text: str, signature: Optional[dict[str, int]], terms: dict[str, Term]) -> Formula:
+def _parse_formula(text: str, terms: dict[str, Term]) -> Formula:
     """:func:`parse_formula`, with ``terms`` mapping each constant or free
     variable token already read (``$x`` and ``x`` apart) to its one term."""
-    parser = _FormulaParser(text, signature, terms)
+    parser = _FormulaParser(text, terms)
     if parser.tokens[0] is None:
         raise ParseError(0, "empty input, expected a formula")
     return parser.parse()
@@ -496,7 +491,7 @@ _KbLine = tuple[int, str, tuple[SignedLiteral, ...]]
 
 
 def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
-    """The offset of the line that causes a fault of ``KnowledgeBase.build``.
+    """The offset of the line that causes a fault of ``KnowledgeBase``.
 
     An arity clash is at the first line, in block order, that uses the
     predicate with the arity the error names as used; an inconsistency at
@@ -539,7 +534,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
         """``lower`` of the line's formula, or None once a ParseError from
         either is recorded at its offset in the block."""
         try:
-            return lower(_parse_formula(body, None, terms))
+            return lower(_parse_formula(body, terms))
         except ParseError as err:
             block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
             return None
@@ -599,7 +594,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
 
     if has_rules or facts:
         try:
-            block.kb = KnowledgeBase.build(facts, rules)
+            block.kb = KnowledgeBase(facts, rules)
         except LogicError as err:
             block.diagnostics.append(ParseDiagnostic(_kb_fault_offset(err, kb_lines), str(err)))
     if block.kb is not None and block.statement is not None:

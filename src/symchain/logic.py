@@ -447,7 +447,8 @@ class KnowledgeBase:
     """Ground signed facts plus horn rules over a consistent signature.
 
     ``facts`` holds the distinct facts of any iterable given, in
-    ``to_text("kb")`` order.  Construction rejects a fact asserted with both
+    ``to_text("kb")`` order, and ``rules`` the rules of any iterable given, in
+    order.  Construction rejects a fact asserted with both
     polarities, non-ground facts, function symbols (the chaining fragment is
     function-free), and predicates used with inconsistent arities, naming
     the first fault in that order.
@@ -459,17 +460,13 @@ class KnowledgeBase:
 
     def __post_init__(self):
         object.__setattr__(self, "facts", tuple(sorted(dict.fromkeys(self.facts), key=lambda f: f.to_text("kb"))))
+        object.__setattr__(self, "rules", tuple(self.rules))
         arities = _check_facts(self.facts)
         for rule in self.rules:
             for lit in rule.body:
                 _check_literal(lit, "rule bodies", arities)
             _check_literal(rule.head, "rule heads", arities)
         object.__setattr__(self, "predicate_arities", arities)
-
-    @classmethod
-    def build(cls, facts: Iterator[SignedLiteral] | list[SignedLiteral],
-              rules: Iterator[Rule] | list[Rule] = ()) -> "KnowledgeBase":
-        return cls(facts=facts, rules=tuple(rules))
 
     def constants(self) -> set[Constant]:
         out: set[Constant] = set()

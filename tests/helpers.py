@@ -250,7 +250,7 @@ def random_kb(rng: Random, max_ground_atoms: int = 9) -> KnowledgeBase | None:
         rules.append(Rule(tuple(body), head))
 
     try:
-        return KnowledgeBase.build(facts, rules)
+        return KnowledgeBase(facts, rules)
     except Exception:
         return None
 
@@ -295,7 +295,7 @@ def random_horn_kb(rng: Random) -> KnowledgeBase:
         rules.append(Rule(tuple(body), head))
         heads.append((head.predicate, head.polarity))
     rng.shuffle(rules)
-    return KnowledgeBase.build(facts.values(), rules)
+    return KnowledgeBase(facts.values(), rules)
 
 
 def random_long_body_kb(rng: Random) -> KnowledgeBase:
@@ -337,7 +337,7 @@ def random_long_body_kb(rng: Random) -> KnowledgeBase:
         bound = sorted(set().union(*(lit.variables() for lit in body)))
         rules.append(Rule(tuple(body), literal(rng.choice(derived), rng.random() < 0.9, bound)))
     rng.shuffle(rules)
-    return KnowledgeBase.build(facts, rules)
+    return KnowledgeBase(facts, rules)
 
 
 def naive_fixpoint(kb: KnowledgeBase, max_depth: int | None = None

@@ -7,7 +7,7 @@ from symchain.csp import (
     AbsDiffNotEqual, AllDifferent, CAnd, CImplies, CNot, COr, Compare,
     CspError, CspModel, NoSolutionsError, OptionStatus, QuestionMode,
     SearchSpaceTooLargeError, Undecided, compile_expr, detect_question_mode,
-    eval_expr, evaluate_queries, expr_variables, parse_constraint, parse_csp_block,
+    evaluate_queries, expr_variables, parse_constraint, parse_csp_block,
     print_expr, select_answer, solve_all,
 )
 from symchain.folparse import ParseDiagnostic, ParseError
@@ -287,13 +287,6 @@ class TestSolveAll:
         )
         assert solve_all(model).solutions == ()
 
-    def test_limit_truncates(self):
-        model = CspModel(domain_size=3, variables=[("x", (1, 2, 3)), ("y", (1, 2, 3))],
-                         constraints=[], queries=[])
-        result = solve_all(model, limit=4)
-        assert result.truncated
-        assert len(result.solutions) == 4
-
     def test_lexicographic_order(self):
         model = CspModel(domain_size=2, variables=[("x", (1, 2)), ("y", (1, 2))],
                          constraints=[], queries=[])
@@ -325,16 +318,12 @@ class TestSolveAll:
         [COr(AllDifferent(("a", "b", "c", "d")), Compare("a", "==", "b")), AllDifferent(("d", "b"))],
         [AllDifferent(("a", "b", "c")), AllDifferent(("c", "d")), CNot(Compare("d", "==", 1))],
     ], ids=["partial", "repeated-name", "negated", "under-or", "overlapping"])
-    @pytest.mark.parametrize("limit", [None, 1, 4])
-    def test_alldifferent_pruning_matches_unpruned_reference(self, constraints, limit):
+    def test_alldifferent_pruning_matches_unpruned_reference(self, constraints):
         # unsorted and uneven domains: the order is declaration then domain order
         model = CspModel(domain_size=3, variables=[
             ("a", (1, 2, 3)), ("b", (3, 1, 2)), ("c", (2, 3)), ("d", (1, 2, 3))],
             constraints=constraints, queries=[])
-        want = helpers.oracle_solutions(model)
-        result = solve_all(model, limit=limit)
-        assert list(result.solutions) == want[:limit]
-        assert result.truncated is (limit is not None and len(want) >= limit)
+        assert list(solve_all(model).solutions) == helpers.oracle_solutions(model)
 
     def test_alldifferent_pruning_matches_reference_on_random_models(self):
         rng = random.Random(43)
@@ -343,11 +332,7 @@ class TestSolveAll:
             names = [n for n, _ in model.variables]
             extra = AllDifferent(tuple(rng.choice(names) for _ in range(rng.randint(2, len(names)))))
             model.constraints.insert(rng.randint(0, len(model.constraints)), extra)
-            limit = rng.choice([None, 1, 3])
-            want = helpers.oracle_solutions(model)
-            result = solve_all(model, limit=limit)
-            assert list(result.solutions) == want[:limit]
-            assert result.truncated is (limit is not None and len(want) >= limit)
+            assert list(solve_all(model).solutions) == helpers.oracle_solutions(model)
 
     def test_constraint_order_permutation_invariant(self):
         rng = random.Random(42)
@@ -563,14 +548,14 @@ class TestLongChains:
 
     def test_evaluation_short_circuits_left_first(self):
         falsy = parse_constraint(" and ".join(["a != 3"] * self.CHAIN + ["a == 3", "missing == 1"]))
-        assert eval_expr(falsy, {"a": 1}) is False
+        assert compile_expr(falsy)({"a": 1}) is False
         with pytest.raises(KeyError):
-            eval_expr(parse_constraint(" and ".join(["missing == 1"] + ["a != 3"] * self.CHAIN)),
-                      {"a": 1})
+            compile_expr(parse_constraint(" and ".join(["missing == 1"] + ["a != 3"] * self.CHAIN)))(
+                {"a": 1})
         truthy = parse_constraint(" or ".join(["a == 3"] * self.CHAIN + ["a == 1", "missing == 1"]))
-        assert eval_expr(truthy, {"a": 1}) is True
+        assert compile_expr(truthy)({"a": 1}) is True
         with pytest.raises(KeyError):
-            eval_expr(truthy, {"a": 2})
+            compile_expr(truthy)({"a": 2})
 
     def test_long_chain_prints_fully_parenthesised(self):
         expr = parse_constraint(" and ".join(["a != 3"] * self.CHAIN))
@@ -609,7 +594,7 @@ class TestLongChains:
             assert expr_variables(e) == {leaf.lhs for leaf in _leaves(e)}
             for values in itertools.product((1, 2, 3), repeat=3):
                 assignment = dict(zip(names, values))
-                assert eval_expr(e, assignment) is helpers.oracle_eval(e, assignment)
+                assert compile_expr(e)(assignment) is helpers.oracle_eval(e, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +637,7 @@ class TestCompiledConstraints:
             names = tuple(n for n, _ in model.variables)
             model.queries += [(letter, helpers.random_constraint(rng, 3, names)) for letter in "CDE"]
             want = helpers.oracle_solutions(model)
-            for limit in (None, 1, 3):
-                result = solve_all(model, limit=limit)
-                assert list(result.solutions) == want[:limit]
-                assert result.truncated is (limit is not None and len(want) >= limit)
+            assert list(solve_all(model).solutions) == want
             if not want:
                 with pytest.raises(NoSolutionsError):
                     evaluate_queries(model)

@@ -101,11 +101,6 @@ class TestParseFormula:
         got = parse_formula("∀w (P(w) ∧ Q(w))")
         assert got == ForAll("w", And(Atom("P", (v("w"),)), Atom("Q", (v("w"),))))
 
-    def test_signature_arity_check(self):
-        with pytest.raises(ParseError) as exc:
-            parse_formula("P(a, b)", signature={"P": 1})
-        assert "arity" in exc.value.message
-
 
 ALIAS_TABLE = [
     ("∀x P(x)", "forall x P(x)"),
@@ -126,51 +121,49 @@ def test_alias_closure(unicode_form, ascii_form):
     assert parse_formula(unicode_form) == parse_formula(ascii_form)
 
 
-# (input, signature, (message, offset)); pinned across tokenizer rewrites
+# (input, (message, offset)); pinned across tokenizer rewrites
 DIAGNOSTIC_TABLE = [
-    ("notä", None, ("unknown symbol 'ä'", 3)),
-    ("1not", None, ("unknown symbol '1'", 0)),
-    ("$", None, ("unknown symbol '$'", 0)),
-    ("$1", None, ("unknown symbol '$'", 0)),
-    ("P($)", None, ("unknown symbol '$'", 2)),
-    ("P(a) <- Q(a)", None, ("unknown symbol '<'", 5)),
-    ("P(a) = Q(a)", None, ("unknown symbol '='", 5)),
-    ("P(a) - Q(a)", None, ("unknown symbol '-'", 5)),
-    ("P(a)\u200b∧ Q(a)", None, ("unknown symbol '\\u200b'", 4)),
-    (") @", None, ("unknown symbol '@'", 2)),
-    ("P(a) ∧ Q(b) @ (", None, ("unknown symbol '@'", 12)),
-    ("", None, ("empty input, expected a formula", 0)),
-    ("   ", None, ("empty input, expected a formula", 0)),
-    ("∀", None, ("dangling quantifier: expected a variable name", 1)),
-    ("∀ (P(x))", None, ("dangling quantifier: expected a variable name", 2)),
-    ("∀x ∀", None, ("dangling quantifier: expected a variable name", 4)),
-    ("∀x", None, ("unexpected end of input, expected a formula", 2)),
-    ("¬", None, ("unexpected end of input, expected a formula", 1)),
-    ("P(a) ∧", None, ("unexpected end of input, expected a formula", 6)),
-    ("P(a) → → Q(a)", None, ("unexpected '→', expected a formula", 7)),
-    ("P(a) ⇒ <-> Q", None, ("unexpected '<->', expected a formula", 7)),
-    ("(P(a)", None, ("unbalanced parenthesis", 5)),
-    ("P(a", None, ("unbalanced parenthesis", 3)),
-    ("P(f(a)", None, ("unbalanced parenthesis", 6)),
-    ("P(a,)", None, ("expected a term, found ')'", 4)),
-    ("P(a) Q(b)", None, ("unexpected trailing input 'Q'", 5)),
-    ("P(a)) ", None, ("unexpected trailing input ')'", 4)),
-    ("(P)(Q)", None, ("unexpected trailing input '('", 3)),
-    ("x ∀", None, ("unexpected trailing input '∀'", 2)),
-    ("P(a, b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 0)),
-    ("Q ∧ P(a,b)", {"P": 1}, ("predicate 'P' has arity 1, used with 2", 4)),
-    ("(P(a)))", None, ("unexpected trailing input ')'", 6)),
-    ("(P(a) Q(a)", None, ("expected ')', found 'Q'", 6)),
-    ("¬)", None, ("unexpected ')', expected a formula", 1)),
-    ("P(f(a) b)", None, ("expected ')', found 'b'", 7)),
-    ("P(f(g(a))", None, ("unbalanced parenthesis", 9)),
+    ("notä", ("unknown symbol 'ä'", 3)),
+    ("1not", ("unknown symbol '1'", 0)),
+    ("$", ("unknown symbol '$'", 0)),
+    ("$1", ("unknown symbol '$'", 0)),
+    ("P($)", ("unknown symbol '$'", 2)),
+    ("P(a) <- Q(a)", ("unknown symbol '<'", 5)),
+    ("P(a) = Q(a)", ("unknown symbol '='", 5)),
+    ("P(a) - Q(a)", ("unknown symbol '-'", 5)),
+    ("P(a)\u200b∧ Q(a)", ("unknown symbol '\\u200b'", 4)),
+    (") @", ("unknown symbol '@'", 2)),
+    ("P(a) ∧ Q(b) @ (", ("unknown symbol '@'", 12)),
+    ("", ("empty input, expected a formula", 0)),
+    ("   ", ("empty input, expected a formula", 0)),
+    ("∀", ("dangling quantifier: expected a variable name", 1)),
+    ("∀ (P(x))", ("dangling quantifier: expected a variable name", 2)),
+    ("∀x ∀", ("dangling quantifier: expected a variable name", 4)),
+    ("∀x", ("unexpected end of input, expected a formula", 2)),
+    ("¬", ("unexpected end of input, expected a formula", 1)),
+    ("P(a) ∧", ("unexpected end of input, expected a formula", 6)),
+    ("P(a) → → Q(a)", ("unexpected '→', expected a formula", 7)),
+    ("P(a) ⇒ <-> Q", ("unexpected '<->', expected a formula", 7)),
+    ("(P(a)", ("unbalanced parenthesis", 5)),
+    ("P(a", ("unbalanced parenthesis", 3)),
+    ("P(f(a)", ("unbalanced parenthesis", 6)),
+    ("P(a,)", ("expected a term, found ')'", 4)),
+    ("P(a) Q(b)", ("unexpected trailing input 'Q'", 5)),
+    ("P(a)) ", ("unexpected trailing input ')'", 4)),
+    ("(P)(Q)", ("unexpected trailing input '('", 3)),
+    ("x ∀", ("unexpected trailing input '∀'", 2)),
+    ("(P(a)))", ("unexpected trailing input ')'", 6)),
+    ("(P(a) Q(a)", ("expected ')', found 'Q'", 6)),
+    ("¬)", ("unexpected ')', expected a formula", 1)),
+    ("P(f(a) b)", ("expected ')', found 'b'", 7)),
+    ("P(f(g(a))", ("unbalanced parenthesis", 9)),
 ]
 
 
-@pytest.mark.parametrize("text,signature,diagnostic", DIAGNOSTIC_TABLE)
-def test_diagnostic_table(text, signature, diagnostic):
+@pytest.mark.parametrize("text,diagnostic", DIAGNOSTIC_TABLE)
+def test_diagnostic_table(text, diagnostic):
     with pytest.raises(ParseError) as exc:
-        parse_formula(text, signature)
+        parse_formula(text)
     assert (exc.value.message, exc.value.position) == diagnostic
 
 

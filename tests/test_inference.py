@@ -272,7 +272,7 @@ class TestTruthTableAgreement:
 
 
 def kb_from(facts, rules=()):
-    return KnowledgeBase.build(facts, rules)
+    return KnowledgeBase(facts, rules)
 
 
 def rule(body_specs, head_spec):
@@ -351,7 +351,7 @@ class TestForwardChain:
                 continue
             try:
                 grown = forward_chain(
-                    KnowledgeBase.build(set(kb.facts) | {extra}, kb.rules), max_depth=None
+                    KnowledgeBase(set(kb.facts) | {extra}, kb.rules), max_depth=None
                 ).literals()
             except InconsistencyError:
                 continue
@@ -705,7 +705,7 @@ class TestDecide:
             for _ in range(3):
                 shuffled = list(kb.rules)
                 rng.shuffle(shuffled)
-                again = KnowledgeBase.build(kb.facts, shuffled)
+                again = KnowledgeBase(kb.facts, shuffled)
                 assert decide_formula(again, query.to_formula()) is want
 
     def test_kleene_disjunction_false(self):

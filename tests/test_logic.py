@@ -203,7 +203,7 @@ def test_replace_still_validates():
 class TestKnowledgeBase:
     def test_contradictory_facts_rejected(self):
         with pytest.raises(InconsistencyError) as exc:
-            KnowledgeBase.build([
+            KnowledgeBase([
                 SignedLiteral("P", (Constant("a"),), True),
                 SignedLiteral("P", (Constant("a"),), False),
             ])
@@ -217,7 +217,7 @@ class TestKnowledgeBase:
             facts = [SignedLiteral(p, (Constant(c),), polarity)
                      for p, c in (("R", "c"), ("Q", "b"), ("P", "a")) for polarity in (True, False)]
             try:
-                KnowledgeBase.build(facts + [SignedLiteral("S", (Constant("d"),))])
+                KnowledgeBase(facts + [SignedLiteral("S", (Constant("d"),))])
             except LogicError as err:
                 print(err)
         """), seeds=range(1, 7))
@@ -232,7 +232,7 @@ class TestKnowledgeBase:
             clash = [SignedLiteral("P", (a,), True), SignedLiteral("P", (a,), False)]
             for other in ("Q", "A"):  # used with arities 1 and 2, after or before P in text
                 try:
-                    KnowledgeBase.build(clash + [SignedLiteral(other, (a,)), SignedLiteral(other, (a, b))])
+                    KnowledgeBase(clash + [SignedLiteral(other, (a,)), SignedLiteral(other, (a, b))])
                 except LogicError as err:
                     print(type(err).__name__, err)
         """), seeds=range(1, 7))
@@ -246,8 +246,15 @@ class TestKnowledgeBase:
                  SignedLiteral("Q", (a,))]
         in_text_order = tuple(sorted(facts, key=lambda fact: fact.to_text("kb")))
         for order in itertools.permutations(facts):
-            assert KnowledgeBase.build(order).facts == in_text_order
-            assert KnowledgeBase.build(iter([*order, order[-1]])).facts == in_text_order
+            assert KnowledgeBase(order).facts == in_text_order
+            assert KnowledgeBase(iter([*order, order[-1]])).facts == in_text_order
+
+    def test_rules_of_any_iterable_are_kept_as_a_tuple_in_order(self):
+        fact = SignedLiteral("P", (Constant("a"),))
+        rules = [Rule((SignedLiteral(p, (Variable("x"),)),), SignedLiteral(q, (Variable("x"),)))
+                 for p, q in (("P", "Q"), ("Q", "R"), ("P", "R"))]
+        for given in (rules, iter(rules), tuple(rules)):
+            assert KnowledgeBase([fact], given).rules == tuple(rules)
 
     def test_arities_are_not_an_init_parameter(self):
         with pytest.raises(TypeError):
@@ -255,17 +262,17 @@ class TestKnowledgeBase:
 
     def test_non_ground_fact_rejected(self):
         with pytest.raises(LogicError):
-            KnowledgeBase.build([SignedLiteral("P", (Variable("x"),))])
+            KnowledgeBase([SignedLiteral("P", (Variable("x"),))])
 
     def test_arity_consistency(self):
         with pytest.raises(ArityMismatchError):
-            KnowledgeBase.build([
+            KnowledgeBase([
                 SignedLiteral("P", (Constant("a"),)),
                 SignedLiteral("P", (Constant("a"), Constant("b"))),
             ])
 
     def test_arity_map_built(self):
-        kb = KnowledgeBase.build(
+        kb = KnowledgeBase(
             [SignedLiteral("Likes", (Constant("a"), Constant("b")))],
             [Rule((SignedLiteral("Likes", (Variable("x"), Constant("b"))),),
                   SignedLiteral("Popular", (Variable("x"),)))],
@@ -274,7 +281,7 @@ class TestKnowledgeBase:
 
     def test_function_symbols_rejected(self):
         with pytest.raises(LogicError):
-            KnowledgeBase.build([
+            KnowledgeBase([
                 SignedLiteral("P", (FunctionApp("f", (Constant("a"),)),))
             ])
 

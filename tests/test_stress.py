@@ -13,7 +13,7 @@ import pytest
 
 from symchain.corpus import mini_corpus
 from symchain.csp import (
-    CAnd, CImplies, CNot, Compare, CspModel, OptionStatus, eval_expr, evaluate_queries,
+    CAnd, CImplies, CNot, Compare, CspModel, OptionStatus, compile_expr, evaluate_queries,
     expr_variables, parse_constraint, parse_csp_block, print_expr, solve_all,
 )
 from symchain.fixtures import ScriptedCorpusBackend
@@ -224,7 +224,7 @@ CONSTRAINT_SHAPES = {
 }
 CONSTRAINT_CASES = {
     "expr_variables": lambda e, variables, value, text: expr_variables(e) == variables,
-    "eval_expr": lambda e, variables, value, text: eval_expr(e, ASSIGNMENT) is value,
+    "eval_expr": lambda e, variables, value, text: compile_expr(e)(ASSIGNMENT) is value,
     "print_expr": lambda e, variables, value, text: print_expr(e) == text,
     # the generated == of a deep expression recurses, so the printed forms are compared
     "parse_constraint of print_expr": lambda e, variables, value, text: (
