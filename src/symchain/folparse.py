@@ -491,7 +491,7 @@ _KbLine = tuple[int, str, tuple[SignedLiteral, ...]]
 
 
 def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
-    """The offset of the line that causes a fault of ``KnowledgeBase``.
+    """The offset of the line that causes a fault ``KnowledgeBase`` raises.
 
     An arity clash is at the first line, in block order, that uses the
     predicate with the arity the error names as used; an inconsistency at

@@ -447,8 +447,8 @@ class KnowledgeBase:
     """Ground signed facts plus horn rules over a consistent signature.
 
     ``facts`` holds the distinct facts of any iterable given, in
-    ``to_text("kb")`` order, and ``rules`` the rules of any iterable given, in
-    order.  Construction rejects a fact asserted with both
+    ``to_text("kb")`` order, and ``rules`` the rules of any iterable given,
+    in the order given.  Construction rejects a fact asserted with both
     polarities, non-ground facts, function symbols (the chaining fragment is
     function-free), and predicates used with inconsistent arities, naming
     the first fault in that order.
