@@ -90,7 +90,7 @@ def cmd_solve(source, engine):
         for d in diagnostics:
             click.echo(str(d), err=True)
         _fail("model is not executable" if csp else "translation is not executable")
-    result = solve_translation(artifact, [], "", csp)
+    result = solve_translation(artifact, "")
     if result.response == NO_KNOWLEDGE_BASE:
         _fail("no knowledge base in translation; general FOL is not auto-decided")
     if isinstance(result.error, UnsupportedFragmentError):

@@ -44,54 +44,47 @@ class DatasetInfo:
     name: str
     family: Family
     label_space: tuple[Label, ...]
-    letter_map: dict[str, Label]
     expected_size: Optional[int]
     third_label_surface: str = "unknown"  # how Unknown is worded in prompts
+
+    @property
+    def letter_map(self) -> dict[str, Label]:
+        """The truth value each option letter names, in label-space order; none for CSP."""
+        return {} if self.family.is_csp else dict(zip("ABC", self.label_space))
 
 
 DATASETS: dict[str, DatasetInfo] = {
     "ProntoQA": DatasetInfo(
         "ProntoQA", Family.FOL_PRONTOQA,
         (Label.TRUE, Label.FALSE),
-        {"A": Label.TRUE, "B": Label.FALSE},
         500,
     ),
     "ProofWriter": DatasetInfo(
         "ProofWriter", Family.FOL_PROOFWRITER,
         (Label.TRUE, Label.FALSE, Label.UNKNOWN),
-        {"A": Label.TRUE, "B": Label.FALSE, "C": Label.UNKNOWN},
         600,
     ),
     "FOLIO": DatasetInfo(
         "FOLIO", Family.FOL_FOLIO,
         (Label.TRUE, Label.FALSE, Label.UNKNOWN),
-        {"A": Label.TRUE, "B": Label.FALSE, "C": Label.UNKNOWN},
         204,
         third_label_surface="uncertain",
     ),
     "LogicalDeduction": DatasetInfo(
         "LogicalDeduction", Family.CSP_LOGICALDEDUCTION,
         (Label.A, Label.B, Label.C, Label.D, Label.E),
-        {},
         300,
     ),
     "ARLSAT": DatasetInfo(
         "ARLSAT", Family.CSP_ARLSAT,
         (Label.A, Label.B, Label.C, Label.D, Label.E),
-        {},
         230,
     ),
 }
 
-_DATASET_ALIASES = {
-    "prontoqa": "ProntoQA",
-    "proofwriter": "ProofWriter",
-    "folio": "FOLIO",
-    "logicaldeduction": "LogicalDeduction",
-    "logical_deduction": "LogicalDeduction",
-    "arlsat": "ARLSAT",
-    "ar-lsat": "ARLSAT",
-}
+# each dataset's name in lower case, and two spellings of the published names
+_DATASET_ALIASES = {**{name.lower(): name for name in DATASETS},
+                    "logical_deduction": "LogicalDeduction", "ar-lsat": "ARLSAT"}
 
 
 def dataset_info(name: str) -> DatasetInfo:
@@ -139,14 +132,13 @@ class Problem:
             return "\n".join(f"{letter}) {text}" for letter, text in self.options)
         # synthesize the canonical truth-value options for T/F(/U) datasets
         info = self.info
-        letters = "ABC"
         names = {
             Label.TRUE: "True",
             Label.FALSE: "False",
             Label.UNKNOWN: info.third_label_surface.capitalize(),
         }
         return "\n".join(
-            f"{letters[i]}) {names[label]}" for i, label in enumerate(info.label_space)
+            f"{letter}) {names[label]}" for letter, label in info.letter_map.items()
         )
 
     def canonical_label(self, label: Label) -> Label:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .corpus import MiniCorpus, mini_corpus
 from .gateway import (
     Backend, CachingBackend, CompletionCache, CompletionRequest,
-    CompletionResponse, ReplayMissError, approx_tokens,
+    CompletionResponse, ReplayMissError, scripted_response,
 )
 from .pipeline import Method, RunConfig, run_batch
 from .templates import STAGE_MARKERS
@@ -61,12 +61,7 @@ class ScriptedCorpusBackend(Backend):
         else:
             content = self.corpus.stage_text(problem_id, stage)
         self.log.append((request.cache_key(), problem_id, stage))
-        return CompletionResponse(
-            content=content,
-            prompt_tokens=approx_tokens(prompt),
-            completion_tokens=approx_tokens(content),
-            backend="scripted",
-        )
+        return scripted_response(request, content)
 
 
 @dataclass(frozen=True)

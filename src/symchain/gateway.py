@@ -105,9 +105,11 @@ class CompletionResponse:
             raise GatewayError("token counts must be ≥ 0")
 
 
-def approx_tokens(text: str) -> int:
-    """Whitespace token count, used by offline backends that have no usage data."""
-    return len(text.split())
+def scripted_response(request: CompletionRequest, content: str) -> CompletionResponse:
+    """An offline backend's reply of ``content``: with no usage data, its token
+    counts are the whitespace tokens of the joined prompt and of ``content``."""
+    prompt = "\n".join(text for _, text in request.messages)
+    return CompletionResponse(content, len(prompt.split()), len(content.split()), backend="scripted")
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +199,9 @@ class ScriptedBackend(Backend):
         else:
             self._by_key = None
             self._queue = list(responses)
-        self.calls = 0
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         with self._lock:
-            self.calls += 1
             if self._by_key is not None:
                 key = request.cache_key()
                 if key not in self._by_key:
@@ -211,13 +211,7 @@ class ScriptedBackend(Backend):
                 if not self._queue:
                     raise GatewayError("scripted backend ran out of responses")
                 content = self._queue.pop(0)
-        prompt_text = "\n".join(c for _, c in request.messages)
-        return CompletionResponse(
-            content=content,
-            prompt_tokens=approx_tokens(prompt_text),
-            completion_tokens=approx_tokens(content),
-            backend="scripted",
-        )
+        return scripted_response(request, content)
 
 
 class ReplayBackend(Backend):

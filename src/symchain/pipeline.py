@@ -343,23 +343,21 @@ class EngineResult:
     verdict: Optional[cspmod.QueryVerdict] = None
 
 
-def solve_translation(artifact: Translation, errors: Sequence[str], question: str,
-                      csp: bool) -> EngineResult:
-    """Run the engine of the translation's notation.
+def solve_translation(artifact: Translation, question: str) -> EngineResult:
+    """Run the engine that the translation's type names.
 
-    ``artifact`` is None when the translation is not executable, and
-    ``errors`` are its error diagnostics.  FOL decides the query over the
-    Facts/Rules knowledge base; CSP selects the option matching the question's
-    mode (must / could / cannot be true; must be true when none is named).
+    ``artifact`` is None when the translation is not executable.  A
+    ``TranslationBlock`` decides its query over the Facts/Rules knowledge base;
+    a ``CspModel`` selects the option matching the question's mode (must /
+    could / cannot be true; must be true when none is named).
     """
     if artifact is None:
-        # a CSP engine record repeats the parse errors; a FOL one only names the failure
-        return EngineResult(Label.UNDECIDED, False, NOT_EXECUTABLE,
-                            tuple(errors) if csp and errors else (NOT_EXECUTABLE,))
-    if not csp and artifact.kb is None:
+        return EngineResult(Label.UNDECIDED, False, NOT_EXECUTABLE, (NOT_EXECUTABLE,))
+    fol = isinstance(artifact, TranslationBlock)
+    if fol and artifact.kb is None:
         return EngineResult(Label.UNDECIDED, False, NO_KNOWLEDGE_BASE, ("no knowledge base in translation",))
     try:
-        if not csp:
+        if fol:
             label = inference.decide_formula(artifact.kb, artifact.statement)
             return EngineResult(label, True, f"decide: {label.value}")
         verdict = cspmod.evaluate_queries(artifact)
@@ -411,9 +409,7 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
         final = _run_stages(METHOD_STAGES[method], problem, dict(bindings), gateway, config, catalog, stages)
         executed = final is not Label.UNDECIDED
         if method is Method.TRANSLATE_THEN_SOLVE:
-            translation = stages[-1]
-            result = solve_translation(translation.artifact, translation.diagnostics, problem.question,
-                                       problem.family.is_csp)
+            result = solve_translation(stages[-1].artifact, problem.question)
             stages.append(StageRecord(stage="engine", response=result.response, label=result.label,
                                       diagnostics=list(result.diagnostics)))
             final, executed = result.label, result.executed  # Undecided when unexecuted, as abstain keeps

@@ -212,12 +212,12 @@ def _packaged_demos(family: Family, stage: Stage) -> tuple[tuple[str, str], ...]
     return ()
 
 
-def _load_demos(family: Family, stage: Stage, demo_dir: Optional[Path]) -> tuple[tuple[str, str], ...]:
-    if demo_dir is not None:
-        candidate = Path(demo_dir) / family.value / f"{stage.value}.txt"
-        if candidate.exists():
-            return tuple(parse_demo_file(candidate.read_text(encoding="utf-8-sig")))
-    return _packaged_demos(family, stage)
+def _override(directory: Optional[Path], stage: Stage, family: Family) -> Optional[str]:
+    """The text of ``<directory>/<family>/<stage>.txt``, read past a byte-order
+    mark; None when there is no directory or no such file."""
+    if directory is None or not (path := directory / family.value / f"{stage.value}.txt").exists():
+        return None
+    return path.read_text(encoding="utf-8-sig")
 
 
 class TemplateCatalog:
@@ -235,13 +235,10 @@ class TemplateCatalog:
     def get(self, stage: Stage, family: Family) -> PromptTemplate:
         key = (stage, family)
         if key not in self._cache:
-            text = None
-            if self.template_dir is not None:
-                candidate = self.template_dir / family.value / f"{stage.value}.txt"
-                if candidate.exists():
-                    text = candidate.read_text(encoding="utf-8-sig")
+            text = _override(self.template_dir, stage, family)
             if text is None:
                 text = _packaged_body(stage, family)
-            demos = _load_demos(family, stage, self.demo_dir)
+            demo_text = _override(self.demo_dir, stage, family)
+            demos = _packaged_demos(family, stage) if demo_text is None else tuple(parse_demo_file(demo_text))
             self._cache[key] = PromptTemplate(stage, family, text, demos)
         return self._cache[key]

@@ -66,7 +66,7 @@ class TestExtractLabel:
 def test_csp_answer_undecided_between_two_options():
     model, diagnostics = parse_translation(
         "Variables:\na ∈ {1}\nConstraints:\nQuery:\nA) a == 1\nB) a >= 1\n", csp=True)
-    result = solve_translation(model, [], "", csp=True)
+    result = solve_translation(model, "")
     assert not diagnostics
     assert (result.label, result.executed, str(result.answer)) == (Label.UNDECIDED, True, "Undecided{A, B}")
     assert result.response == "verdicts [A:MustBeTrue, B:MustBeTrue] over 1 solutions; Undecided{A, B}"
@@ -76,16 +76,16 @@ def test_csp_answer_undecided_between_two_options():
 def test_fol_translation_without_a_knowledge_base_is_not_executed():
     block, diagnostics = parse_translation("Premises:\n∀x (P(x) → Q(x))\nConclusion:\nQ(a)\n", csp=False)
     assert block is not None and block.kb is None and not diagnostics
-    result = solve_translation(block, [], "", csp=False)
+    result = solve_translation(block, "")
     assert (result.label, result.executed, result.response) == (Label.UNDECIDED, False, NO_KNOWLEDGE_BASE)
 
 
 def test_fol_engine_record_names_the_failure_not_the_parse_errors():
-    # a CSP engine record repeats the parse errors; a FOL one does not
+    # the engine record names the failure; the translator record holds the parse errors
     block, diagnostics = parse_translation("Facts:\nP(a, True)\nQuery:\nP(a, b, True)\n", csp=False)
     errors = [str(d) for d in diagnostics]
     assert block is None and errors
-    result = solve_translation(block, errors, "", csp=False)
+    result = solve_translation(block, "")
     assert (result.executed, result.diagnostics) == (False, ("translation not executable",))
 
 class TestRunProblem:
@@ -114,7 +114,8 @@ class TestRunProblem:
         backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): text})
         record = run_problem(problem, Method.TRANSLATE_THEN_SOLVE, config, backend)
         error = f"error at offset {text.index('D) station_wagon')}: the problem has no option D"
-        assert [(s.stage, s.diagnostics) for s in record.stages] == [("translator", [error]), ("engine", [error])]
+        assert [(s.stage, s.diagnostics) for s in record.stages] == [
+            ("translator", [error]), ("engine", ["translation not executable"])]
         assert (record.executed, record.final_label) == (False, Label.UNDECIDED)
         # without the problem's options, as in `symchain solve`, any letter A-E may be queried
         model, diagnostics = parse_translation(text, csp=True)

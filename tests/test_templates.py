@@ -235,7 +235,7 @@ def test_translator_demos_parse_and_agree_with_the_solver_demos(family):
         artifact, diagnostics = parse_translation(text, family.is_csp)
         errors = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
         assert not errors, errors
-        result = solve_translation(artifact, errors, _question(demo_input), family.is_csp)
+        result = solve_translation(artifact, _question(demo_input))
         if family is Family.FOL_FOLIO:
             # Premises: are not auto-decided yet; this flips once FOLIO
             # premises are decided by grounding (ROADMAP item 5)
