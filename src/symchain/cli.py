@@ -82,7 +82,9 @@ def cmd_parse(source, fmt):
 @main.command("solve")
 @click.argument("source", required=False, default="-")
 @click.option("--engine", type=click.Choice(["fol", "csp"]), default="fol")
-def cmd_solve(source, engine):
+@click.option("--question", default="",
+              help="The question a CSP model answers; its mode (must, could or cannot be true) picks the option.")
+def cmd_solve(source, engine, question):
     """Solve a symbolic translation file with the matching engine."""
     csp = engine == "csp"
     artifact, diagnostics = parse_translation(_read_input(source), csp)
@@ -90,7 +92,7 @@ def cmd_solve(source, engine):
         for d in diagnostics:
             click.echo(str(d), err=True)
         _fail("model is not executable" if csp else "translation is not executable")
-    result = solve_translation(artifact, "")
+    result = solve_translation(artifact, question)
     if result.response == NO_KNOWLEDGE_BASE:
         _fail("no knowledge base in translation; general FOL is not auto-decided")
     if isinstance(result.error, UnsupportedFragmentError):

@@ -97,6 +97,18 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "B (MustBeTrue)"
 
+    @pytest.mark.parametrize("problem_id", ["logicaldeduction-antique-cars", "logicaldeduction-branch-birds",
+                                            "arlsat-lockers", "arlsat-company-tours"])
+    def test_csp_answer_follows_the_question(self, runner, corpus, problem_id):
+        """Given its problem's question, `symchain solve` prints the letter a
+        translate_then_solve run records, a CANNOT-be-true question too."""
+        problem = corpus.problem(problem_id)
+        record = run_problem(problem, Method.TRANSLATE_THEN_SOLVE, RunConfig(), ScriptedCorpusBackend(corpus))
+        result = runner.invoke(main, ["solve", "-", "--engine", "csp", "--question", problem.question],
+                               input=corpus.translation(problem_id))
+        assert result.exit_code == 0, result.output
+        assert result.stdout.split(" ", 1)[0] == record.final_label.value == problem.gold.value
+
     def test_anne_fol_unknown(self, runner, tmp_path, corpus):
         path = tmp_path / "anne.txt"
         path.write_text(corpus.translation("proofwriter-anne-white"), encoding="utf-8")
