@@ -17,7 +17,7 @@ import click
 
 from . import evalkit
 from .corpus import LoadResult, Problem, load, load_normalized, mini_corpus
-from .folparse import ParseError, has_section_header, parse_formula, print_formula
+from .folparse import ParseDiagnostic, ParseError, parse_formula, print_formula, read_fol_sections
 from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .inference import UnsupportedFragmentError
 from .logic import Label
@@ -54,19 +54,17 @@ def main():
 def cmd_parse(source, fmt):
     """Parse a translation block (file or stdin) and print its canonical form."""
     text = _read_input(source)
-    if fmt == "fol" and not has_section_header(text):
-        # no header at all: bare formulas, one per line
-        failures = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            body = line.split(":::", 1)[0].strip()
-            try:
-                click.echo(print_formula(parse_formula(body)))
-            except ParseError as line_err:
-                click.echo(str(line_err.diagnostic), err=True)
-                failures += 1
-        sys.exit(1 if failures else 0)
+    if fmt == "fol":
+        headers, lines = read_fol_sections(text)
+        if not headers:  # bare formulas, one per line, at offsets from the start of the input
+            failures = 0
+            for line in lines:
+                try:
+                    click.echo(print_formula(parse_formula(line.body)))
+                except ParseError as err:
+                    click.echo(str(ParseDiagnostic(line.offset + err.position, err.message)), err=True)
+                    failures += 1
+            sys.exit(1 if failures else 0)
     artifact, diagnostics = parse_translation(text, fmt == "csp")
     for d in diagnostics:
         click.echo(str(d), err=True)

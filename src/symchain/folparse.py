@@ -480,10 +480,9 @@ def read_sections(text: str, header_re: re.Pattern) -> tuple[list[str], list[Sec
     return headers, lines
 
 
-def has_section_header(text: str) -> bool:
-    """Whether some line of ``text`` is a FOL translation block header."""
-    headers, _ = read_sections(text, _HEADER_RE)
-    return bool(headers)
+def read_fol_sections(text: str) -> tuple[list[str], list[SectionLine]]:
+    """:func:`read_sections` of ``text`` under the FOL translation block headers."""
+    return read_sections(text, _HEADER_RE)
 
 
 # a Facts or Rules line: its offset, its section and the literals it holds, in order
@@ -517,7 +516,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     raised; a block with any error diagnostic is not executable.  A block
     with no recognizable sections at all raises :class:`ParseError`.
     """
-    _, lines = read_sections(text, _HEADER_RE)
+    _, lines = read_fol_sections(text)
     if all(line.section is None for line in lines):
         raise ParseError(0, "no sections found")
     block = TranslationBlock()

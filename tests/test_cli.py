@@ -74,6 +74,20 @@ class TestParse:
         assert result.exit_code == 0
         assert "∀x (P(x) → Q(x))" in result.output
 
+    def test_bare_formula_offsets_count_from_the_start_of_the_input(self, runner):
+        """As in a block: the second line's error is at 13 bare and at 13 + 10
+        under a ``Premises:`` header."""
+        lines = "P(a)\n  Q(b) & ::: gloss\n"
+        error = "error at offset {}: unexpected end of input, expected a formula\n"
+        bare = runner.invoke(main, ["parse", "-", "--format", "fol"], input=lines)
+        assert (bare.exit_code, bare.stdout, bare.stderr) == (1, "P(a)\n", error.format(13))
+        block = runner.invoke(main, ["parse", "-", "--format", "fol"], input=f"Premises:\n{lines}Query:\nP(a)\n")
+        assert (block.exit_code, block.stderr) == (1, error.format(23))
+
+    def test_bare_formula_lines_lose_their_bullets(self, runner):
+        result = runner.invoke(main, ["parse", "-", "--format", "fol"], input="- P(a)\n2. Q(b) ::: gloss\n")
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "P(a)\nQ(b)\n", "")
+
     def test_header_only_block_is_not_read_as_formulas(self, runner):
         result = runner.invoke(main, ["parse", "-", "--format", "fol"], input="Facts:\nQuery:\n")
         assert result.exit_code == 1
