@@ -106,6 +106,8 @@ class Problem:
 
     def __post_init__(self):
         info = dataset_info(self.dataset)
+        if info.family.is_csp and not self.options:
+            raise CorpusError(f"{self.id}: the {info.name} dataset needs options")
         space = self.label_space
         if self.gold not in space:
             raise CorpusError(
@@ -123,7 +125,7 @@ class Problem:
     @property
     def label_space(self) -> tuple[Label, ...]:
         info = dataset_info(self.dataset)
-        if self.options and info.family.is_csp:
+        if info.family.is_csp:
             return tuple(Label(letter) for letter, _ in self.options)
         return info.label_space
 
@@ -239,6 +241,8 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     options = _parse_options(_pick(record, "options"))
     if not info.family.is_csp:
         options = ()  # pure T/F/U datasets carry no option texts
+    elif not options:
+        raise KeyError("options")
     depth = _parse_depth(_pick(record, "depth"))
     return Problem(
         id=str(record_id),

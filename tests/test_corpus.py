@@ -11,7 +11,7 @@ import pytest
 from symchain import corpus as corpusmod
 from symchain import csp as cspmod
 from symchain.corpus import (
-    CorpusError, Problem, dataset_info, dump_problems, load, load_normalized,
+    CorpusError, LoadError, Problem, dataset_info, dump_problems, load, load_normalized,
     mini_corpus,
 )
 from symchain.folparse import Severity, parse_translation_block
@@ -210,6 +210,10 @@ class TestProblem:
                     options=(("A", "one"), ("B", "two"), ("C", "three")), gold=Label.B)
         assert p.label_space == (Label.A, Label.B, Label.C)
 
+    def test_csp_problem_needs_options(self):
+        with pytest.raises(CorpusError, match="x: the ARLSAT dataset needs options"):
+            Problem(id="x", dataset="ARLSAT", context="c", question="Which one must be true?", gold=Label.A)
+
     def test_options_text_synthesized_for_tfu(self):
         p = Problem(id="x", dataset="FOLIO", context="c", question="q", gold=Label.TRUE)
         assert p.options_text() == "A) True\nB) False\nC) Uncertain"
@@ -329,6 +333,16 @@ class TestLoad:
             ("text", "Malformed", "options must be a list, got str"),
             ("six", "Malformed", "at most 5 options (A-E), got 6"),
         ]
+
+    def test_csp_record_without_options_is_a_load_error(self, tmp_path):
+        records = [{"id": "x", "context": "c", "question": "Which one must be true?", "answer": "A"},
+                   {"id": "empty", "context": "c", "question": "q", "answer": "A", "options": []},
+                   {"id": "ok", "context": "c", "question": "q", "answer": "A", "options": ["A) a", "B) b"]}]
+        with pytest.warns(UserWarning):
+            result = load("ARLSAT", _write(tmp_path, "ar.json", records))
+        assert [p.id for p in result.problems] == ["ok"]
+        assert result.errors == [LoadError("x", "MissingField", "options"),
+                                 LoadError("empty", "MissingField", "options")]
 
     @pytest.mark.parametrize("depth", ["deep", 2.5, True, [3], {"d": 1}])
     def test_non_integer_depth_is_malformed(self, tmp_path, depth):
