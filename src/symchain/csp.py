@@ -26,7 +26,12 @@ from .logic import LogicError
 
 
 class CspError(LogicError):
-    pass
+    """A model or search fault; ``subject`` is the variable name or the
+    constraint or query expression a model rejects, if it names one."""
+
+    def __init__(self, message: str, subject: object = None):
+        super().__init__(message)
+        self.subject = subject
 
 
 class SearchSpaceTooLargeError(CspError):
@@ -231,14 +236,15 @@ class CspModel:
     def __post_init__(self):
         if self.domain_size < 1:
             raise CspError("domain size must be ≥ 1")
-        names = [n for n, _ in self.variables]
-        if len(names) != len(set(names)):
-            raise CspError("variable names must be unique")
-        declared = set(names)
+        declared: set[str] = set()
+        for name, _ in self.variables:
+            if name in declared:
+                raise CspError("variable names must be unique", name)
+            declared.add(name)
         for expr in self.constraints:
             undeclared = expr_variables(expr) - declared
             if undeclared:
-                raise CspError(f"constraint references undeclared variables: {sorted(undeclared)}")
+                raise CspError(f"constraint references undeclared variables: {sorted(undeclared)}", expr)
         letters: set[str] = set()
         for letter, expr in self.queries:
             if letter in letters:
@@ -246,7 +252,7 @@ class CspModel:
             letters.add(letter)
             undeclared = expr_variables(expr) - declared
             if undeclared:
-                raise CspError(f"query references undeclared variables: {sorted(undeclared)}")
+                raise CspError(f"query references undeclared variables: {sorted(undeclared)}", expr)
 
     def to_text(self) -> str:
         out = ["Domain:"]
@@ -405,6 +411,7 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
     variables: list[tuple[str, tuple[int, ...]]] = []
     constraints: list[ConstraintExpr] = []
     queries: list[tuple[str, ConstraintExpr]] = []
+    subjects: list[tuple[object, int]] = []  # each variable name and expression read, with its line's offset
 
     headers, lines = read_sections(text, _CSP_HEADER_RE)
     for section, content, body, _, pos in lines:
@@ -429,12 +436,16 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
                     values = ()
                 if values:
                     variables.append((m.group("name"), values))
+                    subjects.append((m.group("name"), pos))
                     domain_max = max(domain_max, max(values))
         elif section == "constraints":
             try:
-                constraints.append(parse_constraint(body.partition(":")[0]))
+                expr = parse_constraint(body.partition(":")[0])
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + err.position, err.message))
+                continue
+            constraints.append(expr)
+            subjects.append((expr, pos))
         else:
             qm = _QUERY_RE.match(body)
             if not qm:
@@ -448,9 +459,12 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
                 diagnostics.append(ParseDiagnostic(pos, f"option {letter} is queried twice"))
                 continue
             try:
-                queries.append((letter, parse_constraint(qm.group("rest").partition(":")[0])))
+                expr = parse_constraint(qm.group("rest").partition(":")[0])
             except ParseError as err:
                 diagnostics.append(ParseDiagnostic(pos + qm.start("rest") + err.position, err.message))
+                continue
+            queries.append((letter, expr))
+            subjects.append((expr, pos))
 
     if not headers:
         raise ParseError(0, "no sections found")
@@ -473,9 +487,18 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
             queries=queries,
         )
     except CspError as err:
-        diagnostics.append(ParseDiagnostic(0, str(err)))
+        diagnostics.append(ParseDiagnostic(_model_fault_offset(err, subjects), str(err)))
         return None, diagnostics
     return model, diagnostics
+
+
+def _model_fault_offset(err: CspError, subjects: list[tuple[object, int]]) -> int:
+    """The offset of the line that causes a fault ``CspModel`` raises: a
+    repeated variable name at the line that repeats it, a rejected constraint
+    or query at its line.  Other faults, which name no subject, are at offset 0."""
+    if isinstance(err.subject, str):
+        return [pos for subject, pos in subjects if subject == err.subject][1]
+    return next((pos for subject, pos in subjects if subject is err.subject), 0)
 
 
 # ---------------------------------------------------------------------------

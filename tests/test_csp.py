@@ -94,6 +94,19 @@ class TestParseCspBlock:
         assert model is None
         assert any("undeclared" in d.message for d in diagnostics)
 
+    @pytest.mark.parametrize("text,line,message", [
+        ("Variables:\na in {1, 2}\nConstraints:\nb == 1\nQuery:\nA) a == 1\n", "b == 1",
+         "constraint references undeclared variables: ['b']"),
+        ("Variables:\na in {1, 2}\nConstraints:\nb == 1 -> a == 2\nb == 1\nQuery:\nA) a == 1\n",
+         "b == 1 -> a == 2", "constraint references undeclared variables: ['b']"),
+        ("Variables:\na in {1, 2}\nConstraints:\nQuery:\nA) a == 1\nB) c == 2 ::: gloss\n", "B) c == 2",
+         "query references undeclared variables: ['c']"),
+        ("Variables:\na in {1, 2}\nb in {1}\na in {2}\nb in {2}\nConstraints:\nQuery:\nA) a == 1\n", "a in {2}",
+         "variable names must be unique"),
+    ], ids=["constraint", "first-of-two-constraints", "query", "repeated-name"])
+    def test_model_fault_at_its_line(self, text, line, message):
+        assert parse_csp_block(text) == (None, [ParseDiagnostic(text.index(line), message)])
+
     def test_bad_constraint_line_diagnosed(self):
         text = CAR_BLOCK.replace("minivan > convertible", "minivan >> convertible")
         model, diagnostics = parse_csp_block(text)
