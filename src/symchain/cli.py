@@ -22,7 +22,7 @@ from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .inference import UnsupportedFragmentError
 from .logic import Label
 from .pipeline import (
-    NO_KNOWLEDGE_BASE, FallbackPolicy, Method, RunConfig, parse_translation,
+    FallbackPolicy, Method, RunConfig, parse_translation,
     read_records, run_batch, solve_translation, write_records,
 )
 
@@ -91,12 +91,12 @@ def cmd_solve(source, engine, question):
             click.echo(str(d), err=True)
         _fail("model is not executable" if csp else "translation is not executable")
     result = solve_translation(artifact, question)
-    if result.response == NO_KNOWLEDGE_BASE:
-        _fail("no knowledge base in translation; general FOL is not auto-decided")
     if isinstance(result.error, UnsupportedFragmentError):
         _fail(f"unsupported query: {result.error}")
     if result.error is not None:
         _fail(str(result.error))
+    if not result.executed:  # an executable FOL translation without Facts/Rules
+        _fail("no knowledge base in translation; general FOL is not auto-decided")
     if not csp:
         click.echo(result.label.value)
     elif result.label is Label.UNDECIDED:

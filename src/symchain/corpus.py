@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .logic import Label
 from .templates import Family, Stage
@@ -43,14 +43,14 @@ class LoadError:
 class DatasetInfo:
     name: str
     family: Family
-    label_space: tuple[Label, ...]
+    label_space: tuple[Label, ...]  # empty for CSP: a problem's labels are its option letters
     expected_size: Optional[int]
     third_label_surface: str = "unknown"  # how Unknown is worded in prompts
 
     @property
     def letter_map(self) -> dict[str, Label]:
-        """The truth value each option letter names, in label-space order; none for CSP."""
-        return {} if self.family.is_csp else dict(zip("ABC", self.label_space))
+        """The truth value each option letter names, in label-space order."""
+        return dict(zip("ABC", self.label_space))
 
 
 DATASETS: dict[str, DatasetInfo] = {
@@ -72,12 +72,12 @@ DATASETS: dict[str, DatasetInfo] = {
     ),
     "LogicalDeduction": DatasetInfo(
         "LogicalDeduction", Family.CSP_LOGICALDEDUCTION,
-        (Label.A, Label.B, Label.C, Label.D, Label.E),
+        (),
         300,
     ),
     "ARLSAT": DatasetInfo(
         "ARLSAT", Family.CSP_ARLSAT,
-        (Label.A, Label.B, Label.C, Label.D, Label.E),
+        (),
         230,
     ),
 }
@@ -124,10 +124,7 @@ class Problem:
 
     @property
     def label_space(self) -> tuple[Label, ...]:
-        info = dataset_info(self.dataset)
-        if info.family.is_csp:
-            return tuple(Label(letter) for letter, _ in self.options)
-        return info.label_space
+        return self.info.label_space or tuple(Label(letter) for letter, _ in self.options)
 
     def options_text(self) -> str:
         if self.options:
@@ -145,9 +142,7 @@ class Problem:
 
     def canonical_label(self, label: Label) -> Label:
         """Map an extracted option letter to the dataset's answer space."""
-        if label.is_letter and not self.info.family.is_csp:
-            return self.info.letter_map.get(label.value, label)
-        return label
+        return self.info.letter_map.get(label.value, label)
 
     def to_dict(self) -> dict:
         out = {
@@ -222,15 +217,10 @@ def _parse_depth(raw) -> Optional[int]:
 
 def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     """Map one raw dataset record onto the normalized Problem schema."""
-    record_id = _pick(record, "id")
-    if record_id is None:
-        raise KeyError("id")
-    for required in ("context", "question"):
+    for required in ("id", "context", "question", "gold"):
         if _pick(record, required) is None:
             raise KeyError(required)
     raw_gold = _pick(record, "gold")
-    if raw_gold is None:
-        raise KeyError("gold")
     gold = Label.from_text(str(raw_gold))
     if gold is None:
         raise ValueError(f"unreadable label {raw_gold!r}")
@@ -245,7 +235,7 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
         raise KeyError("options")
     depth = _parse_depth(_pick(record, "depth"))
     return Problem(
-        id=str(record_id),
+        id=str(_pick(record, "id")),
         dataset=info.name,
         context=str(_pick(record, "context")).strip(),
         question=str(_pick(record, "question")).strip(),
@@ -255,12 +245,19 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     )
 
 
-def _json_line(line: str):
-    """The line's JSON value, or the decoding error."""
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as err:
-        return err
+def json_lines(f: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """The 1-based line number and the JSON value, or the decoding error, of each non-blank line.
+
+    A line ends only where iterating ``f`` ends it: at "\n", or in a text
+    file also at "\r\n" or "\r".  ``str.splitlines`` would also break at
+    U+2028, U+2029 and U+0085, which JSON strings hold unescaped.
+    """
+    for number, line in enumerate(f, 1):
+        if line.strip():
+            try:
+                yield number, json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as err:
+                yield number, err
 
 
 def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]) -> LoadResult:
@@ -276,9 +273,7 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
         if _first_non_space(f) == "[":
             records = json.load(f)
         else:
-            # a line ends only at "\n", "\r\n" or "\r": str.splitlines would
-            # also break at U+2028, U+2029 and U+0085, which JSON strings hold unescaped
-            records = (_json_line(line.rstrip("\n")) for line in f if line.strip())
+            records = (value for _, value in json_lines(f))
         for i, record in enumerate(records):
             if not isinstance(record, dict):
                 detail = (f"invalid JSON: {record}" if isinstance(record, json.JSONDecodeError)
@@ -370,14 +365,13 @@ def mini_corpus() -> MiniCorpus:
     """
     ref = resources.files("symchain").joinpath("data", "minicorpus.jsonl")
     problems, translations, stage_texts = [], {}, {}
-    # a line ends only at "\n": str.splitlines would also break inside a text
-    for line in ref.read_text(encoding="utf-8").split("\n"):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        problem = normalize_record(record, dataset_info(record["dataset"]))
-        problems.append(problem)
-        translations[problem.id] = record[Stage.TRANSLATOR.value]
-        for stage in Stage:
-            stage_texts[(problem.id, stage.value)] = record[stage.value]
+    with ref.open(encoding="utf-8") as f:
+        for _, record in json_lines(f):
+            if isinstance(record, json.JSONDecodeError):
+                raise record
+            problem = normalize_record(record, dataset_info(record["dataset"]))
+            problems.append(problem)
+            translations[problem.id] = record[Stage.TRANSLATOR.value]
+            for stage in Stage:
+                stage_texts[(problem.id, stage.value)] = record[stage.value]
     return MiniCorpus(tuple(problems), translations, stage_texts)

@@ -408,9 +408,8 @@ class TranslationBlock:
 
     @property
     def executable(self) -> bool:
-        if any(d.severity is Severity.ERROR for d in self.diagnostics):
-            return False
-        return self.statement is not None
+        """No error diagnostic: a block without a statement always has one."""
+        return not any(d.severity is Severity.ERROR for d in self.diagnostics)
 
     def to_text(self) -> str:
         """Canonical rendering of the block."""

@@ -412,13 +412,9 @@ class Rule:
         return " ∧ ".join(pat(b) for b in self.body) + " ⇒ " + pat(self.head)
 
 
-def _literal_has_functions(lit: SignedLiteral) -> bool:
-    return any(isinstance(a, FunctionApp) for a in lit.args)
-
-
 def _check_literal(lit: SignedLiteral, where: str, arities: dict[str, int]) -> None:
     """Reject function symbols and an arity other than ``arities`` records (recording a new one)."""
-    if _literal_has_functions(lit):
+    if any(isinstance(a, FunctionApp) for a in lit.args):
         raise FunctionSymbolError(lit, where)
     seen = len(lit.args)
     expected = arities.setdefault(lit.predicate, seen)

@@ -21,7 +21,7 @@ from typing import Callable, Collection, Optional, Sequence, Union
 
 from . import csp as cspmod
 from . import inference
-from .corpus import Problem
+from .corpus import Problem, json_lines
 from .folparse import ParseDiagnostic, ParseError, Severity, TranslationBlock, parse_translation_block
 from .gateway import Backend, CompletionRequest
 from .logic import Label, LogicError
@@ -258,8 +258,7 @@ def extract_label(text: str, label_space: Optional[Sequence[Label]] = None) -> L
 
 def _surface_space(problem: Problem) -> list[Label]:
     """Labels acceptable in raw stage output, before letter canonicalization."""
-    letters = [*problem.info.letter_map, *(letter for letter, _ in problem.options)]
-    return list(dict.fromkeys([*problem.label_space, *map(Label, letters)]))
+    return [*problem.label_space, *map(Label, problem.info.letter_map)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +291,7 @@ def run_stage(template: PromptTemplate, bindings: dict[str, str], gateway: Backe
         completion_tokens=response.completion_tokens,
     )
     if template.stage is Stage.TRANSLATOR:
-        # a CSP problem's label space is its option letters
-        options = None if label_space is None else [label.value for label in label_space]
-        record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp, options)
+        record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp, label_space)
         record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
     elif template.stage in (Stage.SOLVER, Stage.VERIFIER, Stage.NAIVE, Stage.COT):
         record.label = extract_label(response.content, label_space)
@@ -466,23 +463,17 @@ def write_records(records: Sequence[RunRecord], path: Union[str, Path]) -> None:
 
 
 def read_records(path: Union[str, Path]) -> list[RunRecord]:
-    """Read the records ``write_records`` wrote.
+    """Read the records ``write_records`` wrote, as ``corpus.json_lines`` splits lines.
 
-    A line ends only at a newline, so a response holding U+2028, U+2029 or
-    U+0085 (written unescaped) stays one record.  A leading byte-order mark
-    is skipped.  A line that is not JSON, or not a record (not an object, a
+    A leading byte-order mark is skipped.  A line that is not JSON, or not a record (not an object, a
     stage that is not an object, a bad or missing field), raises
     ``ValueError`` naming the file and its 1-based line number.
     """
     records = []
     with open(path, encoding="utf-8-sig") as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line.rstrip("\n"))
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}, line {number}: not JSON ({err})") from None
+        for number, data in json_lines(f):
+            if isinstance(data, json.JSONDecodeError):
+                raise ValueError(f"{path}, line {number}: not JSON ({data})")
             try:
                 records.append(RunRecord.from_dict(data))
             except (TypeError, ValueError) as err:

@@ -10,6 +10,7 @@ directories of bodies or demos with the same layout.
 from __future__ import annotations
 
 import functools
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -126,16 +127,10 @@ REQUIRED_PLACEHOLDERS = {stage: {name for _, name in sections} for stage, (secti
 # The placeholder under which later stages read a stage's response.
 RESPONSE_BINDINGS = {Stage.TRANSLATOR: "premises_sym", Stage.PLANNER: "plan", Stage.SOLVER: "reasoning"}
 
-# Distinctive instruction phrases, one per stage, used by the scripted
-# corpus backend to recognize which stage a rendered prompt belongs to.
-STAGE_MARKERS = {
-    Stage.TRANSLATOR: "Translate the problem into the symbolic form",
-    Stage.PLANNER: "Derive a step-by-step plan",
-    Stage.SOLVER: "Execute the plan step by step",
-    Stage.VERIFIER: "Verify the translation and the solving process",
-    Stage.NAIVE: "Answer directly with the best option",
-    Stage.COT: "Reason step by step, then conclude",
-}
+# Each stage's marker, the common prefix of the first lines of its instruction
+# paragraphs; the scripted corpus backend recognizes a rendered prompt's stage by it.
+STAGE_MARKERS = {stage: os.path.commonprefix([text.split("\n", 1)[0] for (s, _), text in _INSTRUCTIONS.items()
+                                             if s is stage]) for stage in Stage}
 
 
 def _packaged_body(stage: Stage, family: Family) -> str:
