@@ -434,7 +434,9 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
                 except ValueError:
                     diagnostics.append(ParseDiagnostic(pos, f"non-integer domain value in: {body!r}"))
                     values = ()
-                if values:
+                if values and values[0] < 1:
+                    diagnostics.append(ParseDiagnostic(pos, f"domain value below 1 in: {body!r}"))
+                elif values:
                     variables.append((m.group("name"), values))
                     subjects.append((m.group("name"), pos))
                     domain_max = max(domain_max, max(values))

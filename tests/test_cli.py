@@ -68,6 +68,13 @@ class TestParse:
         assert again.exit_code == 0, again.output
         assert again.output == (first.output if command == "parse" else "A (MustBeTrue)\n")
 
+    @pytest.mark.parametrize("values", ["0, 1", "0"])
+    def test_csp_value_below_one_is_an_error_at_its_line(self, runner, values):
+        result = runner.invoke(main, ["parse", "-", "--format", "csp"],
+                               input=f"Variables:\na in {{{values}}}\nConstraints:\nQuery:\nA) a == 0")
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error at offset 11: domain value below 1 in: 'a in {{{values}}}'\n")
+
     def test_bare_formula_lines(self, runner):
         result = runner.invoke(main, ["parse", "-", "--format", "fol"],
                                input="forall x (P(x) -> Q(x))\n")

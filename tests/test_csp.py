@@ -196,6 +196,15 @@ class TestParseCspBlock:
         assert diagnostics == [diagnostic]
         assert model.variables == [("v", (1, 2))]
 
+    @pytest.mark.parametrize("values", ["0, 1", "0", "-2, 3"])
+    def test_variable_with_a_value_below_one(self, values):
+        """Skipped at its declaration line, as a non-integer value is: values start at 1."""
+        line = f"a ∈ {{{values}}}"
+        text = f"Variables:\n{line}\nv ∈ {{1, 2}}\nConstraints:\nQuery:\nA) v == 1\n"
+        model, diagnostics = parse_csp_block(text)
+        assert diagnostics == [ParseDiagnostic(11, f"domain value below 1 in: {line!r}")]
+        assert model.variables == [("v", (1, 2))]
+
     def test_query_line_without_an_option_letter(self):
         model, diagnostics = parse_csp_block("Variables:\nv ∈ {1, 2}\nConstraints:\nQuery:\nA) v == 1\nv == 2\n")
         assert diagnostics == [ParseDiagnostic(52, "query line must start with an option letter: 'v == 2'")]
@@ -220,8 +229,12 @@ class TestParseCspBlock:
 
     @pytest.mark.parametrize("domain,values", [("", "0"), ("0: none\n", "-1, 0")], ids=["zero", "negative"])
     def test_non_positive_domain_is_a_diagnostic(self, domain, values):
+        """The declaration is refused at its line, which leaves no variable."""
         text = f"Domain:\n{domain}Variables:\nv ∈ {{{values}}}\nConstraints:\nQuery:\nA) v == 0\n"
-        assert parse_csp_block(text) == (None, [ParseDiagnostic(0, "domain size must be ≥ 1")])
+        assert parse_csp_block(text) == (None, [
+            ParseDiagnostic(text.index("v ∈"), f"domain value below 1 in: 'v ∈ {{{values}}}'"),
+            ParseDiagnostic(len(text), "no variables declared"),
+        ])
 
 
 # (constraint, (message, offset)); pinned across tokenizer rewrites
