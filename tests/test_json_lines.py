@@ -1,0 +1,114 @@
+"""The JSON-lines readers ``read_records``, ``load_normalized`` and ``load``
+split a file as ``corpus.json_lines`` does.
+
+Each file below is laid out with "\\n", "\\r\\n" or "\\r" line ends, with
+blank lines, or without a newline after its last line, and every text field
+of its records holds U+2028, U+2029 and U+0085, which JSON writes unescaped
+and ``str.splitlines`` would break at.  Each reader reads the records back
+unchanged.
+"""
+
+import json
+import re
+import warnings
+
+import pytest
+
+from symchain.corpus import Problem, dump_problems, load, load_normalized
+from symchain.logic import Label
+from symchain.pipeline import Method, RunRecord, StageRecord, read_records, write_records
+
+SEPARATORS = "\u2028\u2029\x85"
+
+LAYOUTS = {
+    "lf": lambda lines: "".join(f"{line}\n" for line in lines),
+    "crlf": lambda lines: "".join(f"{line}\r\n" for line in lines),
+    "cr": lambda lines: "".join(f"{line}\r" for line in lines),
+    "blank-lines": lambda lines: "\n  \n" + "".join(f"{line}\n\t\r\n\n" for line in lines),
+    "no-final-newline": lambda lines: "\r\n".join(lines),
+}
+
+
+def odd(text: str) -> str:
+    """``text`` with the three separators inside it, where no strip removes them."""
+    return f"{text[:1]}{SEPARATORS}{text[1:]}"
+
+
+def lay_out(tmp_path, layout: str, lines: list[str]):
+    path = tmp_path / f"{layout}.jsonl"
+    path.write_bytes(LAYOUTS[layout](lines).encode("utf-8"))
+    return path
+
+
+RUN_RECORDS = [
+    RunRecord(problem_id=odd(f"p{i}"), method=Method.SYMBCOT, executed=True, final_label=Label.FALSE,
+              dataset=odd("ProntoQA"), wall_time=0.25, error=odd("GatewayError: none"),
+              stages=[StageRecord(stage=odd("solver"), prompt=odd("Context:"), response=odd("Final answer: {false}"),
+                                  label=Label.FALSE, completion_tokens=7, diagnostics=[odd("warning"), odd("error")])])
+    for i in range(3)
+]
+
+PROBLEMS = [
+    Problem(id=odd("fol-1"), dataset="ProofWriter", context=odd("Bob is big."), question=odd("Bob is big."),
+            gold=Label.TRUE, depth=2),
+    Problem(id=odd("csp-1"), dataset="LogicalDeduction", context=odd("Three books."), question=odd("Which?"),
+            options=(("A", odd("The red book")), ("B", odd("The blue book"))), gold=Label.B),
+]
+
+# raw dataset records under their published field names, and what each loads as
+RAW = {
+    "ProofWriter": ([{"example_id": odd("pw-1"), "premises": odd("Bob is big."), "conclusion": odd("Bob is big."),
+                      "answer": "A", "proof_depth": 1}],
+                    [Problem(id=odd("pw-1"), dataset="ProofWriter", context=odd("Bob is big."),
+                             question=odd("Bob is big."), gold=Label.TRUE, depth=1)]),
+    "ARLSAT": ([{"id": odd("ar-1"), "context": odd("Five slots."), "question": odd("Which could be true?"),
+                 "options": [f"A) {odd('first')}", f"(B) {odd('second')}"], "label": "B"}],
+               [Problem(id=odd("ar-1"), dataset="ARLSAT", context=odd("Five slots."),
+                        question=odd("Which could be true?"), options=(("A", odd("first")), ("B", odd("second"))),
+                        gold=Label.B)]),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_read_records_reads_back_unchanged(tmp_path, layout):
+    written = tmp_path / "written.jsonl"
+    write_records(RUN_RECORDS, written)
+    assert all(SEPARATORS in line for line in written.read_text(encoding="utf-8").split("\n") if line)
+    path = lay_out(tmp_path, layout, written.read_text(encoding="utf-8").split("\n")[:-1])
+    assert read_records(path) == RUN_RECORDS
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_load_normalized_reads_back_unchanged(tmp_path, layout):
+    path = lay_out(tmp_path, layout, dump_problems(PROBLEMS).split("\n"))
+    result = load_normalized(path)
+    assert (result.problems, result.errors) == (PROBLEMS, [])
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dataset", RAW)
+def test_load_reads_back_unchanged(tmp_path, layout, dataset):
+    records, problems = RAW[dataset]
+    path = lay_out(tmp_path, layout, [json.dumps(r, ensure_ascii=False) for r in records])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the file is smaller than the published split
+        result = load(dataset, path)
+    assert (result.problems, result.errors) == (problems, [])
+
+
+@pytest.mark.parametrize("layout,line", [("lf", 2), ("crlf", 2), ("cr", 2), ("blank-lines", 6),
+                                         ("no-final-newline", 2)])
+def test_read_records_names_the_physical_line_that_is_not_json(tmp_path, layout, line):
+    good = RUN_RECORDS[0].to_json()
+    path = lay_out(tmp_path, layout, [good, f"{good[:-1]}{SEPARATORS}", good])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: not JSON "):
+        read_records(path)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_load_normalized_skips_the_line_that_is_not_json(tmp_path, layout):
+    lines = dump_problems(PROBLEMS).split("\n")
+    path = lay_out(tmp_path, layout, [lines[0], lines[1][:-1], lines[1]])
+    result = load_normalized(path)
+    assert result.problems == [PROBLEMS[0], PROBLEMS[1]]
+    assert [(e.record_id, e.kind) for e in result.errors] == [("record-1", "Malformed")]

@@ -129,6 +129,25 @@ def test_body_starts_with_its_stage_marker(catalog, family, stage):
     assert catalog.get(stage, family).text.startswith(STAGE_MARKERS[stage])
 
 
+@pytest.mark.parametrize("family,stage", PAIRS, ids=PAIR_IDS)
+def test_rendered_prompt_holds_only_its_own_stage_marker(catalog, family, stage):
+    """Every mini-corpus problem of the family, rendered with all its demos:
+    the scripted corpus backend routes a prompt by the first marker it holds."""
+    corpus = mini_corpus()
+    template = catalog.get(stage, family)
+    problems = [problem for problem in corpus.problems if problem.family is family]
+    assert problems and template.demos
+    for problem in problems:
+        bindings = {
+            "context": problem.context, "question": problem.question, "options": problem.options_text(),
+            "premises_sym": corpus.stage_text(problem.id, "translator"),
+            "plan": corpus.stage_text(problem.id, "planner"),
+            "reasoning": corpus.stage_text(problem.id, "solver"),
+        }
+        prompt = template.render(bindings, few_shot=len(template.demos))
+        assert [s for s, marker in STAGE_MARKERS.items() if marker in prompt] == [stage], problem.id
+
+
 # ---------------------------------------------------------------------------
 # template_dir: plain-text bodies laid out as <family>/<stage>.txt
 
