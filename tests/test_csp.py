@@ -189,20 +189,15 @@ class TestParseCspBlock:
     @pytest.mark.parametrize("line,diagnostic", [
         ("a = 1,2", ParseDiagnostic(11, "cannot read variable declaration: 'a = 1,2'")),
         ("a ∈ {1, x}", ParseDiagnostic(11, "non-integer domain value in: 'a ∈ {1, x}'")),
-    ], ids=["variable-declaration", "domain-value"])
+        # values start at 1
+        ("a ∈ {0, 1}", ParseDiagnostic(11, "domain value below 1 in: 'a ∈ {0, 1}'")),
+        ("a ∈ {0}", ParseDiagnostic(11, "domain value below 1 in: 'a ∈ {0}'")),
+        ("a ∈ {-2, 3}", ParseDiagnostic(11, "domain value below 1 in: 'a ∈ {-2, 3}'")),
+    ], ids=["variable-declaration", "domain-value", "value-below-one", "only-value-below-one", "negative-value"])
     def test_unreadable_variable_line(self, line, diagnostic):
         text = f"Variables:\n{line}\nv ∈ {{1, 2}}\nConstraints:\nQuery:\nA) v == 1\n"
         model, diagnostics = parse_csp_block(text)
         assert diagnostics == [diagnostic]
-        assert model.variables == [("v", (1, 2))]
-
-    @pytest.mark.parametrize("values", ["0, 1", "0", "-2, 3"])
-    def test_variable_with_a_value_below_one(self, values):
-        """Skipped at its declaration line, as a non-integer value is: values start at 1."""
-        line = f"a ∈ {{{values}}}"
-        text = f"Variables:\n{line}\nv ∈ {{1, 2}}\nConstraints:\nQuery:\nA) v == 1\n"
-        model, diagnostics = parse_csp_block(text)
-        assert diagnostics == [ParseDiagnostic(11, f"domain value below 1 in: {line!r}")]
         assert model.variables == [("v", (1, 2))]
 
     def test_query_line_without_an_option_letter(self):
