@@ -465,9 +465,9 @@ def write_records(records: Sequence[RunRecord], path: Union[str, Path]) -> None:
 def read_records(path: Union[str, Path]) -> list[RunRecord]:
     """Read the records ``write_records`` wrote, as ``corpus.json_lines`` splits lines.
 
-    A leading byte-order mark is skipped.  A line that is not JSON, or not a record (not an object, a
-    stage that is not an object, a bad or missing field), raises
-    ``ValueError`` naming the file and its 1-based line number.
+    A leading byte-order mark is skipped.  A line that is not JSON, or not a
+    record (not an object, a stage that is not an object, a bad or missing
+    field), raises ``ValueError`` naming the file and its 1-based line number.
     """
     records = []
     with open(path, encoding="utf-8-sig") as f:
