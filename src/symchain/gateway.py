@@ -7,7 +7,6 @@ a populated cache directory doubles as a portable replay fixture set.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -23,6 +22,11 @@ from typing import Callable, Optional, Sequence, Union
 # parser are imported where a live call needs them: offline runs (replay,
 # scripted, eval, parse, solve) never make one, and would otherwise pay
 # their import time and memory in every process.
+
+
+# The canonical request encoding behind every cache key: one encoder, built
+# once, with the settings the shipped fixtures were keyed with.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 class GatewayError(Exception):
@@ -81,8 +85,7 @@ class CompletionRequest:
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(_CANONICAL.encode(payload).encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -122,11 +125,17 @@ class CompletionCache:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.directory, "")
 
     def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        return Path(self._file(key))
 
-    def load(self, key: str) -> Optional[CompletionResponse]:
+    def _file(self, key: str) -> str:
+        # a plain string: reading an entry on every cache hit builds no Path
+        return f"{self._prefix}{key}.json"
+
+    def load(self, key: str, backend: str = "cache") -> Optional[CompletionResponse]:
+        """The stored response, tagged with the ``backend`` that asked for it."""
         data = self.entry(key)
         if data is None:
             return None
@@ -135,7 +144,7 @@ class CompletionCache:
             content=resp["content"],
             prompt_tokens=resp.get("prompt_tokens", 0),
             completion_tokens=resp.get("completion_tokens", 0),
-            backend="cache",
+            backend=backend,
         )
 
     def store(self, request: CompletionRequest, response: CompletionResponse) -> str:
@@ -161,10 +170,12 @@ class CompletionCache:
     def entry(self, key: str) -> Optional[dict]:
         """The stored entry, or None when there is none (or it was just removed)."""
         try:
-            text = self.path_for(key).read_text(encoding="utf-8")
+            with open(self._file(key), "rb") as f:
+                raw = f.read()
         except FileNotFoundError:
             return None
-        return json.loads(text)
+        # decoded first: json.loads would take bytes with a BOM or in UTF-16
+        return json.loads(raw.decode("utf-8"))
 
     def remove(self, key: str) -> bool:
         try:
@@ -222,10 +233,10 @@ class ReplayBackend(Backend):
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         key = request.cache_key()
-        response = self.cache.load(key)
+        response = self.cache.load(key, "replay")
         if response is None:
             raise ReplayMissError(key)
-        return dataclasses.replace(response, backend="replay")
+        return response
 
 
 class CachingBackend(Backend):
