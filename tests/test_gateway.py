@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import textwrap
 import threading
 from datetime import datetime, timedelta, timezone
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 import requests
+from click.testing import CliRunner
 
+from symchain.cli import main
 from symchain.corpus import mini_corpus
 from symchain.gateway import (
     AuthError, Backend, CachingBackend, CompletionCache, CompletionRequest,
@@ -51,6 +55,24 @@ class TestCompletionRequest:
             CompletionRequest(model="m", messages=(("user", "a"),), temperature=0.5).cache_key()
             != CompletionRequest(model="m", messages=(("user", "a"),)).cache_key()
         )
+
+    @pytest.mark.parametrize("request_", [
+        CompletionRequest(model="m", messages=(("user", "∀x (Dog(x) → ¬Cat(x)) ∧ ∃y Owns(y, x)"),)),
+        CompletionRequest(model="gpt-\"q\"", messages=(("user", 'say "hi" \\ then \\\\ again'),)),
+        CompletionRequest(model="m", messages=(("user", "line one\nline two\r\n\ttab\u2028"),)),
+        CompletionRequest(model="m", messages=(("user", "a"),), temperature=0.7, max_tokens=64),
+        CompletionRequest(model="m", messages=(("system", "Be brief ⊕ exact."), ("user", "Q: P(a)?"),
+                                               ("assistant", "True"), ("user", "Why?\n"))),
+    ], ids=["logic-symbols", "quotes-backslashes", "newlines", "float-temperature", "several-messages"])
+    def test_cache_key_is_the_hash_of_the_canonical_json(self, request_):
+        payload = {
+            "model": request_.model,
+            "messages": [[role, content] for role, content in request_.messages],
+            "temperature": request_.temperature,
+            "max_tokens": request_.max_tokens,
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert request_.cache_key() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class TestScriptedBackend:
@@ -141,6 +163,103 @@ class TestReplayBackend:
         assert cache.remove(key) is False
         with pytest.raises(ReplayMissError):
             ReplayBackend(cache).complete(req("removed"))
+
+
+def _missing(cache, key):
+    pass
+
+
+def _removed_after_keys(cache, key):
+    # listed by every keys() call, then gone before it is read
+    listed = CompletionCache.keys
+
+    def keys_then_remove(self):
+        self.path_for(key).write_text("{}", encoding="utf-8")
+        found = listed(self)
+        os.remove(self.path_for(key))
+        return found
+
+    return keys_then_remove
+
+
+def _bytes(data):
+    def write(cache, key):
+        cache.path_for(key).write_bytes(data)
+    return write
+
+
+# An entry the cache cannot serve: what ``entry`` and ``load`` give (None, or
+# the exception type every reader raises) and the line ``symchain cache ls``
+# prints for it ("" when it lists nothing).
+UNSERVABLE_ENTRIES = [
+    ("missing", _missing, None, ""),
+    ("removed-after-keys", _removed_after_keys, None, "?  ?"),
+    ("not-json", _bytes(b"not json"), json.JSONDecodeError, "?  ?"),
+    ("invalid-utf-8", _bytes(b'{"response": {"content": "\xff"}}'), UnicodeDecodeError, "?  ?"),
+    ("utf-8-bom", _bytes(b'\xef\xbb\xbf{"response": {"content": "a"}}'), json.JSONDecodeError, "?  ?"),
+]
+
+
+class TestUnservableEntries:
+    @pytest.fixture(params=UNSERVABLE_ENTRIES, ids=[row[0] for row in UNSERVABLE_ENTRIES])
+    def case(self, request, tmp_path, monkeypatch):
+        _, make, outcome, listing = request.param
+        cache = CompletionCache(tmp_path)
+        key = req("unservable").cache_key()
+        keys = make(cache, key)
+        if keys is not None:
+            monkeypatch.setattr(CompletionCache, "keys", keys)
+            assert cache.keys() == [key]  # removes the entry
+        return cache, key, outcome, listing
+
+    def test_entry_and_load(self, case):
+        cache, key, outcome, _ = case
+        if outcome is None:
+            assert cache.entry(key) is None
+            assert cache.load(key) is None
+            return
+        for read in (cache.entry, cache.load):
+            with pytest.raises(outcome) as caught:
+                read(key)
+            assert type(caught.value) is outcome
+
+    def test_backends(self, case):
+        cache, key, outcome, _ = case
+        if outcome is None:
+            with pytest.raises(ReplayMissError):
+                ReplayBackend(cache).complete(req("unservable"))
+            response = CachingBackend(ScriptedBackend(["live"]), cache).complete(req("unservable"))
+            assert (response.content, response.backend) == ("live", "scripted")
+            return
+        for backend in (ReplayBackend(cache), CachingBackend(ScriptedBackend(["live"]), cache)):
+            with pytest.raises(outcome) as caught:
+                backend.complete(req("unservable"))
+            assert type(caught.value) is outcome
+
+    def test_cache_ls(self, case):
+        cache, key, _, listing = case
+        result = CliRunner().invoke(main, ["cache", "ls", "--dir", str(cache.directory)])
+        assert result.exit_code == 0, result.output
+        assert result.output == (f"{key}  {listing}\n" if listing else "")
+
+    def test_crlf_entry_reads_as_written(self, tmp_path):
+        cache = CompletionCache(tmp_path)
+        key = cache.store(req("crlf"), CompletionResponse("a\nb", prompt_tokens=1))
+        written = cache.entry(key)
+        path = cache.path_for(key)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert cache.entry(key) == written
+
+
+class TestResponseSource:
+    def test_one_entry_is_tagged_by_the_backend_that_reads_it(self, tmp_path):
+        cache = CompletionCache(tmp_path)
+        cache.store(req("tagged"), CompletionResponse("stored", prompt_tokens=3, completion_tokens=1))
+        replayed = ReplayBackend(cache).complete(req("tagged"))
+        cached = CachingBackend(ScriptedBackend([]), cache).complete(req("tagged"))
+        assert replayed == CompletionResponse("stored", 3, 1, backend="replay")
+        assert cached == CompletionResponse("stored", 3, 1, backend="cache")
+        assert cache.load(req("tagged").cache_key()) == cached
 
 
 class CountingBackend(Backend):
