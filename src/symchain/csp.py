@@ -213,10 +213,13 @@ def print_expr(expr: ConstraintExpr) -> str:
             text = f"AllDifferentConstraint([{', '.join(e.names)}])"
         elif isinstance(e, CNot):
             text = f"not ({texts.pop()})"
+        elif isinstance(e, CImplies):
+            text = f"({texts.pop()}) -> ({texts.pop()})"
         else:
-            first, second = texts.pop(), texts.pop()
-            text = (f"({first}) -> ({second})" if isinstance(e, CImplies)
-                    else f"({first} {'and' if isinstance(e, CAnd) else 'or'} {second})")
+            # ``->`` binds loosest, so an implication operand keeps brackets
+            first, second = (f"({texts.pop()})" if isinstance(operand, CImplies) else texts.pop()
+                             for operand in (e.left, e.right))
+            text = f"({first} {'and' if isinstance(e, CAnd) else 'or'} {second})"
         texts.append(text)
     return texts[0]
 

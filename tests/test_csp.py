@@ -670,3 +670,50 @@ class TestCompiledConstraints:
                 assert verdict.statuses[letter] is (
                     OptionStatus.MUST_BE_TRUE if all(holds) else
                     OptionStatus.MAY_BE_TRUE if any(holds) else OptionStatus.CANNOT_BE_TRUE)
+
+
+def _verdict(model: CspModel):
+    try:
+        return evaluate_queries(model).statuses
+    except CspError as err:
+        return type(err).__name__
+
+
+class TestPrintedConstraintsParseBack:
+    @pytest.mark.parametrize("text,printed", [
+        ("b == 1 and (a == 2 -> b == 2)", "(b == 1 and ((a == 2) -> (b == 2)))"),
+        ("(a == 1 -> b == 1) or c == 1", "(((a == 1) -> (b == 1)) or c == 1)"),
+        ("(a == 1 -> b == 1) and (b == 1 -> c == 1)",
+         "(((a == 1) -> (b == 1)) and ((b == 1) -> (c == 1)))"),
+        ("not (a == 1 -> b == 1) or c == 1", "(not ((a == 1) -> (b == 1)) or c == 1)"),
+        ("a == 1 and b == 1 -> c == 1", "((a == 1 and b == 1)) -> (c == 1)"),
+    ], ids=["and-right", "or-left", "both", "under-not", "top-level"])
+    def test_implication_operand_keeps_its_brackets(self, text, printed):
+        expr = parse_constraint(text)
+        assert print_expr(expr) == printed
+        assert parse_constraint(printed) == expr
+
+    def test_printed_model_keeps_its_verdict(self):
+        # b == 1 and (a == 2 -> b == 2) forces b = 1, so a != 2
+        model = CspModel(2, variables=[("a", (1, 2)), ("b", (1, 2))],
+                         constraints=[parse_constraint("b == 1 and (a == 2 -> b == 2)")],
+                         queries=[("A", parse_constraint("a == 1")), ("B", parse_constraint("a == 2"))])
+        back, diagnostics = parse_csp_block(model.to_text())
+        assert diagnostics == []
+        assert back.constraints == model.constraints
+        assert _verdict(back) == _verdict(model) == {
+            "A": OptionStatus.MUST_BE_TRUE, "B": OptionStatus.CANNOT_BE_TRUE}
+
+    def test_random_models_survive_the_round_trip(self):
+        rng = random.Random(2000)
+        failed = []
+        for index in range(2000):
+            model = helpers.random_csp_model(rng)
+            back, diagnostics = parse_csp_block(model.to_text())
+            if diagnostics or (back.domain_size, back.variables, back.constraints, back.queries) != (
+                    model.domain_size, model.variables, model.constraints, model.queries):
+                failed.append(index)
+            elif _verdict(back) != _verdict(model):
+                failed.append(index)
+        assert failed == []
+
