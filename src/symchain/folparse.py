@@ -420,6 +420,11 @@ class TranslationBlock:
                 args = ", ".join("xyz"[i] if i < 3 else f"x{i}" for i in range(arity))
                 line = f"{name}({args})"
                 out.append(f"{line} ::: {gloss}" if gloss else line)
+        if self.premises:
+            out.append("Premises:")
+            for formula, gloss in self.premises:
+                line = print_formula(formula)
+                out.append(f"{line} ::: {gloss}" if gloss else line)
         if self.kb is not None:
             out.append("Facts:")
             for fact in self.kb.facts:
@@ -428,11 +433,6 @@ class TranslationBlock:
                 out.append("Rules:")
                 for rule in self.kb.rules:
                     out.append(rule.to_text())
-        elif self.premises:
-            out.append("Premises:")
-            for formula, gloss in self.premises:
-                line = print_formula(formula)
-                out.append(f"{line} ::: {gloss}" if gloss else line)
         if self.statement is not None:
             out.append("Query:")
             line = print_formula(self.statement)
@@ -450,15 +450,15 @@ class SectionLine(NamedTuple):
     offset: int  # of the first character of ``text`` in the block
 
 
-def read_sections(text: str, header_re: re.Pattern) -> tuple[list[str], list[SectionLine]]:
+def read_sections(text: str, header_re: re.Pattern) -> tuple[dict[str, int], list[SectionLine]]:
     """Split a labeled block into its header sections and content lines.
 
     A line loses its bullet (``-``, ``*``, ``•``, ``1.``, ``1)``) before it
     is matched against ``header_re``, whose named group that matched is the
-    section's name.  Returns the section of every header, in order, and
-    every content line.
+    section's name.  Returns the offset of each section's first header, by
+    section in the order they first appear, and every content line.
     """
-    headers: list[str] = []
+    headers: dict[str, int] = {}
     lines: list[SectionLine] = []
     section = None
     offset = 0
@@ -466,20 +466,20 @@ def read_sections(text: str, header_re: re.Pattern) -> tuple[list[str], list[Sec
         line = raw.rstrip("\n")
         stripped = _BULLET_RE.sub("", line)
         m = header_re.match(stripped)
+        start = offset + len(line) - len(stripped.lstrip())
         if m:
             section = m.lastgroup
-            headers.append(section)
+            headers.setdefault(section, start)
         else:
             content = stripped.strip()
             if content:
                 body, _, gloss = content.partition(":::")
-                lines.append(SectionLine(section, content, body.strip(), gloss.strip(),
-                                         offset + len(line) - len(stripped.lstrip())))
+                lines.append(SectionLine(section, content, body.strip(), gloss.strip(), start))
         offset += len(raw)
     return headers, lines
 
 
-def read_fol_sections(text: str) -> tuple[list[str], list[SectionLine]]:
+def read_fol_sections(text: str) -> tuple[dict[str, int], list[SectionLine]]:
     """:func:`read_sections` of ``text`` under the FOL translation block headers."""
     return read_sections(text, _HEADER_RE)
 
@@ -515,7 +515,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     raised; a block with any error diagnostic is not executable.  A block
     with no recognizable sections at all raises :class:`ParseError`.
     """
-    _, lines = read_fol_sections(text)
+    headers, lines = read_fol_sections(text)
     if all(line.section is None for line in lines):
         raise ParseError(0, "no sections found")
     block = TranslationBlock()
@@ -595,6 +595,11 @@ def parse_translation_block(text: str) -> TranslationBlock:
             block.kb = KnowledgeBase(facts, rules)
         except LogicError as err:
             block.diagnostics.append(ParseDiagnostic(_kb_fault_offset(err, kb_lines), str(err)))
+    if block.kb is not None and block.premises:
+        ignored = "; ".join(print_formula(formula) for formula, _ in block.premises)
+        block.diagnostics.append(ParseDiagnostic(
+            headers["premises"], f"premises beside Facts/Rules are not read by the engine: {ignored}",
+            Severity.WARNING))
     if block.kb is not None and block.statement is not None:
         # every atom of the statement, folded as decide_formula folds it
         arities = block.kb.predicate_arities

@@ -91,6 +91,14 @@ class TestParse:
         block = runner.invoke(main, ["parse", "-", "--format", "fol"], input=f"Premises:\n{lines}Query:\nP(a)\n")
         assert (block.exit_code, block.stderr) == (1, error.format(23))
 
+    def test_premises_beside_facts_are_printed_with_a_warning(self, runner):
+        text = "Facts:\nDog(rex, True)\nPremises:\nAnimal(rex)\nQuery:\nAnimal(rex, True)\n"
+        result = runner.invoke(main, ["parse", "-", "--format", "fol"], input=text)
+        assert (result.exit_code, result.stdout) == (
+            0, "Premises:\nAnimal(rex)\nFacts:\nDog(rex, True)\nQuery:\nAnimal(rex)\n")
+        assert result.stderr == (
+            "warning at offset 22: premises beside Facts/Rules are not read by the engine: Animal(rex)\n")
+
     def test_bare_formula_lines_lose_their_bullets(self, runner):
         result = runner.invoke(main, ["parse", "-", "--format", "fol"], input="- P(a)\n2. Q(b) ::: gloss\n")
         assert (result.exit_code, result.stdout, result.stderr) == (0, "P(a)\nQ(b)\n", "")

@@ -559,3 +559,34 @@ Love(miroslav, music) ::: Miroslav loved music.
                                         "Query:\nQ(a, True)\n")
         (rule,) = block.kb.rules
         assert rule.body[0].args == (v("a"),) and formula_to_literal(block.statement).args == (c("a"),)
+
+
+IGNORED = "premises beside Facts/Rules are not read by the engine: "
+
+
+class TestPremisesBesideAKnowledgeBase:
+    TEXT = "Facts:\nDog(rex, True)\nPremises:\nAnimal(rex)\nQuery:\nAnimal(rex, True)\n"
+
+    def test_premises_are_printed_and_named_in_a_warning_at_their_header(self):
+        block = parse_translation_block(self.TEXT)
+        assert block.diagnostics == [
+            ParseDiagnostic(self.TEXT.index("Premises:"), IGNORED + "Animal(rex)", Severity.WARNING)]
+        assert block.executable
+        assert block.to_text() == "Premises:\nAnimal(rex)\nFacts:\nDog(rex, True)\nQuery:\nAnimal(rex)"
+
+    def test_printed_block_parses_back_to_the_same_sections(self):
+        block = parse_translation_block(self.TEXT)
+        again = parse_translation_block(block.to_text())
+        assert (again.premises, again.kb, again.statement) == (block.premises, block.kb, block.statement)
+
+    def test_warning_is_at_the_first_header_and_names_every_premise(self):
+        text = ("Rules:\nP($x, True) ⇒ Q($x, True)\n- Premises:\n∀x (P(x) → R(x)) ::: gloss\n"
+                "Query:\nQ(a, True)\nPremises:\nR(a) ∧ S(a)\n")
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(
+            text.index("Premises:"), IGNORED + "∀x (P(x) → R(x)); R(a) ∧ S(a)", Severity.WARNING)]
+        assert "Premises:\n∀x (P(x) → R(x)) ::: gloss\nR(a) ∧ S(a)\nFacts:\nRules:\n" in block.to_text()
+
+    def test_premises_without_a_knowledge_base_give_no_warning(self):
+        block = parse_translation_block("Premises:\nAnimal(rex)\nQuery:\nAnimal(rex)\n")
+        assert block.diagnostics == [] and block.kb is None
