@@ -240,10 +240,14 @@ class CspModel:
         if self.domain_size < 1:
             raise CspError("domain size must be ≥ 1")
         declared: set[str] = set()
-        for name, _ in self.variables:
+        for name, values in self.variables:
             if name in declared:
                 raise CspError("variable names must be unique", name)
             declared.add(name)
+            # the parser rejects values below 1 and sizes the domain to the
+            # largest value, so only a model built in code fails this
+            if values and not 1 <= min(values) <= max(values) <= self.domain_size:
+                raise CspError(f"variable {name} has a value outside 1..{self.domain_size}", name)
         for expr in self.constraints:
             undeclared = expr_variables(expr) - declared
             if undeclared:

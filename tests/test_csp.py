@@ -717,3 +717,23 @@ class TestPrintedConstraintsParseBack:
                 failed.append(index)
         assert failed == []
 
+
+class TestModelValues:
+    @pytest.mark.parametrize("domain_size,values", [
+        (1, (0, 1)), (1, (1, 2)), (3, (-1,)), (2, (1, 2, 3)),
+    ], ids=["zero", "above", "negative", "above-after-in-range"])
+    def test_value_outside_the_domain_is_rejected(self, domain_size, values):
+        with pytest.raises(CspError, match=f"outside 1..{domain_size}") as caught:
+            CspModel(domain_size=domain_size, variables=[("b", (1,)), ("a", values)],
+                     constraints=[], queries=[("A", Compare("a", "==", 1))])
+        assert caught.value.subject == "a"
+
+    def test_values_within_the_domain_are_accepted(self):
+        model = CspModel(domain_size=3, variables=[("a", (3, 1)), ("b", (2,))], queries=[])
+        assert len(solve_all(model).solutions) == 2
+
+    def test_parser_sizes_the_domain_to_the_largest_value(self):
+        model, diagnostics = parse_csp_block(
+            "Domain:\n1 to 2\nVariables:\na ∈ {1, 3}\nConstraints:\nQuery:\nA) a == 3\n")
+        assert diagnostics == []
+        assert (model.domain_size, model.variables) == (3, [("a", (1, 3))])
