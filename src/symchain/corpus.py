@@ -34,9 +34,11 @@ class LoadError:
     record_id: str
     kind: str  # "MissingField", "UnknownLabel" or "Malformed"
     detail: str
+    line: Optional[int] = None  # the 1-based physical line of a JSON-lines record
 
     def __str__(self):
-        return f"{self.kind}({self.record_id}): {self.detail}"
+        where = "" if self.line is None else f", line {self.line}"
+        return f"{self.kind}({self.record_id}){where}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -266,29 +268,30 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
     A line that is not JSON, or a record that is not a JSON object, becomes
     a ``Malformed`` error named ``record-<i>``, and a record whose options
     or depth have the wrong shape a ``Malformed`` error under its id; the
-    other records still load.  A leading byte-order mark is skipped.
+    other records still load.  An error in a JSON-lines file names its
+    physical line.  A leading byte-order mark is skipped.
     """
     result = LoadResult()
     with open(path, encoding="utf-8-sig") as f:
         if _first_non_space(f) == "[":
-            records = json.load(f)
+            records = ((None, record) for record in json.load(f))
         else:
-            records = (value for _, value in json_lines(f))
-        for i, record in enumerate(records):
+            records = json_lines(f)
+        for i, (line, record) in enumerate(records):
             if not isinstance(record, dict):
                 detail = (f"invalid JSON: {record}" if isinstance(record, json.JSONDecodeError)
                           else f"expected a JSON object, got {type(record).__name__}")
-                result.errors.append(LoadError(f"record-{i}", "Malformed", detail))
+                result.errors.append(LoadError(f"record-{i}", "Malformed", detail, line))
                 continue
             rid = str(_pick(record, "id") or f"record-{i}")
             try:
                 result.problems.append(normalize_record(record, info_of(record)))
             except KeyError as err:
-                result.errors.append(LoadError(rid, "MissingField", str(err.args[0])))
+                result.errors.append(LoadError(rid, "MissingField", str(err.args[0]), line))
             except MalformedFieldError as err:
-                result.errors.append(LoadError(rid, "Malformed", str(err)))
+                result.errors.append(LoadError(rid, "Malformed", str(err), line))
             except (ValueError, CorpusError) as err:
-                result.errors.append(LoadError(rid, "UnknownLabel", str(err)))
+                result.errors.append(LoadError(rid, "UnknownLabel", str(err), line))
     return result
 
 

@@ -414,7 +414,7 @@ class TestRunEvalReport:
         records = tmp_path / "records.jsonl"
         write_records(run_batch(problems, Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)), records)
         result = runner.invoke(main, ["eval", str(records), "--gold", str(gold)])
-        assert (result.exit_code, result.stderr) == (1, "MissingField(prontoqa-max-sour): gold\n"
+        assert (result.exit_code, result.stderr) == (1, "MissingField(prontoqa-max-sour), line 2: gold\n"
                                                         "records without gold labels: prontoqa-max-sour\n")
 
     def test_eval_records_line_not_json_exit_one(self, runner, tmp_path, corpus):

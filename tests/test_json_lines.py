@@ -13,7 +13,9 @@ import re
 import warnings
 
 import pytest
+from click.testing import CliRunner
 
+from symchain.cli import main
 from symchain.corpus import Problem, dump_problems, load, load_normalized
 from symchain.logic import Label
 from symchain.pipeline import Method, RunRecord, StageRecord, read_records, write_records
@@ -112,3 +114,33 @@ def test_load_normalized_skips_the_line_that_is_not_json(tmp_path, layout):
     result = load_normalized(path)
     assert result.problems == [PROBLEMS[0], PROBLEMS[1]]
     assert [(e.record_id, e.kind) for e in result.errors] == [("record-1", "Malformed")]
+
+
+def test_load_errors_name_the_physical_line(tmp_path):
+    """Blank lines before it put the bad record on line 6; the error names
+    that line, whatever its position among the records."""
+    lines = dump_problems(PROBLEMS).split("\n")
+    result = load_normalized(lay_out(tmp_path, "blank-lines", [lines[0], lines[1][:-1], lines[1]]))
+    assert [(e.record_id, e.kind, e.line) for e in result.errors] == [("record-1", "Malformed", 6)]
+    assert str(result.errors[0]).startswith("Malformed(record-1), line 6: invalid JSON: ")
+
+    (good,), _ = RAW["ProofWriter"]
+    bad = {key: value for key, value in good.items() if key != "answer"}
+    path = lay_out(tmp_path, "blank-lines", [json.dumps(r, ensure_ascii=False) for r in (good, bad, good)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the file is smaller than the published split
+        result = load("ProofWriter", path)
+        run = CliRunner().invoke(main, ["run", "--method", "cot", "--dataset", "ProofWriter",
+                                        "--data-file", str(path), "--limit", "0",
+                                        "--replay", str(tmp_path / "cache"), "--out", str(tmp_path / "out.jsonl")])
+    [error] = result.errors
+    assert (error.kind, error.line) == ("MissingField", 6)
+    assert str(error) == f"MissingField({good['example_id']}), line 6: {error.detail}"
+    assert (run.exit_code, run.stderr) == (0, f"{error}\n")
+
+
+def test_json_array_load_errors_have_no_line(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps([5]), encoding="utf-8")
+    [error] = load_normalized(path).errors
+    assert (error.line, str(error)) == (None, "Malformed(record-0): expected a JSON object, got int")
