@@ -180,17 +180,10 @@ def cmd_run(method, dataset, data_file, limit, replay, config_path, out, paralle
     records = run_batch(problems, Method(method or config.method), config, gateway)
     write_records(records, out or "-")
 
-    misses = [r for r in records if r.error and "ReplayMiss" in r.error]
-    if misses:
-        click.echo("replay misses:", err=True)
-        for r in misses:
-            click.echo(f"  {r.problem_id}: {r.error}", err=True)
-        sys.exit(1)
     errors = [r for r in records if r.error]
-    if errors:
-        for r in errors:
-            click.echo(f"error: {r.problem_id}: {r.error}", err=True)
-        sys.exit(1)
+    for r in errors:  # replay misses among them
+        click.echo(f"error: {r.problem_id}: {r.error}", err=True)
+    sys.exit(1 if errors else 0)
 
 
 # ---------------------------------------------------------------------------

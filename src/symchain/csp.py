@@ -255,7 +255,7 @@ class CspModel:
         letters: set[str] = set()
         for letter, expr in self.queries:
             if letter in letters:
-                raise CspError(f"option {letter} is queried twice")
+                raise CspError(f"option {letter} is queried twice", expr)
             letters.add(letter)
             undeclared = expr_variables(expr) - declared
             if undeclared:
@@ -464,9 +464,6 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
             if options is not None and letter not in options:
                 diagnostics.append(ParseDiagnostic(pos, f"the problem has no option {letter}"))
                 continue
-            if any(seen == letter for seen, _ in queries):
-                diagnostics.append(ParseDiagnostic(pos, f"option {letter} is queried twice"))
-                continue
             try:
                 expr = parse_constraint(qm.group("rest").partition(":")[0])
             except ParseError as err:
@@ -477,10 +474,7 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
 
     if not headers:
         raise ParseError(0, "no sections found")
-    if "queries" not in headers:
-        diagnostics.append(ParseDiagnostic(len(text), "missing Query section"))
-        return None, diagnostics
-    if not variables:
+    if not variables and "queries" in headers:
         diagnostics.append(ParseDiagnostic(len(text), "no variables declared"))
         return None, diagnostics
     if not any(line.section == "queries" for line in lines):
@@ -504,7 +498,8 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
 def _model_fault_offset(err: CspError, subjects: list[tuple[object, int]]) -> int:
     """The offset of the line that causes a fault ``CspModel`` raises: a
     repeated variable name at the line that repeats it, a rejected constraint
-    or query at its line.  Other faults, which name no subject, are at offset 0."""
+    or query (a repeated option included) at its line.  Other faults, which
+    name no subject, are at offset 0."""
     if isinstance(err.subject, str):
         return [pos for subject, pos in subjects if subject == err.subject][1]
     return next((pos for subject, pos in subjects if subject is err.subject), 0)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .logic import (
     BINARY_NODES, And, ArityMismatchError, Atom, Constant, Exists, ForAll, Formula, FunctionApp,
-    FunctionSymbolError, Iff, Implies, InconsistencyError, KnowledgeBase, LogicError, Not, Or, Rule,
+    Iff, Implies, InconsistencyError, KnowledgeBase, LogicError, Not, Or, Rule,
     SignedLiteral, Term, Variable, Xor, operands, subformulas,
 )
 
@@ -494,8 +494,8 @@ def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
     An arity clash is at the first line, in block order, that uses the
     predicate with the arity the error names as used; an inconsistency at
     the first fact line of whichever polarity of the literal appears last;
-    a function symbol at the first line holding the literal the error
-    names.  Other faults, which no parsed line causes, are at offset 0.
+    a function symbol, the only other fault a block of ground facts can
+    raise, at the first line holding the literal the error names.
     """
     def first(holds: Callable[[SignedLiteral], bool], section: Optional[str] = None) -> int:
         return next(offset for offset, s, lits in kb_lines if section in (None, s) and any(map(holds, lits)))
@@ -503,9 +503,7 @@ def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
         return first(lambda lit: lit.predicate == err.name and len(lit.args) == err.seen)
     if isinstance(err, InconsistencyError):
         return max(first(err.literal.__eq__, "facts"), first(err.literal.negated().__eq__, "facts"))
-    if isinstance(err, FunctionSymbolError):
-        return first(err.literal.__eq__)
-    return 0
+    return first(err.literal.__eq__)  # a FunctionSymbolError
 
 
 def parse_translation_block(text: str) -> TranslationBlock:

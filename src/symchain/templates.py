@@ -202,9 +202,7 @@ def parse_demo_file(text: str) -> list[tuple[str, str]]:
 def _packaged_demos(family: Family, stage: Stage) -> tuple[tuple[str, str], ...]:
     """The demos packaged for ``(family, stage)``, read and parsed once per process."""
     ref = resources.files("symchain").joinpath("data", "demos", family.value, f"{stage.value}.txt")
-    if ref.is_file():
-        return tuple(parse_demo_file(ref.read_text(encoding="utf-8")))
-    return ()
+    return tuple(parse_demo_file(ref.read_text(encoding="utf-8")))
 
 
 def _override(directory: Optional[Path], stage: Stage, family: Family) -> Optional[str]:

@@ -8,8 +8,9 @@ from symchain.cli import main
 from symchain.corpus import dump_problems, mini_corpus
 from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
 from symchain.gateway import CompletionCache, CompletionRequest, CompletionResponse
+from symchain.logic import Label
 from symchain.pipeline import (
-    NOT_EXECUTABLE, Method, RunConfig, parse_translation, run_batch, run_problem, write_records,
+    NOT_EXECUTABLE, Method, RunConfig, RunRecord, parse_translation, run_batch, run_problem, write_records,
 )
 from test_golden import _mutated_blocks
 
@@ -269,6 +270,22 @@ class TestRunEvalReport:
         ])
         assert result.exit_code == 1
         assert "ReplayMiss" in result.output + (result.stderr or "")
+
+    def test_run_reports_a_replay_miss_beside_the_other_errors(self, runner, tmp_path, monkeypatch):
+        import symchain.cli as cli_mod
+
+        def batch(problems, method, config, gateway):
+            return [RunRecord(p.id, method, False, Label.UNDECIDED, error=error) for p, error in zip(problems, (
+                "ReplayMissError: no cached completion for key 0f", None, "UnicodeDecodeError: invalid start byte"))]
+        monkeypatch.setattr(cli_mod, "run_batch", batch)
+        result = runner.invoke(main, [
+            "run", "--method", "cot", "--replay", "--limit", "3", "--out", str(tmp_path / "r.jsonl"),
+        ])
+        ids = [p.id for p in mini_corpus().problems[:3]]
+        assert result.exit_code == 1
+        assert result.stderr == (f"error: {ids[0]}: ReplayMissError: no cached completion for key 0f\n"
+                                 f"error: {ids[2]}: UnicodeDecodeError: invalid start byte\n")
+        assert len((tmp_path / "r.jsonl").read_text().splitlines()) == 3
 
     def test_limit(self, runner, tmp_path):
         out = tmp_path / "records.jsonl"

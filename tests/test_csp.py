@@ -178,13 +178,21 @@ class TestParseCspBlock:
         text = "Variables:\na ∈ {1, 2}\nConstraints:\na == 1\nQuery:\nA) a == 1\nA) a == 2\nB) a == 2\n"
         model, diagnostics = parse_csp_block(text)
         assert diagnostics == [ParseDiagnostic(text.index("A) a == 2"), "option A is queried twice")]
-        assert model.queries == [("A", Compare("a", "==", 1)), ("B", Compare("a", "==", 2))]
+        assert model is None  # the model refuses it, as it refuses a repeated variable name
+
+    def test_only_the_first_repeated_option_is_reported_after_the_line_diagnostics(self):
+        text = "Variables:\na ∈ {1, 2}\nConstraints:\nQuery:\nA) a == 1\nB) a == 1\nA) a == 2\nB) a == 2\nC a\n"
+        assert parse_csp_block(text) == (None, [
+            ParseDiagnostic(text.index("C a"), "query line must start with an option letter: 'C a'"),
+            ParseDiagnostic(text.index("A) a == 2"), "option A is queried twice"),
+        ])
 
     def test_model_refuses_an_option_queried_twice(self):
-        with pytest.raises(CspError, match="^option A is queried twice$"):
+        repeat = Compare("a", "==", 2)
+        with pytest.raises(CspError, match="^option A is queried twice$") as info:
             CspModel(domain_size=2, variables=[("a", (1, 2))], constraints=[Compare("a", "==", 1)],
-                     queries=[("A", Compare("a", "==", 1)), ("A", Compare("a", "==", 2)),
-                              ("B", Compare("a", "==", 2))])
+                     queries=[("A", Compare("a", "==", 1)), ("A", repeat), ("B", Compare("a", "==", 2))])
+        assert info.value.subject is repeat
 
     @pytest.mark.parametrize("line,diagnostic", [
         ("a = 1,2", ParseDiagnostic(11, "cannot read variable declaration: 'a = 1,2'")),

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from symchain import templates
 from symchain.corpus import mini_corpus
 from symchain.folparse import Severity
 from symchain.pipeline import NO_KNOWLEDGE_BASE, extract_label, parse_translation, solve_translation
@@ -121,6 +122,12 @@ def test_rendered_prompt_is_unchanged(catalog, family, stage):
     }
     prompt = catalog.get(stage, family).render(bindings, few_shot=2)
     assert sha256(prompt) == RENDERED_SHA256[(family.value, stage.value)]
+
+
+@pytest.mark.parametrize("family,stage", PAIRS, ids=PAIR_IDS)
+def test_every_pair_ships_demos(family, stage):
+    # the catalog reads each packaged demo file unconditionally
+    assert templates._packaged_demos(family, stage)
 
 
 @pytest.mark.parametrize("family,stage", PAIRS, ids=PAIR_IDS)
