@@ -135,17 +135,20 @@ class CompletionCache:
         return f"{self._prefix}{key}.json"
 
     def load(self, key: str, backend: str = "cache") -> Optional[CompletionResponse]:
-        """The stored response, tagged with the ``backend`` that asked for it."""
-        data = self.entry(key)
-        if data is None:
+        """The stored response, tagged with the ``backend`` that asked for it;
+        None when there is no entry or it cannot be served: not UTF-8, not
+        JSON, prefixed by a byte-order mark, or no object holding
+        ``response.content``."""
+        try:
+            resp = self.entry(key)["response"]
+            return CompletionResponse(
+                content=resp["content"],
+                prompt_tokens=resp.get("prompt_tokens", 0),
+                completion_tokens=resp.get("completion_tokens", 0),
+                backend=backend,
+            )
+        except (TypeError, KeyError, ValueError):  # TypeError: no entry, or not an object
             return None
-        resp = data["response"]
-        return CompletionResponse(
-            content=resp["content"],
-            prompt_tokens=resp.get("prompt_tokens", 0),
-            completion_tokens=resp.get("completion_tokens", 0),
-            backend=backend,
-        )
 
     def store(self, request: CompletionRequest, response: CompletionResponse) -> str:
         key = request.cache_key()

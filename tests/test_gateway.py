@@ -188,53 +188,54 @@ def _bytes(data):
     return write
 
 
-# An entry the cache cannot serve: what ``entry`` and ``load`` give (None, or
-# the exception type every reader raises) and the line ``symchain cache ls``
-# prints for it ("" when it lists nothing).
+# An entry the cache cannot serve, which ``load`` reads as a miss: what
+# ``entry`` gives (its value, or the exception type it raises) and the line
+# ``symchain cache ls`` prints for it ("" when it lists nothing).
 UNSERVABLE_ENTRIES = [
     ("missing", _missing, None, ""),
     ("removed-after-keys", _removed_after_keys, None, "?  ?"),
     ("not-json", _bytes(b"not json"), json.JSONDecodeError, "?  ?"),
     ("invalid-utf-8", _bytes(b'{"response": {"content": "\xff"}}'), UnicodeDecodeError, "?  ?"),
+    ("lone-invalid-byte", _bytes(b"\xff"), UnicodeDecodeError, "?  ?"),
     ("utf-8-bom", _bytes(b'\xef\xbb\xbf{"response": {"content": "a"}}'), json.JSONDecodeError, "?  ?"),
+    ("null", _bytes(b"null"), None, "?  ?"),
+    ("not-an-object", _bytes(b'["response"]'), ["response"], "?  ?"),
+    ("no-response", _bytes(b'{"timestamp": "t"}'), {"timestamp": "t"}, "?  t"),
+    ("response-not-an-object", _bytes(b'{"response": "a"}'), {"response": "a"}, "?  ?"),
+    ("no-content", _bytes(b'{"response": {"prompt_tokens": 1}}'), {"response": {"prompt_tokens": 1}}, "?  ?"),
 ]
 
 
 class TestUnservableEntries:
     @pytest.fixture(params=UNSERVABLE_ENTRIES, ids=[row[0] for row in UNSERVABLE_ENTRIES])
     def case(self, request, tmp_path, monkeypatch):
-        _, make, outcome, listing = request.param
+        _, make, entry, listing = request.param
         cache = CompletionCache(tmp_path)
         key = req("unservable").cache_key()
         keys = make(cache, key)
         if keys is not None:
             monkeypatch.setattr(CompletionCache, "keys", keys)
             assert cache.keys() == [key]  # removes the entry
-        return cache, key, outcome, listing
+        return cache, key, entry, listing
 
     def test_entry_and_load(self, case):
-        cache, key, outcome, _ = case
-        if outcome is None:
-            assert cache.entry(key) is None
-            assert cache.load(key) is None
+        cache, key, entry, _ = case
+        assert cache.load(key) is None
+        if not isinstance(entry, type):
+            assert cache.entry(key) == entry
             return
-        for read in (cache.entry, cache.load):
-            with pytest.raises(outcome) as caught:
-                read(key)
-            assert type(caught.value) is outcome
+        with pytest.raises(entry) as caught:
+            cache.entry(key)
+        assert type(caught.value) is entry
 
     def test_backends(self, case):
-        cache, key, outcome, _ = case
-        if outcome is None:
-            with pytest.raises(ReplayMissError):
-                ReplayBackend(cache).complete(req("unservable"))
-            response = CachingBackend(ScriptedBackend(["live"]), cache).complete(req("unservable"))
-            assert (response.content, response.backend) == ("live", "scripted")
-            return
-        for backend in (ReplayBackend(cache), CachingBackend(ScriptedBackend(["live"]), cache)):
-            with pytest.raises(outcome) as caught:
-                backend.complete(req("unservable"))
-            assert type(caught.value) is outcome
+        cache, key, _, _ = case
+        with pytest.raises(ReplayMissError):
+            ReplayBackend(cache).complete(req("unservable"))
+        response = CachingBackend(ScriptedBackend(["live"]), cache).complete(req("unservable"))
+        assert (response.content, response.backend) == ("live", "scripted")
+        # the live reply overwrites the entry
+        assert cache.load(key) == CompletionResponse("live", 1, 1, backend="cache")
 
     def test_cache_ls(self, case):
         cache, key, _, listing = case

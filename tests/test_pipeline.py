@@ -10,7 +10,7 @@ import symchain
 from symchain.corpus import mini_corpus
 from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
 from symchain.folparse import parse_translation_block
-from symchain.gateway import CompletionCache, ReplayBackend
+from symchain.gateway import CachingBackend, CompletionCache, ReplayBackend
 from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
@@ -263,6 +263,19 @@ class TestRunBatch:
         others = [r for r in records if r.problem_id != victim]
         assert all(r.error is None for r in others)
         assert all(r.executed for r in others)
+
+    def test_an_unreadable_cache_entry_is_a_miss(self, corpus, config, tmp_path):
+        problem = corpus.problems[0]
+        manifest = build_replay_fixtures(tmp_path, methods=(Method.COT,), config=config, corpus=corpus)
+        [entry] = [e for e in manifest if e.problem_id == problem.id]
+        path = CompletionCache(tmp_path).path_for(entry.cache_key)
+        written = path.read_bytes()
+        path.write_bytes(b"\xff")
+        replayed = run_problem(problem, Method.COT, config, ReplayBackend(tmp_path))
+        assert replayed.error == f"ReplayMissError: replay miss for request key {entry.cache_key}"
+        cached = run_problem(problem, Method.COT, config, CachingBackend(ScriptedCorpusBackend(corpus), tmp_path))
+        assert cached.error is None and cached.final_label is problem.gold
+        assert json.loads(path.read_bytes())["response"] == json.loads(written)["response"]
 
     def test_cache_determinism(self, corpus, config, tmp_path):
         build_replay_fixtures(tmp_path, methods=(Method.SYMBCOT,), config=config, corpus=corpus)
