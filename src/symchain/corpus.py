@@ -262,6 +262,12 @@ def json_lines(f: Iterable[str]) -> Iterator[tuple[int, object]]:
                 yield number, err
 
 
+def json_error_text(err: json.JSONDecodeError) -> str:
+    """The decoder's message and column for a line ``json_lines`` could not
+    decode; its own line number, always 1 there, is left out."""
+    return f"{err.msg}: column {err.colno}"
+
+
 def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]) -> LoadResult:
     """Normalize each record of a JSON-array or JSON-lines file under ``info_of(record)``.
 
@@ -279,7 +285,7 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
             records = json_lines(f)
         for i, (line, record) in enumerate(records):
             if not isinstance(record, dict):
-                detail = (f"invalid JSON: {record}" if isinstance(record, json.JSONDecodeError)
+                detail = (f"invalid JSON: {json_error_text(record)}" if isinstance(record, json.JSONDecodeError)
                           else f"expected a JSON object, got {type(record).__name__}")
                 result.errors.append(LoadError(f"record-{i}", "Malformed", detail, line))
                 continue

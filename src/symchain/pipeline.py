@@ -21,7 +21,7 @@ from typing import Callable, Collection, Optional, Sequence, Union
 
 from . import csp as cspmod
 from . import inference
-from .corpus import Problem, json_lines
+from .corpus import Problem, json_error_text, json_lines
 from .folparse import ParseDiagnostic, ParseError, Severity, TranslationBlock, parse_translation_block
 from .gateway import Backend, CompletionRequest
 from .logic import Label, LogicError
@@ -473,7 +473,7 @@ def read_records(path: Union[str, Path]) -> list[RunRecord]:
     with open(path, encoding="utf-8-sig") as f:
         for number, data in json_lines(f):
             if isinstance(data, json.JSONDecodeError):
-                raise ValueError(f"{path}, line {number}: not JSON ({data})")
+                raise ValueError(f"{path}, line {number}: not JSON ({json_error_text(data)})")
             try:
                 records.append(RunRecord.from_dict(data))
             except (TypeError, ValueError) as err:

@@ -139,6 +139,23 @@ def test_load_errors_name_the_physical_line(tmp_path):
     assert (run.exit_code, run.stderr) == (0, f"{error}\n")
 
 
+def test_a_line_that_is_not_json_is_named_by_its_line_and_the_decoders_column(tmp_path):
+    """Each line is decoded alone, so the decoder's own line is always 1 and
+    is left out; its message and column are kept."""
+    problem = dump_problems(PROBLEMS).split("\n")[1]
+    cut = problem.index('"question"') + 3
+    result = load_normalized(lay_out(tmp_path, "blank-lines", [problem, problem[:cut], problem]))
+    assert [str(e) for e in result.errors] == [
+        f"Malformed(record-1), line 6: invalid JSON: Unterminated string starting at: column {cut - 2}"]
+
+    record = RUN_RECORDS[0].to_json()
+    cut = record.index('"method"') + 3
+    path = lay_out(tmp_path, "blank-lines", [record, record[:cut]])
+    with pytest.raises(ValueError) as caught:
+        read_records(path)
+    assert str(caught.value) == f"{path}, line 6: not JSON (Unterminated string starting at: column {cut - 2})"
+
+
 def test_json_array_load_errors_have_no_line(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps([5]), encoding="utf-8")
