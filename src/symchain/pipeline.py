@@ -279,8 +279,8 @@ def run_stage(template: PromptTemplate, bindings: dict[str, str], gateway: Backe
               config: RunConfig, label_space: Optional[Sequence[Label]] = None) -> StageRecord:
     """Render, call the model, and parse the stage's artifact.
 
-    Parse failures land in the record's diagnostics, never raise; gateway
-    errors propagate to the caller.
+    Every parse diagnostic, warnings included, lands in the record's
+    diagnostics and none raises; gateway errors propagate to the caller.
     """
     request = render_request(template, bindings, config)
     response = gateway.complete(request)
@@ -292,7 +292,7 @@ def run_stage(template: PromptTemplate, bindings: dict[str, str], gateway: Backe
     )
     if template.stage is Stage.TRANSLATOR:
         record.artifact, diagnostics = parse_translation(response.content, template.family.is_csp, label_space)
-        record.diagnostics = [str(d) for d in diagnostics if d.severity is Severity.ERROR]
+        record.diagnostics = [str(d) for d in diagnostics]
     elif template.stage in (Stage.SOLVER, Stage.VERIFIER, Stage.NAIVE, Stage.COT):
         record.label = extract_label(response.content, label_space)
     return record

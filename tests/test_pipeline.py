@@ -319,6 +319,18 @@ class TestRunBatch:
         assert record.stages[0].diagnostics == []
         assert record.executed and record.final_label is Label.TRUE
 
+    def test_translator_record_keeps_the_parse_warnings(self, corpus, config):
+        problem = corpus.problem("proofwriter-anne-white")
+        translation = "Facts:\nP(anne, True)\nPremises:\nR(anne)\nQuery:\nP(anne, True)\nP(bob, True)\n"
+        backend = ScriptedCorpusBackend(corpus, overrides={(problem.id, "translator"): translation})
+        (record,) = run_batch([problem], Method.TRANSLATE_THEN_SOLVE, config, backend)
+        assert record.stages[0].diagnostics == [
+            f"warning at offset {translation.index('P(bob')}: extra statement line ignored: 'P(bob, True)'",
+            f"warning at offset {translation.index('Premises')}: "
+            "premises beside Facts/Rules are not read by the engine: R(anne)",
+        ]
+        assert record.executed and record.final_label is Label.TRUE
+
     def test_flat_chain_query_keeps_its_stages(self, corpus, config):
         problem = corpus.problem("proofwriter-anne-white")
         query = " ∧ ".join(["P(anne, True)"] * 1500)
