@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -10,7 +11,7 @@ from symchain.fixtures import ScriptedCorpusBackend, build_replay_fixtures
 from symchain.gateway import CompletionCache, CompletionRequest, CompletionResponse
 from symchain.logic import Label
 from symchain.pipeline import (
-    NOT_EXECUTABLE, Method, RunConfig, RunRecord, parse_translation, run_batch, run_problem, write_records,
+    NOT_EXECUTABLE, FallbackPolicy, Method, RunConfig, RunRecord, parse_translation, run_batch, run_problem, write_records,
 )
 from test_golden import _mutated_blocks
 
@@ -287,6 +288,44 @@ class TestRunEvalReport:
                                  f"error: {ids[2]}: UnicodeDecodeError: invalid start byte\n")
         assert len((tmp_path / "r.jsonl").read_text().splitlines()) == 3
 
+    def test_run_flags_reach_the_config(self, runner, tmp_path, monkeypatch):
+        import symchain.cli as cli_mod
+
+        seen = []
+        monkeypatch.setattr(cli_mod, "run_batch", lambda problems, method, config, gateway: seen.append(config) or [])
+        result = runner.invoke(main, [
+            "run", "--method", "cot", "--replay", "--parallelism", "3", "--seed", "7", "--fallback", "random",
+            "--out", str(tmp_path / "r.jsonl"),
+        ])
+        assert result.exit_code == 0, result.output
+        [config] = seen
+        assert (config.parallelism, config.seed, config.fallback) == (3, 7, FallbackPolicy.RANDOM)
+
+    def test_run_without_out_writes_the_records_to_stdout(self, runner, corpus):
+        result = runner.invoke(main, ["run", "--method", "cot", "--replay", "--limit", "2"])
+        assert result.exit_code == 0, result.output
+        ids = [json.loads(line)["problem_id"] for line in result.stdout.splitlines()]
+        assert ids == [p.id for p in corpus.problems[:2]]
+
+    def test_run_dataset_without_a_data_file_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "r.jsonl"
+        result = runner.invoke(main, ["run", "--method", "cot", "--dataset", "proofwriter", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "no data file known for dataset 'proofwriter'; pass --data-file" in result.stderr
+        assert not out.exists()
+
+    def test_replay_without_a_directory_is_for_the_mini_corpus_only(self, runner, tmp_path):
+        data = tmp_path / "pw.json"
+        data.write_text(json.dumps([{"id": "1", "context": "c", "question": "q", "answer": "true"}]))
+        out = tmp_path / "r.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the file is smaller than the published split
+            result = runner.invoke(main, ["run", "--method", "cot", "--dataset", "proofwriter",
+                                          "--data-file", str(data), "--replay", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--replay without a directory works only for the mini-corpus" in result.stderr
+        assert not out.exists()
+
     def test_limit(self, runner, tmp_path):
         out = tmp_path / "records.jsonl"
         result = runner.invoke(main, [
@@ -333,6 +372,10 @@ class TestRunEvalReport:
         merged = runner.invoke(main, ["report", str(report)])
         assert merged.exit_code == 0
         assert "100.00" in merged.output
+        table = tmp_path / "table.md"
+        written = runner.invoke(main, ["report", str(report), "--out", str(table)])
+        assert (written.exit_code, written.stdout) == (0, "")
+        assert table.read_text(encoding="utf-8") == merged.stdout
 
     @pytest.mark.parametrize("method", [m.value for m in Method])
     def test_report_prints_the_eval_markdown(self, runner, tmp_path, method):

@@ -320,6 +320,17 @@ class TestLoad:
         assert [(e.record_id, e.kind) for e in result.errors] == [("record-1", "Malformed")]
         assert result.errors[0].detail.startswith("invalid JSON: ")
 
+    def test_options_as_objects_and_plain_strings(self):
+        record = {"id": "1", "context": "c", "question": "q", "answer": "B",
+                  "options": [{"label": "A", "text": "t1"}, "plain"]}
+        problem = corpusmod.normalize_record(record, dataset_info("LogicalDeduction"))
+        assert problem.options == (("A", "t1"), ("B", "plain"))
+
+    def test_prontoqa_letter_outside_its_option_set(self):
+        record = {"id": "1", "context": "c", "question": "q", "answer": "C"}
+        with pytest.raises(ValueError, match="^letter 'C' outside the ProntoQA option set$"):
+            corpusmod.normalize_record(record, dataset_info("ProntoQA"))
+
     def test_malformed_options_collected_others_load(self, tmp_path):
         base = {"context": "ctx", "question": "q", "answer": "A"}
         records = [dict(base, id="num", options=5), dict(base, id="ok", options=["A) x", "B) y"]),

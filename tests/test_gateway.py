@@ -37,6 +37,19 @@ class TestCompletionRequest:
             CompletionRequest(model="m", messages=(("assistant", "hi"),))
         CompletionRequest(model="m", messages=(("system", "s"), ("user", "u")))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"messages": (("user", "a"),), "temperature": -0.1}, "temperature must be ≥ 0"),
+        ({"messages": (("user", "a"), ("tool", "b"))}, "unknown message role 'tool'"),
+    ], ids=["negative-temperature", "unknown-role"])
+    def test_invalid_request_rejected(self, kwargs, message):
+        with pytest.raises(GatewayError, match=f"^{message}$"):
+            CompletionRequest(model="m", **kwargs)
+
+    @pytest.mark.parametrize("tokens", [(-1, 0), (0, -1)], ids=["prompt", "completion"])
+    def test_negative_token_counts_rejected(self, tokens):
+        with pytest.raises(GatewayError, match="^token counts must be ≥ 0$"):
+            CompletionResponse("a", *tokens)
+
     def test_cache_key_stability(self):
         a = req("same prompt").cache_key()
         b = req("same prompt").cache_key()
@@ -419,6 +432,13 @@ class TestHttpBackend:
         assert self._sleeps_after_rate_limit(far) == [MAX_RETRY_AFTER_S]
         assert self._sleeps_after_rate_limit("Wed, 21 Oct 2015 07:28:00 GMT") == [0.0]
 
+    def test_rate_limit_reads_an_http_date_without_a_zone_as_utc(self):
+        # "-0000" marks a UTC time whose source zone is unknown: the parsed date is naive
+        naive = datetime.now(timezone.utc).replace(tzinfo=None) + timedelta(seconds=30)
+        [wait] = self._sleeps_after_rate_limit(format_datetime(naive))
+        assert format_datetime(naive).endswith(" -0000")
+        assert 25 <= wait <= 30
+
     @pytest.mark.parametrize("retry_after", ["soon", "", "nan", "inf", "-5"])
     def test_unreadable_retry_after_falls_back_to_backoff(self, retry_after):
         assert self._sleeps_after_rate_limit(retry_after) == [1.0]
@@ -434,6 +454,20 @@ class TestHttpBackend:
         with pytest.raises(AuthError):
             backend.complete(req())
         assert calls["n"] == 1
+
+    def test_unexpected_status_not_retried(self):
+        calls = []
+
+        def post(url, **kwargs):
+            calls.append(url)
+            return FakeResponse(status_code=404)
+
+        backend = HttpBackend("http://example", post=post, sleep=lambda s: None)
+        with pytest.raises(GatewayError) as caught:
+            backend.complete(req())
+        assert type(caught.value) is GatewayError
+        assert str(caught.value) == "unexpected status 404: error body"
+        assert calls == ["http://example"]
 
     def test_server_errors_retried(self):
         calls = {"n": 0}

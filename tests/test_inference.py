@@ -240,6 +240,24 @@ PROPOSITIONAL_RULES = [
 ]
 
 
+class TestBeyondTheTruthTable:
+    """Thirteen atoms, one past ``TRUTH_TABLE_MAX_ATOMS``."""
+
+    ANTECEDENT = " ∧ ".join(f"P{i}" for i in range(12))
+
+    def test_truth_table_refuses(self):
+        premises = [f(self.ANTECEDENT), f(f"({self.ANTECEDENT}) → Q")]
+        with pytest.raises(UnsupportedFragmentError, match="^too many atoms for truth-table check: 13$"):
+            truth_table_entails(premises, f("Q"))
+
+    def test_check_step_keeps_the_schema_verdict(self):
+        implication = f(f"({self.ANTECEDENT}) → Q")
+        assert check_step([f(self.ANTECEDENT), implication], InferenceRule.MODUS_PONENS, f("Q")).valid
+        verdict = check_step([f("Q"), implication], InferenceRule.MODUS_PONENS, f(self.ANTECEDENT))
+        assert not verdict.valid
+        assert "affirming the consequent" in verdict.reason and "countermodel" not in verdict.reason
+
+
 class TestTruthTableAgreement:
     def test_valid_instances_accepted(self):
         rng = random.Random(11)

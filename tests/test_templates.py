@@ -229,7 +229,21 @@ def test_override_with_a_byte_order_mark(tmp_path):
     assert template.text == body and prompt.startswith("Custom instructions.")
 
 
+def test_render_names_an_unbound_placeholder(catalog):
+    template = catalog.get(Stage.COT, Family.FOL_FOLIO)
+    with pytest.raises(TemplateError, match=r"^bindings missing for placeholders: \['question'\]$"):
+        template.render({"context": "c", "options": "o"})
+
+
 # demo_dir: demo files laid out as <family>/<stage>.txt
+
+
+def test_demo_entry_without_its_markers(tmp_path):
+    path = tmp_path / Family.FOL_FOLIO.value / f"{Stage.COT.value}.txt"
+    path.parent.mkdir(parents=True)
+    path.write_text("A question.\nAn answer.\n", encoding="utf-8")
+    with pytest.raises(TemplateError, match="^demo file entry lacks '--- input' / '--- output' markers$"):
+        TemplateCatalog(demo_dir=str(tmp_path)).get(Stage.COT, Family.FOL_FOLIO)
 
 
 def test_demo_file_with_a_byte_order_mark(tmp_path):
