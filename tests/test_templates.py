@@ -9,7 +9,6 @@ import hashlib
 
 import pytest
 
-from symchain import templates
 from symchain.corpus import mini_corpus
 from symchain.folparse import Severity
 from symchain.pipeline import NO_KNOWLEDGE_BASE, extract_label, parse_translation, solve_translation
@@ -125,9 +124,9 @@ def test_rendered_prompt_is_unchanged(catalog, family, stage):
 
 
 @pytest.mark.parametrize("family,stage", PAIRS, ids=PAIR_IDS)
-def test_every_pair_ships_demos(family, stage):
+def test_every_pair_ships_demos(catalog, family, stage):
     # the catalog reads each packaged demo file unconditionally
-    assert templates._packaged_demos(family, stage)
+    assert catalog.get(stage, family).demos
 
 
 @pytest.mark.parametrize("family,stage", PAIRS, ids=PAIR_IDS)
