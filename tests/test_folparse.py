@@ -142,7 +142,6 @@ DIAGNOSTIC_TABLE = [
     ("∀x", ("unexpected end of input, expected a formula", 2)),
     ("¬", ("unexpected end of input, expected a formula", 1)),
     ("P(a) ∧", ("unexpected end of input, expected a formula", 6)),
-    ("P(", ("unexpected end of input, expected a term", 2)),
     ("P(a) → → Q(a)", ("unexpected '→', expected a formula", 7)),
     ("P(a) ⇒ <-> Q", ("unexpected '<->', expected a formula", 7)),
     ("(P(a)", ("unbalanced parenthesis", 5)),
@@ -158,6 +157,7 @@ DIAGNOSTIC_TABLE = [
     ("¬)", ("unexpected ')', expected a formula", 1)),
     ("P(f(a) b)", ("expected ')', found 'b'", 7)),
     ("P(f(g(a))", ("unbalanced parenthesis", 9)),
+    ("P(", ("unexpected end of input, expected a term", 2)),
 ]
 
 
