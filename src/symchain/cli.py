@@ -19,7 +19,6 @@ from . import evalkit
 from .corpus import LoadResult, Problem, load, load_normalized, mini_corpus
 from .folparse import ParseDiagnostic, ParseError, parse_formula, print_formula, read_fol_sections
 from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
-from .inference import UnsupportedFragmentError
 from .logic import Label
 from .pipeline import (
     FallbackPolicy, Method, RunConfig, parse_translation,
@@ -55,7 +54,7 @@ def cmd_parse(source, fmt):
     """Parse a translation block (file or stdin) and print its canonical form."""
     text = _read_input(source)
     if fmt == "fol":
-        headers, lines = read_fol_sections(text)
+        headers, lines, _ = read_fol_sections(text)
         if not headers:  # bare formulas, one per line, at offsets from the start of the input
             failures = 0
             for line in lines:
@@ -86,17 +85,11 @@ def cmd_solve(source, engine, question):
     """Solve a symbolic translation file with the matching engine."""
     csp = engine == "csp"
     artifact, diagnostics = parse_translation(_read_input(source), csp)
-    if artifact is None:
+    result = solve_translation(artifact, question)
+    if not result.executed:
         for d in diagnostics:
             click.echo(str(d), err=True)
-        _fail("model is not executable" if csp else "translation is not executable")
-    result = solve_translation(artifact, question)
-    if isinstance(result.error, UnsupportedFragmentError):
-        _fail(f"unsupported query: {result.error}")
-    if result.error is not None:
-        _fail(str(result.error))
-    if not result.executed:  # an executable FOL translation without Facts/Rules
-        _fail("no knowledge base in translation; general FOL is not auto-decided")
+        _fail(result.response)
     if not csp:
         click.echo(result.label.value)
     elif result.label is Label.UNDECIDED:

@@ -409,10 +409,11 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
     Returns the model (or None when it cannot be assembled) plus per-line
     diagnostics; a query of a letter outside ``options`` (when given) is an
     error.  A constraint or query may end in a gloss after ``:::`` or a
-    single ``:``, which no constraint contains.  An input with no
-    recognizable sections raises :class:`ParseError`.
+    single ``:``, which no constraint contains.
     """
-    diagnostics: list[ParseDiagnostic] = []
+    headers, lines, diagnostics = read_sections(text, _CSP_HEADER_RE)
+    if not headers:
+        return None, diagnostics
     domain_gloss: list[str] = []
     domain_max = 0
     variables: list[tuple[str, tuple[int, ...]]] = []
@@ -420,11 +421,8 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
     queries: list[tuple[str, ConstraintExpr]] = []
     subjects: list[tuple[object, int]] = []  # each variable name and expression read, with its line's offset
 
-    headers, lines = read_sections(text, _CSP_HEADER_RE)
-    for section, content, body, _, pos in lines:
-        if section is None:
-            diagnostics.append(ParseDiagnostic(pos, f"line outside any section: {content[:40]!r}"))
-        elif section == "domain":
+    for section, body, _, pos in lines:
+        if section == "domain":
             m = _DOMAIN_RE.match(body)
             if m:
                 domain_max = max(domain_max, int(m.group("num") or m.group("hi")))
@@ -472,8 +470,6 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
             queries.append((letter, expr))
             subjects.append((expr, pos))
 
-    if not headers:
-        raise ParseError(0, "no sections found")
     if not variables and "queries" in headers:
         diagnostics.append(ParseDiagnostic(len(text), "no variables declared"))
         return None, diagnostics

@@ -49,13 +49,9 @@ class ParseError(LogicError):
     """Raised when an input cannot be parsed; carries a positioned diagnostic."""
 
     def __init__(self, position: int, message: str):
-        super().__init__(f"error at offset {position}: {message}")
+        super().__init__(str(ParseDiagnostic(position, message)))
         self.position = position
         self.message = message
-
-    @property
-    def diagnostic(self) -> ParseDiagnostic:
-        return ParseDiagnostic(self.position, self.message, Severity.ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +439,23 @@ class TranslationBlock:
 class SectionLine(NamedTuple):
     """A non-blank, non-header line of a labeled block."""
 
-    section: Optional[str]  # None before the first header
-    text: str  # the line without its bullet and surrounding blanks
-    body: str  # text before any ``:::``
+    section: Optional[str]  # None in a block without headers
+    body: str  # the line's text before any ``:::``, without its bullet and surrounding blanks
     gloss: str  # text after ``:::``
-    offset: int  # of the first character of ``text`` in the block
+    offset: int  # of the first character of the line's text in the block
 
 
-def read_sections(text: str, header_re: re.Pattern) -> tuple[dict[str, int], list[SectionLine]]:
+def read_sections(text: str, header_re: re.Pattern
+                  ) -> tuple[dict[str, int], list[SectionLine], list[ParseDiagnostic]]:
     """Split a labeled block into its header sections and content lines.
 
     A line loses its bullet (``-``, ``*``, ``•``, ``1.``, ``1)``) before it
     is matched against ``header_re``, whose named group that matched is the
     section's name.  Returns the offset of each section's first header, by
-    section in the order they first appear, and every content line.
+    section in the order they first appear, the content lines under a header,
+    and the block's first diagnostics: an error for each line before the
+    first header.  A block without headers has the one diagnostic ``no
+    sections found``, and all its lines come back under no section.
     """
     headers: dict[str, int] = {}
     lines: list[SectionLine] = []
@@ -470,16 +469,19 @@ def read_sections(text: str, header_re: re.Pattern) -> tuple[dict[str, int], lis
         if m:
             section = m.lastgroup
             headers.setdefault(section, start)
-        else:
-            content = stripped.strip()
-            if content:
-                body, _, gloss = content.partition(":::")
-                lines.append(SectionLine(section, content, body.strip(), gloss.strip(), start))
+        elif content := stripped.strip():
+            body, _, gloss = content.partition(":::")
+            lines.append(SectionLine(section, body.strip(), gloss.strip(), start))
         offset += len(raw)
-    return headers, lines
+    if not headers:
+        return headers, lines, [ParseDiagnostic(0, "no sections found")]
+    # the lines before the first header come first
+    outside = [ParseDiagnostic(line.offset, f"line outside any section: {line.body[:40]!r}")
+               for line in lines if line.section is None]
+    return headers, lines[len(outside):], outside
 
 
-def read_fol_sections(text: str) -> tuple[dict[str, int], list[SectionLine]]:
+def read_fol_sections(text: str) -> tuple[dict[str, int], list[SectionLine], list[ParseDiagnostic]]:
     """:func:`read_sections` of ``text`` under the FOL translation block headers."""
     return read_sections(text, _HEADER_RE)
 
@@ -509,14 +511,13 @@ def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
 def parse_translation_block(text: str) -> TranslationBlock:
     """Parse a labeled FOL translation block.
 
-    Partial failures are recorded as per-line diagnostics rather than
-    raised; a block with any error diagnostic is not executable.  A block
-    with no recognizable sections at all raises :class:`ParseError`.
+    Failures are recorded as diagnostics rather than raised; a block with
+    any error diagnostic is not executable.
     """
-    headers, lines = read_fol_sections(text)
-    if all(line.section is None for line in lines):
-        raise ParseError(0, "no sections found")
-    block = TranslationBlock()
+    headers, lines, diagnostics = read_fol_sections(text)
+    block = TranslationBlock(diagnostics=diagnostics)
+    if not headers:
+        return block
     facts: list[SignedLiteral] = []
     rules: list[Rule] = []
     has_rules = False
@@ -536,10 +537,8 @@ def parse_translation_block(text: str) -> TranslationBlock:
             return None
 
     for line in lines:
-        section, _, body, gloss, offset = line
-        if section is None:
-            block.diagnostics.append(ParseDiagnostic(offset, f"line outside any section: {body[:40]!r}"))
-        elif section == "predicates":
+        section, body, gloss, offset = line
+        if section == "predicates":
             m = _PRED_DECL_RE.match(body)
             if not m:
                 block.diagnostics.append(ParseDiagnostic(offset, f"cannot read predicate declaration: {body!r}"))

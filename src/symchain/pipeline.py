@@ -22,7 +22,7 @@ from typing import Callable, Collection, Optional, Sequence, Union
 from . import csp as cspmod
 from . import inference
 from .corpus import Problem, json_error_text, json_lines
-from .folparse import ParseDiagnostic, ParseError, Severity, TranslationBlock, parse_translation_block
+from .folparse import ParseDiagnostic, Severity, TranslationBlock, parse_translation_block
 from .gateway import Backend, CompletionRequest
 from .logic import Label, LogicError
 from .templates import RESPONSE_BINDINGS, PromptTemplate, Stage, TemplateCatalog
@@ -312,13 +312,10 @@ def parse_translation(text: str, csp: bool, options: Optional[Collection[str]] =
     of its diagnostics; a text with no sections has that one diagnostic.  A
     CSP query of a letter outside ``options`` (when given) is an error.
     """
-    try:
-        if not csp:
-            block = parse_translation_block(text)
-            return (block if block.executable else None), block.diagnostics
-        model, diagnostics = cspmod.parse_csp_block(text, options)
-    except ParseError as err:
-        return None, [err.diagnostic]
+    if not csp:
+        block = parse_translation_block(text)
+        return (block if block.executable else None), block.diagnostics
+    model, diagnostics = cspmod.parse_csp_block(text, options)
     return (None if any(d.severity is Severity.ERROR for d in diagnostics) else model), diagnostics
 
 
@@ -326,16 +323,14 @@ def parse_translation(text: str, csp: bool, options: Optional[Collection[str]] =
 class EngineResult:
     """The symbolic engine's outcome on one translation.
 
-    ``response`` and ``diagnostics`` are the pipeline's engine record;
-    ``error`` is the engine's exception, if it raised one; ``answer`` and
-    ``verdict`` are the CSP option selection and per-option verdicts.
+    ``response`` is the pipeline's engine record, and names the failure when
+    the translation does not run; ``answer`` and ``verdict`` are the CSP
+    option selection and per-option verdicts.
     """
 
     label: Label
     executed: bool
     response: str
-    diagnostics: tuple[str, ...] = ()
-    error: Optional[LogicError] = None
     answer: Union[str, cspmod.Undecided, None] = None
     verdict: Optional[cspmod.QueryVerdict] = None
 
@@ -349,17 +344,17 @@ def solve_translation(artifact: Translation, question: str) -> EngineResult:
     could / cannot be true; must be true when none is named).
     """
     if artifact is None:
-        return EngineResult(Label.UNDECIDED, False, NOT_EXECUTABLE, (NOT_EXECUTABLE,))
+        return EngineResult(Label.UNDECIDED, False, NOT_EXECUTABLE)
     fol = isinstance(artifact, TranslationBlock)
     if fol and artifact.kb is None:
-        return EngineResult(Label.UNDECIDED, False, NO_KNOWLEDGE_BASE, ("no knowledge base in translation",))
+        return EngineResult(Label.UNDECIDED, False, NO_KNOWLEDGE_BASE)
     try:
         if fol:
             label = inference.decide_formula(artifact.kb, artifact.statement)
             return EngineResult(label, True, f"decide: {label.value}")
         verdict = cspmod.evaluate_queries(artifact)
     except LogicError as err:
-        return EngineResult(Label.UNDECIDED, False, f"engine error: {err}", (str(err),), error=err)
+        return EngineResult(Label.UNDECIDED, False, f"engine error: {err}")
     answer = cspmod.select_answer(verdict, cspmod.detect_question_mode(question))
     summary = ", ".join(f"{letter}:{status.value}" for letter, status in sorted(verdict.statuses.items()))
     response = f"verdicts [{summary}] over {verdict.solution_count} solutions; "
@@ -407,8 +402,7 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
         executed = final is not Label.UNDECIDED
         if method is Method.TRANSLATE_THEN_SOLVE:
             result = solve_translation(stages[-1].artifact, problem.question)
-            stages.append(StageRecord(stage="engine", response=result.response, label=result.label,
-                                      diagnostics=list(result.diagnostics)))
+            stages.append(StageRecord(stage="engine", response=result.response, label=result.label))
             final, executed = result.label, result.executed  # Undecided when unexecuted, as abstain keeps
         if not executed and config.fallback is FallbackPolicy.RANDOM:
             final = random.Random(f"{config.seed}:{problem.id}").choice(list(problem.label_space))

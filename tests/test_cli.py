@@ -108,7 +108,7 @@ class TestParse:
     def test_header_only_block_is_not_read_as_formulas(self, runner):
         result = runner.invoke(main, ["parse", "-", "--format", "fol"], input="Facts:\nQuery:\n")
         assert result.exit_code == 1
-        assert result.stderr == "error at offset 0: no sections found\n"
+        assert result.stderr == "error at offset 14: missing Query/Statement section\n"
 
     def test_header_aliases_parse_as_block(self, runner):
         block = ("Conditional rules:\nP($x, True) => Q($x, True)\nFact:\nP(a, True)\n"
@@ -168,17 +168,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("text,engine,stderr", [
         ("Premises:\nP(a)\nConclusion:\nQ(a ∧\n", "fol",
-         "error at offset 31: expected ')', found '∧'\ntranslation is not executable\n"),
+         "error at offset 31: expected ')', found '∧'\ntranslation not executable\n"),
         ("Variables:\na ∈ {1, x}\nConstraints:\nQuery:\nA) a == 1\n", "csp",
          "error at offset 11: non-integer domain value in: 'a ∈ {1, x}'\n"
-         "error at offset 52: no variables declared\nmodel is not executable\n"),
+         "error at offset 52: no variables declared\ntranslation not executable\n"),
         ("Premises:\n∀x (P(x) → Q(x))\nConclusion:\nQ(a)\n", "fol",
-         "no knowledge base in translation; general FOL is not auto-decided\n"),
+         "no knowledge base; general FOL is not auto-decided\n"),
         ("Facts:\nP(a, True)\nRules:\nP($x, True) ⇒ Q($x, True)\nQuery:\n∀x Q(x, True)\n", "fol",
-         "unsupported query: quantified statements are not auto-decided\n"),
-        ("P(a)\n", "fol", "error at offset 0: no sections found\ntranslation is not executable\n"),
+         "engine error: quantified statements are not auto-decided\n"),
+        ("P(a)\n", "fol", "error at offset 0: no sections found\ntranslation not executable\n"),
         ("Facts:\nP(a, True)\nQuery:\nP(a, b, True)\n", "fol",
-         "error at offset 25: predicate 'P' used with arity 2, expected 1\ntranslation is not executable\n"),
+         "error at offset 25: predicate 'P' used with arity 2, expected 1\ntranslation not executable\n"),
     ], ids=["fol-not-executable", "csp-not-executable", "no-knowledge-base", "unsupported-query",
             "no-section-header", "query-arity"])
     def test_unsolvable_translation_exit_one(self, runner, text, engine, stderr):
@@ -190,7 +190,7 @@ class TestSolve:
         text = "Facts:\nP(a, True)\nQuery:\nP(a, b, True) ∨ P(a, True)\n"
         error = "error at offset 25: predicate 'P' used with arity 2, expected 1\n"
         solved = runner.invoke(main, ["solve", "-", "--engine", "fol"], input=text)
-        assert (solved.exit_code, solved.stdout, solved.stderr) == (1, "", error + "translation is not executable\n")
+        assert (solved.exit_code, solved.stdout, solved.stderr) == (1, "", error + "translation not executable\n")
         parsed = runner.invoke(main, ["parse", "-", "--format", "fol"], input=text)
         assert (parsed.exit_code, parsed.stderr) == (1, error)
 
@@ -205,7 +205,7 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "-", "--engine", "csp"], input=block)
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == "model has no solutions; verdicts are undefined\n"
+        assert result.stderr == "engine error: model has no solutions; verdicts are undefined\n"
 
 
 @pytest.mark.parametrize("csp", [False, True], ids=["fol-block", "csp-block"])
@@ -215,7 +215,6 @@ def test_parse_solve_and_the_pipeline_agree_on_every_golden_block(runner, corpus
     not-executable line, and a translate_then_solve run records the engine
     response ``NOT_EXECUTABLE``."""
     flag = "csp" if csp else "fol"
-    not_executable = f"{'model' if csp else 'translation'} is not executable\n"
     seen, disagreements = set(), []
     for problem_id, name, text in _mutated_blocks(corpus, csp):
         parsed = runner.invoke(main, ["parse", "-", "--format", flag], input=text)
@@ -223,7 +222,7 @@ def test_parse_solve_and_the_pipeline_agree_on_every_golden_block(runner, corpus
         backend = ScriptedCorpusBackend(corpus, overrides={(problem_id, "translator"): text})
         record = run_problem(corpus.problem(problem_id), Method.TRANSLATE_THEN_SOLVE, RunConfig(), backend)
         verdicts = {parsed.exit_code == 1, parse_translation(text, csp)[0] is None,
-                    solved.stderr.endswith(not_executable), record.stages[-1].response == NOT_EXECUTABLE}
+                    solved.stderr.endswith(NOT_EXECUTABLE + "\n"), record.stages[-1].response == NOT_EXECUTABLE}
         seen |= verdicts
         if len(verdicts) != 1:
             disagreements.append((problem_id, name))

@@ -113,9 +113,9 @@ class TestParseCspBlock:
         assert diagnostics
         assert all(0 <= d.position <= len(text) for d in diagnostics)
 
-    def test_no_sections_raises(self):
-        with pytest.raises(ParseError):
-            parse_csp_block("nothing structured here")
+    @pytest.mark.parametrize("text", ["nothing structured here", "", "A) a == 1\n"], ids=["prose", "empty", "query-line"])
+    def test_no_sections_is_one_diagnostic(self, text):
+        assert parse_csp_block(text) == (None, [ParseDiagnostic(0, "no sections found")])
 
     def test_unicode_membership(self):
         model, diagnostics = parse_csp_block(
@@ -148,7 +148,7 @@ class TestParseCspBlock:
         ("stray\n  more ::: note\nDomain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\n"
          "v == 1\nQuery:\nA) v == 1\n",
          [ParseDiagnostic(0, "line outside any section: 'stray'"),
-          ParseDiagnostic(8, "line outside any section: 'more ::: note'")]),
+          ParseDiagnostic(8, "line outside any section: 'more'")]),
         ("Domain:\n1: low\nVariables:\nv ∈ {1, 2}\nConstraints:\nv >> 1\nQuery:\nA) v == 1\n",
          [ParseDiagnostic(53, "expected a variable or integer, found '>'")]),
         # the offset counts from the bulleted line's body: "(v == 1" spans 54-61

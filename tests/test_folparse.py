@@ -298,10 +298,12 @@ class TestTranslationBlock:
         assert len([d for d in block.diagnostics if d.severity is Severity.ERROR]) == 1
         assert not block.executable
 
-    def test_empty_input_raises(self):
-        with pytest.raises(ParseError) as exc:
-            parse_translation_block("just some prose\n")
-        assert "no sections" in exc.value.message
+    @pytest.mark.parametrize("text", ["just some prose\n", "", "- P(a)\nQ(b) ::: gloss\n"],
+                             ids=["prose", "empty", "formula-lines"])
+    def test_text_without_headers_is_one_diagnostic(self, text):
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(0, "no sections found")]
+        assert (block.predicates, block.premises, block.statement, block.kb) == ([], [], None, None)
 
     def test_missing_statement_diagnosed(self):
         block = parse_translation_block("Facts:\nP(a, True)\n")
@@ -490,9 +492,9 @@ Love(miroslav, music) ::: Miroslav loved music.
         "Facts:\nQuery:\n",
         "- Predicates:\n\n1. Rules:\n2) Conclusion:\n",
     ], ids=["plain", "bulleted"])
-    def test_header_only_block_raises(self, text):
-        with pytest.raises(ParseError, match="no sections found"):
-            parse_translation_block(text)
+    def test_header_only_block_misses_its_statement(self, text):
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(len(text), "missing Query/Statement section")]
 
     def test_deep_nesting_is_a_diagnostic(self):
         # deeper than the interpreter's recursion limit once allowed: the rule parses

@@ -14,7 +14,7 @@ from symchain.gateway import CachingBackend, CompletionCache, ReplayBackend
 from symchain.inference import decide_formula
 from symchain.logic import Label
 from symchain.pipeline import (
-    CODECS, NO_KNOWLEDGE_BASE, FallbackPolicy, Method, Record, RunConfig, RunRecord,
+    CODECS, NO_KNOWLEDGE_BASE, NOT_EXECUTABLE, FallbackPolicy, Method, Record, RunConfig, RunRecord,
     extract_label, parse_translation, read_records, run_batch, run_problem, solve_translation,
     write_records,
 )
@@ -86,7 +86,7 @@ def test_fol_engine_record_names_the_failure_not_the_parse_errors():
     errors = [str(d) for d in diagnostics]
     assert block is None and errors
     result = solve_translation(block, "")
-    assert (result.executed, result.diagnostics) == (False, ("translation not executable",))
+    assert (result.executed, result.response) == (False, NOT_EXECUTABLE)
 
 class TestRunProblem:
     def test_translate_then_solve_car(self, corpus, config):
@@ -115,7 +115,8 @@ class TestRunProblem:
         record = run_problem(problem, Method.TRANSLATE_THEN_SOLVE, config, backend)
         error = f"error at offset {text.index('D) station_wagon')}: the problem has no option D"
         assert [(s.stage, s.diagnostics) for s in record.stages] == [
-            ("translator", [error]), ("engine", ["translation not executable"])]
+            ("translator", [error]), ("engine", [])]
+        assert record.stages[-1].response == NOT_EXECUTABLE
         assert (record.executed, record.final_label) == (False, Label.UNDECIDED)
         # without the problem's options, as in `symchain solve`, any letter A-E may be queried
         model, diagnostics = parse_translation(text, csp=True)
