@@ -48,7 +48,9 @@ class AuthError(GatewayError):
 
 
 class MalformedResponseError(GatewayError):
-    """A status-200 reply without a chat completion's ``choices[0].message.content`` text."""
+    """A reply that is not a completion: a status-200 reply without a chat
+    completion's ``choices[0].message.content`` text, or a content or token
+    count that ``CompletionResponse`` refuses."""
 
 
 class ReplayMissError(GatewayError):
@@ -104,8 +106,16 @@ class CompletionResponse:
     backend: str = "scripted"
 
     def __post_init__(self):
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise GatewayError("token counts must be ≥ 0")
+        """The one check of a completion, from any backend or cache entry: a
+        string content and integer token counts ≥ 0 (``bool`` is an ``int``
+        subclass, so types are compared exactly, as records are read)."""
+        if type(self.content) is not str:
+            raise MalformedResponseError(f"content must be a string, found {type(self.content).__name__}")
+        for count in (self.prompt_tokens, self.completion_tokens):
+            if type(count) is not int:
+                raise MalformedResponseError(f"token counts must be integers, found {count!r}")
+            if count < 0:
+                raise MalformedResponseError("token counts must be ≥ 0")
 
 
 def scripted_response(request: CompletionRequest, content: str) -> CompletionResponse:
@@ -137,8 +147,8 @@ class CompletionCache:
     def load(self, key: str, backend: str = "cache") -> Optional[CompletionResponse]:
         """The stored response, tagged with the ``backend`` that asked for it;
         None when there is no entry or it cannot be served: not UTF-8, not
-        JSON, prefixed by a byte-order mark, or no object holding
-        ``response.content``."""
+        JSON, prefixed by a byte-order mark, no object holding
+        ``response.content``, or a response ``CompletionResponse`` refuses."""
         try:
             resp = self.entry(key)["response"]
             return CompletionResponse(
@@ -147,7 +157,7 @@ class CompletionCache:
                 completion_tokens=resp.get("completion_tokens", 0),
                 backend=backend,
             )
-        except (TypeError, KeyError, ValueError):  # TypeError: no entry, or not an object
+        except (TypeError, KeyError, ValueError, MalformedResponseError):  # TypeError: no entry, or not an object
             return None
 
     def store(self, request: CompletionRequest, response: CompletionResponse) -> str:
@@ -320,11 +330,8 @@ class HttpBackend(Backend):
             try:
                 data = resp.json()
                 usage = data.get("usage", {})
-                content = data["choices"][0]["message"]["content"]
-                if not isinstance(content, str):
-                    raise TypeError(f"content is {type(content).__name__}")
                 return CompletionResponse(
-                    content=content,
+                    content=data["choices"][0]["message"]["content"],
                     prompt_tokens=usage.get("prompt_tokens", 0),
                     completion_tokens=usage.get("completion_tokens", 0),
                     backend="live",

@@ -18,7 +18,7 @@ from symchain.gateway import (
     CompletionResponse, GatewayError, HttpBackend, MAX_RETRY_AFTER_S, MalformedResponseError,
     NetworkError, ReplayBackend, ReplayMissError, ScriptedBackend,
 )
-from symchain.pipeline import Method, RunConfig, run_batch
+from symchain.pipeline import Method, RunConfig, read_records, run_batch, write_records
 
 import helpers
 
@@ -49,6 +49,17 @@ class TestCompletionRequest:
     def test_negative_token_counts_rejected(self, tokens):
         with pytest.raises(GatewayError, match="^token counts must be ≥ 0$"):
             CompletionResponse("a", *tokens)
+
+    @pytest.mark.parametrize("args,message", [
+        ((5,), "content must be a string, found int"),
+        ((None,), "content must be a string, found NoneType"),
+        (("a", 1.0), "token counts must be integers, found 1.0"),
+        (("a", 0, True), "token counts must be integers, found True"),
+        (("a", 0, "3"), "token counts must be integers, found '3'"),
+    ], ids=["int-content", "null-content", "float-count", "bool-count", "string-count"])
+    def test_response_that_is_not_a_completion_rejected(self, args, message):
+        with pytest.raises(MalformedResponseError, match=f"^{message}$"):
+            CompletionResponse(*args)
 
     def test_cache_key_stability(self):
         a = req("same prompt").cache_key()
@@ -216,6 +227,11 @@ UNSERVABLE_ENTRIES = [
     ("no-response", _bytes(b'{"timestamp": "t"}'), {"timestamp": "t"}, "?  t"),
     ("response-not-an-object", _bytes(b'{"response": "a"}'), {"response": "a"}, "?  ?"),
     ("no-content", _bytes(b'{"response": {"prompt_tokens": 1}}'), {"response": {"prompt_tokens": 1}}, "?  ?"),
+    ("content-not-a-string", _bytes(b'{"response": {"content": 5}}'), {"response": {"content": 5}}, "?  ?"),
+    ("negative-count", _bytes(b'{"response": {"content": "x", "prompt_tokens": -1}}'),
+     {"response": {"content": "x", "prompt_tokens": -1}}, "?  ?"),
+    ("float-count", _bytes(b'{"response": {"content": "x", "completion_tokens": 5.0}}'),
+     {"response": {"content": "x", "completion_tokens": 5.0}}, "?  ?"),
 ]
 
 
@@ -357,6 +373,20 @@ class TestHttpBackend:
         [record] = run_batch(list(mini_corpus().problems)[:1], Method.SYMBCOT, RunConfig(), backend)
         assert [stage.stage for stage in record.stages] == ["translator"]
         assert record.error.startswith("MalformedResponseError: ")
+
+    def test_float_token_count_is_malformed_and_not_cached(self, tmp_path):
+        body = ('{"choices": [{"message": {"content": "ok"}}], '
+                '"usage": {"prompt_tokens": 1, "completion_tokens": 5.0}}')
+        live = HttpBackend("http://example", post=lambda url, **kwargs: RawResponse(body))
+        backend = CachingBackend(live, tmp_path / "cache")
+        with pytest.raises(MalformedResponseError, match=r"^token counts must be integers, found 5\.0$"):
+            backend.complete(req())
+        assert backend.cache.keys() == []
+        # the run's records name the fault, and read back
+        out = tmp_path / "records.jsonl"
+        write_records(run_batch(list(mini_corpus().problems)[:1], Method.COT, RunConfig(), backend), out)
+        assert [r.error for r in read_records(out)] == [
+            "MalformedResponseError: token counts must be integers, found 5.0"]
 
     def test_parses_chat_completion_shape(self):
         def post(url, json=None, headers=None, timeout=None):
