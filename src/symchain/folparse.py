@@ -597,10 +597,11 @@ def parse_translation_block(text: str) -> TranslationBlock:
         block.diagnostics.append(ParseDiagnostic(
             headers["premises"], f"premises beside Facts/Rules are not read by the engine: {ignored}",
             Severity.WARNING))
-    if block.kb is not None and block.statement is not None:
-        # every atom of the statement, folded as decide_formula folds it
+    # every atom of the statement, folded as decide_formula folds it
+    folded = [] if block.statement is None else [
+        formula_to_literal(f) for f, _ in subformulas(block.statement) if isinstance(f, Atom)]
+    if block.kb is not None:
         arities = block.kb.predicate_arities
-        folded = (formula_to_literal(f) for f, _ in subformulas(block.statement) if isinstance(f, Atom))
         lit = next((lit for lit in folded if arities.get(lit.predicate, len(lit.args)) != len(lit.args)), None)
         if lit is not None:
             block.diagnostics.append(ParseDiagnostic(statement_lines[0].offset, str(
@@ -614,6 +615,8 @@ def parse_translation_block(text: str) -> TranslationBlock:
         for f, _ in subformulas(formula):
             if isinstance(f, Atom):
                 used.setdefault(f.predicate, len(f.args))
+    for lit in folded:
+        used.setdefault(lit.predicate, len(lit.args))
     for name, arity in used.items():
         if name in declared and declared[name][0] not in (arity, arity + 1):
             # +1 tolerates polarity-style declarations like Quiet(x, bool)

@@ -377,6 +377,17 @@ Love(miroslav, music) ::: Miroslav loved music.
             ParseDiagnostic(at, "predicate 'P' declared again with arity 4, first with arity 1"),
             ParseDiagnostic(at, "predicate 'P' declared with arity 4 but used with 1")]
 
+    @pytest.mark.parametrize("text,arity", [
+        ("Predicates:\nQ(x)\nFacts:\nP(a, True)\nQuery:\nQ(a, b, True)", 2),
+        ("Predicates:\nQ(x)\nPremises:\nP(a)\nQuery:\nP(a) ∧ ¬Q(a, b)", 2),
+        ("Predicates:\nQ(x)\nFacts:\nP(a, True)\nQuery:\nQ(b, False)", None),
+    ], ids=["polarity-statement", "compound-statement", "folded-arity-agrees"])
+    def test_statement_atoms_are_checked_against_the_declarations(self, text, arity):
+        # folded as decide_formula folds them: Q(a, b, True) uses Q with 2 arguments
+        expected = [] if arity is None else [
+            ParseDiagnostic(text.index("Q(x)"), f"predicate 'Q' declared with arity 1 but used with {arity}")]
+        assert parse_translation_block(text).diagnostics == expected
+
     def test_predicate_declared_again_with_another_arity(self):
         text = "Predicates:\nP(x)\nP(x, y)\nFacts:\nP(a, True)\nQuery:\nP(a, True)\n"
         block = parse_translation_block(text)
