@@ -213,21 +213,31 @@ def test_parse_solve_and_the_pipeline_agree_on_every_golden_block(runner, corpus
     """On each golden block input, all four or none of: `symchain parse` exits 1,
     ``parse_translation`` gives no artifact, `symchain solve` ends with the
     not-executable line, and a translate_then_solve run records the engine
-    response ``NOT_EXECUTABLE``."""
+    response ``NOT_EXECUTABLE``.  On each executable input, `symchain solve`
+    of the text `symchain parse` printed answers the problem's question as
+    it answers the input: the same output and exit code."""
     flag = "csp" if csp else "fol"
-    seen, disagreements = set(), []
+    seen, disagreements, reparsed = set(), [], 0
     for problem_id, name, text in _mutated_blocks(corpus, csp):
+        problem = corpus.problem(problem_id)
+        solve = ["solve", "-", "--engine", flag, "--question", problem.question]
         parsed = runner.invoke(main, ["parse", "-", "--format", flag], input=text)
-        solved = runner.invoke(main, ["solve", "-", "--engine", flag], input=text)
+        solved = runner.invoke(main, solve, input=text)
         backend = ScriptedCorpusBackend(corpus, overrides={(problem_id, "translator"): text})
-        record = run_problem(corpus.problem(problem_id), Method.TRANSLATE_THEN_SOLVE, RunConfig(), backend)
+        record = run_problem(problem, Method.TRANSLATE_THEN_SOLVE, RunConfig(), backend)
         verdicts = {parsed.exit_code == 1, parse_translation(text, csp)[0] is None,
                     solved.stderr.endswith(NOT_EXECUTABLE + "\n"), record.stages[-1].response == NOT_EXECUTABLE}
         seen |= verdicts
         if len(verdicts) != 1:
             disagreements.append((problem_id, name))
+        if parsed.exit_code == 0:
+            again = runner.invoke(main, solve, input=parsed.stdout)
+            reparsed += 1
+            if (again.exit_code, again.stdout) != (solved.exit_code, solved.stdout):
+                disagreements.append((problem_id, name, "solve of parse's output"))
     assert disagreements == []
     assert seen == {True, False}  # both kinds of input occur
+    assert reparsed > 0
 
 
 class TestRunEvalReport:
