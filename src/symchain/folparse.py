@@ -475,7 +475,7 @@ def read_sections(text: str, header_re: re.Pattern
         offset += len(raw)
     if not headers:
         return headers, lines, [ParseDiagnostic(0, "no sections found")]
-    # the lines before the first header come first
+    # the lines under no section all precede the first header, so they lead the list
     outside = [ParseDiagnostic(line.offset, f"line outside any section: {line.body[:40]!r}")
                for line in lines if line.section is None]
     return headers, lines[len(outside):], outside
