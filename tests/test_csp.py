@@ -113,7 +113,8 @@ class TestParseCspBlock:
         assert diagnostics
         assert all(0 <= d.position <= len(text) for d in diagnostics)
 
-    @pytest.mark.parametrize("text", ["nothing structured here", "", "A) a == 1\n"], ids=["prose", "empty", "query-line"])
+    @pytest.mark.parametrize("text", ["nothing structured here", "", "A) a == 1\n"],
+                             ids=["prose", "empty", "query-line"])
     def test_no_sections_is_one_diagnostic(self, text):
         assert parse_csp_block(text) == (None, [ParseDiagnostic(0, "no sections found")])
 
