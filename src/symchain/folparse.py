@@ -330,6 +330,11 @@ def _strip_universals(f: Formula) -> Formula:
     return f
 
 
+def _has_polarity(args: tuple[Term, ...]) -> bool:
+    """Whether ``args`` end in ProofWriter's polarity argument, ``True`` or ``False``."""
+    return bool(args) and isinstance(args[-1], Constant) and args[-1].name in ("True", "False")
+
+
 def formula_to_literal(f: Formula) -> Optional[SignedLiteral]:
     """Lower an atom (or its negation) to a signed literal, if possible.
 
@@ -343,7 +348,7 @@ def formula_to_literal(f: Formula) -> Optional[SignedLiteral]:
     if not isinstance(f, Atom):
         return None
     args = f.args
-    if args and isinstance(args[-1], Constant) and args[-1].name in ("True", "False"):
+    if _has_polarity(args):
         if args[-1].name == "False":
             polarity = not polarity
         args = args[:-1]
@@ -493,16 +498,13 @@ _KbLine = tuple[int, str, tuple[SignedLiteral, ...]]
 def _kb_fault_offset(err: LogicError, kb_lines: list[_KbLine]) -> int:
     """The offset of the line that causes a fault ``KnowledgeBase`` raises.
 
-    An arity clash is at the first line, in block order, that uses the
-    predicate with the arity the error names as used; an inconsistency at
-    the first fact line of whichever polarity of the literal appears last;
-    a function symbol, the only other fault a block of ground facts can
-    raise, at the first line holding the literal the error names.
+    An inconsistency is at the first fact line of whichever polarity of the
+    literal appears last; a function symbol, the only other fault a block
+    of ground facts with one arity per predicate can raise, at the first
+    line holding the literal the error names.
     """
     def first(holds: Callable[[SignedLiteral], bool], section: Optional[str] = None) -> int:
         return next(offset for offset, s, lits in kb_lines if section in (None, s) and any(map(holds, lits)))
-    if isinstance(err, ArityMismatchError):
-        return first(lambda lit: lit.predicate == err.name and len(lit.args) == err.seen)
     if isinstance(err, InconsistencyError):
         return max(first(err.literal.__eq__, "facts"), first(err.literal.negated().__eq__, "facts"))
     return first(err.literal.__eq__)  # a FunctionSymbolError
@@ -512,7 +514,11 @@ def parse_translation_block(text: str) -> TranslationBlock:
     """Parse a labeled FOL translation block.
 
     Failures are recorded as diagnostics rather than raised; a block with
-    any error diagnostic is not executable.
+    any error diagnostic is not executable.  A predicate's arity is the one
+    of its first use in block order, each atom folded as
+    :func:`formula_to_literal` folds it; a line that uses it with another
+    arity is an error, and the declarations are checked against these
+    arities.
     """
     headers, lines, diagnostics = read_fol_sections(text)
     block = TranslationBlock(diagnostics=diagnostics)
@@ -522,19 +528,32 @@ def parse_translation_block(text: str) -> TranslationBlock:
     rules: list[Rule] = []
     has_rules = False
     statement_lines: list[SectionLine] = []
+    statement_errors: list[ParseDiagnostic] = []  # read in block order, reported after the other lines'
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
     declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
     kb_lines: list[_KbLine] = []  # the Facts/Rules lines, in block order
     first_arity: dict[str, int] = {}  # predicate -> arity of its first declaration
+    arities: dict[str, int] = {}  # predicate -> arity of its first use, in block order
 
-    def parsed(body: str, offset: int, lower: Callable = lambda f: f):
-        """``lower`` of the line's formula, or None once a ParseError from
-        either is recorded at its offset in the block."""
+    def parsed(body: str, offset: int, lower: Callable = lambda f: f, into: list = block.diagnostics):
+        """``lower`` of the line's formula, or None once an error is recorded
+        ``into`` a list at the line's offset in the block: a ``ParseError``
+        (at its position) or other ``LogicError`` from either, or an
+        ``ArityMismatchError`` for the first atom, in preorder, of another
+        arity than its predicate's."""
         try:
-            return lower(_parse_formula(body, terms))
+            formula = _parse_formula(body, terms)
+            for f, _ in subformulas(formula):
+                if isinstance(f, Atom):
+                    seen = len(f.args) - _has_polarity(f.args)  # as formula_to_literal folds it
+                    if (expected := arities.setdefault(f.predicate, seen)) != seen:
+                        raise ArityMismatchError(f.predicate, seen, expected)
+            return lower(formula)
         except ParseError as err:
-            block.diagnostics.append(ParseDiagnostic(offset + err.position, err.message))
-            return None
+            into.append(ParseDiagnostic(offset + err.position, err.message))
+        except LogicError as err:
+            into.append(ParseDiagnostic(offset, str(err)))
+        return None
 
     for line in lines:
         section, body, gloss, offset = line
@@ -565,28 +584,22 @@ def parse_translation_block(text: str) -> TranslationBlock:
                 kb_lines.append((offset, section, (lit,)))
         elif section == "rules":
             has_rules = True
-            try:
-                line_rules = parsed(body, offset, formula_to_rules) or ()
-            except LogicError as err:
-                block.diagnostics.append(ParseDiagnostic(offset, str(err)))
-                continue
-            rules.extend(line_rules)
-            kb_lines.append((offset, section, tuple(lit for rule in line_rules for lit in (*rule.body, rule.head))))
+            if (line_rules := parsed(body, offset, formula_to_rules)) is not None:
+                rules.extend(line_rules)
+                kb_lines.append((offset, section, tuple(lit for rule in line_rules for lit in (*rule.body, rule.head))))
         else:
+            if not statement_lines and (formula := parsed(body, offset, into=statement_errors)) is not None:
+                lit = formula_to_literal(formula)
+                block.statement = formula if lit is None else lit.to_formula()
+                block.statement_gloss = gloss
             statement_lines.append(line)
 
     if not statement_lines:
         block.diagnostics.append(ParseDiagnostic(len(text), "missing Query/Statement section"))
-    else:
-        first, *extra = statement_lines
-        for line in extra:
-            block.diagnostics.append(ParseDiagnostic(
-                line.offset, f"extra statement line ignored: {line.body[:40]!r}", Severity.WARNING))
-        if (formula := parsed(first.body, first.offset)) is not None:
-            lit = formula_to_literal(formula)
-            block.statement = formula if lit is None else lit.to_formula()
-            block.statement_gloss = first.gloss
-
+    for line in statement_lines[1:]:
+        block.diagnostics.append(ParseDiagnostic(
+            line.offset, f"extra statement line ignored: {line.body[:40]!r}", Severity.WARNING))
+    block.diagnostics += statement_errors  # the statement's diagnostics follow its extra lines'
     if has_rules or facts:
         try:
             block.kb = KnowledgeBase(facts, rules)
@@ -597,30 +610,10 @@ def parse_translation_block(text: str) -> TranslationBlock:
         block.diagnostics.append(ParseDiagnostic(
             headers["premises"], f"premises beside Facts/Rules are not read by the engine: {ignored}",
             Severity.WARNING))
-    # every atom of the statement, folded as decide_formula folds it
-    folded = [] if block.statement is None else [
-        formula_to_literal(f) for f, _ in subformulas(block.statement) if isinstance(f, Atom)]
-    if block.kb is not None:
-        arities = block.kb.predicate_arities
-        lit = next((lit for lit in folded if arities.get(lit.predicate, len(lit.args)) != len(lit.args)), None)
-        if lit is not None:
-            block.diagnostics.append(ParseDiagnostic(statement_lines[0].offset, str(
-                ArityMismatchError(lit.predicate, len(lit.args), arities[lit.predicate]))))
-
-    # Declared arities must agree with usage.
-    used: dict[str, int] = dict(block.kb.predicate_arities) if block.kb else {}
-
-    # atoms are visited left to right, as the first use sets the arity
-    for formula, _ in block.premises:
-        for f, _ in subformulas(formula):
-            if isinstance(f, Atom):
-                used.setdefault(f.predicate, len(f.args))
-    for lit in folded:
-        used.setdefault(lit.predicate, len(lit.args))
-    for name, arity in used.items():
-        if name in declared and declared[name][0] not in (arity, arity + 1):
-            # +1 tolerates polarity-style declarations like Quiet(x, bool)
+    # +1 tolerates polarity-style declarations like Quiet(x, bool)
+    for name, (arity, offset) in declared.items():
+        if name in arities and arity not in (arities[name], arities[name] + 1):
             block.diagnostics.append(ParseDiagnostic(
-                declared[name][1], f"predicate {name!r} declared with arity {declared[name][0]} but used with {arity}"))
+                offset, f"predicate {name!r} declared with arity {arity} but used with {arities[name]}"))
 
     return block

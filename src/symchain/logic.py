@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -452,7 +452,6 @@ class KnowledgeBase:
 
     facts: tuple[SignedLiteral, ...]
     rules: tuple[Rule, ...] = ()
-    predicate_arities: Mapping[str, int] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "facts", tuple(sorted(dict.fromkeys(self.facts), key=lambda f: f.to_text("kb"))))
@@ -462,7 +461,6 @@ class KnowledgeBase:
             for lit in rule.body:
                 _check_literal(lit, "rule bodies", arities)
             _check_literal(rule.head, "rule heads", arities)
-        object.__setattr__(self, "predicate_arities", arities)
 
     def constants(self) -> set[Constant]:
         out: set[Constant] = set()

@@ -110,6 +110,16 @@ class TestParse:
         assert result.exit_code == 1
         assert result.stderr == "error at offset 14: missing Query/Statement section\n"
 
+    @pytest.mark.parametrize("text", [
+        "Premises:\nP(a)\nP(a, b)\nQuery:\nP(a)",
+        "Facts:\nP(a, True)\nPremises:\nP(a, b)\nQuery:\nP(a, True)",
+        "Premises:\nP(a)\nQuery:\nP(a, b)",
+    ], ids=["premise-premise", "fact-premise", "premise-statement"])
+    def test_a_predicate_of_two_arities_exit_one(self, runner, text):
+        result = runner.invoke(main, ["parse", "-", "--format", "fol"], input=text)
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", f"error at offset {text.index('P(a, b)')}: predicate 'P' used with arity 2, expected 1\n")
+
     def test_header_aliases_parse_as_block(self, runner):
         block = ("Conditional rules:\nP($x, True) => Q($x, True)\nFact:\nP(a, True)\n"
                  "Queries:\nQ(a, True)\n")

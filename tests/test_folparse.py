@@ -10,7 +10,7 @@ from symchain.folparse import (
 )
 from symchain.inference import decide_formula
 from symchain.logic import (
-    And, Atom, Constant, Exists, ForAll, Implies, Label, Not, Or, SignedLiteral,
+    And, Atom, Constant, Exists, ForAll, Implies, KnowledgeBase, Label, Not, Or, SignedLiteral,
     Variable, Xor, alpha_equal,
 )
 
@@ -416,13 +416,44 @@ Love(miroslav, music) ::: Miroslav loved music.
             ParseDiagnostic(39, "predicate 'Q' used with arity 1, expected 2")]
 
     def test_knowledge_base_arity_mismatch_points_at_the_first_line_using_that_arity(self):
+        # the first use in block order sets P's arity, so each later line of arity 1 is at fault
         text = "Facts:\nP(a, b, True)\nP(a, True)\nQuery:\nP(a, True)"
         assert parse_translation_block(text).diagnostics == [
-            ParseDiagnostic(7, "predicate 'P' used with arity 2, expected 1")]
+            ParseDiagnostic(at, "predicate 'P' used with arity 1, expected 2") for at in (21, 39)]
         # a rule line is found in block order too: facts are checked first, so P's arity is 2 here
         text = "Facts:\nQ(a, True)\nRules:\nQ($x, True) ⇒ P($x, $x, True)\nP($x, True) ⇒ R($x, True)\nQuery:\nR(a)"
         assert parse_translation_block(text).diagnostics == [
             ParseDiagnostic(text.index("P($x, True)"), "predicate 'P' used with arity 1, expected 2")]
+
+    @pytest.mark.parametrize("text,later,message", [
+        ("Premises:\nP(a)\nP(a, b)\nQuery:\nP(a)", "P(a, b)", "used with arity 2, expected 1"),
+        ("Facts:\nP(a, True)\nPremises:\nP(a, b)\nQuery:\nP(a, True)", "P(a, b)", "used with arity 2, expected 1"),
+        ("Premises:\nP(a)\nQuery:\nP(a, b)", "P(a, b)", "used with arity 2, expected 1"),
+        ("Query:\nP(a, b)\nFacts:\nP(a, True)", "P(a, True)", "used with arity 1, expected 2"),
+        ("Rules:\nP($x, True) ⇒ Q($x, True)\nFacts:\nP(a, b, True)\nQuery:\nQ(a)", "P(a, b", "used with arity 2, expected 1"),
+        ("Query:\nP(a)\nPremises:\nQ(a) ∧ P(a, b) ∧ P(a, b, c)", "Q(a)", "used with arity 2, expected 1"),
+    ], ids=["premise-premise", "fact-premise", "premise-statement", "statement-fact", "rule-fact", "one-per-line"])
+    def test_an_arity_clash_is_at_the_later_line_in_block_order(self, text, later, message):
+        # one table for every section: the first use in block order sets the arity, and a line
+        # gets one error, for its first atom in preorder that uses another
+        block = parse_translation_block(text)
+        assert block.diagnostics == [ParseDiagnostic(text.index(later), f"predicate 'P' {message}")]
+
+    def test_premise_atoms_are_folded_as_the_engine_folds_them(self):
+        text = "Premises:\nP(a, True) ∧ ¬Q(b, False)\nQuery:\nP(a) ∨ Q(b)"
+        assert parse_translation_block(text).diagnostics == []
+
+    def test_a_clashing_knowledge_base_line_is_left_out_of_the_base(self):
+        text = "Facts:\nP(a, True)\nP(b, c, True)\nQ(c, True)\nRules:\nP($x, $y, True) ⇒ Q($x, True)\nQuery:\nQ(a)"
+        block = parse_translation_block(text)
+        assert [d.position for d in block.diagnostics] == [text.index("P(b"), text.index("P($x")]
+        assert block.kb == KnowledgeBase([SignedLiteral("P", (c("a"),)), SignedLiteral("Q", (c("c"),))])
+
+    def test_declarations_are_checked_in_declaration_order(self):
+        text = "Predicates:\nB(x)\nA(x, y, z)\nFacts:\nA(a, True)\nB(a, b, True)\nQuery:\nA(a)"
+        assert parse_translation_block(text).diagnostics == [
+            ParseDiagnostic(12, "predicate 'B' declared with arity 1 but used with 2"),
+            ParseDiagnostic(17, "predicate 'A' declared with arity 3 but used with 1")]
 
     def test_inconsistent_facts_point_at_the_line_where_the_second_polarity_appears(self):
         text = "Facts:\nP(a, True)\nP(a, False)\nQuery:\nP(a, True)"
@@ -530,7 +561,7 @@ Love(miroslav, music) ::: Miroslav loved music.
         block = parse_translation_block(f"Predicates:\nP(x, y, z)\nPremises:\n{premise}\nQuery:\nP(a)\n")
         # the first use sets P's arity: the chain was walked left to right
         assert [d.message for d in block.diagnostics] == [
-            "predicate 'P' declared with arity 3 but used with 1"]
+            "predicate 'P' used with arity 2, expected 1", "predicate 'P' declared with arity 3 but used with 1"]
 
     def test_arity_diagnostics_come_in_text_order_under_every_hash_seed(self):
         messages = helpers.run_under_hash_seeds(textwrap.dedent("""

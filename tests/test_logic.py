@@ -271,14 +271,6 @@ class TestKnowledgeBase:
                 SignedLiteral("P", (Constant("a"), Constant("b"))),
             ])
 
-    def test_arity_map_built(self):
-        kb = KnowledgeBase(
-            [SignedLiteral("Likes", (Constant("a"), Constant("b")))],
-            [Rule((SignedLiteral("Likes", (Variable("x"), Constant("b"))),),
-                  SignedLiteral("Popular", (Variable("x"),)))],
-        )
-        assert kb.predicate_arities == {"Likes": 2, "Popular": 1}
-
     def test_function_symbols_rejected(self):
         with pytest.raises(LogicError):
             KnowledgeBase([
