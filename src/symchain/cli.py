@@ -18,7 +18,7 @@ import click
 from . import evalkit
 from .corpus import LoadResult, Problem, load, load_normalized, mini_corpus
 from .folparse import ParseDiagnostic, ParseError, parse_formula, print_formula, read_fol_sections
-from .gateway import CachingBackend, CompletionCache, HttpBackend, ReplayBackend
+from .gateway import TIMESTAMP_FORMAT, CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .logic import Label
 from .pipeline import (
     FallbackPolicy, Method, RunConfig, parse_translation,
@@ -275,7 +275,7 @@ def cache_gc(directory, days, wipe):
             removed += cache.remove(key)
             continue
         try:
-            age = calendar.timegm(time.strptime(_model_and_stamp(cache, key)[1], "%Y-%m-%dT%H:%M:%SZ"))
+            age = calendar.timegm(time.strptime(_model_and_stamp(cache, key)[1], TIMESTAMP_FORMAT))
         except (TypeError, ValueError):  # undated
             age = 0
         if age < cutoff:

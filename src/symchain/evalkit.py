@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Problem
 from .logic import Label
-from .pipeline import CODECS, Record, RunRecord, read_object
+from .pipeline import CODECS, ENGINE_STAGE, Record, RunRecord, read_object
 
 
 class IdMismatchError(Exception):
@@ -143,7 +143,7 @@ def stage_output_lengths(records: Sequence[RunRecord]) -> dict[str, float]:
     tokens: defaultdict = defaultdict(list)
     for r in records:
         for s in r.stages:
-            if s.stage != "engine":
+            if s.stage != ENGINE_STAGE:
                 tokens[s.stage].append(s.completion_tokens)
     return {stage: sum(values) / len(values) for stage, values in sorted(tokens.items())}
 

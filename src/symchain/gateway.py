@@ -128,6 +128,8 @@ def scripted_response(request: CompletionRequest, content: str) -> CompletionRes
 # ---------------------------------------------------------------------------
 # Cache storage
 
+TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # an entry's write time, UTC, for time.strftime and time.strptime
+
 
 class CompletionCache:
     """One JSON file per request key; writes are atomic (temp + rename)."""
@@ -169,7 +171,7 @@ class CompletionCache:
                 "prompt_tokens": response.prompt_tokens,
                 "completion_tokens": response.completion_tokens,
             },
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "timestamp": time.strftime(TIMESTAMP_FORMAT, time.gmtime()),
         }
         final = self.path_for(key)
         tmp = final.with_suffix(f".{uuid.uuid4().hex}.tmp")

@@ -45,6 +45,7 @@ METHOD_STAGES = {
     Method.SYMBCOT_NO_VERIFIER: (Stage.TRANSLATOR, Stage.PLANNER, Stage.SOLVER),
     Method.TRANSLATE_THEN_SOLVE: (Stage.TRANSLATOR,),
 }
+ENGINE_STAGE = "engine"  # the stage record of translate_then_solve's engine, which calls no model
 
 
 class FallbackPolicy(str, Enum):
@@ -402,7 +403,7 @@ def run_problem(problem: Problem, method: Method, config: RunConfig, gateway: Ba
         executed = final is not Label.UNDECIDED
         if method is Method.TRANSLATE_THEN_SOLVE:
             result = solve_translation(stages[-1].artifact, problem.question)
-            stages.append(StageRecord(stage="engine", response=result.response, label=result.label))
+            stages.append(StageRecord(stage=ENGINE_STAGE, response=result.response, label=result.label))
             final, executed = result.label, result.executed  # Undecided when unexecuted, as abstain keeps
         if not executed and config.fallback is FallbackPolicy.RANDOM:
             final = random.Random(f"{config.seed}:{problem.id}").choice(list(problem.label_space))
