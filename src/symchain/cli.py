@@ -267,6 +267,8 @@ def cache_ls(directory):
 def cache_gc(directory, days, wipe):
     if days is None and not wipe:
         raise click.UsageError("pass --older-than DAYS or --all")
+    if days is not None and not days >= 0:  # NaN compares false too
+        raise click.BadParameter(f"{days} is not a number of days ≥ 0", param_hint="'--older-than'")
     cache = CompletionCache(directory)
     removed = 0
     cutoff = time.time() - (days or 0) * 86400

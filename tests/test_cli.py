@@ -714,6 +714,15 @@ class TestCache:
         assert (collected.exit_code, collected.output) == (0, "removed 1 entries\n")
         assert cache.keys() == [key]
 
+    @pytest.mark.parametrize("days", ["-1", "nan", "-inf"])
+    def test_gc_refuses_a_day_count_below_zero_or_nan(self, runner, tmp_path, days):
+        cache = CompletionCache(tmp_path)
+        key = cache.store(CompletionRequest(model="m", messages=(("user", "q"),)), CompletionResponse(content="a"))
+        result = runner.invoke(main, ["cache", "gc", "--dir", str(tmp_path), "--older-than", days])
+        assert result.exit_code == 2
+        assert "Invalid value for '--older-than'" in result.stderr
+        assert cache.keys() == [key]
+
     def test_gc_requires_selector(self, runner, tmp_path):
         result = runner.invoke(main, ["cache", "gc", "--dir", str(tmp_path)])
         assert result.exit_code == 2
