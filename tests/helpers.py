@@ -22,6 +22,7 @@ import symchain
 from symchain.csp import (
     AbsDiffNotEqual, AllDifferent, CAnd, CImplies, CNot, COr, Compare, CspModel,
 )
+from symchain.folparse import TranslationBlock
 from symchain.logic import (
     And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, KnowledgeBase,
     Not, Or, Rule, SignedLiteral, Variable, Xor,
@@ -549,29 +550,52 @@ def random_term(rng: Random, scope: list[str], allow_free: bool) -> object:
     return Constant(rng.choice(CONSTANTS))
 
 
-def random_atom_formula(rng: Random, scope: list[str], allow_free: bool) -> Atom:
-    name, arity = rng.choice(PREDICATES)
+def random_atom_formula(rng: Random, scope: list[str], allow_free: bool,
+                        predicates: Sequence[tuple[str, int]] = PREDICATES) -> Atom:
+    name, arity = rng.choice(predicates)
     args = tuple(random_term(rng, scope, allow_free) for _ in range(arity))
     return Atom(name, args)
 
 
 def random_formula(rng: Random, depth: int = 4, scope: list[str] | None = None,
-                   allow_free: bool = False, allow_quantifiers: bool = True) -> Formula:
+                   allow_free: bool = False, allow_quantifiers: bool = True,
+                   predicates: Sequence[tuple[str, int]] = PREDICATES) -> Formula:
+    """A formula over ``predicates``, each a name and its arity."""
     scope = scope or []
     if depth == 0 or rng.random() < 0.25:
-        return random_atom_formula(rng, scope, allow_free)
+        return random_atom_formula(rng, scope, allow_free, predicates)
     roll = rng.randrange(8 if allow_quantifiers else 6)
     if roll == 0:
-        return Not(random_formula(rng, depth - 1, scope, allow_free, allow_quantifiers))
+        return Not(random_formula(rng, depth - 1, scope, allow_free, allow_quantifiers, predicates))
     if roll in (1, 2, 3, 4, 5):
         cls = [And, Or, Xor, Implies, Iff][roll - 1]
         return cls(
-            random_formula(rng, depth - 1, scope, allow_free, allow_quantifiers),
-            random_formula(rng, depth - 1, scope, allow_free, allow_quantifiers),
+            random_formula(rng, depth - 1, scope, allow_free, allow_quantifiers, predicates),
+            random_formula(rng, depth - 1, scope, allow_free, allow_quantifiers, predicates),
         )
     var = rng.choice(BOUND_NAMES)
-    body = random_formula(rng, depth - 1, scope + [var], allow_free, allow_quantifiers)
+    body = random_formula(rng, depth - 1, scope + [var], allow_free, allow_quantifiers, predicates)
     return (ForAll if roll == 6 else Exists)(var, body)
+
+
+def random_translation_block(rng: Random) -> TranslationBlock:
+    """A block of a ``random_horn_kb``, declarations of its predicates (a
+    polarity-style one, of one more argument, now and then), up to two
+    premises over the same predicates and a ground literal over them as the
+    statement, each line with a gloss now and then.  Each predicate has one
+    arity throughout."""
+    kb = random_horn_kb(rng)
+    arities = sorted({(lit.predicate, len(lit.args))
+                      for lit in (*kb.facts, *(lit for rule in kb.rules for lit in (*rule.body, rule.head)))})
+
+    def gloss() -> str:
+        return rng.choice(["", "", "a gloss"])
+
+    predicates = [(name, arity + (rng.random() < 0.2), gloss()) for name, arity in arities]
+    premises = [(random_formula(rng, 3, predicates=arities), gloss()) for _ in range(rng.randint(0, 2))]
+    name, arity = rng.choice(arities)
+    statement = SignedLiteral(name, tuple(Constant(rng.choice("abcd")) for _ in range(arity)), rng.random() < 0.6)
+    return TranslationBlock(predicates, premises, statement.to_formula(), gloss(), kb)
 
 
 def random_propositional(rng: Random, depth: int = 3, n_atoms: int = 4) -> Formula:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import textwrap
 
@@ -10,8 +11,8 @@ from symchain.folparse import (
 )
 from symchain.inference import decide_formula
 from symchain.logic import (
-    And, Atom, Constant, Exists, ForAll, Implies, KnowledgeBase, Label, Not, Or, SignedLiteral,
-    Variable, Xor, alpha_equal,
+    And, Atom, Constant, Exists, ForAll, Implies, KnowledgeBase, Label, LogicError, Not, Or,
+    SignedLiteral, Variable, Xor, alpha_equal,
 )
 
 import helpers
@@ -223,6 +224,26 @@ class TestRoundTrip:
     def test_hypothesis_round_trip(self, seed):
         f = helpers.random_formula(random.Random(seed), depth=6)
         assert alpha_equal(parse_formula(print_formula(f)), f)
+
+    def test_seeded_blocks_read_back(self):
+        # parse(to_text(block)) is the block, printing is a fixed point, and the engine answers alike
+        rng = random.Random(34)
+        for _ in range(1000):
+            block = helpers.random_translation_block(rng)
+            text = block.to_text()
+            parsed = parse_translation_block(text)
+            assert parsed.executable, (text, parsed.diagnostics)
+            assert dataclasses.replace(parsed, diagnostics=[]) == block
+            assert parsed.to_text() == text
+            assert _decided(parsed) == _decided(block)
+
+
+def _decided(block):
+    """``decide_formula``'s label for the block, or the text of the error it raises."""
+    try:
+        return decide_formula(block.kb, block.statement)
+    except LogicError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 class TestLowering:
