@@ -528,7 +528,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     rules: list[Rule] = []
     has_rules = False
     statement_lines: list[SectionLine] = []
-    statement_errors: list[ParseDiagnostic] = []  # read in block order, reported after the other lines'
+    statement_errors: list[ParseDiagnostic] = []  # read in block order, reported after the extra lines' warnings
     terms: dict[str, Term] = {}  # one term per constant or variable token of the block
     declared: dict[str, tuple[int, int]] = {}  # predicate -> (arity, offset) of its last declaration
     kb_lines: list[_KbLine] = []  # the Facts/Rules lines, in block order
@@ -536,11 +536,11 @@ def parse_translation_block(text: str) -> TranslationBlock:
     arities: dict[str, int] = {}  # predicate -> arity of its first use, in block order
 
     def parsed(body: str, offset: int, lower: Callable = lambda f: f, into: list = block.diagnostics):
-        """``lower`` of the line's formula, or None once an error is recorded
-        ``into`` a list at the line's offset in the block: a ``ParseError``
-        (at its position) or other ``LogicError`` from either, or an
-        ``ArityMismatchError`` for the first atom, in preorder, of another
-        arity than its predicate's."""
+        """``lower`` of the line's formula, or None once an error at the line's
+        offset in the block is appended to ``into``: a ``ParseError`` (at its
+        position) or other ``LogicError`` from either, or an
+        ``ArityMismatchError`` for the line's first atom, in preorder, of
+        another arity than its predicate's."""
         try:
             formula = _parse_formula(body, terms)
             for f, _ in subformulas(formula):
@@ -599,7 +599,7 @@ def parse_translation_block(text: str) -> TranslationBlock:
     for line in statement_lines[1:]:
         block.diagnostics.append(ParseDiagnostic(
             line.offset, f"extra statement line ignored: {line.body[:40]!r}", Severity.WARNING))
-    block.diagnostics += statement_errors  # the statement's diagnostics follow its extra lines'
+    block.diagnostics += statement_errors
     if has_rules or facts:
         try:
             block.kb = KnowledgeBase(facts, rules)

@@ -451,7 +451,8 @@ Love(miroslav, music) ::: Miroslav loved music.
         ("Facts:\nP(a, True)\nPremises:\nP(a, b)\nQuery:\nP(a, True)", "P(a, b)", "used with arity 2, expected 1"),
         ("Premises:\nP(a)\nQuery:\nP(a, b)", "P(a, b)", "used with arity 2, expected 1"),
         ("Query:\nP(a, b)\nFacts:\nP(a, True)", "P(a, True)", "used with arity 1, expected 2"),
-        ("Rules:\nP($x, True) ⇒ Q($x, True)\nFacts:\nP(a, b, True)\nQuery:\nQ(a)", "P(a, b", "used with arity 2, expected 1"),
+        ("Rules:\nP($x, True) ⇒ Q($x, True)\nFacts:\nP(a, b, True)\nQuery:\nQ(a)", "P(a, b",
+         "used with arity 2, expected 1"),
         ("Query:\nP(a)\nPremises:\nQ(a) ∧ P(a, b) ∧ P(a, b, c)", "Q(a)", "used with arity 2, expected 1"),
     ], ids=["premise-premise", "fact-premise", "premise-statement", "statement-fact", "rule-fact", "one-per-line"])
     def test_an_arity_clash_is_at_the_later_line_in_block_order(self, text, later, message):
