@@ -21,12 +21,12 @@ from .logic import Label
 from .templates import Family, Stage
 
 
-class CorpusError(Exception):
-    pass
+class CorpusError(ValueError):
+    """A dataset or record fault; ``kind`` is the kind of the ``LoadError`` it becomes."""
 
-
-class MalformedFieldError(CorpusError):
-    """A record field holds a value of the wrong shape."""
+    def __init__(self, message: str, kind: str):
+        super().__init__(message)
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,13 @@ _DATASET_ALIASES = {**{name.lower(): name for name in DATASETS},
                     "logical_deduction": "LogicalDeduction", "ar-lsat": "ARLSAT"}
 
 
-def dataset_info(name: str) -> DatasetInfo:
-    canonical = _DATASET_ALIASES.get(name.lower(), name)
-    if canonical not in DATASETS:
-        raise CorpusError(f"unknown dataset {name!r}")
+def dataset_info(name: Optional[str]) -> DatasetInfo:
+    """The dataset ``name`` names in any case or spelling; ``None`` is a missing field."""
+    if name is None:
+        raise CorpusError("dataset", "MissingField")
+    canonical = _DATASET_ALIASES.get(name.lower()) if isinstance(name, str) else None
+    if canonical is None:
+        raise CorpusError(f"unknown dataset {name!r}", "Malformed")
     return DATASETS[canonical]
 
 
@@ -109,12 +112,13 @@ class Problem:
     def __post_init__(self):
         info = dataset_info(self.dataset)
         if info.family.is_csp and not self.options:
-            raise CorpusError(f"{self.id}: the {info.name} dataset needs options")
-        space = self.label_space
-        if self.gold not in space:
-            raise CorpusError(
-                f"{self.id}: gold label {self.gold.value} outside the {info.name} label space"
-            )
+            raise CorpusError(f"{self.id}: the {info.name} dataset needs options", "MissingField")
+        letters = [letter for letter, _ in self.options]
+        if len(set("ABCDE").intersection(letters)) != len(letters):
+            raise CorpusError(f"{self.id}: options need distinct letters A-E, got {', '.join(letters)}", "Malformed")
+        if self.gold not in self.label_space:
+            raise CorpusError(f"{self.id}: gold label {self.gold.value} outside the {info.name} label space",
+                              "UnknownLabel")
 
     @property
     def info(self) -> DatasetInfo:
@@ -189,9 +193,9 @@ def _parse_options(raw) -> tuple[tuple[str, str], ...]:
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise MalformedFieldError(f"options must be a list, got {type(raw).__name__}")
+        raise CorpusError(f"options must be a list, got {type(raw).__name__}", "Malformed")
     if len(raw) > 5:
-        raise MalformedFieldError(f"at most 5 options (A-E), got {len(raw)}")
+        raise CorpusError(f"at most 5 options (A-E), got {len(raw)}", "Malformed")
     out = []
     for i, item in enumerate(raw):
         if isinstance(item, dict):
@@ -213,7 +217,7 @@ def _parse_depth(raw) -> Optional[int]:
     except (TypeError, ValueError, OverflowError):
         depth = None
     if depth is None or isinstance(raw, bool) or (isinstance(raw, float) and raw != depth):
-        raise MalformedFieldError(f"depth must be an integer, got {raw!r}")
+        raise CorpusError(f"depth must be an integer, got {raw!r}", "Malformed")
     return depth
 
 
@@ -221,20 +225,20 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
     """Map one raw dataset record onto the normalized Problem schema."""
     for required in ("id", "context", "question", "gold"):
         if _pick(record, required) is None:
-            raise KeyError(required)
+            raise CorpusError(required, "MissingField")
     raw_gold = _pick(record, "gold")
     gold = Label.from_text(str(raw_gold))
     if gold is None:
-        raise ValueError(f"unreadable label {raw_gold!r}")
+        raise CorpusError(f"unreadable label {raw_gold!r}", "UnknownLabel")
     if gold.is_letter and not info.family.is_csp:
         gold = info.letter_map.get(gold.value)
         if gold is None:
-            raise ValueError(f"letter {raw_gold!r} outside the {info.name} option set")
+            raise CorpusError(f"letter {raw_gold!r} outside the {info.name} option set", "UnknownLabel")
     options = _parse_options(_pick(record, "options"))
     if not info.family.is_csp:
         options = ()  # pure T/F/U datasets carry no option texts
     elif not options:
-        raise KeyError("options")
+        raise CorpusError("options", "MissingField")
     depth = _parse_depth(_pick(record, "depth"))
     return Problem(
         id=str(_pick(record, "id")),
@@ -272,10 +276,10 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
     """Normalize each record of a JSON-array or JSON-lines file under ``info_of(record)``.
 
     A line that is not JSON, or a record that is not a JSON object, becomes
-    a ``Malformed`` error named ``record-<i>``, and a record whose options
-    or depth have the wrong shape a ``Malformed`` error under its id; the
-    other records still load.  An error in a JSON-lines file names its
-    physical line.  A leading byte-order mark is skipped.
+    a ``Malformed`` error named ``record-<i>``, and a record that raises a
+    ``CorpusError`` an error of its kind under its id; the other records
+    still load.  An error in a JSON-lines file names its physical line.  A
+    leading byte-order mark is skipped.
     """
     result = LoadResult()
     with open(path, encoding="utf-8-sig") as f:
@@ -292,12 +296,8 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
             rid = str(_pick(record, "id") or f"record-{i}")
             try:
                 result.problems.append(normalize_record(record, info_of(record)))
-            except KeyError as err:
-                result.errors.append(LoadError(rid, "MissingField", str(err.args[0]), line))
-            except MalformedFieldError as err:
-                result.errors.append(LoadError(rid, "Malformed", str(err), line))
-            except (ValueError, CorpusError) as err:
-                result.errors.append(LoadError(rid, "UnknownLabel", str(err), line))
+            except CorpusError as err:
+                result.errors.append(LoadError(rid, err.kind, str(err), line))
     return result
 
 
@@ -335,7 +335,7 @@ def dump_problems(problems: list[Problem]) -> str:
 
 def load_normalized(path: Union[str, Path]) -> LoadResult:
     """Load a file already in the normalized schema (dataset field per record)."""
-    return _load_records(path, lambda record: dataset_info(record["dataset"]))
+    return _load_records(path, lambda record: dataset_info(record.get("dataset")))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ class MiniCorpus:
         for p in self.problems:
             if p.id == problem_id:
                 return p
-        raise CorpusError(f"no mini-corpus problem {problem_id!r}")
+        raise CorpusError(f"no mini-corpus problem {problem_id!r}", "MissingField")
 
     def translation(self, problem_id: str) -> str:
         return self.translations[problem_id]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -440,3 +441,105 @@ class TestLoaderLayouts:
         result = load_normalized(path)
         assert [p.id for p in result.problems] == ids
         assert [(e.record_id, e.kind, e.detail) for e in result.errors] == errors
+
+
+_DROP = object()  # a field left out of the record
+
+
+class TestRecordFaultKinds:
+    """Every record fault is a ``CorpusError`` that names its ``LoadError``
+    kind where it is raised; ``_load_records`` files it under that kind."""
+
+    BASE = {"id": "q2", "dataset": "LogicalDeduction", "context": "c", "question": "q", "gold": "A",
+            "options": ["A) x", "B) y"]}
+
+    @pytest.mark.parametrize("changes,kind,detail", [
+        ({"dataset": "NoSuchSet"}, "Malformed", "unknown dataset 'NoSuchSet'"),
+        ({"dataset": _DROP}, "MissingField", "dataset"),
+        ({"dataset": None}, "MissingField", "dataset"),
+        ({"dataset": 5}, "Malformed", "unknown dataset 5"),
+        ({"dataset": True}, "Malformed", "unknown dataset True"),
+        ({"dataset": ["ProntoQA"]}, "Malformed", "unknown dataset ['ProntoQA']"),
+        ({"dataset": {"name": "ProntoQA"}}, "Malformed", "unknown dataset {'name': 'ProntoQA'}"),
+        ({"options": [{"label": "A", "text": "x"}, {"label": "Z", "text": "y"}]},
+         "Malformed", "q2: options need distinct letters A-E, got A, Z"),
+        ({"options": ["A) x", "A) y", "B) z"]}, "Malformed", "q2: options need distinct letters A-E, got A, A, B"),
+        ({"options": [{"label": "a"}]}, "Malformed", "q2: options need distinct letters A-E, got a"),
+        ({"options": {"A": "x"}}, "Malformed", "options must be a list, got dict"),
+        ({"options": ["x"] * 6}, "Malformed", "at most 5 options (A-E), got 6"),
+        ({"options": []}, "MissingField", "options"),
+        ({"depth": 2.5}, "Malformed", "depth must be an integer, got 2.5"),
+        ({"question": None}, "MissingField", "question"),
+        ({"id": _DROP}, "MissingField", "id"),
+        ({"gold": "Maybe"}, "UnknownLabel", "unreadable label 'Maybe'"),
+        ({"gold": "true"}, "UnknownLabel", "q2: gold label True outside the LogicalDeduction label space"),
+        ({"gold": "C"}, "UnknownLabel", "q2: gold label C outside the LogicalDeduction label space"),
+        ({"dataset": "ProntoQA", "gold": "C"}, "UnknownLabel", "letter 'C' outside the ProntoQA option set"),
+    ], ids=["unknown-dataset", "no-dataset", "null-dataset", "number-dataset", "boolean-dataset", "list-dataset",
+            "object-dataset", "option-letter-Z", "repeated-option-letter", "lower-case-option-letter",
+            "options-object", "six-options", "no-options", "fractional-depth", "null-question", "no-id",
+            "unreadable-gold", "truth-value-gold", "gold-not-an-option", "letter-outside-prontoqa"])
+    def test_load_normalized_files_each_fault_under_its_kind(self, tmp_path, changes, kind, detail):
+        good = dict(self.BASE, id="q1")
+        bad = {key: value for key, value in {**self.BASE, **changes}.items() if value is not _DROP}
+        path = tmp_path / "data.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+        result = load_normalized(path)
+        assert [p.id for p in result.problems] == ["q1"]
+        rid = "q2" if "id" in bad else "record-1"
+        assert result.errors == [LoadError(rid, kind, detail, 2)]
+
+    def test_problem_refuses_repeated_option_letters(self):
+        with pytest.raises(CorpusError, match="^x: options need distinct letters A-E, got A, A, B$") as info:
+            Problem(id="x", dataset="LogicalDeduction", context="c", question="q",
+                    options=(("A", "x"), ("A", "y"), ("B", "z")), gold=Label.A)
+        assert info.value.kind == "Malformed"
+
+    def test_problem_without_options_is_a_missing_field(self):
+        with pytest.raises(CorpusError) as info:
+            Problem(id="x", dataset="ARLSAT", context="c", question="q", gold=Label.A)
+        assert info.value.kind == "MissingField"
+
+    def test_corpus_error_is_a_value_error(self):
+        assert issubclass(CorpusError, ValueError)
+
+
+# values a fuzzed record's fields take: each JSON type, and strings that are no label
+_FUZZ_POOL = (None, 0, 7, -2.5, True, False, "", "Z", [], ["A) x", "A) y"], [{"label": "Z"}], [1, None], {},
+              {"label": "A"})
+_FUZZ_BASES = (
+    {"dataset": "LogicalDeduction", "context": "c", "question": "q", "gold": "B", "options": ["A) x", "B) y", "C) z"]},
+    {"dataset": "ProntoQA", "context": "c", "question": "q", "gold": "True"},
+    {"dataset": "ProofWriter", "context": "c", "question": "q", "answer": "C", "depth": 2},
+)
+
+
+def _fuzzed_records(seed: int, count: int = 2000) -> list[dict]:
+    """``count`` valid records, each with 0-3 of its fields dropped or replaced from ``_FUZZ_POOL``."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(count):
+        record = dict(rng.choice(_FUZZ_BASES), id=f"r{i}")
+        for key in rng.sample(sorted(record), rng.randint(0, 3)):
+            if rng.random() < 0.3:
+                del record[key]
+            else:
+                record[key] = rng.choice(_FUZZ_POOL)
+        records.append(record)
+    return records
+
+
+@pytest.mark.parametrize("dataset", [None, "LogicalDeduction", "ProntoQA"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_fuzzed_records_each_load_or_become_a_load_error(tmp_path, seed, dataset):
+    """No loader lets another exception escape: each record is a problem or a typed load error."""
+    path = tmp_path / "fuzz.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in _fuzzed_records(seed)), encoding="utf-8")
+    if dataset is None:
+        result = load_normalized(path)
+    else:
+        with pytest.warns(UserWarning, match="loaded 2000 records"):
+            result = load(dataset, path)
+    assert len(result.problems) + len(result.errors) == 2000
+    assert result.problems
+    assert {e.kind for e in result.errors} == {"MissingField", "UnknownLabel", "Malformed"}
