@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import evalkit
-from .corpus import LoadResult, Problem, load, load_normalized, mini_corpus
+from .corpus import CorpusError, LoadResult, Problem, load, load_normalized, mini_corpus
 from .folparse import ParseDiagnostic, ParseError, parse_formula, print_formula, read_fol_sections
 from .gateway import TIMESTAMP_FORMAT, CachingBackend, CompletionCache, HttpBackend, ReplayBackend
 from .logic import Label
@@ -113,7 +113,10 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
     path = data_file or config.dataset_paths.get(dataset)
     if path is None:
         raise click.UsageError(f"no data file known for dataset {dataset!r}; pass --data-file")
-    return _loaded(load(dataset, path))
+    try:
+        return _loaded(load(dataset, path))
+    except CorpusError as err:  # an unknown dataset name
+        raise click.UsageError(str(err)) from None
 
 
 def _loaded(result: LoadResult) -> list[Problem]:

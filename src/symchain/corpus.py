@@ -267,8 +267,8 @@ def json_lines(f: Iterable[str]) -> Iterator[tuple[int, object]]:
 
 
 def json_error_text(err: json.JSONDecodeError) -> str:
-    """The decoder's message and column for a line ``json_lines`` could not
-    decode; its own line number, always 1 there, is left out."""
+    """The decoder's message and column; its line number, which a load error
+    or a records error names itself, is left out."""
     return f"{err.msg}: column {err.colno}"
 
 
@@ -278,13 +278,17 @@ def _load_records(path: Union[str, Path], info_of: Callable[[dict], DatasetInfo]
     A line that is not JSON, or a record that is not a JSON object, becomes
     a ``Malformed`` error named ``record-<i>``, and a record that raises a
     ``CorpusError`` an error of its kind under its id; the other records
-    still load.  An error in a JSON-lines file names its physical line.  A
+    still load.  An error in a JSON-lines file names its physical line, and
+    an array that does not decode is one error at the decoder's line.  A
     leading byte-order mark is skipped.
     """
     result = LoadResult()
     with open(path, encoding="utf-8-sig") as f:
         if _first_non_space(f) == "[":
-            records = ((None, record) for record in json.load(f))
+            try:
+                records = ((None, record) for record in json.load(f))
+            except json.JSONDecodeError as err:  # the whole array is one record-0 error
+                records = [(err.lineno, err)]
         else:
             records = json_lines(f)
         for i, (line, record) in enumerate(records):

@@ -333,6 +333,28 @@ class TestRunEvalReport:
         assert "no data file known for dataset 'proofwriter'; pass --data-file" in result.stderr
         assert not out.exists()
 
+    def test_run_unknown_dataset_is_a_usage_error(self, runner, tmp_path):
+        data = tmp_path / "pw.json"
+        data.write_text(json.dumps([{"id": "1", "context": "c", "question": "q", "answer": "true"}]))
+        out = tmp_path / "r.jsonl"
+        result = runner.invoke(main, ["run", "--method", "cot", "--dataset", "NoSuch", "--data-file", str(data),
+                                      "--replay", str(tmp_path / "cache"), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "unknown dataset 'NoSuch'" in result.stderr
+        assert not out.exists()
+
+    def test_run_prints_the_error_of_an_array_that_does_not_decode(self, runner, tmp_path):
+        data = tmp_path / "pw.json"
+        data.write_text("[" + json.dumps({"id": "1", "context": "c", "question": "q", "answer": "true"}) + ",\n")
+        out = tmp_path / "r.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the file is smaller than the published split
+            result = runner.invoke(main, ["run", "--method", "cot", "--dataset", "proofwriter", "--data-file", str(data),
+                                          "--replay", str(tmp_path / "cache"), "--out", str(out)])
+        assert (result.exit_code, result.stderr) == (
+            0, "Malformed(record-0), line 2: invalid JSON: Expecting value: column 1\n")
+        assert out.read_text() == ""
+
     def test_replay_without_a_directory_is_for_the_mini_corpus_only(self, runner, tmp_path):
         data = tmp_path / "pw.json"
         data.write_text(json.dumps([{"id": "1", "context": "c", "question": "q", "answer": "true"}]))
@@ -495,6 +517,17 @@ class TestRunEvalReport:
         result = runner.invoke(main, ["eval", str(records), "--gold", str(gold)])
         assert (result.exit_code, result.stderr) == (1, "MissingField(prontoqa-max-sour), line 2: gold\n"
                                                         "records without gold labels: prontoqa-max-sour\n")
+
+    def test_eval_prints_the_error_of_a_gold_array_that_does_not_decode(self, runner, tmp_path, corpus):
+        problems = list(corpus.problems)[:2]
+        gold = tmp_path / "gold.json"
+        gold.write_text("[" + dump_problems(problems).splitlines()[0] + ",\n", encoding="utf-8")
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(problems, Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)), records)
+        result = runner.invoke(main, ["eval", str(records), "--gold", str(gold)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("Malformed(record-0), line 2: invalid JSON: Expecting value: column 1\n"
+                                        "records without gold labels: ")
 
     def test_eval_records_line_not_json_exit_one(self, runner, tmp_path, corpus):
         records = tmp_path / "records.jsonl"

@@ -321,6 +321,20 @@ class TestLoad:
         assert [(e.record_id, e.kind) for e in result.errors] == [("record-1", "Malformed")]
         assert result.errors[0].detail.startswith("invalid JSON: ")
 
+    @pytest.mark.parametrize("loader", ["load", "load_normalized"])
+    def test_array_that_does_not_decode_is_one_malformed_error(self, tmp_path, loader):
+        """An array cut off after its first record is one error at the decoder's line."""
+        record = {"id": "1", "dataset": "ProntoQA", "context": "c", "question": "q", "gold": "True"}
+        path = tmp_path / "cut.json"
+        path.write_text(f"[{json.dumps(record)},\n", encoding="utf-8")
+        if loader == "load":
+            with pytest.warns(UserWarning, match="loaded 1 records"):
+                result = load("ProntoQA", path)
+        else:
+            result = load_normalized(path)
+        assert not result.problems
+        assert [str(e) for e in result.errors] == ["Malformed(record-0), line 2: invalid JSON: Expecting value: column 1"]
+
     def test_options_as_objects_and_plain_strings(self):
         record = {"id": "1", "context": "c", "question": "q", "answer": "B",
                   "options": [{"label": "A", "text": "t1"}, "plain"]}
