@@ -434,17 +434,17 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
             if not m:
                 diagnostics.append(ParseDiagnostic(pos, f"cannot read variable declaration: {body!r}"))
             else:
-                try:
-                    values = tuple(sorted(int(v.strip()) for v in m.group("values").split(",") if v.strip()))
+                try:  # the distinct values; an empty domain is kept, and leaves no solution
+                    values = tuple(sorted({int(v.strip()) for v in m.group("values").split(",") if v.strip()}))
                 except ValueError:
                     diagnostics.append(ParseDiagnostic(pos, f"non-integer domain value in: {body!r}"))
-                    values = ()
+                    continue
                 if values and values[0] < 1:
                     diagnostics.append(ParseDiagnostic(pos, f"domain value below 1 in: {body!r}"))
-                elif values:
-                    variables.append((m.group("name"), values))
-                    subjects.append((m.group("name"), pos))
-                    domain_max = max(domain_max, max(values))
+                    continue
+                variables.append((m.group("name"), values))
+                subjects.append((m.group("name"), pos))
+                domain_max = max((domain_max, *values))
         elif section == "constraints":
             try:
                 expr = parse_constraint(body.partition(":")[0])

@@ -195,6 +195,17 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "-", "--engine", engine], input=text)
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", stderr)
 
+    def test_csp_variable_with_an_empty_domain_has_no_solutions(self, runner):
+        text = "Variables:\na in {1, 2, 3}\nb in {}\nConstraints:\na == 1\nQuery:\nA) a == 1\nB) a == 2\n"
+        parsed = runner.invoke(main, ["parse", "-", "--format", "csp"], input=text)
+        assert parsed.exit_code == 0, parsed.output
+        assert "b ∈ {}" in parsed.stdout.splitlines()
+        again = runner.invoke(main, ["parse", "-", "--format", "csp"], input=parsed.stdout)
+        assert (again.exit_code, again.stdout) == (0, parsed.stdout)
+        solved = runner.invoke(main, ["solve", "-", "--engine", "csp"], input=text)
+        assert (solved.exit_code, solved.stdout, solved.stderr) == (
+            1, "", "engine error: model has no solutions; verdicts are undefined\n")
+
     def test_statement_atom_of_another_arity_exit_one(self, runner):
         # an atom of a compound statement, not only a one-literal statement
         text = "Facts:\nP(a, True)\nQuery:\nP(a, b, True) ∨ P(a, True)\n"

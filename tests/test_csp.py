@@ -215,6 +215,25 @@ class TestParseCspBlock:
         assert diagnostics == [ParseDiagnostic(52, "query line must start with an option letter: 'v == 2'")]
         assert model.queries == [("A", Compare("v", "==", 1))]
 
+    def test_a_variable_with_an_empty_domain_is_kept(self):
+        text = "Variables:\na in {1, 2, 3}\nb in {}\nConstraints:\na == 1\nQuery:\nA) a == 1\nB) a == 2\n"
+        model, diagnostics = parse_csp_block(text)
+        assert diagnostics == []
+        assert model == CspModel(domain_size=3, variables=[("a", (1, 2, 3)), ("b", ())],
+                                 constraints=[Compare("a", "==", 1)],
+                                 queries=[("A", Compare("a", "==", 1)), ("B", Compare("a", "==", 2))])
+        assert "b ∈ {}" in model.to_text().splitlines()
+        assert parse_csp_block(model.to_text()) == (dataclasses.replace(model, domain_gloss=("1 to 3",)), [])
+        with pytest.raises(NoSolutionsError):
+            evaluate_queries(model)
+
+    def test_a_repeated_domain_value_is_read_once(self):
+        model, diagnostics = parse_csp_block("Variables:\na in {2, 1, 2}\nConstraints:\nQuery:\nA) a == 2\n")
+        assert diagnostics == []
+        assert model.variables == [("a", (1, 2))]
+        assert solve_all(model).solutions == ({"a": 1}, {"a": 2})
+        assert evaluate_queries(model).solution_count == 2
+
     @pytest.mark.parametrize("domain,size,gloss,diagnostics", [
         ("1: low\n3: high\n", 3, ("1: low", "3: high"), []),
         ("positions: 1 to 5\n", 5, ("positions: 1 to 5",), []),
