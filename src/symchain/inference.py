@@ -115,14 +115,6 @@ def _atoms_of(f: Formula) -> set[Atom]:
     return atoms
 
 
-def is_propositional(f: Formula) -> bool:
-    try:
-        atoms = _atoms_of(f)
-    except UnsupportedFragmentError:
-        return False
-    return all(not free_variables(a) for a in atoms)
-
-
 def eval_formula(f: Formula, model: Mapping[Atom, bool]) -> bool:
     """Two-valued evaluation under a model that values every atom of ``f``."""
     return _kleene(f, model.__getitem__)
@@ -299,9 +291,10 @@ def check_step(premises: Iterable[Formula], rule: InferenceRule | str,
     """Validate one deduction step against a named inference rule.
 
     The verdict is ``valid`` iff the premises and conclusion fit the rule's
-    schema up to alpha-equivalence and first-order matching.  Propositional
-    steps are additionally confirmed by truth-table entailment (≤ 12 atoms);
-    a failed propositional step carries a countermodel sketch.
+    schema up to alpha-equivalence and first-order matching.  A step without
+    free variables is also checked by ``truth_table_entails`` unless that
+    refuses it (a quantifier, or more than 12 atoms); a failed check carries a
+    countermodel sketch.
     """
     if isinstance(rule, str):
         try:
@@ -316,11 +309,10 @@ def check_step(premises: Iterable[Formula], rule: InferenceRule | str,
 
     matched, reason = _match_schema(premises, rule, conclusion)
 
-    propositional = all(is_propositional(f) for f in premises) and is_propositional(conclusion)
-    if propositional:
+    if not any(free_variables(f) for f in (*premises, conclusion)):
         try:
             entailed, countermodel = truth_table_entails(premises, conclusion)
-        except UnsupportedFragmentError:
+        except UnsupportedFragmentError:  # a quantifier, or too many atoms
             entailed, countermodel = matched, None
         if matched and not entailed:
             # schema bug guard: trust the semantic check

@@ -18,7 +18,7 @@ from symchain.csp import (
 )
 from symchain.fixtures import ScriptedCorpusBackend
 from symchain.folparse import parse_formula, parse_translation_block, print_formula
-from symchain.inference import check_step, decide_formula, eval_formula, is_propositional, truth_table_entails
+from symchain.inference import check_step, decide_formula, eval_formula, truth_table_entails
 from symchain.logic import (
     And, Atom, Constant, Exists, ForAll, FunctionApp, Iff, Implies, InferenceRule, Label, Not, Or,
     SignedLiteral, Variable, Xor, alpha_equal, free_variables, substitute,
@@ -70,7 +70,6 @@ CASES = {
     "substitute": lambda s, fa, fx, fy: print_formula(substitute(fx, "x", Constant("a"))) == printed(s),
     "alpha_equal": lambda s, fa, fx, fy: (
         alpha_equal(ForAll("x", fx), ForAll("y", fy)) and not alpha_equal(fx, fy)),
-    "is_propositional": lambda s, fa, fx, fy: is_propositional(fa) and not is_propositional(fx),
     "truth_table_entails": lambda s, fa, fx, fy: truth_table_entails([fa], fa) == (True, None),
     "check_step AndElim": lambda s, fa, fx, fy: (
         check_step([fa], InferenceRule.AND_ELIM, P_A).valid == (s in ("and", "parens"))),
@@ -125,7 +124,6 @@ TERM_CASES = {
         and not alpha_equal(p, Atom("P", (deep_term(Constant("b")),)))),
     "print_formula": lambda leaf, t, p: print_formula(p) == f"P({term_text(leaf.name)})",
     "parse_formula of print_formula": lambda leaf, t, p: alpha_equal(parse_formula(print_formula(p)), p),
-    "is_propositional": lambda leaf, t, p: is_propositional(p) == (leaf == A),
     "truth_table_entails": lambda leaf, t, p: truth_table_entails([p], p) == (True, None),
     "check_step UniversalInstantiation": lambda leaf, t, p: (
         check_step([ForAll("x", p)], UI, Atom("P", (deep_term(A),))).valid
