@@ -11,12 +11,11 @@ import hashlib
 import json
 import math
 import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 # ``requests`` (which loads urllib3, ssl, http and email) and the HTTP-date
 # parser are imported where a live call needs them: offline runs (replay,
@@ -210,33 +209,17 @@ class Backend:
 
 
 class ScriptedBackend(Backend):
-    """Deterministic test backend serving canned responses.
+    """Deterministic offline backend: serves the canned text mapped to each
+    request's cache key; a request with no entry is a ``ReplayMissError``."""
 
-    Accepts either a mapping from request cache key to response text, or a
-    sequence consumed in call order.  Running out of (or missing) fixtures
-    is a hard error.
-    """
-
-    def __init__(self, responses: Union[dict[str, str], Sequence[str]]):
-        self._lock = threading.Lock()
-        if isinstance(responses, dict):
-            self._by_key: Optional[dict[str, str]] = dict(responses)
-            self._queue: list[str] = []
-        else:
-            self._by_key = None
-            self._queue = list(responses)
+    def __init__(self, responses: dict[str, str]):
+        self._by_key = dict(responses)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        with self._lock:
-            if self._by_key is not None:
-                key = request.cache_key()
-                if key not in self._by_key:
-                    raise ReplayMissError(key)
-                content = self._by_key[key]
-            else:
-                if not self._queue:
-                    raise GatewayError("scripted backend ran out of responses")
-                content = self._queue.pop(0)
+        key = request.cache_key()
+        content = self._by_key.get(key)
+        if content is None:
+            raise ReplayMissError(key)
         return scripted_response(request, content)
 
 

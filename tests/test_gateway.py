@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from symchain.cli import main
 from symchain.corpus import mini_corpus
+from symchain.fixtures import ScriptedCorpusBackend
 from symchain.gateway import (
     AuthError, Backend, CachingBackend, CompletionCache, CompletionRequest,
     CompletionResponse, GatewayError, HttpBackend, MAX_RETRY_AFTER_S, MalformedResponseError,
@@ -110,18 +111,23 @@ class TestScriptedBackend:
         with pytest.raises(ReplayMissError):
             backend.complete(req())
 
-    def test_queue_order(self):
-        backend = ScriptedBackend(["one", "two"])
-        assert backend.complete(req("x")).content == "one"
-        assert backend.complete(req("y")).content == "two"
-        with pytest.raises(GatewayError):
-            backend.complete(req("z"))
-
     def test_token_counts(self):
-        backend = ScriptedBackend(["three word reply"])
+        backend = ScriptedBackend({req("two words").cache_key(): "three word reply"})
         response = backend.complete(req("two words"))
         assert response.completion_tokens == 3
         assert response.prompt_tokens == 2
+
+    @pytest.mark.parametrize("method", [Method.SYMBCOT, Method.TRANSLATE_THEN_SOLVE])
+    def test_parallel_batch_gets_each_problem_its_own_answer(self, method):
+        # key map from one logged pass of the corpus's scripted backend
+        corpus = mini_corpus()
+        logged = ScriptedCorpusBackend(corpus)
+        run_batch(list(corpus.problems), method, RunConfig(), logged)
+        backend = ScriptedBackend({key: corpus.stage_text(pid, stage) for key, pid, stage in logged.log})
+        runs = {n: run_batch(list(corpus.problems), method, RunConfig(parallelism=n), backend) for n in (1, 4)}
+        assert all(r.error is None for r in runs[1])
+        assert [r.to_json(include_wall_time=False) for r in runs[4]] == [
+            r.to_json(include_wall_time=False) for r in runs[1]]
 
 
 class TestCache:
@@ -261,7 +267,7 @@ class TestUnservableEntries:
         cache, key, _, _ = case
         with pytest.raises(ReplayMissError):
             ReplayBackend(cache).complete(req("unservable"))
-        response = CachingBackend(ScriptedBackend(["live"]), cache).complete(req("unservable"))
+        response = CachingBackend(ScriptedBackend({req("unservable").cache_key(): "live"}), cache).complete(req("unservable"))
         assert (response.content, response.backend) == ("live", "scripted")
         # the live reply overwrites the entry
         assert cache.load(key) == CompletionResponse("live", 1, 1, backend="cache")
@@ -286,7 +292,7 @@ class TestResponseSource:
         cache = CompletionCache(tmp_path)
         cache.store(req("tagged"), CompletionResponse("stored", prompt_tokens=3, completion_tokens=1))
         replayed = ReplayBackend(cache).complete(req("tagged"))
-        cached = CachingBackend(ScriptedBackend([]), cache).complete(req("tagged"))
+        cached = CachingBackend(ScriptedBackend({}), cache).complete(req("tagged"))
         assert replayed == CompletionResponse("stored", 3, 1, backend="replay")
         assert cached == CompletionResponse("stored", 3, 1, backend="cache")
         assert cache.load(req("tagged").cache_key()) == cached
@@ -304,7 +310,7 @@ class CountingBackend(Backend):
 
 class TestCachingBackend:
     def test_second_call_served_from_cache(self, tmp_path):
-        counting = CountingBackend(ScriptedBackend(["live answer"]))
+        counting = CountingBackend(ScriptedBackend({req("q").cache_key(): "live answer"}))
         backend = CachingBackend(counting, tmp_path)
         first = backend.complete(req("q"))
         second = backend.complete(req("q"))
@@ -314,7 +320,7 @@ class TestCachingBackend:
 
     def test_no_live_traffic_in_replay_mode(self, tmp_path):
         # populate, then replay must not touch the inner backend at all
-        counting = CountingBackend(ScriptedBackend(["only once"]))
+        counting = CountingBackend(ScriptedBackend({req("q").cache_key(): "only once"}))
         CachingBackend(counting, tmp_path).complete(req("q"))
         replay = ReplayBackend(tmp_path)
         replay.complete(req("q"))

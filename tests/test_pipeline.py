@@ -198,7 +198,7 @@ class TestRunStage:
         from symchain.folparse import parse_formula
         from symchain.gateway import ScriptedBackend
         from symchain.logic import alpha_equal
-        from symchain.pipeline import run_stage
+        from symchain.pipeline import render_request, run_stage
 
         response = """Premises:
 ∀x (Yellow(x) → Simpsons(x)) ::: If a cartoon character is yellow, it is from the Simpsons.
@@ -208,10 +208,12 @@ Yellow(ben) ∨ Ugly(ben) ::: Ben is ugly or yellow.
 """
         catalog = TemplateCatalog()
         template = catalog.get(Stage.TRANSLATOR, Family.FOL_FOLIO)
-        record = run_stage(template, {
+        bindings = {
             "context": "If a cartoon character is yellow...", "question": "Ben is ugly or yellow.",
             "options": "",
-        }, ScriptedBackend([response]), config)
+        }
+        key = render_request(template, bindings, config).cache_key()
+        record = run_stage(template, bindings, ScriptedBackend({key: response}), config)
         assert not record.diagnostics
         block = record.artifact
         want = parse_formula("∀x (Yellow(x) → Simpsons(x))")
@@ -219,25 +221,28 @@ Yellow(ben) ∨ Ugly(ben) ::: Ben is ugly or yellow.
 
     def test_parse_failure_recorded_not_raised(self, config):
         from symchain.gateway import ScriptedBackend
-        from symchain.pipeline import run_stage
+        from symchain.pipeline import render_request, run_stage
 
         catalog = TemplateCatalog()
         template = catalog.get(Stage.TRANSLATOR, Family.FOL_PRONTOQA)
-        record = run_stage(template, {"context": "c", "question": "q", "options": ""},
-                           ScriptedBackend(["no structure at all"]), config)
+        bindings = {"context": "c", "question": "q", "options": ""}
+        key = render_request(template, bindings, config).cache_key()
+        record = run_stage(template, bindings, ScriptedBackend({key: "no structure at all"}), config)
         assert record.diagnostics
         assert record.artifact is None
 
     def test_solver_label_extraction_contract(self, config):
         from symchain.gateway import ScriptedBackend
-        from symchain.pipeline import run_stage
+        from symchain.pipeline import render_request, run_stage
 
         catalog = TemplateCatalog()
         template = catalog.get(Stage.SOLVER, Family.FOL_PRONTOQA)
-        record = run_stage(template, {
+        bindings = {
             "context": "c", "question": "q", "options": "",
             "premises_sym": "s", "plan": "p",
-        }, ScriptedBackend(["Final answer: {false}"]), config)
+        }
+        key = render_request(template, bindings, config).cache_key()
+        record = run_stage(template, bindings, ScriptedBackend({key: "Final answer: {false}"}), config)
         assert record.label is Label.FALSE
 
 
