@@ -26,8 +26,22 @@ from .pipeline import (
 )
 
 
-def _read_input(source) -> str:
-    if source == "-" or source is None:
+# An input file must exist and not be a directory, or it is a usage error
+# (exit 2) that names it; a parse or solve SOURCE may also be "-", stdin.
+_DATA_FILE = click.Path(exists=True, dir_okay=False)
+_SOURCE = click.Path(exists=True, dir_okay=False, allow_dash=True)
+
+
+def _data_file(path: str, where: str) -> str:
+    """``path``, checked as ``--data-file`` is; ``where`` names its origin in the usage error."""
+    try:
+        return _DATA_FILE.convert(path, None, None)
+    except click.BadParameter as err:
+        raise click.BadParameter(err.message, param_hint=where) from None
+
+
+def _read_input(source: str) -> str:
+    if source == "-":
         return sys.stdin.read().removeprefix("\ufeff")
     return Path(source).read_text(encoding="utf-8-sig")
 
@@ -47,7 +61,7 @@ def main():
 
 
 @main.command("parse")
-@click.argument("source", required=False, default="-")
+@click.argument("source", required=False, default="-", type=_SOURCE)
 @click.option("--format", "fmt", type=click.Choice(["fol", "csp"]), default="fol",
               help="Input notation: FOL translation block or CSP block.")
 def cmd_parse(source, fmt):
@@ -77,7 +91,7 @@ def cmd_parse(source, fmt):
 
 
 @main.command("solve")
-@click.argument("source", required=False, default="-")
+@click.argument("source", required=False, default="-", type=_SOURCE)
 @click.option("--engine", type=click.Choice(["fol", "csp"]), default="fol")
 @click.option("--question", default="",
               help="The question a CSP model answers; its mode (must, could or cannot be true) picks the option.")
@@ -113,6 +127,8 @@ def _load_problems(dataset: str, data_file, config: RunConfig):
     path = data_file or config.dataset_paths.get(dataset)
     if path is None:
         raise click.UsageError(f"no data file known for dataset {dataset!r}; pass --data-file")
+    if data_file is None:
+        _data_file(path, f"dataset_paths[{dataset!r}]")
     try:
         return _loaded(load(dataset, path))
     except CorpusError as err:  # an unknown dataset name
@@ -130,7 +146,7 @@ def _loaded(result: LoadResult) -> list[Problem]:
 @click.option("--method", type=click.Choice([m.value for m in Method]), default=None,
               help="Defaults to the config file's method.")
 @click.option("--dataset", default="minicorpus", show_default=True)
-@click.option("--data-file", type=click.Path(exists=True), default=None,
+@click.option("--data-file", type=_DATA_FILE, default=None,
               help="Dataset JSON file (defaults to the config's dataset_paths).")
 @click.option("--limit", type=click.IntRange(min=0), default=None, help="Run only the first N problems.")
 @click.option("--replay", is_flag=False, flag_value="", default=None,
@@ -200,7 +216,10 @@ def cmd_eval(records_file, gold_source, fmt, out, annotations):
         records = read_records(records_file)
     except ValueError as err:
         _fail(str(err))
-    problems = list(mini_corpus().problems) if _is_mini_corpus(gold_source) else _loaded(load_normalized(gold_source))
+    if _is_mini_corpus(gold_source):
+        problems = list(mini_corpus().problems)
+    else:
+        problems = _loaded(load_normalized(_data_file(gold_source, "'--gold'")))
     golds = {p.id: p.gold for p in problems}
     method = records[0].method.value if records else "?"
     try:

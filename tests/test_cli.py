@@ -49,6 +49,16 @@ class TestParse:
         assert result.exit_code == 1
         assert "offset" in result.output or "offset" in (result.stderr or "")
 
+    @pytest.mark.parametrize("command", ["parse", "solve"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_source_that_cannot_be_read_is_a_usage_error(self, runner, tmp_path, command, kind):
+        source = tmp_path / "missing.txt"
+        if kind == "directory":
+            source.mkdir()
+        result = runner.invoke(main, [command, str(source)])
+        assert result.exit_code == 2, result.output
+        assert "'[SOURCE]'" in result.stderr and str(source) in result.stderr
+
     def test_unknown_flag_exit_two(self, runner):
         result = runner.invoke(main, ["parse", "--no-such-flag"])
         assert result.exit_code == 2
@@ -354,6 +364,28 @@ class TestRunEvalReport:
         assert "unknown dataset 'NoSuch'" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_run_config_data_file_that_cannot_be_read_is_a_usage_error(self, runner, tmp_path, kind):
+        data = tmp_path / "pw.json"
+        if kind == "directory":
+            data.mkdir()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset_paths": {"ProofWriter": str(data)}}))
+        out = tmp_path / "r.jsonl"
+        result = runner.invoke(main, ["run", "--method", "cot", "--dataset", "ProofWriter", "--config", str(config),
+                                      "--replay", str(tmp_path / "cache"), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "dataset_paths['ProofWriter']" in result.stderr and str(data) in result.stderr
+        assert not out.exists()
+
+    def test_run_data_file_that_is_a_directory_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "r.jsonl"
+        result = runner.invoke(main, ["run", "--method", "cot", "--dataset", "ProofWriter", "--data-file",
+                                      str(tmp_path), "--replay", str(tmp_path / "cache"), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'--data-file'" in result.stderr and "is a directory" in result.stderr
+        assert not out.exists()
+
     def test_run_prints_the_error_of_an_array_that_does_not_decode(self, runner, tmp_path):
         data = tmp_path / "pw.json"
         data.write_text("[" + json.dumps({"id": "1", "context": "c", "question": "q", "answer": "true"}) + ",\n")
@@ -528,6 +560,18 @@ class TestRunEvalReport:
         result = runner.invoke(main, ["eval", str(records), "--gold", str(gold)])
         assert (result.exit_code, result.stderr) == (1, "MissingField(prontoqa-max-sour), line 2: gold\n"
                                                         "records without gold labels: prontoqa-max-sour\n")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_eval_gold_file_that_cannot_be_read_is_a_usage_error(self, runner, tmp_path, corpus, kind):
+        gold = tmp_path / "missing.json"
+        if kind == "directory":
+            gold.mkdir()
+        records = tmp_path / "records.jsonl"
+        write_records(run_batch(list(corpus.problems)[:2], Method.NAIVE, RunConfig(), ScriptedCorpusBackend(corpus)),
+                      records)
+        result = runner.invoke(main, ["eval", str(records), "--gold", str(gold)])
+        assert result.exit_code == 2, result.output
+        assert "'--gold'" in result.stderr and str(gold) in result.stderr
 
     def test_eval_prints_the_error_of_a_gold_array_that_does_not_decode(self, runner, tmp_path, corpus):
         problems = list(corpus.problems)[:2]
