@@ -479,7 +479,7 @@ def parse_csp_block(text: str, options: Optional[Collection[str]] = None
 
     try:
         model = CspModel(
-            domain_size=domain_max,
+            domain_size=max(domain_max, 1),  # 1 to 1 when no Domain line or value sizes it
             domain_gloss=tuple(domain_gloss),
             variables=variables,
             constraints=constraints,

@@ -216,6 +216,17 @@ class TestSolve:
         assert (solved.exit_code, solved.stdout, solved.stderr) == (
             1, "", "engine error: model has no solutions; verdicts are undefined\n")
 
+    @pytest.mark.parametrize("domain", ["", "Domain:\n1 to 3\n"], ids=["no-domain-line", "domain-line"])
+    def test_csp_block_whose_every_domain_is_empty_has_no_solutions(self, runner, domain):
+        text = domain + "Variables:\nb in {}\nConstraints:\nQuery:\nA) b == 1\n"
+        parsed = runner.invoke(main, ["parse", "-", "--format", "csp"], input=text)
+        assert (parsed.exit_code, parsed.stderr) == (0, "")
+        again = runner.invoke(main, ["parse", "-", "--format", "csp"], input=parsed.stdout)
+        assert (again.exit_code, again.stdout) == (0, parsed.stdout)
+        solved = runner.invoke(main, ["solve", "-", "--engine", "csp"], input=text)
+        assert (solved.exit_code, solved.stdout, solved.stderr) == (
+            1, "", "engine error: model has no solutions; verdicts are undefined\n")
+
     def test_statement_atom_of_another_arity_exit_one(self, runner):
         # an atom of a compound statement, not only a one-literal statement
         text = "Facts:\nP(a, True)\nQuery:\nP(a, b, True) ∨ P(a, True)\n"

@@ -227,6 +227,15 @@ class TestParseCspBlock:
         with pytest.raises(NoSolutionsError):
             evaluate_queries(model)
 
+    def test_a_block_whose_every_domain_is_empty_reads_as_a_model(self):
+        # with no value and no Domain line to size it, the domain is 1 to 1
+        model, diagnostics = parse_csp_block("Variables:\nb in {}\nConstraints:\nQuery:\nA) b == 1\n")
+        assert diagnostics == []
+        assert model == CspModel(domain_size=1, variables=[("b", ())], queries=[("A", Compare("b", "==", 1))])
+        assert parse_csp_block(model.to_text()) == (dataclasses.replace(model, domain_gloss=("1 to 1",)), [])
+        with pytest.raises(NoSolutionsError):
+            evaluate_queries(model)
+
     def test_a_repeated_domain_value_is_read_once(self):
         model, diagnostics = parse_csp_block("Variables:\na in {2, 1, 2}\nConstraints:\nQuery:\nA) a == 2\n")
         assert diagnostics == []
