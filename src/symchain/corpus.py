@@ -234,11 +234,11 @@ def normalize_record(record: dict, info: DatasetInfo) -> Problem:
         gold = info.letter_map.get(gold.value)
         if gold is None:
             raise CorpusError(f"letter {raw_gold!r} outside the {info.name} option set", "UnknownLabel")
-    options = _parse_options(_pick(record, "options"))
-    if not info.family.is_csp:
-        options = ()  # pure T/F/U datasets carry no option texts
-    elif not options:
-        raise CorpusError("options", "MissingField")
+    options = ()  # pure T/F/U datasets carry no option texts, and theirs go unread
+    if info.family.is_csp:
+        options = _parse_options(_pick(record, "options"))
+        if not options:
+            raise CorpusError("options", "MissingField")
     depth = _parse_depth(_pick(record, "depth"))
     return Problem(
         id=str(_pick(record, "id")),

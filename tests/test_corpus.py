@@ -360,6 +360,17 @@ class TestLoad:
             ("six", "Malformed", "at most 5 options (A-E), got 6"),
         ]
 
+    @pytest.mark.parametrize("dataset", ["ProntoQA", "ProofWriter", "FOLIO"])
+    def test_truth_value_records_leave_their_options_unread(self, tmp_path, dataset):
+        base = {"context": "c", "question": "q", "answer": "true"}
+        records = [dict(base, id="num", options=5), dict(base, id="text", options="A) x"),
+                   dict(base, id="six", options=["A) a", "B) b", "C) c", "D) d", "E) e", "F) f"])]
+        with pytest.warns(UserWarning):
+            result = load(dataset, _write(tmp_path, "tv.json", records))
+        assert result.errors == []
+        assert [(p.id, p.options, p.gold) for p in result.problems] == [
+            ("num", (), Label.TRUE), ("text", (), Label.TRUE), ("six", (), Label.TRUE)]
+
     def test_csp_record_without_options_is_a_load_error(self, tmp_path):
         records = [{"id": "x", "context": "c", "question": "Which one must be true?", "answer": "A"},
                    {"id": "empty", "context": "c", "question": "q", "answer": "A", "options": []},
@@ -523,7 +534,7 @@ _FUZZ_POOL = (None, 0, 7, -2.5, True, False, "", "Z", [], ["A) x", "A) y"], [{"l
               {"label": "A"})
 _FUZZ_BASES = (
     {"dataset": "LogicalDeduction", "context": "c", "question": "q", "gold": "B", "options": ["A) x", "B) y", "C) z"]},
-    {"dataset": "ProntoQA", "context": "c", "question": "q", "gold": "True"},
+    {"dataset": "ProntoQA", "context": "c", "question": "q", "gold": "True", "depth": 3},
     {"dataset": "ProofWriter", "context": "c", "question": "q", "answer": "C", "depth": 2},
 )
 
