@@ -26,24 +26,18 @@ from .pipeline import (
 )
 
 
-# An input file must exist and not be a directory, or it is a usage error
-# (exit 2) that names it; a parse or solve SOURCE may also be "-", stdin.
+# A missing input file, or a directory, is a usage error naming it. A parse or
+# solve SOURCE may be "-", stdin, and a leading byte-order mark is skipped.
 _DATA_FILE = click.Path(exists=True, dir_okay=False)
-_SOURCE = click.Path(exists=True, dir_okay=False, allow_dash=True)
+_SOURCE = click.File(encoding="utf-8-sig")
 
 
 def _data_file(path: str, where: str) -> str:
-    """``path``, checked as ``--data-file`` is; ``where`` names its origin in the usage error."""
+    """``path``, checked as ``--data-file`` is, with ``where`` it came from in the usage error."""
     try:
         return _DATA_FILE.convert(path, None, None)
     except click.BadParameter as err:
         raise click.BadParameter(err.message, param_hint=where) from None
-
-
-def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    return Path(source).read_text(encoding="utf-8-sig")
 
 
 def _fail(message: str, code: int = 1):
@@ -66,7 +60,7 @@ def main():
               help="Input notation: FOL translation block or CSP block.")
 def cmd_parse(source, fmt):
     """Parse a translation block (file or stdin) and print its canonical form."""
-    text = _read_input(source)
+    text = source.read()
     if fmt == "fol":
         headers, lines, _ = read_fol_sections(text)
         if not headers:  # bare formulas, one per line, at offsets from the start of the input
@@ -98,7 +92,7 @@ def cmd_parse(source, fmt):
 def cmd_solve(source, engine, question):
     """Solve a symbolic translation file with the matching engine."""
     csp = engine == "csp"
-    artifact, diagnostics = parse_translation(_read_input(source), csp)
+    artifact, diagnostics = parse_translation(source.read(), csp)
     result = solve_translation(artifact, question)
     if not result.executed:
         for d in diagnostics:
@@ -216,10 +210,8 @@ def cmd_eval(records_file, gold_source, fmt, out, annotations):
         records = read_records(records_file)
     except ValueError as err:
         _fail(str(err))
-    if _is_mini_corpus(gold_source):
-        problems = list(mini_corpus().problems)
-    else:
-        problems = _loaded(load_normalized(_data_file(gold_source, "'--gold'")))
+    problems = (list(mini_corpus().problems) if _is_mini_corpus(gold_source)
+                else _loaded(load_normalized(_data_file(gold_source, "'--gold'"))))
     golds = {p.id: p.gold for p in problems}
     method = records[0].method.value if records else "?"
     try:
