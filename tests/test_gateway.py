@@ -267,7 +267,8 @@ class TestUnservableEntries:
         cache, key, _, _ = case
         with pytest.raises(ReplayMissError):
             ReplayBackend(cache).complete(req("unservable"))
-        response = CachingBackend(ScriptedBackend({req("unservable").cache_key(): "live"}), cache).complete(req("unservable"))
+        live = ScriptedBackend({req("unservable").cache_key(): "live"})
+        response = CachingBackend(live, cache).complete(req("unservable"))
         assert (response.content, response.backend) == ("live", "scripted")
         # the live reply overwrites the entry
         assert cache.load(key) == CompletionResponse("live", 1, 1, backend="cache")
